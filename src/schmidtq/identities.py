@@ -29,6 +29,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
+from math import isqrt
 
 from .colored import (
     color_counts,
@@ -50,7 +51,6 @@ from .series import (
     Series,
     SeriesContext,
     gaussian_multinomial_coeffs,
-    geometric_inverse,
     poch_finite,
     poch_infinite,
     poch_infinite_inverse,
@@ -173,6 +173,8 @@ class VerificationReport:
 
 
 def _series_mismatch(name_a, a, name_b, b):
+    if a == b:
+        return None
     keys = {tuple(mon) for mon, _ in a.sorted_terms()}
     keys |= {tuple(mon) for mon, _ in b.sorted_terms()}
     for key in sorted(keys, key=lambda t: (sum(t), t)):
@@ -211,9 +213,13 @@ def _hook_exponent(n, j, k, with_t1_denominator):
 
 
 def _hook_sum(qcap, with_t1_denominator):
+    # The sum of inner_n / D_n, where D_n is the product over r = 1..n of
+    # (1 - q^r)(1 - t2 q^r), times (1 - t1 q^r) with the t1 denominator.
+    # Nested the Horner way from the largest n down,
+    # acc = inner_n + acc / (D_{n+1} / D_n), so each level costs two or
+    # three linear division steps instead of products of whole series.
     ctx = trivariate_context(qcap)
-    total = ctx.zero()
-    denom = ctx.one()
+    inners = []
     n = 0
     while True:
         # Provable, monotone floor for the minimal q-exponent at this n;
@@ -224,16 +230,12 @@ def _hook_sum(qcap, with_t1_denominator):
             floor = max(0, (n * n - 1) // 4)
         if n > 0 and floor > qcap:
             break
-        if n > 0:
-            denom = denom * geometric_inverse(ctx, ctx.monomial(q=n))
-            denom = denom * geometric_inverse(ctx, ctx.monomial(q=n, t2=1))
-            if with_t1_denominator:
-                denom = denom * geometric_inverse(ctx, ctx.monomial(q=n, t1=1))
         inner = {}
         for j in range(n + 1):
             for k in range(max(0, n - j), n + 1):
                 e = _hook_exponent(n, j, k, with_t1_denominator)
-                assert e >= 0, f"negative exponent {e} at n={n}, j={j}, k={k}"
+                if e < 0:
+                    raise ArithmeticError(f"negative exponent {e} at n={n}, j={j}, k={k}")
                 if e > qcap:
                     continue
                 sign = -1 if (j + k + n) % 2 else 1
@@ -244,10 +246,16 @@ def _hook_sum(qcap, with_t1_denominator):
                     if c and e + d <= qcap:
                         key = (e + d, j, k)
                         inner[key] = inner.get(key, 0) + sign * c
-        if inner:
-            total = total + Series(ctx, inner) * denom
+        inners.append(Series(ctx, inner))
         n += 1
-    return total
+    acc = ctx.zero()
+    for n in range(len(inners) - 1, -1, -1):
+        r = n + 1
+        acc = acc.div_one_minus(ctx.monomial(q=r)).div_one_minus(ctx.monomial(q=r, t2=1))
+        if with_t1_denominator:
+            acc = acc.div_one_minus(ctx.monomial(q=r, t1=1))
+        acc = acc + inners[n]
+    return acc
 
 
 def sum_side(identity, qcap):
@@ -405,18 +413,17 @@ def ln_series(n, qcap):
         if not quot.within(caps):
             seq.append(ctx.zero())
             continue
-        head = Series(ctx, {quot: 1}) * geometric_inverse(ctx, quot)
+        # seq[r] = Q_r / (1 - Q_r) * tail: a shift, then one division step.
         if r == 1:
-            seq.append(head)
+            tail = ctx.one()
         elif r == 2:
             first = step_monomial(1)
-            val = head * t1
+            tail = t1
             if first.within(caps):
-                val = val + head * Series(ctx, {first: 1}) * geometric_inverse(ctx, first)
-            seq.append(val)
+                tail = tail + ctx.term(1, first).div_one_minus(first)
         else:
             tail = seq[r - 1] + t1 * (seq[r - 2] + seq[r - 3])
-            seq.append(head * tail)
+        seq.append((ctx.term(1, quot) * tail).div_one_minus(quot))
     return seq[n]
 
 
@@ -459,29 +466,30 @@ def t1_slice_check(J, qcap):
         if mon[1] == J:
             sliced[(mon[0], 0, mon[2])] = coeff
     lhs = Series(ctx, sliced)
-
-    rhs = ctx.zero()
-    prefix_e = J * (J + 1) // 2
-    if prefix_e <= qcap:
-        prefix = Series(ctx, {ctx.monomial(q=prefix_e): 1})
-        for r in range(1, J + 1):
-            prefix = prefix * geometric_inverse(ctx, ctx.monomial(q=r))
-        inner = ctx.zero()
-        denom = ctx.one()
-        mm = 0
-        while mm * mm <= qcap:
-            if mm > 0:
-                denom = denom * geometric_inverse(ctx, ctx.monomial(q=mm))
-                denom = denom * geometric_inverse(ctx, ctx.monomial(q=mm, t2=1))
-            inner = inner + Series(ctx, {ctx.monomial(q=mm * mm, t2=mm): 1}) * denom
-            mm += 1
-        rhs = prefix * inner
     return _compare_sides(
         "t1_slice",
         {"j": J},
         {"q": qcap, "t1": qcap, "t2": qcap},
-        [("sum_slice", lhs), ("closed_form", rhs)],
+        [("sum_slice", lhs), ("closed_form", _t1_slice_closed_form(ctx, J))],
     )
+
+
+def _t1_slice_closed_form(ctx, J):
+    # q^C(J+1,2) / (q; q)_J times the sum over m of
+    # q^(m^2) t2^m / ((q; q)_m (t2 q; q)_m), the sum nested the Horner way.
+    qcap = ctx.caps[0]
+    prefix_e = J * (J + 1) // 2
+    if prefix_e > qcap:
+        return ctx.zero()
+    inner = ctx.zero()
+    for mm in range(isqrt(qcap), -1, -1):
+        r = mm + 1
+        inner = inner.div_one_minus(ctx.monomial(q=r)).div_one_minus(ctx.monomial(q=r, t2=1))
+        inner = inner + ctx.term(1, ctx.monomial(q=mm * mm, t2=mm))
+    out = ctx.term(1, ctx.monomial(q=prefix_e)) * inner
+    for r in range(1, J + 1):
+        out = out.div_one_minus(ctx.monomial(q=r))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,16 @@ series.  Coefficients are unbounded Python integers.
 Pochhammer factors whose leading monomial already exceeds the caps are
 identified with 1, so "infinite" products only ever multiply finitely
 many factors.
+
+Two steps carry the products and quotients by single factors, each in
+time linear in the number of terms: :meth:`Series.mul_one_minus`
+multiplies by ``1 - c * x^a`` in one pass over the terms, and
+:meth:`Series.div_one_minus` divides by ``1 - x^a`` through the
+recurrence ``out[k] = in[k] + out[k - a]``, walked chain by chain along
+``a``.  The Pochhammer builders are loops of these steps.  A general
+product (``*``) buckets the larger operand by one exponent and visits,
+for each term of the other operand, only the buckets that still fit
+under that exponent's cap.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, itemgetter, le
 from typing import NamedTuple
 
 ALLOWED_VARIABLES = ("q", "t1", "t2", "s", "z")
@@ -233,14 +244,45 @@ class Series:
         if len(a) > len(b):
             a, b = b, a
         out = {}
+        if not a:
+            return Series._raw(self._context, out)
+        # Bucket b by the exponent that leaves the fewest pairs to visit;
+        # a pair whose bucket exponent already overflows its cap is never
+        # formed, and the rest are checked against every cap.
+        v = _bucket_variable(a, b, caps)
+        buckets = {}
+        for m2, c2 in b.items():
+            buckets.setdefault(m2[v], []).append((m2, c2))
+        levels = sorted(buckets.items())
         for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(m1, m2))
-                if all(e <= c for e, c in zip(key, caps)):
-                    out[key] = out.get(key, 0) + c1 * c2
+            room = tuple(c - e for c, e in zip(caps, m1))
+            room_v = room[v]
+            for e, items in levels:
+                if e > room_v:
+                    break
+                for m2, c2 in items:
+                    if all(map(le, m2, room)):
+                        key = tuple(map(add, m1, m2))
+                        out[key] = out.get(key, 0) + c1 * c2
         return Series._raw(self._context, out)
 
     __rmul__ = __mul__
+
+    def mul_one_minus(self, monomial, coefficient=1):
+        """This series times ``1 - coefficient * monomial``, in one pass over its terms."""
+        terms = dict(self._terms)
+        _mul_one_minus(terms, self._context.caps, _as_monomial(self._context, monomial), coefficient)
+        return Series._raw(self._context, terms)
+
+    def div_one_minus(self, monomial):
+        """This series divided by ``1 - monomial``, in time linear in the result's size.
+
+        Equals the product with :func:`geometric_inverse` of the same
+        monomial, which must be nonconstant.
+        """
+        terms = dict(self._terms)
+        _div_one_minus(terms, self._context.caps, _as_monomial(self._context, monomial))
+        return Series._raw(self._context, terms)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -299,11 +341,69 @@ class Series:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
+def _bucket_variable(a, b, caps):
+    """The variable index whose buckets of ``b`` leave ``a * b`` the fewest pairs.
+
+    A pair (m1, m2) is visited when ``m2[v] <= caps[v] - m1[v]``; the count
+    for each v comes from a cumulative histogram of b's exponents.
+    """
+    best, best_pairs = 0, None
+    for v, cap in enumerate(caps):
+        below = [0] * (cap + 1)
+        for m2 in b:
+            below[m2[v]] += 1
+        for e in range(1, cap + 1):
+            below[e] += below[e - 1]
+        pairs = sum(below[cap - m1[v]] for m1 in a)
+        if best_pairs is None or pairs < best_pairs:
+            best, best_pairs = v, pairs
+    return best
+
+
+def _mul_one_minus(terms, caps, mon, coefficient):
+    # In place: terms *= (1 - coefficient * x^mon).  The snapshot keeps
+    # each shifted term reading the input coefficient, also when mon is
+    # constant.
+    for key, value in list(terms.items()):
+        shifted = tuple(map(add, key, mon))
+        if all(map(le, shifted, caps)):
+            value = terms.get(shifted, 0) - coefficient * value
+            if value:
+                terms[shifted] = value
+            else:
+                terms.pop(shifted, None)
+
+
+def _div_one_minus(terms, caps, mon):
+    # In place: terms /= (1 - x^mon) by out[k] = in[k] + out[k - mon].
+    # Keys k and k + mon lie on one chain.  Taken in ascending order of an
+    # exponent that mon raises, the first key met on a chain is its lowest
+    # input key; the chain is walked once from there up to the caps,
+    # reading every input value before overwriting it.
+    if not any(mon):
+        raise ValueError("cannot divide by 1 - 1; the monomial must be nonconstant")
+    walked = set()
+    for key in sorted(terms, key=itemgetter(next(i for i, e in enumerate(mon) if e))):
+        if key in walked:
+            continue
+        acc = 0
+        while all(map(le, key, caps)):
+            walked.add(key)
+            acc += terms.get(key, 0)
+            if acc:
+                terms[key] = acc
+            else:
+                terms.pop(key, None)
+            key = tuple(map(add, key, mon))
+
+
 def geometric_inverse(context, monomial):
     """The truncation of ``1 / (1 - monomial)``, i.e. the geometric sum of its powers.
 
     The monomial must involve at least one variable so that the sum is
-    finite under the caps.
+    finite under the caps.  The package itself divides with
+    :meth:`Series.div_one_minus`; this whole-series form is the reference
+    the tests compare that step against.
     """
     mon = Monomial(monomial)
     if len(mon) != len(context.variables):
@@ -327,59 +427,66 @@ def _as_monomial(context, monomial):
 
 
 def poch_finite(context, z, g, n, coefficient=1):
-    """The product of ``1 - coefficient * z * g**k`` over ``k = 0..n-1``."""
+    """The product of ``1 - coefficient * z * g**k`` over ``k = 0..n-1``.
+
+    One multiply step (:meth:`Series.mul_one_minus`) per factor inside the
+    caps, each one pass over the terms built so far: O(n * terms).
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"factor count must be a nonnegative integer, got {n!r}")
     z = _as_monomial(context, z)
     g = _as_monomial(context, g)
     caps = context.caps
-    result = context.one()
+    terms = {tuple([0] * len(caps)): 1}
     cur = z
     for _ in range(n):
         if cur.within(caps):
-            result = result * Series._raw(
-                context, {tuple([0] * len(caps)): 1, tuple(cur): -coefficient}
-            )
+            _mul_one_minus(terms, caps, cur, coefficient)
         elif not g.is_constant():
             break
         cur = cur * g
-    return result
+    return Series._raw(context, terms)
 
 
 def poch_infinite(context, z, g, coefficient=1):
     """The product of ``1 - coefficient * z * g**k`` over all ``k >= 0``.
 
     ``z`` and ``g`` must be nonconstant, so that only finitely many
-    factors survive the caps.
+    factors survive the caps.  One multiply step
+    (:meth:`Series.mul_one_minus`) per surviving factor, each one pass over
+    the terms built so far: O(factors * terms).
     """
     z = _as_monomial(context, z)
     g = _as_monomial(context, g)
     if z.is_constant() or g.is_constant():
         raise ValueError("base and ratio must both be nonconstant monomials")
     caps = context.caps
-    result = context.one()
+    terms = {tuple([0] * len(caps)): 1}
     cur = z
     while cur.within(caps):
-        result = result * Series._raw(
-            context, {tuple([0] * len(caps)): 1, tuple(cur): -coefficient}
-        )
+        _mul_one_minus(terms, caps, cur, coefficient)
         cur = cur * g
-    return result
+    return Series._raw(context, terms)
 
 
 def poch_infinite_inverse(context, z, g):
-    """The product of ``1 / (1 - z * g**k)`` over all ``k >= 0``."""
+    """The product of ``1 / (1 - z * g**k)`` over all ``k >= 0``.
+
+    One division step (:meth:`Series.div_one_minus`) per factor inside the
+    caps, each linear in the size of the series it produces:
+    O(factors * terms).
+    """
     z = _as_monomial(context, z)
     g = _as_monomial(context, g)
     if z.is_constant() or g.is_constant():
         raise ValueError("base and ratio must both be nonconstant monomials")
     caps = context.caps
-    result = context.one()
+    terms = {tuple([0] * len(caps)): 1}
     cur = z
     while cur.within(caps):
-        result = result * geometric_inverse(context, cur)
+        _div_one_minus(terms, caps, cur)
         cur = cur * g
-    return result
+    return Series._raw(context, terms)
 
 
 def _dense_mul(a, b):

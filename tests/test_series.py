@@ -6,6 +6,7 @@ every surviving coefficient is exact. Oracles below re-derive the same
 numbers by dense convolution and by enumeration.
 """
 
+import itertools
 import json
 
 import pytest
@@ -105,6 +106,9 @@ def test_finite_pochhammer():
     assert got == want
     assert poch_finite(ctx, z, q, 0) == ctx.one()
     assert poch_finite(QCTX, Q, Q, 3) == qpoly(1, -1, -1, 0, 1, 1, -1)
+    # A constant base contributes the factor 1 - coefficient.
+    assert poch_finite(QCTX, QCTX.monomial(), Q, 2) == QCTX.zero()
+    assert poch_finite(QCTX, QCTX.monomial(), Q, 2, coefficient=3) == qpoly(-2, 6)
 
 
 def test_infinite_pochhammer_inverse_counts_partitions():
@@ -206,24 +210,65 @@ def test_canonical_text_and_json():
     assert str(ctx.zero()) == "0"
 
 
-@given(
-    st.lists(st.tuples(st.integers(0, 6), st.integers(-5, 5)), max_size=8),
-    st.lists(st.tuples(st.integers(0, 6), st.integers(-5, 5)), max_size=8),
+# Unequal caps, so that a product can overflow one cap while fitting the others.
+CONTEXTS = (
+    SeriesContext(("q",), (9,)),
+    SeriesContext(("q", "s"), (6, 3)),
+    SeriesContext(("q", "t1", "t2"), (5, 2, 1)),
 )
-def test_multiplication_matches_dense_convolution(a_terms, b_terms):
-    cap = 9
-    ctx = SeriesContext(("q",), (cap,))
-    a = Series(ctx, [((e,), c) for e, c in a_terms])
-    b = Series(ctx, [((e,), c) for e, c in b_terms])
-    dense_a = [a.coefficient((i,)) for i in range(cap + 1)]
-    dense_b = [b.coefficient((i,)) for i in range(cap + 1)]
-    dense = [0] * (cap + 1)
-    for i, ca in enumerate(dense_a):
-        for j, cb in enumerate(dense_b):
-            if i + j <= cap:
-                dense[i + j] += ca * cb
+
+
+def exponents(ctx, slack=0):
+    return st.tuples(*(st.integers(0, cap + slack) for cap in ctx.caps))
+
+
+def series_in(ctx):
+    terms = st.lists(st.tuples(exponents(ctx), st.integers(-5, 5)), max_size=10)
+    return terms.map(lambda ts: Series(ctx, ts))
+
+
+def box(ctx):
+    return list(itertools.product(*(range(cap + 1) for cap in ctx.caps)))
+
+
+@given(st.data())
+def test_multiplication_matches_dense_convolution(data):
+    ctx = data.draw(st.sampled_from(CONTEXTS))
+    a = data.draw(series_in(ctx))
+    b = data.draw(series_in(ctx))
+    cells = box(ctx)
+    dense = {k: 0 for k in cells}
+    for i in cells:
+        for j in cells:
+            k = tuple(x + y for x, y in zip(i, j))
+            if k in dense:
+                dense[k] += a.coefficient(i) * b.coefficient(j)
     got = a * b
-    assert [got.coefficient((i,)) for i in range(cap + 1)] == dense
+    assert {k: got.coefficient(k) for k in cells} == dense
+
+
+@given(st.data(), st.integers(-3, 3))
+def test_multiply_step_matches_full_multiply(data, c):
+    # Monomials include constants and ones free of q, like the s base of mork_even.
+    ctx = data.draw(st.sampled_from(CONTEXTS))
+    a = data.draw(series_in(ctx))
+    mono = data.draw(exponents(ctx))
+    assert a.mul_one_minus(mono, c) == a * (ctx.one() - ctx.term(c, mono))
+
+
+@given(st.data())
+def test_divide_step_matches_geometric_inverse(data):
+    ctx = data.draw(st.sampled_from(CONTEXTS))
+    a = data.draw(series_in(ctx))
+    mono = data.draw(exponents(ctx, slack=1).filter(any))
+    assert a.div_one_minus(mono) == a * geometric_inverse(ctx, mono)
+
+
+def test_divide_step_rejects_a_constant_monomial():
+    with pytest.raises(ValueError):
+        qpoly(1, 2).div_one_minus(QCTX.monomial())
+    with pytest.raises(ValueError):
+        qpoly(1, 2).div_one_minus((1, 0))
 
 
 @given(st.integers(1, 4), st.integers(0, 4), st.integers(4, 10))
