@@ -12,9 +12,10 @@ of each part size may additionally be overlined.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, groupby, product
+from collections import Counter
+from itertools import combinations_with_replacement, product
 
-from .partitions import normalize_residue_set, partitions_of
+from .partitions import normalize_residue_set, partition_groups
 
 __all__ = [
     "ColoredPartition",
@@ -23,7 +24,9 @@ __all__ = [
     "cs_validate",
     "color_counts",
     "colored_partitions",
+    "colored_partition_counts",
     "overpartitions",
+    "overpartition_counts",
     "over_stats",
 ]
 
@@ -93,26 +96,26 @@ def _validate_palette(m, s, top):
     return residues
 
 
+def _palette(size, residues, top):
+    # The colors lo..hi-1 a part of this size may wear, as (lo, hi).
+    i = len(residues)
+    k = ((size - 1) % i) + 1
+    return residues[k - 1], (residues[k] if k < i else top)
+
+
 def admissible_colors(part_size, m, s, top):
     """The color range allowed on a part of the given size."""
     residues = _validate_palette(m, s, top)
     if part_size < 1:
         raise ValueError(f"part size must be positive, got {part_size}")
-    i = len(residues)
-    k = ((part_size - 1) % i) + 1
-    lo = residues[k - 1]
-    hi = residues[k] if k < i else top
-    return range(lo, hi)
+    return range(*_palette(part_size, residues, top))
 
 
 def cs_validate(mu, m, s, top):
     """Whether every part of ``mu`` wears a color its size admits."""
     residues = _validate_palette(m, s, top)
-    i = len(residues)
     for size, color in mu.parts:
-        k = ((size - 1) % i) + 1
-        lo = residues[k - 1]
-        hi = residues[k] if k < i else top
+        lo, hi = _palette(size, residues, top)
         if not lo <= color < hi:
             return False
     return True
@@ -138,16 +141,12 @@ def colored_partitions(n, m, s, top):
     decreasing order.
     """
     residues = _validate_palette(m, s, top)
-    i = len(residues)
-    for lam in partitions_of(n):
-        groups = [(size, len(tuple(grp))) for size, grp in groupby(lam.parts)]
+    for groups in partition_groups(n):
         options = []
         for size, count in groups:
-            k = ((size - 1) % i) + 1
-            lo = residues[k - 1]
-            hi = residues[k] if k < i else top
+            lo, hi = _palette(size, residues, top)
             palette = range(hi - 1, lo - 1, -1)
-            options.append([combo for combo in combinations_with_replacement(palette, count)])
+            options.append(list(combinations_with_replacement(palette, count)))
         for choice in product(*options):
             parts = []
             for (size, _), colors in zip(groups, choice):
@@ -244,8 +243,7 @@ def overpartitions(n):
     """Yield the overpartitions of ``n``: each partition with every subset of sizes overlined."""
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    for lam in partitions_of(n):
-        groups = [(size, len(tuple(grp))) for size, grp in groupby(lam.parts)]
+    for groups in partition_groups(n):
         for flags in product((False, True), repeat=len(groups)):
             yield Overpartition(
                 (size, count, flag) for (size, count), flag in zip(groups, flags)
@@ -255,3 +253,88 @@ def overpartitions(n):
 def over_stats(mu):
     """The pair (number of overlined parts, total number of parts)."""
     return mu.overlined_count, len(mu)
+
+
+# ---------------------------------------------------------------------------
+# counting without objects
+
+
+def _grouped_counts(n, width, key_of, weight_of):
+    # Counter of statistic vectors over the objects on the partitions of n
+    # whose decoration is chosen independently per (size, count) group.
+    # weight_of(key) maps each vector to the number of ways to decorate a
+    # group with key_of(size, count) == key; vectors add across groups.  A
+    # partition's weight depends only on its sorted tuple of group keys, so
+    # each distinct tuple is expanded once, from its longest expanded
+    # prefix.  Entries never exceed n, so a vector is packed into one int
+    # in base n + 1 and vector sums are int sums.
+    base = n + 1
+    shapes = Counter(
+        tuple(sorted(key_of(size, count) for size, count in groups))
+        for groups in partition_groups(n)
+    )
+    weights = {}
+    polys = {(): {0: 1}}
+    out = Counter()
+    for shape, mult in shapes.items():
+        poly = polys[()]
+        for j, key in enumerate(shape, start=1):
+            prefix = shape[:j]
+            if prefix in polys:
+                poly = polys[prefix]
+                continue
+            if key not in weights:
+                weights[key] = {
+                    sum(e * base**k for k, e in enumerate(vec)): d
+                    for vec, d in weight_of(key).items()
+                }
+            step = {}
+            for v, c in poly.items():
+                for dv, d in weights[key].items():
+                    step[v + dv] = step.get(v + dv, 0) + c * d
+            poly = polys[prefix] = step
+        for v, c in poly.items():
+            out[v] += mult * c
+    return Counter(
+        {tuple(v // base**k % base for k in range(width)): c for v, c in out.items()}
+    )
+
+
+def colored_partition_counts(n, m, s, top):
+    """How many colored partitions of ``n`` have each color-count vector.
+
+    Counts the objects of ``colored_partitions(n, m, s, top)`` by
+    ``color_counts(mu, m)`` without building them: ``c`` equal parts
+    over a palette take each multiset of ``c`` palette colors once.
+    """
+    residues = _validate_palette(m, s, top)
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+
+    def weight_of(key):
+        (lo, hi), count = key
+        dist = Counter()
+        for colors in combinations_with_replacement(range(lo, hi), count):
+            vec = [0] * m
+            for color in colors:
+                vec[color - 1] += 1
+            dist[tuple(vec)] += 1
+        return dist
+
+    return _grouped_counts(
+        n, m, lambda size, count: (_palette(size, residues, top), count), weight_of
+    )
+
+
+def overpartition_counts(n):
+    """How many overpartitions of ``n`` have each (overlined, plain) part count.
+
+    Counts the objects of ``overpartitions(n)`` without building them: a
+    group of ``c`` equal parts is all plain or has one overlined copy,
+    the weight ``t2^c + t1 t2^(c-1)``.
+    """
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+    return _grouped_counts(
+        n, 2, lambda size, count: count, lambda c: {(0, c): 1, (1, c - 1): 1}
+    )

@@ -33,8 +33,10 @@ from math import isqrt
 
 from .colored import (
     color_counts,
+    colored_partition_counts,
     colored_partitions,
     over_stats,
+    overpartition_counts,
     overpartitions,
 )
 from .partitions import (
@@ -328,37 +330,54 @@ def _repeated_size_count(lam):
     return sum(1 for _, grp in groupby(lam.parts) if len(tuple(grp)) > 1)
 
 
+def _cor22_counts(qcap):
+    # One iterative preorder walk over every partition with odd-index
+    # weight at most qcap and every multiplicity below 4, counted by
+    # (weight, repeated sizes, alternating sum).  Appending part a at an odd
+    # index adds a to the weight and to the alternating sum, at an even
+    # index subtracts it from the alternating sum; a second copy of a size
+    # makes it repeated, and a fourth copy is never appended.  Each node is
+    # (weight, alternating sum, repeated sizes, last part, run length of the
+    # last part, whether the next index is odd).
+    acc = Counter({(0, 0, 0): 1})
+    stack = [(0, 0, 0, qcap, 0, True)]
+    while stack:
+        weight, alt, repeated, last, run, odd = stack.pop()
+        for a in range(min(last, qcap - weight) if odd else last, 0, -1):
+            if a == last:
+                if run == 3:
+                    continue
+                child_run, child_repeated = run + 1, repeated + (run == 1)
+            else:
+                child_run, child_repeated = 1, repeated
+            if odd:
+                child_weight, child_alt = weight + a, alt + a
+            else:
+                child_weight, child_alt = weight, alt - a
+            acc[(child_weight, child_repeated, child_alt)] += 1
+            stack.append((child_weight, child_alt, child_repeated, a, child_run, not odd))
+    return acc
+
+
 def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
     """The brute-force generating function, graded exactly like the other sides."""
     if identity == "ak_trivariate":
         qcap = _required(qcap, "qcap")
-        ctx = trivariate_context(qcap)
         acc = Counter()
         for n in range(qcap + 1):
-            for mu in colored_partitions(n, 2, (1,), 3):
-                c1, c2 = color_counts(mu, 2)
-                acc[(n, c1, c2)] += 1
-        return Series(ctx, acc)
+            for (c1, c2), count in colored_partition_counts(n, 2, (1,), 3).items():
+                acc[(n, c1, c2)] += count
+        return Series(trivariate_context(qcap), acc)
     if identity == "overpartition":
         qcap = _required(qcap, "qcap")
-        ctx = trivariate_context(qcap)
         acc = Counter()
         for n in range(qcap + 1):
-            for mu in overpartitions(n):
-                o, length = over_stats(mu)
-                acc[(n, o, length - o)] += 1
-        return Series(ctx, acc)
+            for (overlined, plain), count in overpartition_counts(n).items():
+                acc[(n, overlined, plain)] += count
+        return Series(trivariate_context(qcap), acc)
     if identity == "cor22":
         qcap = _required(qcap, "qcap")
-        ctx = trivariate_context(qcap)
-        acc = Counter()
-        for w in range(qcap + 1):
-            for lam in partitions_with_schmidt_weight(w, 2, (1,), "P"):
-                if not in_class(lam, "D", 4):
-                    continue
-                alt = residue_column_count(lam, 2, 1)
-                acc[(w, _repeated_size_count(lam), alt)] += 1
-        return Series(ctx, acc)
+        return Series(trivariate_context(qcap), _cor22_counts(qcap))
     if identity in ("mork_odd", "mork_even"):
         scap = _required(scap, "scap")
         ctx = size_graded_context(scap)
@@ -558,16 +577,14 @@ def verify_counting(theorem, *, n, m=None, s=None):
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"weight must be a nonnegative integer, got {n!r}")
     if theorem == "schmidt":
-        if m not in (None, 2) or s not in (None, (1,), [1], {1}):
-            raise ValueError("this count is specific to modulus 2, residues {1}")
+        _check_odd_index_count(m, s)
         lhs = sum(1 for _ in partitions_with_schmidt_weight(n, 2, (1,), "D"))
         rhs = sum(1 for _ in partitions_of(n))
         return _bucket_report(
             theorem, {"m": 2, "s": [1]}, {"n": n}, [("total", lhs, rhs)]
         )
     if theorem == "uncu":
-        if m not in (None, 2) or s not in (None, (1,), [1], {1}):
-            raise ValueError("this count is specific to modulus 2, residues {1}")
+        _check_odd_index_count(m, s)
         lhs = sum(1 for _ in partitions_with_schmidt_weight(n, 2, (1,), "P"))
         rhs = sum(1 for _ in colored_partitions(n, 2, (1,), 3))
         return _bucket_report(
@@ -635,6 +652,13 @@ def verify_counting(theorem, *, n, m=None, s=None):
             theorem, {"m": m, "s": list(residues)}, {"n": n}, pairs
         )
     raise ValueError(f"unknown counting theorem {theorem!r}")
+
+
+def _check_odd_index_count(m, s):
+    # schmidt and uncu count odd-index weights: modulus 2, residues {1},
+    # however the residue set is spelled.
+    if m not in (None, 2) or (s is not None and normalize_residue_set(2, s) != (1,)):
+        raise ValueError("this count is specific to modulus 2, residues {1}")
 
 
 def _required_set(s):

@@ -9,6 +9,7 @@ and residue-class statistics below free of edge cases.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import groupby
 
 __all__ = [
@@ -18,6 +19,7 @@ __all__ = [
     "residue_column_count",
     "in_class",
     "repetition_profile",
+    "partition_groups",
     "partitions_of",
     "partitions_with_schmidt_weight",
 ]
@@ -40,6 +42,14 @@ class Partition:
         if t and t[-1] < 1:
             raise ValueError(f"parts must be positive integers, got {t}")
         self._parts = t
+
+    @classmethod
+    def _trusted(cls, parts):
+        # The enumerators build weakly decreasing tuples of positive ints
+        # already; skip the validation of __init__.
+        lam = object.__new__(cls)
+        lam._parts = parts
+        return lam
 
     @property
     def parts(self):
@@ -156,6 +166,15 @@ def residue_column_count(lam, m, j):
     return total
 
 
+def _check_class(cls, m):
+    if cls == "P":
+        return
+    if cls not in ("D", "F", "R"):
+        raise ValueError(f"unknown class {cls!r}")
+    if not isinstance(m, int) or m < 2:
+        raise ValueError(f"class {cls} needs an integer modulus >= 2, got {m!r}")
+
+
 def in_class(lam, cls, m=None):
     """Membership test for the four part-condition classes.
 
@@ -163,19 +182,9 @@ def in_class(lam, cls, m=None):
     ``"F"`` bounds every gap (including the last part) below ``m``;
     ``"R"`` keeps only parts divisible by ``m``.
     """
-    if cls == "P":
-        return True
-    if cls not in ("D", "F", "R"):
-        raise ValueError(f"unknown class {cls!r}")
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"class {cls} needs an integer modulus >= 2, got {m!r}")
-    parts = lam.parts
-    if cls == "D":
-        return all(len(tuple(grp)) < m for _, grp in groupby(parts))
-    if cls == "F":
-        padded = parts + (0,)
-        return all(a - b < m for a, b in zip(padded, padded[1:]))
-    return all(p % m == 0 for p in parts)
+    _check_class(cls, m)
+    groups = [(size, len(tuple(grp))) for size, grp in groupby(lam.parts)]
+    return _groups_in_class(groups, cls, m)
 
 
 def repetition_profile(lam, m):
@@ -193,29 +202,65 @@ def repetition_profile(lam, m):
     return tuple(out)
 
 
-def _descending_sequences(n, maxpart):
-    # All weakly decreasing positive tuples summing to n, first part at most
-    # maxpart, in reverse-lexicographic order.
+def partition_groups(n):
+    """Yield the partitions of ``n`` in multiplicity form, reverse-lexicographically.
+
+    Each partition is a tuple of ``(size, count)`` pairs with strictly
+    decreasing sizes.  The walk is iterative: the successor of a partition
+    takes one copy of its smallest part above 1, lowers it by one, and
+    refills that part and the trailing 1s greedily with the lowered size.
+    """
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
     if n == 0:
         yield ()
         return
-    for a in range(min(n, maxpart), 0, -1):
-        for rest in _descending_sequences(n - a, a):
-            yield (a,) + rest
+    groups = [(n, 1)]
+    while True:
+        yield tuple(groups)
+        size, count = groups[-1]
+        ones = 0
+        if size == 1:
+            ones = count
+            groups.pop()
+            if not groups:
+                return
+            size, count = groups[-1]
+        if count == 1:
+            groups.pop()
+        else:
+            groups[-1] = (size, count - 1)
+        rest = size + ones
+        size -= 1
+        groups.append((size, rest // size))
+        if rest % size:
+            groups.append((rest % size, 1))
+
+
+def _groups_in_class(groups, cls, m):
+    # Class membership read off the multiplicity form; cls and m are valid.
+    if cls == "P":
+        return True
+    if cls == "D":
+        return all(count < m for _, count in groups)
+    if cls == "F":
+        sizes = [size for size, _ in groups] + [0]
+        return all(a - b < m for a, b in zip(sizes, sizes[1:]))
+    return all(size % m == 0 for size, _ in groups)
+
+
+def _expand(groups):
+    return tuple(size for size, count in groups for _ in range(count))
 
 
 def partitions_of(n, cls="P", m=None):
     """Yield the partitions of ``n`` in the given class, reverse-lexicographically."""
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    if cls == "P":
-        for seq in _descending_sequences(n, n):
-            yield Partition(seq)
-        return
-    for seq in _descending_sequences(n, n):
-        lam = Partition(seq)
-        if in_class(lam, cls, m):
-            yield lam
+    _check_class(cls, m)
+    for groups in partition_groups(n):
+        if _groups_in_class(groups, cls, m):
+            yield Partition._trusted(_expand(groups))
 
 
 def partitions_with_schmidt_weight(n, m, s, cls="P"):
@@ -227,37 +272,62 @@ def partitions_with_schmidt_weight(n, m, s, cls="P"):
     below ``m``).  Enumeration order is depth-first with parts tried in
     decreasing order, emitting each prefix before its extensions.
     """
-    residues = set(normalize_residue_set(m, s, allow_m=True))
+    residues = normalize_residue_set(m, s, allow_m=True)
     if cls not in ("P", "D"):
         raise ValueError(f"class must be 'P' or 'D', got {cls!r}")
     if n < 0:
         raise ValueError(f"target weight must be nonnegative, got {n}")
     max_len = m * n
-    counted = [False] + [((k - 1) % m) + 1 in residues for k in range(1, max_len + 1)]
+    counted = set(residues)
 
-    def next_counted(idx):
-        while idx <= max_len and not counted[idx]:
-            idx += 1
-        return idx
-
-    def extend(prefix, weight, maxpart, run_len):
-        if weight == n:
-            yield Partition(prefix)
-        idx = len(prefix) + 1
-        if idx > max_len:
-            return
+    def can_extend(length, weight):
         # A prefix still short of the target is dead once no counted index
-        # remains in range.
-        if weight < n and next_counted(idx) > max_len:
-            return
-        is_counted = counted[idx]
-        last = prefix[-1] if prefix else None
-        for a in range(maxpart, 0, -1):
-            w2 = weight + a if is_counted else weight
-            if w2 > n:
-                continue
-            if cls == "D" and a == last and run_len + 1 >= m:
-                continue
-            yield from extend(prefix + (a,), w2, a, run_len + 1 if a == last else 1)
+        # remains in range; residues[0] is 1, so one recurs within m.
+        idx = length + 1
+        if idx > max_len:
+            return False
+        if weight < n:
+            r = (idx - 1) % m + 1
+            j = bisect_left(residues, r)
+            gap = residues[j] - r if j < len(residues) else m - r + 1
+            return idx + gap <= max_len
+        return True
 
-    yield from extend((), 0, n, 0)
+    # Iterative preorder walk over the prefixes that can still be extended:
+    # parts is the current prefix, weights[d] and runs[d] are the weight and
+    # the final run length of its first d parts, and nexts[d] is the next
+    # part to try after them.  A child that cannot be extended is only
+    # emitted, never entered.
+    if n == 0:
+        yield Partition._trusted(())
+    bounded = cls == "D"
+    parts, weights, runs = [], [0], [0]
+    nexts = [n] if can_extend(0, 0) else []
+    while nexts:
+        depth = len(parts)
+        weight = weights[-1]
+        a = nexts[-1]
+        is_counted = depth % m + 1 in counted
+        if is_counted and a > n - weight:
+            a = n - weight
+        last = parts[-1] if parts else None
+        if bounded and a == last and runs[-1] + 1 >= m:
+            a -= 1
+        if a < 1:
+            nexts.pop()
+            if parts:
+                parts.pop()
+                weights.pop()
+                runs.pop()
+            continue
+        nexts[-1] = a - 1
+        child_weight = weight + a if is_counted else weight
+        parts.append(a)
+        if child_weight == n:
+            yield Partition._trusted(tuple(parts))
+        if can_extend(depth + 1, child_weight):
+            weights.append(child_weight)
+            runs.append(runs[-1] + 1 if a == last else 1)
+            nexts.append(a)
+        else:
+            parts.pop()

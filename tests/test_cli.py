@@ -279,6 +279,19 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+def test_verify_odd_index_counts_accept_repeated_residues(capsys):
+    # A residue list is a set: 1,1 is {1}, as 1,1,2 is {1, 2} for ak_main.
+    for ident in ("schmidt", "uncu"):
+        code, out, _ = _run(capsys, "verify", ident, "--n", "5", "--s", "1,1")
+        assert (code, out) == (0, f"{ident}: pass\n")
+        code, out, _ = _run(capsys, "verify", ident, "--n", "5", "--m", "2", "--s", "1,1,1")
+        assert (code, out) == (0, f"{ident}: pass\n")
+        code, _, err = _run(capsys, "verify", ident, "--n", "5", "--s", "1,2")
+        assert code == 2 and "specific to modulus 2" in err
+    code, out, _ = _run(capsys, "verify", "ak_main", "--m", "3", "--s", "1,1,2", "--n", "5")
+    assert (code, out) == (0, "ak_main: pass\n")
+
+
 # --- enumerate ---------------------------------------------------------------
 
 
@@ -316,6 +329,16 @@ def test_enumerate_by_weight(capsys):
         "enumerate", "--class", "P", "--schmidt-weight", "2", "--m", "2", "--s", "1",
     )
     assert "1,1,1" in out.splitlines()
+
+
+def test_enumerate_by_weight_with_a_large_modulus(capsys):
+    # The weight walk is iterative, so a length of m * n parts does not
+    # run into the recursion limit.
+    code, out, _ = _run(
+        capsys, "enumerate", "--class", "P", "--schmidt-weight", "1", "--m", "1500"
+    )
+    assert code == 0
+    assert out.splitlines() == [",".join(["1"] * k) for k in range(1, 1501)]
 
 
 def test_enumerate_usage_errors(capsys):

@@ -1,23 +1,46 @@
-"""The linear-time series paths against the algorithms they replaced.
+"""The fast paths against the algorithms they replaced.
 
 The sum sides are nested the Horner way and the Pochhammer builders,
 ``ln_series`` and the t1 slice are built from the two linear steps
 ``Series.mul_one_minus`` and ``Series.div_one_minus``.  The functions
 below keep the earlier forms, which multiply whole truncated geometric
-series and sum forward, as oracles; every comparison is exact equality.
+series and sum forward, as oracles.
+
+The enumerators walk partitions iteratively in multiplicity form, and
+the q-graded enum sides count per multiplicity group without building
+objects.  The recursive enumerators and the object-counting enum sides
+they replaced are kept below as oracles too.  Every comparison is exact
+equality, and enumerators must also keep their order.
 """
+
+from collections import Counter
+from itertools import combinations_with_replacement, groupby, product
 
 import pytest
 
 from schmidtq import (
+    ColoredPartition,
+    Overpartition,
+    Partition,
     Series,
     SeriesContext,
     geometric_inverse,
+    color_counts,
+    colored_partition_counts,
+    colored_partitions,
+    enum_side,
     ln_series,
+    normalize_residue_set,
+    over_stats,
+    overpartition_counts,
+    overpartitions,
+    partitions_of,
+    partitions_with_schmidt_weight,
     poch_finite,
     poch_infinite,
     poch_infinite_inverse,
     product_side,
+    residue_column_count,
     size_graded_context,
     sum_side,
     trivariate_context,
@@ -25,6 +48,8 @@ from schmidtq import (
 from schmidtq import identities
 from schmidtq.identities import _hook_exponent, _t1_slice_closed_form
 from schmidtq.series import gaussian_multinomial_coeffs
+
+from conftest import residue_sets
 
 
 # --- the replaced algorithms -------------------------------------------------
@@ -176,7 +201,175 @@ def t1_closed_form_by_products(ctx, J):
     return prefix * inner
 
 
+# --- the replaced enumerators ------------------------------------------------
+
+
+def descending_sequences(n, maxpart):
+    if n == 0:
+        yield ()
+        return
+    for a in range(min(n, maxpart), 0, -1):
+        for rest in descending_sequences(n - a, a):
+            yield (a,) + rest
+
+
+def in_class_by_parts(parts, cls, m):
+    if cls == "P":
+        return True
+    if cls == "D":
+        return all(len(tuple(grp)) < m for _, grp in groupby(parts))
+    if cls == "F":
+        padded = parts + (0,)
+        return all(a - b < m for a, b in zip(padded, padded[1:]))
+    return all(p % m == 0 for p in parts)
+
+
+def recursive_partitions_of(n, cls="P", m=None):
+    for seq in descending_sequences(n, n):
+        if in_class_by_parts(seq, cls, m):
+            yield Partition(seq)
+
+
+def recursive_colored_partitions(n, m, s, top):
+    residues = normalize_residue_set(m, s)
+    i = len(residues)
+    for lam in recursive_partitions_of(n):
+        groups = [(size, len(tuple(grp))) for size, grp in groupby(lam.parts)]
+        options = []
+        for size, count in groups:
+            k = ((size - 1) % i) + 1
+            lo = residues[k - 1]
+            hi = residues[k] if k < i else top
+            palette = range(hi - 1, lo - 1, -1)
+            options.append(list(combinations_with_replacement(palette, count)))
+        for choice in product(*options):
+            parts = []
+            for (size, _), colors in zip(groups, choice):
+                parts.extend((size, c) for c in colors)
+            yield ColoredPartition(parts)
+
+
+def recursive_overpartitions(n):
+    for lam in recursive_partitions_of(n):
+        groups = [(size, len(tuple(grp))) for size, grp in groupby(lam.parts)]
+        for flags in product((False, True), repeat=len(groups)):
+            yield Overpartition((size, count, flag) for (size, count), flag in zip(groups, flags))
+
+
+def recursive_partitions_with_schmidt_weight(n, m, s, cls="P"):
+    residues = set(normalize_residue_set(m, s))
+    max_len = m * n
+    counted = [False] + [((k - 1) % m) + 1 in residues for k in range(1, max_len + 1)]
+
+    def next_counted(idx):
+        while idx <= max_len and not counted[idx]:
+            idx += 1
+        return idx
+
+    def extend(prefix, weight, maxpart, run_len):
+        if weight == n:
+            yield Partition(prefix)
+        idx = len(prefix) + 1
+        if idx > max_len:
+            return
+        if weight < n and next_counted(idx) > max_len:
+            return
+        is_counted = counted[idx]
+        last = prefix[-1] if prefix else None
+        for a in range(maxpart, 0, -1):
+            w2 = weight + a if is_counted else weight
+            if w2 > n:
+                continue
+            if cls == "D" and a == last and run_len + 1 >= m:
+                continue
+            yield from extend(prefix + (a,), w2, a, run_len + 1 if a == last else 1)
+
+    yield from extend((), 0, n, 0)
+
+
+def object_counting_enum_terms(identity, qcap):
+    acc = Counter()
+    for n in range(qcap + 1):
+        if identity == "ak_trivariate":
+            for mu in recursive_colored_partitions(n, 2, (1,), 3):
+                acc[(n, *color_counts(mu, 2))] += 1
+        elif identity == "overpartition":
+            for mu in recursive_overpartitions(n):
+                o, length = over_stats(mu)
+                acc[(n, o, length - o)] += 1
+        else:
+            for lam in recursive_partitions_with_schmidt_weight(n, 2, (1,), "P"):
+                if not in_class_by_parts(lam.parts, "D", 4):
+                    continue
+                repeated = sum(1 for _, grp in groupby(lam.parts) if len(tuple(grp)) > 1)
+                acc[(n, repeated, residue_column_count(lam, 2, 1))] += 1
+    return acc
+
+
 # --- exact equality ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("identity", ["ak_trivariate", "overpartition", "cor22"])
+def test_q_graded_enum_sides_match_object_counting(identity):
+    # Terms of q-degree n come only from objects of size (or weight) n, so
+    # one count up to the largest cap gives the oracle at every smaller cap.
+    terms = object_counting_enum_terms(identity, 18)
+    for qcap in range(19):
+        want = Series(trivariate_context(qcap), {k: v for k, v in terms.items() if k[0] <= qcap})
+        assert enum_side(identity, qcap=qcap) == want, qcap
+
+
+def test_partitions_of_matches_recursive_walk():
+    for n in range(23):
+        assert list(partitions_of(n)) == list(recursive_partitions_of(n)), n
+        for cls in ("D", "F", "R"):
+            for m in (2, 3, 4):
+                assert list(partitions_of(n, cls, m)) == list(
+                    recursive_partitions_of(n, cls, m)
+                ), (n, cls, m)
+
+
+PALETTES = [(2, (1,), 3), (2, (1,), 2), (3, (1, 2), 3), (3, (1, 3), 4), (3, (1, 2, 3), 4)]
+
+
+@pytest.mark.parametrize("m, s, top", PALETTES)
+def test_colored_partitions_match_recursive_walk(m, s, top):
+    for n in range(15):
+        assert list(colored_partitions(n, m, s, top)) == list(
+            recursive_colored_partitions(n, m, s, top)
+        ), n
+
+
+def test_overpartitions_match_recursive_walk():
+    for n in range(15):
+        assert list(overpartitions(n)) == list(recursive_overpartitions(n)), n
+
+
+@pytest.mark.parametrize("m, s, top", PALETTES)
+def test_colored_partition_counts_match_objects(m, s, top):
+    for n in range(13):
+        want = Counter(color_counts(mu, m) for mu in recursive_colored_partitions(n, m, s, top))
+        assert colored_partition_counts(n, m, s, top) == want, n
+
+
+def test_overpartition_counts_match_objects():
+    for n in range(15):
+        want = Counter()
+        for mu in recursive_overpartitions(n):
+            o, length = over_stats(mu)
+            want[(o, length - o)] += 1
+        assert overpartition_counts(n) == want, n
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_partitions_with_schmidt_weight_matches_recursive_walk(m):
+    for s in residue_sets(m, True):
+        for cls in ("P", "D"):
+            for n in range(10):
+                assert list(partitions_with_schmidt_weight(n, m, s, cls)) == list(
+                    recursive_partitions_with_schmidt_weight(n, m, s, cls)
+                ), (s, cls, n)
+
 
 
 @pytest.mark.parametrize("identity", ["ak_trivariate", "overpartition"])
