@@ -11,6 +11,7 @@ with every number as a decimal string.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bijections import (
@@ -325,7 +326,18 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `schmidtq enumerate ... | head`
+        # does.  Point fd 1 at the null device so the interpreter's final
+        # flush cannot fail again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

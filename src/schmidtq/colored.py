@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
-from .partitions import normalize_residue_set, partition_groups
+from .partitions import _digits, normalize_residue_set, partition_groups
 
 __all__ = [
     "ColoredPartition",
@@ -25,6 +25,7 @@ __all__ = [
     "color_counts",
     "colored_partitions",
     "colored_partition_counts",
+    "top_color_part_counts",
     "overpartitions",
     "overpartition_counts",
     "over_stats",
@@ -259,7 +260,7 @@ def over_stats(mu):
 # counting without objects
 
 
-def _grouped_counts(n, width, key_of, weight_of):
+def _grouped_counts(n, key_of, weight_of):
     # Counter of statistic vectors over the objects on the partitions of n
     # whose decoration is chosen independently per (size, count) group.
     # weight_of(key) maps each vector to the number of ways to decorate a
@@ -267,7 +268,8 @@ def _grouped_counts(n, width, key_of, weight_of):
     # partition's weight depends only on its sorted tuple of group keys, so
     # each distinct tuple is expanded once, from its longest expanded
     # prefix.  Entries never exceed n, so a vector is packed into one int
-    # in base n + 1 and vector sums are int sums.
+    # in base n + 1 (entry k at digit k) and vector sums are int sums; the
+    # Counter is keyed by these ints.
     base = n + 1
     shapes = Counter(
         tuple(sorted(key_of(size, count) for size, count in groups))
@@ -295,9 +297,19 @@ def _grouped_counts(n, width, key_of, weight_of):
             poly = polys[prefix] = step
         for v, c in poly.items():
             out[v] += mult * c
-    return Counter(
-        {tuple(v // base**k % base for k in range(width)): c for v, c in out.items()}
-    )
+    return out
+
+
+def _color_count_vectors(lo, hi, count, m):
+    # The color-count vectors of count equal parts over the palette
+    # lo..hi-1, each with its number of multisets of colors.
+    dist = Counter()
+    for colors in combinations_with_replacement(range(lo, hi), count):
+        vec = [0] * m
+        for color in colors:
+            vec[color - 1] += 1
+        dist[tuple(vec)] += 1
+    return dist
 
 
 def colored_partition_counts(n, m, s, top):
@@ -310,20 +322,52 @@ def colored_partition_counts(n, m, s, top):
     residues = _validate_palette(m, s, top)
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
+    packed = _grouped_counts(
+        n,
+        lambda size, count: (_palette(size, residues, top), count),
+        lambda key: _color_count_vectors(*key[0], key[1], m),
+    )
+    return Counter({tuple(_digits(v, n + 1, m)): c for v, c in packed.items()})
+
+
+def top_color_part_counts(n, m, s):
+    """How many colored partitions of ``n`` have each color-count vector
+    and each list of sizes of the parts colored ``m``.
+
+    Counts the objects of ``colored_partitions(n, m, s, m + 1)`` by the
+    pair ``(color_counts(mu, m), sizes)``, the sizes decreasing, without
+    building them.  A group's key carries its size only when its palette
+    contains ``m``: the number of parts of size ``p`` colored ``m`` is one
+    more entry of its vector, entry ``m + p - 1``.
+    """
+    residues = _validate_palette(m, s, m + 1)
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+
+    def key_of(size, count):
+        lo, hi = _palette(size, residues, m + 1)
+        return (lo, hi), count, size if hi > m else 0
 
     def weight_of(key):
-        (lo, hi), count = key
-        dist = Counter()
-        for colors in combinations_with_replacement(range(lo, hi), count):
-            vec = [0] * m
-            for color in colors:
-                vec[color - 1] += 1
-            dist[tuple(vec)] += 1
-        return dist
+        (lo, hi), count, size = key
+        dist = _color_count_vectors(lo, hi, count, m)
+        if not size:
+            return dist
+        return {vec + (0,) * (size - 1) + (vec[m - 1],): d for vec, d in dist.items()}
 
-    return _grouped_counts(
-        n, m, lambda size, count: (_palette(size, residues, top), count), weight_of
-    )
+    base = n + 1
+    out = Counter()
+    for v, c in _grouped_counts(n, key_of, weight_of).items():
+        counts = _digits(v, base, m)
+        v //= base**m
+        sizes = []
+        size = 0
+        while v:
+            v, e = divmod(v, base)
+            size += 1
+            sizes += [size] * e
+        out[tuple(counts), tuple(reversed(sizes))] = c
+    return out
 
 
 def overpartition_counts(n):
@@ -335,6 +379,7 @@ def overpartition_counts(n):
     """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    return _grouped_counts(
-        n, 2, lambda size, count: count, lambda c: {(0, c): 1, (1, c - 1): 1}
+    packed = _grouped_counts(
+        n, lambda size, count: count, lambda c: {(0, c): 1, (1, c - 1): 1}
     )
+    return Counter({tuple(_digits(v, n + 1, 2)): c for v, c in packed.items()})

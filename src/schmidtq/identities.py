@@ -38,16 +38,18 @@ from .colored import (
     over_stats,
     overpartition_counts,
     overpartitions,
+    top_color_part_counts,
 )
 from .partitions import (
-    Partition,
     in_class,
     normalize_residue_set,
+    partition_groups,
     partitions_of,
     partitions_with_schmidt_weight,
-    repetition_profile,
     residue_column_count,
     schmidt_weight,
+    schmidt_weight_distribution,
+    schmidt_weight_statistics,
 )
 from .series import (
     Series,
@@ -380,25 +382,22 @@ def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
         return Series(trivariate_context(qcap), _cor22_counts(qcap))
     if identity in ("mork_odd", "mork_even"):
         scap = _required(scap, "scap")
-        ctx = size_graded_context(scap)
         acc = Counter()
         for size in range(scap + 1):
-            for lam in partitions_of(size, "D", 2):
-                odd = schmidt_weight(lam, 2, (1,))
+            for odd, count in schmidt_weight_distribution(size, 2, (1,), "D").items():
                 w = odd if identity == "mork_odd" else size - odd
-                acc[(w, size)] += 1
-        return Series(ctx, acc)
+                acc[(w, size)] += count
+        return Series(size_graded_context(scap), acc)
     if identity in ("psi_all", "psi_dm"):
         m, i = _psi_params(m, i)
         scap = _required(scap, "scap")
-        ctx = size_graded_context(scap)
         residues = tuple(range(1, i + 1))
         cls = "P" if identity == "psi_all" else "D"
         acc = Counter()
         for size in range(scap + 1):
-            for lam in partitions_of(size, cls, m):
-                acc[(schmidt_weight(lam, m, residues), size)] += 1
-        return Series(ctx, acc)
+            for w, count in schmidt_weight_distribution(size, m, residues, cls).items():
+                acc[(w, size)] += count
+        return Series(size_graded_context(scap), acc)
     raise ValueError(f"no enumeration side for {identity!r}")
 
 
@@ -558,100 +557,85 @@ def verify_identity(identity, *, qcap=None, scap=None, m=None, i=None):
     raise ValueError(f"unknown identity {identity!r}")
 
 
-def _bucket_report(theorem, params, caps, pairs):
-    # pairs: ordered (bucket label, lhs count, rhs count)
-    for label, lhs, rhs in pairs:
-        if lhs != rhs:
-            return VerificationReport(
-                theorem,
-                params,
-                caps,
-                "fail",
-                {"bucket": label, "lhs": lhs, "rhs": rhs},
-            )
+def _bucket_report(theorem, params, caps, lhs, rhs, label_of):
+    # lhs and rhs count objects by bucket.  Buckets are compared in sorted
+    # order, and only the first mismatching one is given its label.
+    if lhs != rhs:
+        for key in sorted(set(lhs) | set(rhs)):
+            if lhs.get(key, 0) != rhs.get(key, 0):
+                return VerificationReport(
+                    theorem,
+                    params,
+                    caps,
+                    "fail",
+                    {"bucket": label_of(key), "lhs": lhs.get(key, 0), "rhs": rhs.get(key, 0)},
+                )
     return VerificationReport(theorem, params, caps, "pass")
 
 
-def verify_counting(theorem, *, n, m=None, s=None):
-    """Bucket-by-bucket comparison of a Schmidt-side count with its colored-side count."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"weight must be a nonnegative integer, got {n!r}")
-    if theorem == "schmidt":
+def _counting_buckets(theorem, n, m, s):
+    # (params, Schmidt-side buckets, colored-side buckets, bucket label) of
+    # one counting theorem.  The Schmidt side walks every partition of
+    # Schmidt weight n; the colored side counts the colored partitions of
+    # n over multiplicity groups.  Neither reads the other.
+    if theorem in ("schmidt", "uncu"):
         _check_odd_index_count(m, s)
-        lhs = sum(1 for _ in partitions_with_schmidt_weight(n, 2, (1,), "D"))
-        rhs = sum(1 for _ in partitions_of(n))
-        return _bucket_report(
-            theorem, {"m": 2, "s": [1]}, {"n": n}, [("total", lhs, rhs)]
-        )
-    if theorem == "uncu":
-        _check_odd_index_count(m, s)
-        lhs = sum(1 for _ in partitions_with_schmidt_weight(n, 2, (1,), "P"))
-        rhs = sum(1 for _ in colored_partitions(n, 2, (1,), 3))
-        return _bucket_report(
-            theorem, {"m": 2, "s": [1]}, {"n": n}, [("total", lhs, rhs)]
-        )
+        cls = "D" if theorem == "schmidt" else "P"
+        lhs = sum(schmidt_weight_statistics(n, 2, (1,), cls).values())
+        if theorem == "schmidt":
+            rhs = sum(1 for _ in partition_groups(n))
+        else:
+            rhs = sum(colored_partition_counts(n, 2, (1,), 3).values())
+        return {"m": 2, "s": [1]}, {"total": lhs}, {"total": rhs}, str
     if theorem == "ak_main":
         residues = normalize_residue_set(m, _required_set(s), allow_m=False)
-        rho_range = range(1, m)
-        schmidt_buckets = Counter()
-        for lam in partitions_with_schmidt_weight(n, m, residues, "D"):
-            key = tuple(residue_column_count(lam, m, j) for j in rho_range)
-            schmidt_buckets[key] += 1
-        colored_buckets = Counter()
-        for mu in colored_partitions(n, m, residues, m):
-            counts = color_counts(mu, m)
-            colored_buckets[counts[: m - 1]] += 1
-        pairs = []
-        for key in sorted(set(schmidt_buckets) | set(colored_buckets)):
-            pairs.append(
-                (f"rho={key}", schmidt_buckets.get(key, 0), colored_buckets.get(key, 0))
-            )
-        return _bucket_report(
-            theorem, {"m": m, "s": list(residues)}, {"n": n}, pairs
-        )
+        lhs = Counter()
+        for (rho, _), count in schmidt_weight_statistics(n, m, residues, "D").items():
+            lhs[rho] += count
+        rhs = Counter()
+        for counts, count in colored_partition_counts(n, m, residues, m).items():
+            rhs[counts[: m - 1]] += count
+        return {"m": m, "s": list(residues)}, lhs, rhs, lambda rho: f"rho={rho}"
     if theorem == "franklin_ext":
         residues = normalize_residue_set(m, _required_set(s), allow_m=True)
         i = len(residues)
-        rho_range = range(1, m)
-        schmidt_buckets = Counter()
-        for lam in partitions_with_schmidt_weight(n, m, residues, "P"):
-            rho = tuple(residue_column_count(lam, m, j) for j in rho_range)
-            profile = repetition_profile(lam, m)
-            schmidt_buckets[(rho, profile)] += 1
-        colored_buckets = Counter()
-        for mu in colored_partitions(n, m, residues, m + 1):
-            counts = color_counts(mu, m)
-            top_parts = tuple(
-                sorted((p for p, c in mu.parts if c == m), reverse=True)
-            )
-            colored_buckets[(counts[: m - 1], top_parts)] += 1
+        schmidt = schmidt_weight_statistics(n, m, residues, "P")
+
         # The Schmidt-side tuple drives the comparison, and its derived
         # colored-side condition is the bucket.  The floor in p // m
         # collapses distinct repetition profiles onto one condition (at
         # modulus 2, multiplicities 2 and 3 both bank one block), so
         # preimage counts are summed rather than assumed unique; each
         # derived bucket must then match the colored count on its own.
-        derived = Counter()
-        preimages = {}
-        for (rho, profile), count in schmidt_buckets.items():
-            image = []
+        def condition(rho, profile):
+            # Profile sizes decrease, so the image comes out decreasing.
+            image = ()
             for alpha, p in profile:
-                image.extend([i * alpha] * (p // m))
-            ckey = (rho, tuple(sorted(image, reverse=True)))
-            derived[ckey] += count
-            preimages.setdefault(ckey, []).append(profile)
-        pairs = []
-        for ckey in sorted(set(derived) | set(colored_buckets)):
+                image += (i * alpha,) * (p // m)
+            return rho, image
+
+        lhs = Counter()
+        for (rho, profile), count in schmidt.items():
+            lhs[condition(rho, profile)] += count
+        rhs = Counter()
+        for (counts, top_parts), count in top_color_part_counts(n, m, residues).items():
+            rhs[counts[: m - 1], top_parts] += count
+
+        def label_of(ckey):
             rho, top_parts = ckey
-            label = (
-                f"rho={rho} color_{m}_parts={top_parts}"
-                f" profiles={tuple(sorted(preimages.get(ckey, ())))}"
-            )
-            pairs.append((label, derived.get(ckey, 0), colored_buckets.get(ckey, 0)))
-        return _bucket_report(
-            theorem, {"m": m, "s": list(residues)}, {"n": n}, pairs
-        )
+            profiles = tuple(sorted(p for r, p in schmidt if condition(r, p) == ckey))
+            return f"rho={rho} color_{m}_parts={top_parts} profiles={profiles}"
+
+        return {"m": m, "s": list(residues)}, lhs, rhs, label_of
     raise ValueError(f"unknown counting theorem {theorem!r}")
+
+
+def verify_counting(theorem, *, n, m=None, s=None):
+    """Bucket-by-bucket comparison of a Schmidt-side count with its colored-side count."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"weight must be a nonnegative integer, got {n!r}")
+    params, lhs, rhs, label_of = _counting_buckets(theorem, n, m, s)
+    return _bucket_report(theorem, params, {"n": n}, lhs, rhs, label_of)
 
 
 def _check_odd_index_count(m, s):

@@ -10,6 +10,7 @@ and residue-class statistics below free of edge cases.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from itertools import groupby
 
 __all__ = [
@@ -22,6 +23,8 @@ __all__ = [
     "partition_groups",
     "partitions_of",
     "partitions_with_schmidt_weight",
+    "schmidt_weight_distribution",
+    "schmidt_weight_statistics",
 ]
 
 
@@ -331,3 +334,103 @@ def partitions_with_schmidt_weight(n, m, s, cls="P"):
             nexts.append(a)
         else:
             parts.pop()
+
+
+# ---------------------------------------------------------------------------
+# counting without objects
+
+
+def schmidt_weight_distribution(n, m, s, cls="P"):
+    """How many partitions of ``n`` in the class have each Schmidt weight.
+
+    Counts ``schmidt_weight(lam, m, s)`` over ``partitions_of(n, cls, m)``
+    without building partitions.  A group of ``c`` equal parts starting at
+    the 0-based index ``p`` sits on ``c // m * len(s)`` counted indices,
+    plus those among the first ``c % m`` indices from residue ``p % m``.
+    """
+    residues = normalize_residue_set(m, s, allow_m=True)
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+    _check_class(cls, m)
+    counted = [r + 1 in residues for r in range(m)]
+    # hits[r][k]: counted indices among k consecutive ones from residue r.
+    hits = [[sum(counted[(r + j) % m] for j in range(k)) for k in range(m)] for r in range(m)]
+    full = len(residues)
+    out = Counter()
+    for groups in partition_groups(n):
+        if not _groups_in_class(groups, cls, m):
+            continue
+        weight = start = 0
+        for size, count in groups:
+            weight += size * (count // m * full + hits[start % m][count % m])
+            start += count
+        out[weight] += 1
+    return out
+
+
+def schmidt_weight_statistics(n, m, s, cls="P"):
+    """How many partitions of Schmidt weight ``n`` have each ``(rho, profile)``.
+
+    Counts the objects of ``partitions_with_schmidt_weight(n, m, s, cls)``
+    by ``rho``, the tuple of ``residue_column_count(lam, m, j)`` for
+    ``j = 1 .. m-1``, and by ``repetition_profile(lam, m)``, without
+    building them.  The walk still visits every such partition.
+    """
+    residues = normalize_residue_set(m, s, allow_m=True)
+    if cls not in ("P", "D"):
+        raise ValueError(f"class must be 'P' or 'D', got {cls!r}")
+    if n < 0:
+        raise ValueError(f"target weight must be nonnegative, got {n}")
+    bounded = cls == "D"
+    counted = [r + 1 in residues for r in range(m)]
+    # A part a at an index of 0-based residue r adds a to rho_{r+1} and
+    # takes it from rho_r, where rho_0 means rho_m; rho_m is not tracked.
+    # Every prefix is a partition whose parts are at most n, so each rho
+    # entry lies in 0..n and rho is packed into one int in base n + 1.
+    base = n + 1
+    step = [
+        (base**r if r < m - 1 else 0) - (base ** (r - 1) if r > 0 else 0) for r in range(m)
+    ]
+    # Iterative preorder walk over the prefixes of weight at most n.  Each
+    # node is (residue of the next index, weight, last part, run length of
+    # the last part, packed rho, closed repetition profile); the root's
+    # last part n only bounds the first part.
+    packed = Counter()
+    stack = [(0, 0, n, 0, 0, ())]
+    while stack:
+        r, weight, last, run, rho, profile = stack.pop()
+        if weight == n:
+            packed[rho, profile + ((last, run),) if run >= m else profile] += 1
+        is_counted = counted[r]
+        next_r = r + 1 if r + 1 < m else 0
+        delta = step[r]
+        for a in range(min(last, n - weight) if is_counted else last, 0, -1):
+            if a == last:
+                if bounded and run + 1 == m:
+                    continue
+                child_run, child_profile = run + 1, profile
+            else:
+                child_run = 1
+                child_profile = profile + ((last, run),) if run >= m else profile
+            stack.append(
+                (
+                    next_r,
+                    weight + a if is_counted else weight,
+                    a,
+                    child_run,
+                    rho + a * delta,
+                    child_profile,
+                )
+            )
+    return Counter(
+        {(tuple(_digits(rho, base, m - 1)), profile): c for (rho, profile), c in packed.items()}
+    )
+
+
+def _digits(v, base, width):
+    # The first width digits of v in the given base, lowest first.
+    out = []
+    for _ in range(width):
+        v, e = divmod(v, base)
+        out.append(e)
+    return out

@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, exit codes, JSON shape."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +378,21 @@ def test_output_is_deterministic(capsys):
     code_a, out_a, _ = _run(capsys, *argv)
     code_b, out_b, _ = _run(capsys, *argv)
     assert (code_a, out_a) == (code_b, out_b)
+
+
+def test_closed_stdout_exits_quietly():
+    # A reader that stops after one line, like `schmidtq enumerate ... | head -1`.
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schmidtq.cli", "enumerate", "--class", "P", "--n", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"40\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1, 2)
+    assert "Traceback" not in err, err

@@ -50,6 +50,10 @@ COMMANDS = (
     "verify t1_slice --n 1 --q-cap 8",
     "verify schmidt --n 4 --m 3",
     "verify overpartition",
+    # counting theorems on the fast paths: s containing m, m = 4, the uncu total
+    "verify franklin_ext --m 2 --s 1,2 --n 8 --json",
+    "verify ak_main --m 4 --s 1,3 --n 8",
+    "verify uncu --n 10",
     # coeff, each side
     "coeff --identity ak_trivariate --side sum --mono q=6,t1=2,t2=2",
     "coeff --identity ak_trivariate --side enum --mono q=6,t1=2,t2=2",

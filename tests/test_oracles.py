@@ -7,9 +7,10 @@ below keep the earlier forms, which multiply whole truncated geometric
 series and sum forward, as oracles.
 
 The enumerators walk partitions iteratively in multiplicity form, and
-the q-graded enum sides count per multiplicity group without building
-objects.  The recursive enumerators and the object-counting enum sides
-they replaced are kept below as oracles too.  Every comparison is exact
+the enum sides and both sides of the counting theorems count without
+building objects.  The recursive enumerators, the object-counting enum
+sides and the object-counting bodies of ``verify_counting`` they
+replaced are kept below as oracles too.  Every comparison is exact
 equality, and enumerators must also keep their order.
 """
 
@@ -24,6 +25,7 @@ from schmidtq import (
     Partition,
     Series,
     SeriesContext,
+    VerificationReport,
     geometric_inverse,
     color_counts,
     colored_partition_counts,
@@ -40,10 +42,13 @@ from schmidtq import (
     poch_infinite,
     poch_infinite_inverse,
     product_side,
+    repetition_profile,
     residue_column_count,
+    schmidt_weight,
     size_graded_context,
     sum_side,
     trivariate_context,
+    verify_counting,
 )
 from schmidtq import identities
 from schmidtq.identities import _hook_exponent, _t1_slice_closed_form
@@ -306,6 +311,87 @@ def object_counting_enum_terms(identity, qcap):
     return acc
 
 
+def object_counting_s_graded_terms(identity, scap, m=None, i=None):
+    acc = Counter()
+    for size in range(scap + 1):
+        if identity in ("mork_odd", "mork_even"):
+            for lam in partitions_of(size, "D", 2):
+                odd = schmidt_weight(lam, 2, (1,))
+                acc[(odd if identity == "mork_odd" else size - odd, size)] += 1
+        else:
+            cls = "P" if identity == "psi_all" else "D"
+            for lam in partitions_of(size, cls, m):
+                acc[(schmidt_weight(lam, m, tuple(range(1, i + 1))), size)] += 1
+    return acc
+
+
+# --- the replaced counting sides ---------------------------------------------
+
+
+def object_counting_buckets(theorem, n, m=None, s=None):
+    """(report, Schmidt-side buckets, colored-side buckets) from counted objects."""
+    if theorem in ("schmidt", "uncu"):
+        cls = "D" if theorem == "schmidt" else "P"
+        lhs = sum(1 for _ in partitions_with_schmidt_weight(n, 2, (1,), cls))
+        if theorem == "schmidt":
+            rhs = sum(1 for _ in partitions_of(n))
+        else:
+            rhs = sum(1 for _ in colored_partitions(n, 2, (1,), 3))
+        params = {"m": 2, "s": [1]}
+        lhs, rhs = {"total": lhs}, {"total": rhs}
+        pairs = [("total", lhs["total"], rhs["total"])]
+    elif theorem == "ak_main":
+        residues = normalize_residue_set(m, s, allow_m=False)
+        lhs = Counter()
+        for lam in partitions_with_schmidt_weight(n, m, residues, "D"):
+            lhs[tuple(residue_column_count(lam, m, j) for j in range(1, m))] += 1
+        rhs = Counter()
+        for mu in colored_partitions(n, m, residues, m):
+            rhs[color_counts(mu, m)[: m - 1]] += 1
+        params = {"m": m, "s": list(residues)}
+        pairs = [
+            (f"rho={key}", lhs.get(key, 0), rhs.get(key, 0))
+            for key in sorted(set(lhs) | set(rhs))
+        ]
+    else:
+        residues = normalize_residue_set(m, s, allow_m=True)
+        i = len(residues)
+        schmidt_buckets = Counter()
+        for lam in partitions_with_schmidt_weight(n, m, residues, "P"):
+            rho = tuple(residue_column_count(lam, m, j) for j in range(1, m))
+            schmidt_buckets[(rho, repetition_profile(lam, m))] += 1
+        rhs = Counter()
+        for mu in colored_partitions(n, m, residues, m + 1):
+            top_parts = tuple(sorted((p for p, c in mu.parts if c == m), reverse=True))
+            rhs[(color_counts(mu, m)[: m - 1], top_parts)] += 1
+        lhs = Counter()
+        preimages = {}
+        for (rho, profile), count in schmidt_buckets.items():
+            image = []
+            for alpha, p in profile:
+                image.extend([i * alpha] * (p // m))
+            ckey = (rho, tuple(sorted(image, reverse=True)))
+            lhs[ckey] += count
+            preimages.setdefault(ckey, []).append(profile)
+        params = {"m": m, "s": list(residues)}
+        pairs = [
+            (
+                f"rho={ckey[0]} color_{m}_parts={ckey[1]}"
+                f" profiles={tuple(sorted(preimages.get(ckey, ())))}",
+                lhs.get(ckey, 0),
+                rhs.get(ckey, 0),
+            )
+            for ckey in sorted(set(lhs) | set(rhs))
+        ]
+    report = VerificationReport(theorem, params, {"n": n}, "pass")
+    for label, a, b in pairs:
+        if a != b:
+            mismatch = {"bucket": label, "lhs": a, "rhs": b}
+            report = VerificationReport(theorem, params, {"n": n}, "fail", mismatch)
+            break
+    return report, lhs, rhs
+
+
 # --- exact equality ----------------------------------------------------------
 
 
@@ -445,3 +531,75 @@ def test_negative_hook_exponent_raises(monkeypatch):
     monkeypatch.setattr(identities, "_hook_exponent", lambda n, j, k, with_t1: -1)
     with pytest.raises(ArithmeticError, match="negative exponent"):
         sum_side("overpartition", 4)
+
+
+@pytest.mark.parametrize("identity", ["mork_odd", "mork_even", "psi_all", "psi_dm"])
+def test_s_graded_enum_sides_match_object_counting(identity):
+    # Terms of q-degree n come only from partitions of n, so one count at
+    # the largest cap gives the oracle at every smaller cap.
+    params = [(None, None)] if identity.startswith("mork") else [
+        (m, i) for m in (2, 3, 4) for i in range(1, m + 1)
+    ]
+    for m, i in params:
+        terms = object_counting_s_graded_terms(identity, 18, m, i)
+        for scap in range(19):
+            want = Series(
+                size_graded_context(scap), {k: v for k, v in terms.items() if k[1] <= scap}
+            )
+            assert enum_side(identity, scap=scap, m=m, i=i) == want, (m, i, scap)
+
+
+COUNTING_CASES = [("schmidt", None, None), ("uncu", None, None)] + [
+    (theorem, m, s)
+    for theorem, include_m in (("ak_main", False), ("franklin_ext", True))
+    for m in (2, 3, 4)
+    for s in residue_sets(m, include_m)
+]
+
+
+@pytest.mark.parametrize(
+    "theorem, m, s",
+    COUNTING_CASES,
+    ids=[f"{t}-m{m}-s{','.join(map(str, s))}" if m else t for t, m, s in COUNTING_CASES],
+)
+def test_counting_theorems_match_object_counting(theorem, m, s):
+    for n in range(15):
+        report, lhs, rhs = object_counting_buckets(theorem, n, m, s)
+        _, got_lhs, got_rhs, _ = identities._counting_buckets(theorem, n, m, s)
+        assert (got_lhs, got_rhs) == (lhs, rhs), n
+        assert verify_counting(theorem, n=n, m=m, s=s) == report, n
+
+
+def _bump(monkeypatch, name, key):
+    # One colored bucket off by one.
+    original = getattr(identities, name)
+
+    def bumped(*args):
+        counts = original(*args)
+        counts[key] += 1
+        return counts
+
+    monkeypatch.setattr(identities, name, bumped)
+
+
+def test_failing_counting_reports_keep_their_evidence(monkeypatch):
+    # Expected strings are those of the object-counting verifier with one
+    # extra colored partition in the same bucket: 5_1,2_2,1_1 for
+    # franklin_ext and 4_2,1_1,1_1 for ak_main.
+    _bump(monkeypatch, "top_color_part_counts", ((2, 1), (2,)))
+    report = verify_counting("franklin_ext", n=8, m=2, s=(1,))
+    assert report.evidence_text() == (
+        "bucket rho=(2,) color_2_parts=(2,) profiles=(((2, 2),), ((2, 3),)): 3 != 4"
+    )
+    assert report.to_json_text() == (
+        '{"caps":{"n":"8"},"mismatch":{"bucket":"rho=(2,) color_2_parts=(2,)'
+        ' profiles=(((2, 2),), ((2, 3),))","lhs":"3","rhs":"4"},'
+        '"params":{"m":"2","s":["1"]},"status":"fail","theorem":"franklin_ext"}'
+    )
+    _bump(monkeypatch, "colored_partition_counts", (2, 1, 0))
+    report = verify_counting("ak_main", n=6, m=3, s=(1, 2))
+    assert report.evidence_text() == "bucket rho=(2, 1): 2 != 3"
+    assert report.to_json_text() == (
+        '{"caps":{"n":"6"},"mismatch":{"bucket":"rho=(2, 1)","lhs":"2","rhs":"3"},'
+        '"params":{"m":"3","s":["1","2"]},"status":"fail","theorem":"ak_main"}'
+    )
