@@ -48,8 +48,8 @@ from .partitions import (
     partitions_with_schmidt_weight,
     residue_column_count,
     schmidt_weight,
-    schmidt_weight_distribution,
     schmidt_weight_statistics,
+    schmidt_weight_table,
 )
 from .series import (
     Series,
@@ -333,31 +333,32 @@ def _repeated_size_count(lam):
 
 
 def _cor22_counts(qcap):
-    # One iterative preorder walk over every partition with odd-index
-    # weight at most qcap and every multiplicity below 4, counted by
-    # (weight, repeated sizes, alternating sum).  Appending part a at an odd
-    # index adds a to the weight and to the alternating sum, at an even
-    # index subtracts it from the alternating sum; a second copy of a size
-    # makes it repeated, and a fourth copy is never appended.  Each node is
-    # (weight, alternating sum, repeated sizes, last part, run length of the
-    # last part, whether the next index is odd).
-    acc = Counter({(0, 0, 0): 1})
-    stack = [(0, 0, 0, qcap, 0, True)]
-    while stack:
-        weight, alt, repeated, last, run, odd = stack.pop()
-        for a in range(min(last, qcap - weight) if odd else last, 0, -1):
-            if a == last:
-                if run == 3:
-                    continue
-                child_run, child_repeated = run + 1, repeated + (run == 1)
-            else:
-                child_run, child_repeated = 1, repeated
-            if odd:
-                child_weight, child_alt = weight + a, alt + a
-            else:
-                child_weight, child_alt = weight, alt - a
-            acc[(child_weight, child_repeated, child_alt)] += 1
-            stack.append((child_weight, child_alt, child_repeated, a, child_run, not odd))
+    # Every partition with odd-index weight at most qcap and every
+    # multiplicity below 4, counted by (weight, repeated sizes, alternating
+    # sum) in one pass over the part sizes a = qcap .. 1; index 1 is odd,
+    # so no part exceeds qcap.  The state is (whether the next index is
+    # odd, weight, repeated sizes, alternating sum).  A group of c copies
+    # of a sits on (c + odd) // 2 odd indices: each adds a to the weight
+    # and to the alternating sum, each even index subtracts a from the
+    # latter, and c > 1 makes the size repeated.
+    states = Counter({(1, 0, 0, 0): 1})
+    for a in range(qcap, 0, -1):
+        # The groups of a extend only the states from larger parts.
+        for (odd, weight, repeated, alt), count in list(states.items()):
+            for c in (1, 2, 3):
+                on_odd = (c + odd) // 2
+                if weight + a * on_odd > qcap:
+                    break
+                key = (
+                    odd ^ (c & 1),
+                    weight + a * on_odd,
+                    repeated + (c > 1),
+                    alt + a * (2 * on_odd - c),
+                )
+                states[key] += count
+    acc = Counter()
+    for (_, weight, repeated, alt), count in states.items():
+        acc[weight, repeated, alt] += count
     return acc
 
 
@@ -382,22 +383,16 @@ def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
         return Series(trivariate_context(qcap), _cor22_counts(qcap))
     if identity in ("mork_odd", "mork_even"):
         scap = _required(scap, "scap")
-        acc = Counter()
-        for size in range(scap + 1):
-            for odd, count in schmidt_weight_distribution(size, 2, (1,), "D").items():
-                w = odd if identity == "mork_odd" else size - odd
-                acc[(w, size)] += count
-        return Series(size_graded_context(scap), acc)
+        table = schmidt_weight_table(2, (1,), "D", qcap=scap, scap=scap)
+        if identity == "mork_even":
+            table = {(size - odd, size): count for (odd, size), count in table.items()}
+        return Series(size_graded_context(scap), table)
     if identity in ("psi_all", "psi_dm"):
         m, i = _psi_params(m, i)
         scap = _required(scap, "scap")
-        residues = tuple(range(1, i + 1))
         cls = "P" if identity == "psi_all" else "D"
-        acc = Counter()
-        for size in range(scap + 1):
-            for w, count in schmidt_weight_distribution(size, m, residues, cls).items():
-                acc[(w, size)] += count
-        return Series(size_graded_context(scap), acc)
+        table = schmidt_weight_table(m, tuple(range(1, i + 1)), cls, qcap=scap, scap=scap)
+        return Series(size_graded_context(scap), table)
     raise ValueError(f"no enumeration side for {identity!r}")
 
 
@@ -575,13 +570,16 @@ def _bucket_report(theorem, params, caps, lhs, rhs, label_of):
 
 def _counting_buckets(theorem, n, m, s):
     # (params, Schmidt-side buckets, colored-side buckets, bucket label) of
-    # one counting theorem.  The Schmidt side walks every partition of
+    # one counting theorem.  The Schmidt side counts the partitions of
     # Schmidt weight n; the colored side counts the colored partitions of
     # n over multiplicity groups.  Neither reads the other.
     if theorem in ("schmidt", "uncu"):
         _check_odd_index_count(m, s)
         cls = "D" if theorem == "schmidt" else "P"
-        lhs = sum(schmidt_weight_statistics(n, 2, (1,), cls).values())
+        # Each even-index part is at most the part before it, so a
+        # partition of odd-index weight n has size at most 2n.
+        table = schmidt_weight_table(2, (1,), cls, qcap=n, scap=2 * n)
+        lhs = sum(count for (w, _), count in table.items() if w == n)
         if theorem == "schmidt":
             rhs = sum(1 for _ in partition_groups(n))
         else:

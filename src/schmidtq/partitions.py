@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import groupby
+from itertools import accumulate, groupby
 
 __all__ = [
     "Partition",
@@ -23,6 +23,7 @@ __all__ = [
     "partition_groups",
     "partitions_of",
     "partitions_with_schmidt_weight",
+    "schmidt_weight_table",
     "schmidt_weight_distribution",
     "schmidt_weight_statistics",
 ]
@@ -340,32 +341,73 @@ def partitions_with_schmidt_weight(n, m, s, cls="P"):
 # counting without objects
 
 
+def _schmidt_params(m, s, cls):
+    # The residues and counted[r], whether a 0-based index of residue r is
+    # counted, for the Schmidt-weight counters of classes P and D.
+    residues = normalize_residue_set(m, s, allow_m=True)
+    if cls not in ("P", "D"):
+        raise ValueError(f"class must be 'P' or 'D', got {cls!r}")
+    return residues, [r + 1 in residues for r in range(m)]
+
+
+def schmidt_weight_table(m, s, cls, *, qcap, scap):
+    """How many partitions in the class have each ``(weight, size)``.
+
+    Counts ``schmidt_weight(lam, m, s)`` and the size over the partitions
+    of class ``"P"`` or ``"D"`` with size at most ``scap`` and Schmidt
+    weight at most ``qcap``, without walking them.  One pass over the part
+    sizes ``a = scap .. 1`` keeps a count for each state (size so far,
+    residue of the next index, weight so far).  A group of ``c`` copies of
+    ``a`` starting at residue ``r`` sits on ``c // m * len(s)`` counted
+    indices plus those among the first ``c % m`` indices from ``r``; it
+    moves the residue to ``(r + c) % m`` and adds ``a * c`` to the size.
+    """
+    residues, counted = _schmidt_params(m, s, cls)
+    if qcap < 0 or scap < 0:
+        raise ValueError(f"caps must be nonnegative, got qcap={qcap}, scap={scap}")
+    # before[j]: counted indices among the 0-based indices 0 .. j-1 over two
+    # periods, so the k < m consecutive indices from residue r hold
+    # before[r + k] - before[r] of them.  Linear in m, not quadratic.
+    before = list(accumulate(counted * 2, initial=0))
+    full = len(residues)
+    top = m - 1 if cls == "D" else scap
+    # states[size] maps each residue reached to {weight so far: count}.
+    states = [{} for _ in range(scap + 1)]
+    states[0][0] = {0: 1}
+    for a in range(scap, 0, -1):
+        # Sizes from the top down: the copies of a only feed larger sizes,
+        # which have taken their own copies of a already, so no state
+        # takes a second group of a.
+        for size in range(scap - a, -1, -1):
+            for r, weights in states[size].items():
+                low = min(weights)
+                for c in range(1, min(top, (scap - size) // a) + 1):
+                    gain = a * (c // m * full + before[r + c % m] - before[r])
+                    if low + gain > qcap:
+                        break
+                    target = states[size + a * c].setdefault((r + c) % m, {})
+                    for w, count in weights.items():
+                        if w + gain <= qcap:
+                            target[w + gain] = target.get(w + gain, 0) + count
+    out = Counter()
+    for size, by_residue in enumerate(states):
+        for weights in by_residue.values():
+            for w, count in weights.items():
+                out[w, size] += count
+    return out
+
+
 def schmidt_weight_distribution(n, m, s, cls="P"):
     """How many partitions of ``n`` in the class have each Schmidt weight.
 
     Counts ``schmidt_weight(lam, m, s)`` over ``partitions_of(n, cls, m)``
-    without building partitions.  A group of ``c`` equal parts starting at
-    the 0-based index ``p`` sits on ``c // m * len(s)`` counted indices,
-    plus those among the first ``c % m`` indices from residue ``p % m``.
+    for class ``"P"`` or ``"D"``: the size-``n`` slice of
+    ``schmidt_weight_table``.
     """
-    residues = normalize_residue_set(m, s, allow_m=True)
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    _check_class(cls, m)
-    counted = [r + 1 in residues for r in range(m)]
-    # hits[r][k]: counted indices among k consecutive ones from residue r.
-    hits = [[sum(counted[(r + j) % m] for j in range(k)) for k in range(m)] for r in range(m)]
-    full = len(residues)
-    out = Counter()
-    for groups in partition_groups(n):
-        if not _groups_in_class(groups, cls, m):
-            continue
-        weight = start = 0
-        for size, count in groups:
-            weight += size * (count // m * full + hits[start % m][count % m])
-            start += count
-        out[weight] += 1
-    return out
+    table = schmidt_weight_table(m, s, cls, qcap=n, scap=n)
+    return Counter({w: count for (w, size), count in table.items() if size == n})
 
 
 def schmidt_weight_statistics(n, m, s, cls="P"):
@@ -376,13 +418,10 @@ def schmidt_weight_statistics(n, m, s, cls="P"):
     ``j = 1 .. m-1``, and by ``repetition_profile(lam, m)``, without
     building them.  The walk still visits every such partition.
     """
-    residues = normalize_residue_set(m, s, allow_m=True)
-    if cls not in ("P", "D"):
-        raise ValueError(f"class must be 'P' or 'D', got {cls!r}")
+    _, counted = _schmidt_params(m, s, cls)
     if n < 0:
         raise ValueError(f"target weight must be nonnegative, got {n}")
     bounded = cls == "D"
-    counted = [r + 1 in residues for r in range(m)]
     # A part a at an index of 0-based residue r adds a to rho_{r+1} and
     # takes it from rho_r, where rho_0 means rho_m; rho_m is not tracked.
     # Every prefix is a partition whose parts are at most n, so each rho

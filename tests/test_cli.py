@@ -380,15 +380,19 @@ def test_output_is_deterministic(capsys):
     assert (code_a, out_a) == (code_b, out_b)
 
 
+def _subprocess_env():
+    # The package's source directory first on the path of a child interpreter.
+    src = Path(cli.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+
+
 def test_closed_stdout_exits_quietly():
     # A reader that stops after one line, like `schmidtq enumerate ... | head -1`.
-    src = Path(cli.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
     proc = subprocess.Popen(
         [sys.executable, "-m", "schmidtq.cli", "enumerate", "--class", "P", "--n", "40"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_subprocess_env(),
     )
     assert proc.stdout.readline() == b"40\n"
     proc.stdout.close()
@@ -396,3 +400,28 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) in (0, 1, 2)
     assert "Traceback" not in err, err
+
+
+def _run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "schmidtq", *argv],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+        timeout=60,
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_module("verify", "overpartition", "--q-cap", "6")
+    assert (proc.returncode, proc.stdout) == (0, "overpartition: pass\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "nope"), ("verify", "schmidt", "--n", "4", "--m", "3")]
+)
+def test_python_dash_m_usage_error_exits_two(argv):
+    proc = _run_module(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr

@@ -54,6 +54,12 @@ COMMANDS = (
     "verify franklin_ext --m 2 --s 1,2 --n 8 --json",
     "verify ak_main --m 4 --s 1,3 --n 8",
     "verify uncu --n 10",
+    # the Schmidt-weight tables: class D, m = 4, the uncu total, enum coefficients
+    "verify mork_even --s-cap 24",
+    "verify psi_dm --s-cap 20 --m 4 --s 1,2 --json",
+    "verify uncu --n 16",
+    "coeff --identity psi_all --side enum --mono q=18,s=24 --m 3 --s 1,2",
+    "coeff --identity cor22 --side enum --mono q=14,t1=2,t2=3",
     # coeff, each side
     "coeff --identity ak_trivariate --side sum --mono q=6,t1=2,t2=2",
     "coeff --identity ak_trivariate --side enum --mono q=6,t1=2,t2=2",

@@ -198,6 +198,23 @@ def test_residue_product_identities_pass(m, i):
         assert report.params == {"m": m, "i": i}
 
 
+@pytest.mark.parametrize(
+    "identity, caps",
+    [
+        ("mork_odd", {"scap": 60}),
+        ("mork_even", {"scap": 60}),
+        ("psi_all", {"scap": 60, "m": 3, "i": 2}),
+        ("psi_dm", {"scap": 60, "m": 4, "i": 2}),
+        ("cor22", {"qcap": 30}),
+    ],
+)
+def test_identities_pass_at_large_caps(identity, caps):
+    # The enum sides count in one pass over part sizes, so these caps are
+    # in reach: psi_all at s-cap 60 counts the 6.6 million partitions of
+    # sizes 0-60 without walking them.
+    assert verify_identity(identity, **caps).passed
+
+
 def test_verify_is_deterministic():
     a = verify_identity("overpartition", qcap=6).to_json_text()
     b = verify_identity("overpartition", qcap=6).to_json_text()

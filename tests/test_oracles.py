@@ -12,12 +12,19 @@ building objects.  The recursive enumerators, the object-counting enum
 sides and the object-counting bodies of ``verify_counting`` they
 replaced are kept below as oracles too.  Every comparison is exact
 equality, and enumerators must also keep their order.
+
+The s-graded enum sides, the ``cor22`` side and the ``schmidt``/``uncu``
+totals are filled in one pass over part sizes.  The per-size walk over
+multiplicity groups and the preorder walk of the ``cor22`` side that
+this replaced are kept below as well.
 """
 
 from collections import Counter
 from itertools import combinations_with_replacement, groupby, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schmidtq import (
     ColoredPartition,
@@ -45,13 +52,17 @@ from schmidtq import (
     repetition_profile,
     residue_column_count,
     schmidt_weight,
+    schmidt_weight_distribution,
+    schmidt_weight_statistics,
+    schmidt_weight_table,
     size_graded_context,
     sum_side,
     trivariate_context,
     verify_counting,
 )
 from schmidtq import identities
-from schmidtq.identities import _hook_exponent, _t1_slice_closed_form
+from schmidtq.identities import _cor22_counts, _hook_exponent, _t1_slice_closed_form
+from schmidtq.partitions import _check_class, _groups_in_class, partition_groups
 from schmidtq.series import gaussian_multinomial_coeffs
 
 from conftest import residue_sets
@@ -323,6 +334,59 @@ def object_counting_s_graded_terms(identity, scap, m=None, i=None):
             for lam in partitions_of(size, cls, m):
                 acc[(schmidt_weight(lam, m, tuple(range(1, i + 1))), size)] += 1
     return acc
+
+
+def group_walk_distribution(n, m, s, cls="P"):
+    """Schmidt weights of the partitions of n in the class, one partition at a time."""
+    residues = normalize_residue_set(m, s, allow_m=True)
+    _check_class(cls, m)
+    counted = [r + 1 in residues for r in range(m)]
+    hits = [[sum(counted[(r + j) % m] for j in range(k)) for k in range(m)] for r in range(m)]
+    full = len(residues)
+    out = Counter()
+    for groups in partition_groups(n):
+        if not _groups_in_class(groups, cls, m):
+            continue
+        weight = start = 0
+        for size, count in groups:
+            weight += size * (count // m * full + hits[start % m][count % m])
+            start += count
+        out[weight] += 1
+    return out
+
+
+def preorder_cor22_counts(qcap):
+    """The cor22 enum terms from a preorder walk over every counted partition."""
+    acc = Counter({(0, 0, 0): 1})
+    stack = [(0, 0, 0, qcap, 0, True)]
+    while stack:
+        weight, alt, repeated, last, run, odd = stack.pop()
+        for a in range(min(last, qcap - weight) if odd else last, 0, -1):
+            if a == last:
+                if run == 3:
+                    continue
+                child_run, child_repeated = run + 1, repeated + (run == 1)
+            else:
+                child_run, child_repeated = 1, repeated
+            if odd:
+                child_weight, child_alt = weight + a, alt + a
+            else:
+                child_weight, child_alt = weight, alt - a
+            acc[(child_weight, child_repeated, child_alt)] += 1
+            stack.append((child_weight, child_alt, child_repeated, a, child_run, not odd))
+    return acc
+
+
+def group_walk_table(m, s, cls, qcap, scap):
+    """``schmidt_weight_table`` from one group walk per size."""
+    return Counter(
+        {
+            (w, size): count
+            for size in range(scap + 1)
+            for w, count in group_walk_distribution(size, m, s, cls).items()
+            if w <= qcap
+        }
+    )
 
 
 # --- the replaced counting sides ---------------------------------------------
@@ -603,3 +667,48 @@ def test_failing_counting_reports_keep_their_evidence(monkeypatch):
         '{"caps":{"n":"6"},"mismatch":{"bucket":"rho=(2, 1)","lhs":"2","rhs":"3"},'
         '"params":{"m":"3","s":["1","2"]},"status":"fail","theorem":"ak_main"}'
     )
+
+
+TABLE_CASES = [(m, s, cls) for m in (2, 3, 4) for s in residue_sets(m, True) for cls in "PD"]
+
+
+@pytest.mark.parametrize(
+    "m, s, cls", TABLE_CASES, ids=[f"m{m}-s{','.join(map(str, s))}-{c}" for m, s, c in TABLE_CASES]
+)
+def test_schmidt_weight_table_matches_group_walk(m, s, cls):
+    # The Schmidt weight never exceeds the size, so qcap = scap cuts
+    # nothing, and one walk up to the largest cap gives every smaller cap.
+    walks = [group_walk_distribution(size, m, s, cls) for size in range(31)]
+    for scap in range(31):
+        want = Counter(
+            {(w, size): count for size in range(scap + 1) for w, count in walks[size].items()}
+        )
+        assert schmidt_weight_table(m, s, cls, qcap=scap, scap=scap) == want, scap
+        assert schmidt_weight_distribution(scap, m, s, cls) == walks[scap], scap
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_schmidt_weight_table_matches_group_walk_at_any_caps(data):
+    m = data.draw(st.integers(2, 5))
+    extra = data.draw(st.sets(st.integers(2, m)))
+    cls = data.draw(st.sampled_from("PD"))
+    scap = data.draw(st.integers(0, 24))
+    qcap = data.draw(st.integers(0, scap))
+    s = (1, *sorted(extra))
+    assert schmidt_weight_table(m, s, cls, qcap=qcap, scap=scap) == group_walk_table(
+        m, s, cls, qcap, scap
+    )
+
+
+def test_cor22_counts_match_preorder_walk():
+    for qcap in range(23):
+        assert _cor22_counts(qcap) == preorder_cor22_counts(qcap), qcap
+
+
+@pytest.mark.parametrize("theorem, cls", [("schmidt", "D"), ("uncu", "P")])
+def test_odd_index_totals_match_schmidt_weight_walk(theorem, cls):
+    for n in range(21):
+        want = sum(schmidt_weight_statistics(n, 2, (1,), cls).values())
+        _, lhs, _, _ = identities._counting_buckets(theorem, n, None, None)
+        assert lhs == {"total": want}, n
