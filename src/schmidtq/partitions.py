@@ -367,7 +367,7 @@ def schmidt_weight_table(m, s, cls, *, qcap, scap):
         raise ValueError(f"caps must be nonnegative, got qcap={qcap}, scap={scap}")
     # before[j]: counted indices among the 0-based indices 0 .. j-1 over two
     # periods, so the k < m consecutive indices from residue r hold
-    # before[r + k] - before[r] of them.  Linear in m, not quadratic.
+    # before[r + k] - before[r] of them, at a cost linear in m.
     before = list(accumulate(counted * 2, initial=0))
     full = len(residues)
     top = m - 1 if cls == "D" else scap
