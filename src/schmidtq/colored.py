@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from .partitions import _digits, normalize_residue_set, partition_groups
 
@@ -25,6 +26,7 @@ __all__ = [
     "color_counts",
     "colored_partitions",
     "colored_partition_counts",
+    "colored_partition_total",
     "top_color_part_counts",
     "overpartitions",
     "overpartition_counts",
@@ -328,6 +330,29 @@ def colored_partition_counts(n, m, s, top):
         lambda key: _color_count_vectors(*key[0], key[1], m),
     )
     return Counter({tuple(_digits(v, n + 1, m)): c for v, c in packed.items()})
+
+
+def colored_partition_total(n, m, s, top):
+    """How many colored partitions of ``n`` there are.
+
+    The sum of :func:`colored_partition_counts` over its vectors, counted
+    over multiplicity groups with one number per group: ``c`` equal parts
+    over a palette of ``h`` colors take ``comb(h + c - 1, c)`` multisets.
+    The palette of a size depends only on its residue modulo ``len(s)``,
+    so the group numbers come from one table by residue and count.
+    """
+    residues = _validate_palette(m, s, top)
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+    i = len(residues)
+    ways = []
+    for size in range(1, i + 1):
+        lo, hi = _palette(size, residues, top)
+        ways.append([comb(hi - lo + c - 1, c) for c in range(n + 1)])
+    counts = _grouped_counts(
+        n, lambda size, count: ways[(size - 1) % i][count], lambda w: {(): w}
+    )
+    return sum(counts.values())
 
 
 def top_color_part_counts(n, m, s):

@@ -34,6 +34,7 @@ from math import isqrt
 from .colored import (
     color_counts,
     colored_partition_counts,
+    colored_partition_total,
     colored_partitions,
     over_stats,
     overpartition_counts,
@@ -583,7 +584,7 @@ def _counting_buckets(theorem, n, m, s):
         if theorem == "schmidt":
             rhs = sum(1 for _ in partition_groups(n))
         else:
-            rhs = sum(colored_partition_counts(n, 2, (1,), 3).values())
+            rhs = colored_partition_total(n, 2, (1,), 3)
         return {"m": 2, "s": [1]}, {"total": lhs}, {"total": rhs}, str
     if theorem == "ak_main":
         residues = normalize_residue_set(m, _required_set(s), allow_m=False)
@@ -657,7 +658,10 @@ def witnesses(identity, exponents, *, m=None, i=None):
     """Serialized enumerated objects landing on one monomial of an enum side.
 
     ``exponents`` maps variable names (q, t1, t2, s) to target exponents;
-    omitted variables mean zero.  Objects come back in enumeration order.
+    omitted variables mean zero.  A nonzero exponent of a variable the
+    identity is not graded by (s for the q/t1/t2 identities, t1 or t2 for
+    the s-graded ones) raises ``ValueError``.  Objects come back in
+    enumeration order.
     """
     exps = dict(exponents)
     unknown = set(exps) - {"q", "t1", "t2", "s"}
@@ -666,6 +670,13 @@ def witnesses(identity, exponents, *, m=None, i=None):
     for v, e in exps.items():
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent for {v} must be a nonnegative integer, got {e!r}")
+    # A monomial in a variable the identity is not graded by lies on none
+    # of its sides, so no object can land on it.
+    if identity in ("ak_trivariate", "overpartition", "cor22"):
+        if exps.get("s"):
+            raise ValueError(f"{identity} has no variable s")
+    elif identity in SERIES_IDENTITIES and (exps.get("t1") or exps.get("t2")):
+        raise ValueError(f"{identity} has no variables t1, t2")
     q = exps.get("q", 0)
     t1 = exps.get("t1", 0)
     t2 = exps.get("t2", 0)

@@ -21,6 +21,20 @@ recurrence ``out[k] = in[k] + out[k - a]``, walked chain by chain along
 product (``*``) buckets the larger operand by one exponent and visits,
 for each term of the other operand, only the buckets that still fit
 under that exponent's cap.
+
+Inside a series each exponent vector is packed into one int.  Exponent
+``k`` gets a field of ``caps[k].bit_length() + 1`` bits, one more than
+its cap needs, so the sum of two in-cap vectors is the sum of their
+ints and never carries from one field into the next.  Two masks come
+from the caps: ``guard`` holds each field's top bit and ``off`` holds
+``2**(w-1) - 1 - cap`` in each field of width ``w``.  For a sum of two
+in-cap vectors, ``(key + off) & guard`` is nonzero exactly when some
+exponent is above its cap, so a product monomial costs one add and its
+cap check one add and one mask.  Keys are packed where they enter (the
+constructor, :meth:`Series.coefficient`, the step and Pochhammer
+arguments) after their arity, sign and caps are checked, and unpacked
+where they leave (:meth:`Series.sorted_terms`, text, JSON,
+:func:`substitute_one`).
 """
 
 from __future__ import annotations
@@ -28,7 +42,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, itemgetter, le
+from itertools import repeat
+from operator import and_, le, lshift, rshift
 from typing import NamedTuple
 
 ALLOWED_VARIABLES = ("q", "t1", "t2", "s", "z")
@@ -128,6 +143,36 @@ class SeriesContext:
         return Series(self, {monomial: coeff})
 
 
+class _Layout(NamedTuple):
+    shifts: tuple  # bit offset of each exponent's field
+    masks: tuple  # all-ones mask of each field's width
+    off: int  # 2**(w-1) - 1 - cap in each field of width w
+    guard: int  # the top bit of each field
+
+    def pack(self, exponents):
+        return sum(map(lshift, exponents, self.shifts))
+
+    def unpack(self, key):
+        # The fields are nonnegative ints by construction, so the Monomial
+        # skips its constructor's checks.
+        return tuple.__new__(Monomial, map(and_, map(rshift, repeat(key), self.shifts), self.masks))
+
+
+@lru_cache(maxsize=None)
+def _layout(caps):
+    """The packed-key layout of a caps tuple (see the module docstring)."""
+    shifts, masks = [], []
+    off = guard = shift = 0
+    for cap in caps:
+        width = cap.bit_length() + 1
+        shifts.append(shift)
+        masks.append((1 << width) - 1)
+        off |= ((1 << (width - 1)) - 1 - cap) << shift
+        guard |= 1 << (shift + width - 1)
+        shift += width
+    return _Layout(tuple(shifts), tuple(masks), off, guard)
+
+
 class Series:
     """A finite sum of integer-coefficient monomials inside one context.
 
@@ -143,28 +188,30 @@ class Series:
             raise TypeError(f"expected a SeriesContext, got {context!r}")
         items = terms.items() if hasattr(terms, "items") else terms
         width, caps = len(context.variables), context.caps
+        pack = _layout(caps).pack
         acc = {}
         for mon, coeff in items:
-            key = tuple(int(e) for e in mon)
+            key = tuple(map(int, mon))
             if len(key) != width:
                 raise ValueError(f"monomial {key} has wrong arity for {context.variables}")
-            if any(e < 0 for e in key):
+            if min(key, default=0) < 0:
                 raise ValueError(f"exponents must be nonnegative, got {key}")
-            if not all(e <= c for e, c in zip(key, caps)):
+            if not all(map(le, key, caps)):
                 raise ValueError(f"monomial {key} exceeds caps {caps}")
             coeff = int(coeff)
             if coeff:
-                acc[key] = acc.get(key, 0) + coeff
+                packed = pack(key)
+                acc[packed] = acc.get(packed, 0) + coeff
         self._context = context
         self._terms = {k: v for k, v in acc.items() if v}
 
     @classmethod
     def _raw(cls, context, terms):
-        # Internal fast path: terms is a freshly built dict of in-cap
-        # exponent tuples, zeros already possible but nothing else to check.
+        # Internal fast path: terms is a dict of packed in-cap keys with
+        # nonzero coefficients that nothing mutates afterwards.
         obj = object.__new__(cls)
         obj._context = context
-        obj._terms = {k: v for k, v in terms.items() if v}
+        obj._terms = terms
         return obj
 
     @property
@@ -172,18 +219,22 @@ class Series:
         return self._context
 
     def coefficient(self, monomial):
-        key = tuple(int(e) for e in monomial)
-        return self._terms.get(key, 0)
+        """The coefficient of an exponent vector; 0 for any vector off the context's caps."""
+        key = tuple(map(int, monomial))
+        caps = self._context.caps
+        if len(key) != len(caps) or min(key, default=0) < 0 or not all(map(le, key, caps)):
+            return 0
+        return self._terms.get(_layout(caps).pack(key), 0)
 
     def coefficient_at(self, **exponents):
         return self.coefficient(self._context.monomial(**exponents))
 
     def sorted_terms(self):
         """Terms as (Monomial, coefficient) pairs, by total degree then exponents."""
-        return [
-            (Monomial(k), self._terms[k])
-            for k in sorted(self._terms, key=lambda t: (sum(t), t))
-        ]
+        unpack = _layout(self._context.caps).unpack
+        pairs = [(unpack(k), v) for k, v in self._terms.items()]
+        pairs.sort(key=lambda kv: (sum(kv[0]), kv[0]))
+        return pairs
 
     def is_zero(self):
         return not self._terms
@@ -214,7 +265,7 @@ class Series:
         out = dict(self._terms)
         for k, v in other._terms.items():
             out[k] = out.get(k, 0) + v
-        return Series._raw(self._context, out)
+        return Series._raw(self._context, _nonzero(out))
 
     __radd__ = __add__
 
@@ -234,7 +285,7 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, int):
             return Series._raw(
-                self._context, {k: other * v for k, v in self._terms.items()}
+                self._context, _nonzero({k: other * v for k, v in self._terms.items()})
             )
         if not isinstance(other, Series):
             return NotImplemented
@@ -248,30 +299,35 @@ class Series:
             return Series._raw(self._context, out)
         # Bucket b by the exponent that leaves the fewest pairs to visit;
         # a pair whose bucket exponent already overflows its cap is never
-        # formed, and the rest are checked against every cap.
-        v = _bucket_variable(a, b, caps)
+        # formed, and the rest are checked against every cap by the guard.
+        layout = _layout(caps)
+        off, guard = layout.off, layout.guard
+        v = _bucket_variable(a, b, caps, layout)
+        shift, mask, cap = layout.shifts[v], layout.masks[v], caps[v]
         buckets = {}
         for m2, c2 in b.items():
-            buckets.setdefault(m2[v], []).append((m2, c2))
+            buckets.setdefault((m2 >> shift) & mask, []).append((m2, c2))
         levels = sorted(buckets.items())
         for m1, c1 in a.items():
-            room = tuple(c - e for c, e in zip(caps, m1))
-            room_v = room[v]
+            room = cap - ((m1 >> shift) & mask)
+            m1_off = m1 + off
             for e, items in levels:
-                if e > room_v:
+                if e > room:
                     break
                 for m2, c2 in items:
-                    if all(map(le, m2, room)):
-                        key = tuple(map(add, m1, m2))
+                    if not (m1_off + m2) & guard:
+                        key = m1 + m2
                         out[key] = out.get(key, 0) + c1 * c2
-        return Series._raw(self._context, out)
+        return Series._raw(self._context, _nonzero(out))
 
     __rmul__ = __mul__
 
     def mul_one_minus(self, monomial, coefficient=1):
         """This series times ``1 - coefficient * monomial``, in one pass over its terms."""
         terms = dict(self._terms)
-        _mul_one_minus(terms, self._context.caps, _as_monomial(self._context, monomial), coefficient)
+        mon = _as_monomial(self._context, monomial)
+        if mon.within(self._context.caps):
+            _mul_one_minus(terms, _layout(self._context.caps), mon, coefficient)
         return Series._raw(self._context, terms)
 
     def div_one_minus(self, monomial):
@@ -280,8 +336,12 @@ class Series:
         Equals the product with :func:`geometric_inverse` of the same
         monomial, which must be nonconstant.
         """
-        terms = dict(self._terms)
-        _div_one_minus(terms, self._context.caps, _as_monomial(self._context, monomial))
+        mon = _as_monomial(self._context, monomial)
+        if mon.is_constant():
+            raise ValueError("cannot divide by 1 - 1; the monomial must be nonconstant")
+        terms = self._terms
+        if mon.within(self._context.caps):
+            terms = _div_one_minus(terms, _layout(self._context.caps), mon)
         return Series._raw(self._context, terms)
 
     def __pow__(self, k):
@@ -341,32 +401,38 @@ class Series:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
-def _bucket_variable(a, b, caps):
+def _nonzero(terms):
+    return {k: v for k, v in terms.items() if v}
+
+
+def _bucket_variable(a, b, caps, layout):
     """The variable index whose buckets of ``b`` leave ``a * b`` the fewest pairs.
 
     A pair (m1, m2) is visited when ``m2[v] <= caps[v] - m1[v]``; the count
     for each v comes from a cumulative histogram of b's exponents.
     """
     best, best_pairs = 0, None
-    for v, cap in enumerate(caps):
+    for v, (cap, shift, mask) in enumerate(zip(caps, layout.shifts, layout.masks)):
         below = [0] * (cap + 1)
         for m2 in b:
-            below[m2[v]] += 1
+            below[(m2 >> shift) & mask] += 1
         for e in range(1, cap + 1):
             below[e] += below[e - 1]
-        pairs = sum(below[cap - m1[v]] for m1 in a)
+        pairs = sum(below[cap - ((m1 >> shift) & mask)] for m1 in a)
         if best_pairs is None or pairs < best_pairs:
             best, best_pairs = v, pairs
     return best
 
 
-def _mul_one_minus(terms, caps, mon, coefficient):
-    # In place: terms *= (1 - coefficient * x^mon).  The snapshot keeps
-    # each shifted term reading the input coefficient, also when mon is
-    # constant.
+def _mul_one_minus(terms, layout, mon, coefficient):
+    # In place: terms *= (1 - coefficient * x^mon), for an in-cap mon.  The
+    # snapshot keeps each shifted term reading the input coefficient, also
+    # when mon is constant.
+    step = layout.pack(mon)
+    off, guard = layout.off, layout.guard
     for key, value in list(terms.items()):
-        shifted = tuple(map(add, key, mon))
-        if all(map(le, shifted, caps)):
+        shifted = key + step
+        if not (shifted + off) & guard:
             value = terms.get(shifted, 0) - coefficient * value
             if value:
                 terms[shifted] = value
@@ -374,27 +440,28 @@ def _mul_one_minus(terms, caps, mon, coefficient):
                 terms.pop(shifted, None)
 
 
-def _div_one_minus(terms, caps, mon):
-    # In place: terms /= (1 - x^mon) by out[k] = in[k] + out[k - mon].
-    # Keys k and k + mon lie on one chain.  Taken in ascending order of an
-    # exponent that mon raises, the first key met on a chain is its lowest
+def _div_one_minus(terms, layout, mon):
+    # terms / (1 - x^mon) by out[k] = in[k] + out[k - mon], for an in-cap,
+    # nonconstant mon; terms is left as it is.  Keys k and k + mon lie on
+    # one chain, and the packed k + mon is the larger int.  Taken in
+    # ascending packed order, the first key met on a chain is its lowest
     # input key; the chain is walked once from there up to the caps,
-    # reading every input value before overwriting it.
-    if not any(mon):
-        raise ValueError("cannot divide by 1 - 1; the monomial must be nonconstant")
-    walked = set()
-    for key in sorted(terms, key=itemgetter(next(i for i, e in enumerate(mon) if e))):
-        if key in walked:
+    # popping each input value it passes, so a popped key is never a
+    # chain's start.
+    step = layout.pack(mon)
+    off, guard = layout.off, layout.guard
+    pending = dict(terms)
+    out = {}
+    for key in sorted(terms):
+        if key not in pending:
             continue
         acc = 0
-        while all(map(le, key, caps)):
-            walked.add(key)
-            acc += terms.get(key, 0)
+        while not (key + off) & guard:
+            acc += pending.pop(key, 0)
             if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-            key = tuple(map(add, key, mon))
+                out[key] = acc
+            key += step
+    return out
 
 
 def geometric_inverse(context, monomial):
@@ -411,11 +478,12 @@ def geometric_inverse(context, monomial):
     if mon.is_constant():
         raise ValueError("cannot invert 1 - 1; the monomial must be nonconstant")
     caps = context.caps
+    pack = _layout(caps).pack
     out = {}
-    cur = tuple([0] * len(caps))
-    while all(e <= c for e, c in zip(cur, caps)):
-        out[cur] = 1
-        cur = tuple(x + y for x, y in zip(cur, mon))
+    cur = Monomial([0] * len(caps))
+    while cur.within(caps):
+        out[pack(cur)] = 1
+        cur = cur * mon
     return Series._raw(context, out)
 
 
@@ -437,11 +505,12 @@ def poch_finite(context, z, g, n, coefficient=1):
     z = _as_monomial(context, z)
     g = _as_monomial(context, g)
     caps = context.caps
-    terms = {tuple([0] * len(caps)): 1}
+    layout = _layout(caps)
+    terms = {0: 1}
     cur = z
     for _ in range(n):
         if cur.within(caps):
-            _mul_one_minus(terms, caps, cur, coefficient)
+            _mul_one_minus(terms, layout, cur, coefficient)
         elif not g.is_constant():
             break
         cur = cur * g
@@ -461,10 +530,11 @@ def poch_infinite(context, z, g, coefficient=1):
     if z.is_constant() or g.is_constant():
         raise ValueError("base and ratio must both be nonconstant monomials")
     caps = context.caps
-    terms = {tuple([0] * len(caps)): 1}
+    layout = _layout(caps)
+    terms = {0: 1}
     cur = z
     while cur.within(caps):
-        _mul_one_minus(terms, caps, cur, coefficient)
+        _mul_one_minus(terms, layout, cur, coefficient)
         cur = cur * g
     return Series._raw(context, terms)
 
@@ -481,10 +551,11 @@ def poch_infinite_inverse(context, z, g):
     if z.is_constant() or g.is_constant():
         raise ValueError("base and ratio must both be nonconstant monomials")
     caps = context.caps
-    terms = {tuple([0] * len(caps)): 1}
+    layout = _layout(caps)
+    terms = {0: 1}
     cur = z
     while cur.within(caps):
-        _div_one_minus(terms, caps, cur)
+        terms = _div_one_minus(terms, layout, cur)
         cur = cur * g
     return Series._raw(context, terms)
 
@@ -540,13 +611,11 @@ def gaussian_multinomial_coeffs(n, parts):
 def _embed_q_poly(context, coeffs):
     qi = context.index("q")
     qcap = context.caps[qi]
-    width = len(context.variables)
+    shift = _layout(context.caps).shifts[qi]
     terms = {}
     for e, c in enumerate(coeffs):
         if c and e <= qcap:
-            key = [0] * width
-            key[qi] = e
-            terms[tuple(key)] = c
+            terms[e << shift] = c
     return Series._raw(context, terms)
 
 
@@ -575,12 +644,14 @@ def substitute_one(a, var):
     """
     ctx = a.context
     vi = ctx.index(var)
-    cap = ctx.caps[vi]
+    layout = _layout(ctx.caps)
+    field = layout.masks[vi] << layout.shifts[vi]
+    at_cap = ctx.caps[vi] << layout.shifts[vi]
     out = {}
     saturated = False
     for mon, coeff in a._terms.items():
-        if mon[vi] == cap:
+        if mon & field == at_cap:
             saturated = True
-        key = mon[:vi] + (0,) + mon[vi + 1 :]
+        key = mon & ~field
         out[key] = out.get(key, 0) + coeff
-    return SubstitutionResult(Series._raw(ctx, out), saturated)
+    return SubstitutionResult(Series._raw(ctx, _nonzero(out)), saturated)

@@ -182,6 +182,16 @@ def test_witness_listing(capsys):
     ]
 
 
+def test_witness_rejects_variables_outside_the_grading(capsys):
+    # The same monomials coeff rejects, with the same exit code and message.
+    code, out, err = _run(capsys, "witness", "--identity", "cor22", "--mono", "s=3")
+    assert (code, out) == (2, "") and "no variable s" in err
+    code, out, err = _run(
+        capsys, "witness", "--identity", "mork_odd", "--mono", "t1=2,q=1,s=1"
+    )
+    assert (code, out) == (2, "") and "no variables t1, t2" in err
+
+
 def test_witness_requires_psi_parameters(capsys):
     code, _, err = _run(
         capsys, "witness", "--identity", "psi_all", "--mono", "q=2,s=2"

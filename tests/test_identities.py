@@ -404,3 +404,18 @@ def test_witness_argument_errors():
         witnesses("nope", {"q": 1})
     with pytest.raises(ValueError):
         witnesses("psi_all", {"q": 1, "s": 1})  # m, i required
+
+
+def test_witnesses_reject_variables_outside_the_grading():
+    # No object lands on a monomial that is on none of the identity's sides.
+    with pytest.raises(ValueError, match="no variable s"):
+        witnesses("cor22", {"s": 3})
+    with pytest.raises(ValueError, match="no variables t1, t2"):
+        witnesses("mork_odd", {"t1": 2, "q": 1, "s": 1})
+    with pytest.raises(ValueError, match="no variables t1, t2"):
+        witnesses("psi_dm", {"q": 2, "s": 2, "t2": 1}, m=2, i=1)
+    # A zero exponent leaves the monomial on the series, as coeff accepts it.
+    assert witnesses("cor22", {"q": 6, "t1": 1, "t2": 2, "s": 0}) == witnesses(
+        "cor22", {"q": 6, "t1": 1, "t2": 2}
+    )
+    assert witnesses("mork_odd", {"q": 2, "s": 3, "t1": 0}) == ["2,1"]

@@ -17,10 +17,17 @@ The s-graded enum sides, the ``cor22`` side and the ``schmidt``/``uncu``
 totals are filled in one pass over part sizes.  The per-size walk over
 multiplicity groups and the preorder walk of the ``cor22`` side that
 this replaced are kept below as well.
+
+A series stores each exponent vector packed into one int and checks the
+caps with one add and one mask.  The tuple-keyed multiply and divide
+steps, the bucketed product and ``substitute_one`` it replaced are kept
+below, on plain ``{exponent tuple: coefficient}`` dicts, and so is the
+summed colored Counter that the ``uncu`` colored total replaced.
 """
 
 from collections import Counter
 from itertools import combinations_with_replacement, groupby, product
+from operator import add, itemgetter, le
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +43,7 @@ from schmidtq import (
     geometric_inverse,
     color_counts,
     colored_partition_counts,
+    colored_partition_total,
     colored_partitions,
     enum_side,
     ln_series,
@@ -56,6 +64,7 @@ from schmidtq import (
     schmidt_weight_statistics,
     schmidt_weight_table,
     size_graded_context,
+    substitute_one,
     sum_side,
     trivariate_context,
     verify_counting,
@@ -63,7 +72,7 @@ from schmidtq import (
 from schmidtq import identities
 from schmidtq.identities import _cor22_counts, _hook_exponent, _t1_slice_closed_form
 from schmidtq.partitions import _check_class, _groups_in_class, partition_groups
-from schmidtq.series import gaussian_multinomial_coeffs
+from schmidtq.series import ALLOWED_VARIABLES, gaussian_multinomial_coeffs
 
 from conftest import residue_sets
 
@@ -456,6 +465,98 @@ def object_counting_buckets(theorem, n, m=None, s=None):
     return report, lhs, rhs
 
 
+def tuple_mul_one_minus(terms, caps, mon, coefficient):
+    # In place: terms *= (1 - coefficient * x^mon).  The snapshot keeps
+    # each shifted term reading the input coefficient, also when mon is
+    # constant.
+    for key, value in list(terms.items()):
+        shifted = tuple(map(add, key, mon))
+        if all(map(le, shifted, caps)):
+            value = terms.get(shifted, 0) - coefficient * value
+            if value:
+                terms[shifted] = value
+            else:
+                terms.pop(shifted, None)
+
+
+def tuple_div_one_minus(terms, caps, mon):
+    # In place: terms /= (1 - x^mon) by out[k] = in[k] + out[k - mon].
+    # Taken in ascending order of an exponent that mon raises, the first
+    # key met on a chain is its lowest input key; the chain is walked once
+    # from there up to the caps, reading every input value before
+    # overwriting it.
+    if not any(mon):
+        raise ValueError("cannot divide by 1 - 1; the monomial must be nonconstant")
+    walked = set()
+    for key in sorted(terms, key=itemgetter(next(i for i, e in enumerate(mon) if e))):
+        if key in walked:
+            continue
+        acc = 0
+        while all(map(le, key, caps)):
+            walked.add(key)
+            acc += terms.get(key, 0)
+            if acc:
+                terms[key] = acc
+            else:
+                terms.pop(key, None)
+            key = tuple(map(add, key, mon))
+
+
+def tuple_bucket_variable(a, b, caps):
+    best, best_pairs = 0, None
+    for v, cap in enumerate(caps):
+        below = [0] * (cap + 1)
+        for m2 in b:
+            below[m2[v]] += 1
+        for e in range(1, cap + 1):
+            below[e] += below[e - 1]
+        pairs = sum(below[cap - m1[v]] for m1 in a)
+        if best_pairs is None or pairs < best_pairs:
+            best, best_pairs = v, pairs
+    return best
+
+
+def tuple_bucketed_mul(a, b, caps):
+    # b is bucketed by the exponent that leaves the fewest pairs; a pair
+    # whose bucket exponent overflows its cap is never formed, and the
+    # rest are checked against every cap.
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    if not a:
+        return out
+    v = tuple_bucket_variable(a, b, caps)
+    buckets = {}
+    for m2, c2 in b.items():
+        buckets.setdefault(m2[v], []).append((m2, c2))
+    levels = sorted(buckets.items())
+    for m1, c1 in a.items():
+        room = tuple(c - e for c, e in zip(caps, m1))
+        for e, items in levels:
+            if e > room[v]:
+                break
+            for m2, c2 in items:
+                if all(map(le, m2, room)):
+                    key = tuple(map(add, m1, m2))
+                    out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def tuple_substitute_one(terms, caps, vi):
+    out = {}
+    saturated = False
+    for mon, coeff in terms.items():
+        if mon[vi] == caps[vi]:
+            saturated = True
+        key = mon[:vi] + (0,) + mon[vi + 1 :]
+        out[key] = out.get(key, 0) + coeff
+    return {k: c for k, c in out.items() if c}, saturated
+
+
+def tuple_terms(series):
+    return {tuple(mon): c for mon, c in series.sorted_terms()}
+
+
 # --- exact equality ----------------------------------------------------------
 
 
@@ -712,3 +813,124 @@ def test_odd_index_totals_match_schmidt_weight_walk(theorem, cls):
         want = sum(schmidt_weight_statistics(n, 2, (1,), cls).values())
         _, lhs, _, _ = identities._counting_buckets(theorem, n, None, None)
         assert lhs == {"total": want}, n
+
+
+# Caps at the edges of the packed field widths: a cap of 2**k - 1 fills
+# its field's low bits, and 2**k needs one more bit.
+CAP_EDGES = (0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 40)
+
+
+def packed_context(data):
+    """A context of 1-5 variables with caps at the field-width edges."""
+    width = data.draw(st.integers(1, 5))
+    caps = data.draw(st.lists(st.sampled_from(CAP_EDGES), min_size=width, max_size=width))
+    return SeriesContext(ALLOWED_VARIABLES[:width], tuple(caps))
+
+
+def tuple_keyed(data, ctx):
+    """A tuple-keyed dict of nonzero terms, some coefficients negative, inside the caps."""
+    exponents = st.tuples(*(st.integers(0, cap) for cap in ctx.caps))
+    pairs = data.draw(st.lists(st.tuples(exponents, st.integers(-9, 9)), max_size=12))
+    terms = {}
+    for key, c in pairs:
+        terms[key] = terms.get(key, 0) + c
+    return {k: c for k, c in terms.items() if c}
+
+
+def step_exponents(data, ctx):
+    # Up to twice past each field's width, so some steps lie above the caps
+    # and some would carry into the next field if they were packed.
+    return tuple(data.draw(st.integers(0, 1 << (cap.bit_length() + 2))) for cap in ctx.caps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_multiply_step_matches_tuple_keyed_step(data):
+    ctx = packed_context(data)
+    terms = tuple_keyed(data, ctx)
+    mon = step_exponents(data, ctx)
+    c = data.draw(st.integers(-4, 4))
+    got = Series(ctx, terms).mul_one_minus(mon, c)
+    tuple_mul_one_minus(terms, ctx.caps, mon, c)
+    assert tuple_terms(got) == terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_divide_step_matches_tuple_keyed_step(data):
+    ctx = packed_context(data)
+    terms = tuple_keyed(data, ctx)
+    mon = step_exponents(data, ctx)
+    if not any(mon):
+        with pytest.raises(ValueError):
+            Series(ctx, terms).div_one_minus(mon)
+        return
+    got = Series(ctx, terms).div_one_minus(mon)
+    tuple_div_one_minus(terms, ctx.caps, mon)
+    assert tuple_terms(got) == terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_product_matches_tuple_keyed_bucketed_product(data):
+    ctx = packed_context(data)
+    a, b = tuple_keyed(data, ctx), tuple_keyed(data, ctx)
+    got = Series(ctx, a) * Series(ctx, b)
+    assert tuple_terms(got) == tuple_bucketed_mul(a, b, ctx.caps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_substitute_one_matches_tuple_keyed_collapse(data):
+    ctx = packed_context(data)
+    terms = tuple_keyed(data, ctx)
+    vi = data.draw(st.integers(0, len(ctx.caps) - 1))
+    got = substitute_one(Series(ctx, terms), ctx.variables[vi])
+    want, saturated = tuple_substitute_one(terms, ctx.caps, vi)
+    assert tuple_terms(got.series) == want
+    assert got.saturated == saturated
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coefficient_is_zero_off_the_caps(data):
+    ctx = packed_context(data)
+    terms = tuple_keyed(data, ctx)
+    series = Series(ctx, terms)
+    for key, c in terms.items():
+        assert series.coefficient(key) == c
+    caps = ctx.caps
+    vi = data.draw(st.integers(0, len(caps) - 1))
+    base = list(data.draw(st.sampled_from(sorted(terms) or [(0,) * len(caps)])))
+    # Negative, just above the cap, and a whole field width above it: the
+    # last would alias the next field's exponent if it were packed.
+    for e in (-1, caps[vi] + 1, 1 << (caps[vi].bit_length() + 1)):
+        key = list(base)
+        key[vi] = e
+        assert series.coefficient(key) == 0, key
+    assert series.coefficient(base + [0]) == 0
+    assert series.coefficient(base[:-1]) == 0
+
+
+def test_coefficient_and_steps_never_pack_a_key_wider_than_its_field():
+    # Caps (3, 3) give 3-bit fields, so (8, 0) would pack to the int of (0, 1).
+    ctx = SeriesContext(("q", "t1"), (3, 3))
+    series = Series(ctx, {(0, 1): 5, (3, 3): 7})
+    assert series.coefficient((0, 1)) == 5
+    assert series.coefficient((8, 0)) == 0
+    assert series.coefficient((-8, 1)) == 0
+    assert series.coefficient((3, 3, 0)) == 0
+    assert series.mul_one_minus((8, 0), 1) == series
+    assert series.div_one_minus((0, 8)) == series
+
+
+def test_colored_partition_total_matches_summed_counts():
+    for n in range(31):
+        assert colored_partition_total(n, 2, (1,), 3) == sum(
+            colored_partition_counts(n, 2, (1,), 3).values()
+        ), n
+    for m, s, top in PALETTES:
+        for n in range(13):
+            assert colored_partition_total(n, m, s, top) == sum(
+                colored_partition_counts(n, m, s, top).values()
+            ), (m, s, top, n)
