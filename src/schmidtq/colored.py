@@ -399,12 +399,17 @@ def overpartition_counts(n):
     """How many overpartitions of ``n`` have each (overlined, plain) part count.
 
     Counts the objects of ``overpartitions(n)`` without building them: a
-    group of ``c`` equal parts is all plain or has one overlined copy,
-    the weight ``t2^c + t1 t2^(c-1)``.
+    partition with ``d`` distinct sizes and ``l`` parts carries ``C(d, o)``
+    overpartitions with ``o`` overlined parts, since the first copy of each
+    size is overlined or not, so the walk counts partitions by ``(d, l)``.
     """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    packed = _grouped_counts(
-        n, lambda size, count: count, lambda c: {(0, c): 1, (1, c - 1): 1}
+    shapes = Counter(
+        (len(groups), sum(count for _, count in groups)) for groups in partition_groups(n)
     )
-    return Counter({tuple(_digits(v, n + 1, 2)): c for v, c in packed.items()})
+    out = Counter()
+    for (d, length), count in shapes.items():
+        for o in range(d + 1):
+            out[o, length - o] += comb(d, o) * count
+    return out

@@ -5,7 +5,8 @@ to explicit caps, and compared term-by-term:
 
 - ``ak_trivariate``: the trivariate hook-exponent sum equals
   1/((t1 q; q)oo (t2 q; q)oo), which enumerates 2-colored partitions by
-  color counts and size.
+  color counts and size; the enum side counts partitions by odd-index
+  weight and by the numbers of columns of odd and even height.
 - ``overpartition``: the companion sum with exponent
   C(n,2) + C(k+1,2) + j^2 - nj + j equals (-t1 q; q)oo / (t2 q; q)oo,
   which enumerates overpartitions by overlined/plain part counts.
@@ -48,6 +49,7 @@ from .partitions import (
     partitions_of,
     partitions_with_schmidt_weight,
     residue_column_count,
+    residue_column_table,
     schmidt_weight,
     schmidt_weight_statistics,
     schmidt_weight_table,
@@ -337,41 +339,54 @@ def _cor22_counts(qcap):
     # Every partition with odd-index weight at most qcap and every
     # multiplicity below 4, counted by (weight, repeated sizes, alternating
     # sum) in one pass over the part sizes a = qcap .. 1; index 1 is odd,
-    # so no part exceeds qcap.  The state is (whether the next index is
-    # odd, weight, repeated sizes, alternating sum).  A group of c copies
-    # of a sits on (c + odd) // 2 odd indices: each adds a to the weight
-    # and to the alternating sum, each even index subtracts a from the
-    # latter, and c > 1 makes the size repeated.
-    states = Counter({(1, 0, 0, 0): 1})
+    # so no part exceeds qcap.  A group of c copies of a sits on
+    # (c + odd) // 2 odd indices: each adds a to the weight and to the
+    # alternating sum, each even index subtracts a from the latter, and
+    # c > 1 makes the size repeated.  A state is one int
+    # (((weight * base + repeated) * base + alt) * 2 + odd), odd saying
+    # whether the next index is odd.  Every prefix is a partition of weight
+    # at most qcap, so each field stays in 0..qcap and a signed step never
+    # borrows; weight is the top field, so a state is within the cap
+    # exactly when it is below limit.
+    base = qcap + 1
+    unit = base * base * 2
+    limit = base * unit
+    # rows[odd][c - 1] = (g, d): c copies of a step by a * g + d.
+    rows = [
+        [
+            (
+                (c + odd) // 2 * unit + (2 * ((c + odd) // 2) - c) * 2,
+                (c > 1) * base * 2 + (odd ^ (c & 1)) - odd,
+            )
+            for c in (1, 2, 3)
+        ]
+        for odd in (0, 1)
+    ]
+    states = Counter({1: 1})
     for a in range(qcap, 0, -1):
+        steps = [[a * g + d for g, d in row] for row in rows]
         # The groups of a extend only the states from larger parts.
-        for (odd, weight, repeated, alt), count in list(states.items()):
-            for c in (1, 2, 3):
-                on_odd = (c + odd) // 2
-                if weight + a * on_odd > qcap:
+        for key, count in list(states.items()):
+            for step in steps[key & 1]:
+                # The weight gain grows with c.
+                if key + step >= limit:
                     break
-                key = (
-                    odd ^ (c & 1),
-                    weight + a * on_odd,
-                    repeated + (c > 1),
-                    alt + a * (2 * on_odd - c),
-                )
-                states[key] += count
+                states[key + step] += count
     acc = Counter()
-    for (_, weight, repeated, alt), count in states.items():
-        acc[weight, repeated, alt] += count
+    for key, count in states.items():
+        weight, rest = divmod(key >> 1, base * base)
+        acc[(weight, *divmod(rest, base))] += count
     return acc
 
 
 def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
     """The brute-force generating function, graded exactly like the other sides."""
     if identity == "ak_trivariate":
+        # The Schmidt side of the theorem: odd-index weight and the
+        # residue column counts, not the product's colored model.
         qcap = _required(qcap, "qcap")
-        acc = Counter()
-        for n in range(qcap + 1):
-            for (c1, c2), count in colored_partition_counts(n, 2, (1,), 3).items():
-                acc[(n, c1, c2)] += count
-        return Series(trivariate_context(qcap), acc)
+        table = residue_column_table(2, (1,), "P", qcap=qcap)
+        return Series(trivariate_context(qcap), table)
     if identity == "overpartition":
         qcap = _required(qcap, "qcap")
         acc = Counter()

@@ -23,6 +23,7 @@ __all__ = [
     "partition_groups",
     "partitions_of",
     "partitions_with_schmidt_weight",
+    "residue_column_table",
     "schmidt_weight_table",
     "schmidt_weight_distribution",
     "schmidt_weight_statistics",
@@ -395,6 +396,96 @@ def schmidt_weight_table(m, s, cls, *, qcap, scap):
             for w, count in weights.items():
                 out[w, size] += count
     return out
+
+
+def residue_column_table(m, s, cls, *, qcap):
+    """How many partitions in the class have each ``(weight, rho_1, ..., rho_m)``.
+
+    Counts ``schmidt_weight(lam, m, s)`` and ``rho_j =
+    residue_column_count(lam, m, j)`` for ``j = 1 .. m`` over the
+    partitions of class ``"P"`` or ``"D"`` with Schmidt weight at most
+    ``qcap``, without walking them.  One pass over the part sizes
+    ``a = qcap .. 1`` keeps a count for each state (weight so far, rho so
+    far, residue of the next index).  ``rho`` telescopes: ``c`` copies of
+    ``a`` add ``a`` at the residue of their last index and take ``a`` from
+    the residue of the index before their first, if there is one.  So a
+    group is a run of ``c % m`` copies, which moves the residue and rho,
+    then ``c // m`` blocks of ``m`` copies, which add ``a * len(s)`` each
+    to the weight and leave the rest as it is.
+    """
+    residues, counted = _schmidt_params(m, s, cls)
+    if qcap < 0:
+        raise ValueError(f"cap must be nonnegative, got {qcap}")
+    # A state is one int ((weight * base**m + rho) * m + r), rho_j at digit
+    # j - 1 of rho.  Every prefix is a partition whose parts are at most
+    # qcap, as index 1 is counted, so each digit stays in 0..qcap and a
+    # signed step never borrows across fields.  Weight is the top field, so
+    # a state is within the cap exactly when it is below limit.  The empty
+    # partition would be key 0, the only state of weight 0; it is kept out
+    # of states, which hold the nonempty prefixes.
+    base = qcap + 1
+    unit = base**m * m
+    limit = base * unit
+    before = list(accumulate(counted * 2, initial=0))
+    # run[r][j - 1] = (g, d): 0 < j < m copies of a from residue r step by
+    # a * g + d.  Zero copies leave a state as it is.
+    run = [
+        [
+            (
+                (before[r + j] - before[r]) * unit
+                + (base ** ((r + j - 1) % m) - base ** ((r - 1) % m)) * m,
+                (r + j) % m - r,
+            )
+            for j in range(1, m)
+        ]
+        for r in range(m)
+    ]
+    # The first group of the empty partition subtracts nothing, as index 1
+    # has no predecessor.  Its runs of 1..m copies are taken directly (up
+    # to m - 1 in class D), and the blocks extend them like any other run.
+    first = [
+        (before[c] * unit + base ** (c - 1) * m, c % m)
+        for c in range(1, m + 1 if cls == "P" else m)
+    ]
+    block = len(residues) * unit
+    states = {}
+    for a in range(qcap, 0, -1):
+        steps = [[a * g + d for g, d in row] for row in run]
+        out = states.copy()
+        for key, count in states.items():
+            for step in steps[key % m]:
+                # Runs from one residue gain weight in step order.
+                target = key + step
+                if target >= limit:
+                    break
+                out[target] = out.get(target, 0) + count
+        for g, d in first:
+            target = a * g + d
+            if target >= limit:
+                break
+            out[target] = out.get(target, 0) + 1
+        if cls == "P":
+            # out / (1 - x^(a * block)), one chain at a time in ascending
+            # key order, as in the series division step.
+            step = a * block
+            pending = out
+            out = {}
+            for key in sorted(pending):
+                if key not in pending:
+                    continue
+                acc = 0
+                while key < limit:
+                    acc += pending.pop(key, 0)
+                    out[key] = acc
+                    key += step
+        states = out
+    # Sum over the residue field, then unpack each (weight, rho) once.
+    packed = Counter({0: 1})
+    for key, count in states.items():
+        packed[key // m] += count
+    return Counter(
+        {(key // base**m, *_digits(key, base, m)): count for key, count in packed.items()}
+    )
 
 
 def schmidt_weight_distribution(n, m, s, cls="P"):

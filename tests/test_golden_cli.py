@@ -60,6 +60,9 @@ COMMANDS = (
     "verify uncu --n 16",
     "coeff --identity psi_all --side enum --mono q=18,s=24 --m 3 --s 1,2",
     "coeff --identity cor22 --side enum --mono q=14,t1=2,t2=3",
+    # the ak_trivariate Schmidt side at a larger cap
+    "verify ak_trivariate --q-cap 24 --json",
+    "coeff --identity ak_trivariate --side enum --mono q=20,t1=7,t2=5",
     # coeff, each side
     "coeff --identity ak_trivariate --side sum --mono q=6,t1=2,t2=2",
     "coeff --identity ak_trivariate --side enum --mono q=6,t1=2,t2=2",

@@ -183,6 +183,12 @@ def test_trivariate_identities_pass(identity):
     assert report.theorem == identity
 
 
+def test_ak_trivariate_passes_at_a_large_cap():
+    # The Schmidt side against the sum and product sides where the colored
+    # model of the product used to take seconds.
+    assert verify_identity("ak_trivariate", qcap=40).passed
+
+
 @pytest.mark.parametrize("identity", ["mork_odd", "mork_even"])
 def test_interleave_identities_pass(identity):
     report = verify_identity(identity, scap=10)

@@ -23,6 +23,13 @@ caps with one add and one mask.  The tuple-keyed multiply and divide
 steps, the bucketed product and ``substitute_one`` it replaced are kept
 below, on plain ``{exponent tuple: coefficient}`` dicts, and so is the
 summed colored Counter that the ``uncu`` colored total replaced.
+
+The ``ak_trivariate`` enum side is the theorem's Schmidt side,
+``residue_column_table``, in place of the colored model of the product;
+``overpartition_counts`` counts partitions by (distinct sizes, length);
+and ``_cor22_counts`` packs its state into one int.  The colored count,
+the per-group form and the tuple-keyed recurrence are kept below, with a
+brute-force count and a tuple-keyed, one-group-at-a-time table.
 """
 
 from collections import Counter
@@ -59,6 +66,7 @@ from schmidtq import (
     product_side,
     repetition_profile,
     residue_column_count,
+    residue_column_table,
     schmidt_weight,
     schmidt_weight_distribution,
     schmidt_weight_statistics,
@@ -71,7 +79,8 @@ from schmidtq import (
 )
 from schmidtq import identities
 from schmidtq.identities import _cor22_counts, _hook_exponent, _t1_slice_closed_form
-from schmidtq.partitions import _check_class, _groups_in_class, partition_groups
+from schmidtq.colored import _grouped_counts
+from schmidtq.partitions import _check_class, _digits, _groups_in_class, partition_groups
 from schmidtq.series import ALLOWED_VARIABLES, gaussian_multinomial_coeffs
 
 from conftest import residue_sets
@@ -557,6 +566,75 @@ def tuple_terms(series):
     return {tuple(mon): c for mon, c in series.sorted_terms()}
 
 
+def colored_enum_terms(qcap):
+    """The ak_trivariate terms of the product's model: 2-colored partitions by color counts."""
+    acc = Counter()
+    for n in range(qcap + 1):
+        for (c1, c2), count in colored_partition_counts(n, 2, (1,), 3).items():
+            acc[(n, c1, c2)] += count
+    return acc
+
+
+def grouped_overpartition_counts(n):
+    """``overpartition_counts`` with the weight t2^c + t1 t2^(c-1) per group."""
+    packed = _grouped_counts(n, lambda size, count: count, lambda c: {(0, c): 1, (1, c - 1): 1})
+    return Counter({tuple(_digits(v, n + 1, 2)): c for v, c in packed.items()})
+
+
+def tuple_cor22_counts(qcap):
+    """``_cor22_counts`` with the state (odd, weight, repeated sizes, alternating sum)."""
+    states = Counter({(1, 0, 0, 0): 1})
+    for a in range(qcap, 0, -1):
+        for (odd, weight, repeated, alt), count in list(states.items()):
+            for c in (1, 2, 3):
+                on_odd = (c + odd) // 2
+                if weight + a * on_odd > qcap:
+                    break
+                key = (
+                    odd ^ (c & 1),
+                    weight + a * on_odd,
+                    repeated + (c > 1),
+                    alt + a * (2 * on_odd - c),
+                )
+                states[key] += count
+    acc = Counter()
+    for (_, weight, repeated, alt), count in states.items():
+        acc[weight, repeated, alt] += count
+    return acc
+
+
+def brute_residue_columns(n, m, s, cls):
+    """(weight, rho_1, ..., rho_m) of each partition of Schmidt weight n."""
+    return Counter(
+        (n, *(residue_column_count(lam, m, j) for j in range(1, m + 1)))
+        for lam in partitions_with_schmidt_weight(n, m, s, cls)
+    )
+
+
+def group_at_a_time_residue_columns(m, s, cls, qcap):
+    """``residue_column_table`` from tuple-keyed states, one group of c copies at a time."""
+    residues = normalize_residue_set(m, s, allow_m=True)
+    counted = [r + 1 in residues for r in range(m)]
+    # (residue of the next index, weight, rho); weight 0 only when empty.
+    states = Counter({(0, 0, (0,) * m): 1})
+    for a in range(qcap, 0, -1):
+        for (r, weight, rho), count in list(states.items()):
+            gain = 0
+            for c in range(1, m if cls == "D" else qcap * m + 1):
+                gain += a * counted[(r + c - 1) % m]
+                if weight + gain > qcap:
+                    break
+                new = list(rho)
+                new[(r + c - 1) % m] += a
+                if weight:
+                    new[(r - 1) % m] -= a
+                states[(r + c) % m, weight + gain, tuple(new)] += count
+    out = Counter()
+    for (_, weight, rho), count in states.items():
+        out[(weight, *rho)] += count
+    return out
+
+
 # --- exact equality ----------------------------------------------------------
 
 
@@ -934,3 +1012,44 @@ def test_colored_partition_total_matches_summed_counts():
             assert colored_partition_total(n, m, s, top) == sum(
                 colored_partition_counts(n, m, s, top).values()
             ), (m, s, top, n)
+
+
+def test_ak_trivariate_schmidt_side_matches_colored_model():
+    terms = colored_enum_terms(24)
+    for qcap in range(25):
+        want = Series(trivariate_context(qcap), {k: v for k, v in terms.items() if k[0] <= qcap})
+        assert enum_side("ak_trivariate", qcap=qcap) == want, qcap
+
+
+def test_overpartition_counts_match_group_weights():
+    for n in range(31):
+        assert overpartition_counts(n) == grouped_overpartition_counts(n), n
+
+
+def test_packed_cor22_counts_match_tuple_keyed_counts():
+    for qcap in range(31):
+        assert _cor22_counts(qcap) == tuple_cor22_counts(qcap), qcap
+
+
+@pytest.mark.parametrize(
+    "m, s, cls", TABLE_CASES, ids=[f"m{m}-s{','.join(map(str, s))}-{c}" for m, s, c in TABLE_CASES]
+)
+def test_residue_column_table_matches_brute_force(m, s, cls):
+    # Every entry of weight w comes from a partition of Schmidt weight w.
+    walks = [brute_residue_columns(n, m, s, cls) for n in range(10)]
+    for qcap in range(10):
+        want = sum(walks[: qcap + 1], Counter())
+        assert residue_column_table(m, s, cls, qcap=qcap) == want, qcap
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_residue_column_table_matches_group_at_a_time_table(data):
+    m = data.draw(st.integers(2, 5))
+    extra = data.draw(st.sets(st.integers(2, m)))
+    cls = data.draw(st.sampled_from("PD"))
+    qcap = data.draw(st.integers(0, 14))
+    s = (1, *sorted(extra))
+    assert residue_column_table(m, s, cls, qcap=qcap) == group_at_a_time_residue_columns(
+        m, s, cls, qcap
+    )

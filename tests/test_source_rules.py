@@ -19,3 +19,24 @@ def test_no_module_rests_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_partitions_reads_no_other_side():
+    # The Schmidt-side tables stay independent of the product and colored
+    # sides: partitions.py imports nothing from those modules.
+    tree = ast.parse((SOURCE / "partitions.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            prefix = f"{node.module}." if node.module else ""
+            names = [prefix + alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [
+            f"partitions.py:{node.lineno} {name}"
+            for name in names
+            if {"series", "colored", "identities"} & set(name.split("."))
+        ]
+    assert found == []
