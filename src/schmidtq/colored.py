@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, product
-from math import comb
 
-from .partitions import _digits, normalize_residue_set, partition_groups
+from .partitions import _digits, normalize_residue_set, partition_groups, split_bucket
 
 __all__ = [
     "ColoredPartition",
@@ -25,6 +24,7 @@ __all__ = [
     "cs_validate",
     "color_counts",
     "colored_partitions",
+    "colored_bucket_counts",
     "colored_partition_counts",
     "colored_partition_total",
     "top_color_part_counts",
@@ -262,97 +262,107 @@ def over_stats(mu):
 # counting without objects
 
 
-def _grouped_counts(n, key_of, weight_of):
-    # Counter of statistic vectors over the objects on the partitions of n
-    # whose decoration is chosen independently per (size, count) group.
-    # weight_of(key) maps each vector to the number of ways to decorate a
-    # group with key_of(size, count) == key; vectors add across groups.  A
-    # partition's weight depends only on its sorted tuple of group keys, so
-    # each distinct tuple is expanded once, from its longest expanded
-    # prefix.  Entries never exceed n, so a vector is packed into one int
-    # in base n + 1 (entry k at digit k) and vector sums are int sums; the
-    # Counter is keyed by these ints.
+def _add_part(table, a, d, sizes):
+    # table[N] += table[N - a] with every vector moved by d, for N in
+    # sizes: one more part of weight a.  Upward sizes read table[N - a]
+    # after its own update, so they take any number of copies; downward
+    # sizes read it before, so they take at most one.
+    for size in sizes:
+        target = table[size]
+        for v, count in table[size - a].items():
+            target[v + d] = target.get(v + d, 0) + count
+
+
+def _coin_table(n, parts):
+    # table[N] maps each packed vector to how many multisets of the given
+    # part types weigh N <= n and sum to it.  parts lists (a, d) pairs,
+    # each a part type of weight a > 0 adding d to the vector, any number
+    # of times.
+    table = [{} for _ in range(n + 1)]
+    table[0][0] = 1
+    for a, d in parts:
+        _add_part(table, a, d, range(a, n + 1))
+    return table
+
+
+def _color_count_table(n, residues, top, ceiling):
+    # table[N] maps the color counts of the colored partitions of N <= n,
+    # color c at digit c - 1 in base n + 1, to how many there are; colors
+    # at or above ceiling are taken out of every palette.  One pass over
+    # the part types (a, color), a = n .. 1.
     base = n + 1
-    shapes = Counter(
-        tuple(sorted(key_of(size, count) for size, count in groups))
-        for groups in partition_groups(n)
+    parts = []
+    for a in range(n, 0, -1):
+        lo, hi = _palette(a, residues, top)
+        parts += [(a, base ** (color - 1)) for color in range(lo, min(hi, ceiling))]
+    return _coin_table(n, parts)
+
+
+def colored_bucket_counts(n, m, s, top):
+    """How many colored partitions of ``n`` fall in each packed bucket.
+
+    The colored side of ``schmidt_bucket_counts``, in its layout: one int
+    in base ``n + 1`` whose digit ``c - 1`` holds the number of parts
+    colored ``c`` for ``c = 1 .. m-1``, and digit ``m - 2 + p`` the number
+    of parts of size ``p`` colored ``m``.  Those parts form a partition
+    nu into the sizes whose palette holds ``m``, which is empty for
+    ``top == m``; the rest is a colored partition of ``n - |nu|`` with
+    color ``m`` taken out of every palette, read off one table.
+    """
+    residues = _validate_palette(m, s, top)
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+    base = n + 1
+    table = _color_count_table(n, residues, top, m)
+    images = _coin_table(
+        n,
+        [
+            (p, base ** (m - 2 + p))
+            for p in range(1, n + 1)
+            if _palette(p, residues, top)[1] > m
+        ],
     )
-    weights = {}
-    polys = {(): {0: 1}}
     out = Counter()
-    for shape, mult in shapes.items():
-        poly = polys[()]
-        for j, key in enumerate(shape, start=1):
-            prefix = shape[:j]
-            if prefix in polys:
-                poly = polys[prefix]
-                continue
-            if key not in weights:
-                weights[key] = {
-                    sum(e * base**k for k, e in enumerate(vec)): d
-                    for vec, d in weight_of(key).items()
-                }
-            step = {}
-            for v, c in poly.items():
-                for dv, d in weights[key].items():
-                    step[v + dv] = step.get(v + dv, 0) + c * d
-            poly = polys[prefix] = step
-        for v, c in poly.items():
-            out[v] += mult * c
+    for size, nus in enumerate(images):
+        rest = table[n - size]
+        for v, count in nus.items():
+            for u, ways in rest.items():
+                out[u + v] += count * ways
     return out
-
-
-def _color_count_vectors(lo, hi, count, m):
-    # The color-count vectors of count equal parts over the palette
-    # lo..hi-1, each with its number of multisets of colors.
-    dist = Counter()
-    for colors in combinations_with_replacement(range(lo, hi), count):
-        vec = [0] * m
-        for color in colors:
-            vec[color - 1] += 1
-        dist[tuple(vec)] += 1
-    return dist
 
 
 def colored_partition_counts(n, m, s, top):
     """How many colored partitions of ``n`` have each color-count vector.
 
     Counts the objects of ``colored_partitions(n, m, s, top)`` by
-    ``color_counts(mu, m)`` without building them: ``c`` equal parts
-    over a palette take each multiset of ``c`` palette colors once.
+    ``color_counts(mu, m)`` without building them, in one pass over the
+    part types (size, color): each is taken any number of times.
     """
     residues = _validate_palette(m, s, top)
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    packed = _grouped_counts(
-        n,
-        lambda size, count: (_palette(size, residues, top), count),
-        lambda key: _color_count_vectors(*key[0], key[1], m),
-    )
-    return Counter({tuple(_digits(v, n + 1, m)): c for v, c in packed.items()})
+    table = _color_count_table(n, residues, top, top)
+    return Counter({tuple(_digits(v, n + 1, m)): c for v, c in table[n].items()})
 
 
 def colored_partition_total(n, m, s, top):
     """How many colored partitions of ``n`` there are.
 
-    The sum of :func:`colored_partition_counts` over its vectors, counted
-    over multiplicity groups with one number per group: ``c`` equal parts
-    over a palette of ``h`` colors take ``comb(h + c - 1, c)`` multisets.
-    The palette of a size depends only on its residue modulo ``len(s)``,
-    so the group numbers come from one table by residue and count.
+    The sum of :func:`colored_partition_counts` over its vectors, in one
+    pass over the part types (size, color): ``ways[k]`` counts the
+    colored partitions of ``k`` into the types seen so far, and a type of
+    size ``a`` adds ``ways[k - a]`` to ``ways[k]`` for ``k`` upward.
     """
     residues = _validate_palette(m, s, top)
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    i = len(residues)
-    ways = []
-    for size in range(1, i + 1):
-        lo, hi = _palette(size, residues, top)
-        ways.append([comb(hi - lo + c - 1, c) for c in range(n + 1)])
-    counts = _grouped_counts(
-        n, lambda size, count: ways[(size - 1) % i][count], lambda w: {(): w}
-    )
-    return sum(counts.values())
+    ways = [1] + [0] * n
+    for a in range(1, n + 1):
+        lo, hi = _palette(a, residues, top)
+        for _ in range(lo, hi):
+            for k in range(a, n + 1):
+                ways[k] += ways[k - a]
+    return ways[n]
 
 
 def top_color_part_counts(n, m, s):
@@ -361,55 +371,39 @@ def top_color_part_counts(n, m, s):
 
     Counts the objects of ``colored_partitions(n, m, s, m + 1)`` by the
     pair ``(color_counts(mu, m), sizes)``, the sizes decreasing, without
-    building them.  A group's key carries its size only when its palette
-    contains ``m``: the number of parts of size ``p`` colored ``m`` is one
-    more entry of its vector, entry ``m + p - 1``.
+    building them: the keys of ``colored_bucket_counts(n, m, s, m + 1)``
+    unpacked.
     """
-    residues = _validate_palette(m, s, m + 1)
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got {n}")
-
-    def key_of(size, count):
-        lo, hi = _palette(size, residues, m + 1)
-        return (lo, hi), count, size if hi > m else 0
-
-    def weight_of(key):
-        (lo, hi), count, size = key
-        dist = _color_count_vectors(lo, hi, count, m)
-        if not size:
-            return dist
-        return {vec + (0,) * (size - 1) + (vec[m - 1],): d for vec, d in dist.items()}
-
-    base = n + 1
     out = Counter()
-    for v, c in _grouped_counts(n, key_of, weight_of).items():
-        counts = _digits(v, base, m)
-        v //= base**m
-        sizes = []
-        size = 0
-        while v:
-            v, e = divmod(v, base)
-            size += 1
-            sizes += [size] * e
-        out[tuple(counts), tuple(reversed(sizes))] = c
+    for v, c in colored_bucket_counts(n, m, s, m + 1).items():
+        counts, sizes = split_bucket(v, n, m)
+        out[(*counts, len(sizes)), sizes] = c
     return out
+
+
+def _overpartition_table(qcap):
+    # table[N] maps o * (qcap + 1) + p to how many overpartitions of
+    # N <= qcap have o overlined and p plain parts.  One pass over the
+    # part sizes a = qcap .. 1: c >= 1 copies of a are c plain ones, or
+    # an overlined first copy and c - 1 plain ones, so each size takes
+    # any number of plain copies and then at most one overlined copy.
+    base = qcap + 1
+    table = [{} for _ in range(qcap + 1)]
+    table[0][0] = 1
+    for a in range(qcap, 0, -1):
+        _add_part(table, a, 1, range(a, qcap + 1))
+        _add_part(table, a, base, range(qcap, a - 1, -1))
+    return table
 
 
 def overpartition_counts(n):
     """How many overpartitions of ``n`` have each (overlined, plain) part count.
 
-    Counts the objects of ``overpartitions(n)`` without building them: a
-    partition with ``d`` distinct sizes and ``l`` parts carries ``C(d, o)``
-    overpartitions with ``o`` overlined parts, since the first copy of each
-    size is overlined or not, so the walk counts partitions by ``(d, l)``.
+    Counts the objects of ``overpartitions(n)`` without building them:
+    the size-``n`` slice of one pass over the part sizes, in which ``c``
+    copies of a size are ``c`` plain parts or an overlined first copy and
+    ``c - 1`` plain ones.
     """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    shapes = Counter(
-        (len(groups), sum(count for _, count in groups)) for groups in partition_groups(n)
-    )
-    out = Counter()
-    for (d, length), count in shapes.items():
-        for o in range(d + 1):
-            out[o, length - o] += comb(d, o) * count
-    return out
+    return Counter({divmod(v, n + 1): c for v, c in _overpartition_table(n)[n].items()})

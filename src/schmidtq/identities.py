@@ -33,14 +33,13 @@ from itertools import groupby
 from math import isqrt
 
 from .colored import (
+    _overpartition_table,
     color_counts,
-    colored_partition_counts,
+    colored_bucket_counts,
     colored_partition_total,
     colored_partitions,
     over_stats,
-    overpartition_counts,
     overpartitions,
-    top_color_part_counts,
 )
 from .partitions import (
     in_class,
@@ -48,11 +47,13 @@ from .partitions import (
     partition_groups,
     partitions_of,
     partitions_with_schmidt_weight,
+    repetition_profile,
     residue_column_count,
     residue_column_table,
+    schmidt_bucket_counts,
     schmidt_weight,
-    schmidt_weight_statistics,
     schmidt_weight_table,
+    split_bucket,
 )
 from .series import (
     Series,
@@ -389,11 +390,13 @@ def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
         return Series(trivariate_context(qcap), table)
     if identity == "overpartition":
         qcap = _required(qcap, "qcap")
-        acc = Counter()
-        for n in range(qcap + 1):
-            for (overlined, plain), count in overpartition_counts(n).items():
-                acc[(n, overlined, plain)] += count
-        return Series(trivariate_context(qcap), acc)
+        table = _overpartition_table(qcap)
+        terms = {
+            (n, *divmod(v, qcap + 1)): count
+            for n, by_parts in enumerate(table)
+            for v, count in by_parts.items()
+        }
+        return Series(trivariate_context(qcap), terms)
     if identity == "cor22":
         qcap = _required(qcap, "qcap")
         return Series(trivariate_context(qcap), _cor22_counts(qcap))
@@ -568,27 +571,12 @@ def verify_identity(identity, *, qcap=None, scap=None, m=None, i=None):
     raise ValueError(f"unknown identity {identity!r}")
 
 
-def _bucket_report(theorem, params, caps, lhs, rhs, label_of):
-    # lhs and rhs count objects by bucket.  Buckets are compared in sorted
-    # order, and only the first mismatching one is given its label.
-    if lhs != rhs:
-        for key in sorted(set(lhs) | set(rhs)):
-            if lhs.get(key, 0) != rhs.get(key, 0):
-                return VerificationReport(
-                    theorem,
-                    params,
-                    caps,
-                    "fail",
-                    {"bucket": label_of(key), "lhs": lhs.get(key, 0), "rhs": rhs.get(key, 0)},
-                )
-    return VerificationReport(theorem, params, caps, "pass")
-
-
 def _counting_buckets(theorem, n, m, s):
-    # (params, Schmidt-side buckets, colored-side buckets, bucket label) of
+    # (params, Schmidt-side buckets, colored-side buckets, bucket_of) of
     # one counting theorem.  The Schmidt side counts the partitions of
     # Schmidt weight n; the colored side counts the colored partitions of
-    # n over multiplicity groups.  Neither reads the other.
+    # n without building them.  Neither reads the other.  bucket_of maps a
+    # key of either side to the bucket it stands for.
     if theorem in ("schmidt", "uncu"):
         _check_odd_index_count(m, s)
         cls = "D" if theorem == "schmidt" else "P"
@@ -602,54 +590,64 @@ def _counting_buckets(theorem, n, m, s):
             rhs = colored_partition_total(n, 2, (1,), 3)
         return {"m": 2, "s": [1]}, {"total": lhs}, {"total": rhs}, str
     if theorem == "ak_main":
+        # Keys pack rho_1 .. rho_{m-1}, or the counts of colors 1 .. m-1.
         residues = normalize_residue_set(m, _required_set(s), allow_m=False)
-        lhs = Counter()
-        for (rho, _), count in schmidt_weight_statistics(n, m, residues, "D").items():
-            lhs[rho] += count
-        rhs = Counter()
-        for counts, count in colored_partition_counts(n, m, residues, m).items():
-            rhs[counts[: m - 1]] += count
-        return {"m": m, "s": list(residues)}, lhs, rhs, lambda rho: f"rho={rho}"
+        lhs = schmidt_bucket_counts(n, m, residues, "D")
+        rhs = colored_bucket_counts(n, m, residues, m)
+        return {"m": m, "s": list(residues)}, lhs, rhs, lambda key: split_bucket(key, n, m)[0]
     if theorem == "franklin_ext":
+        # Keys pack rho with the image of the m-blocks, or the color counts
+        # with the sizes of the parts colored m.  The floor in p // m
+        # collapses distinct repetition profiles onto one image (at modulus
+        # 2, multiplicities 2 and 3 both bank one block), so each image
+        # bucket pools its preimages and must then match the colored count.
         residues = normalize_residue_set(m, _required_set(s), allow_m=True)
-        i = len(residues)
-        schmidt = schmidt_weight_statistics(n, m, residues, "P")
-
-        # The Schmidt-side tuple drives the comparison, and its derived
-        # colored-side condition is the bucket.  The floor in p // m
-        # collapses distinct repetition profiles onto one condition (at
-        # modulus 2, multiplicities 2 and 3 both bank one block), so
-        # preimage counts are summed rather than assumed unique; each
-        # derived bucket must then match the colored count on its own.
-        def condition(rho, profile):
-            # Profile sizes decrease, so the image comes out decreasing.
-            image = ()
-            for alpha, p in profile:
-                image += (i * alpha,) * (p // m)
-            return rho, image
-
-        lhs = Counter()
-        for (rho, profile), count in schmidt.items():
-            lhs[condition(rho, profile)] += count
-        rhs = Counter()
-        for (counts, top_parts), count in top_color_part_counts(n, m, residues).items():
-            rhs[counts[: m - 1], top_parts] += count
-
-        def label_of(ckey):
-            rho, top_parts = ckey
-            profiles = tuple(sorted(p for r, p in schmidt if condition(r, p) == ckey))
-            return f"rho={rho} color_{m}_parts={top_parts} profiles={profiles}"
-
-        return {"m": m, "s": list(residues)}, lhs, rhs, label_of
+        lhs = schmidt_bucket_counts(n, m, residues, "P")
+        rhs = colored_bucket_counts(n, m, residues, m + 1)
+        return {"m": m, "s": list(residues)}, lhs, rhs, lambda key: split_bucket(key, n, m)
     raise ValueError(f"unknown counting theorem {theorem!r}")
+
+
+def _bucket_label(theorem, n, params, bucket):
+    if theorem == "ak_main":
+        return f"rho={bucket}"
+    if theorem == "franklin_ext":
+        # The repetition profiles of the partitions in this bucket, from a
+        # walk that only a failing report pays for.
+        m, residues = params["m"], tuple(params["s"])
+        rho, image = bucket
+        profiles = set()
+        for lam in partitions_with_schmidt_weight(n, m, residues, "P"):
+            profile = repetition_profile(lam, m)
+            blocks = sorted(
+                (len(residues) * alpha for alpha, p in profile for _ in range(p // m)),
+                reverse=True,
+            )
+            if tuple(blocks) == image and rho == tuple(
+                residue_column_count(lam, m, j) for j in range(1, m)
+            ):
+                profiles.add(profile)
+        return f"rho={rho} color_{m}_parts={image} profiles={tuple(sorted(profiles))}"
+    return str(bucket)
 
 
 def verify_counting(theorem, *, n, m=None, s=None):
     """Bucket-by-bucket comparison of a Schmidt-side count with its colored-side count."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"weight must be a nonnegative integer, got {n!r}")
-    params, lhs, rhs, label_of = _counting_buckets(theorem, n, m, s)
-    return _bucket_report(theorem, params, {"n": n}, lhs, rhs, label_of)
+    params, lhs, rhs, bucket_of = _counting_buckets(theorem, n, m, s)
+    caps = {"n": n}
+    if lhs == rhs:
+        return VerificationReport(theorem, params, caps, "pass")
+    # Keys order otherwise than buckets, so only the mismatching keys are
+    # unpacked, and the first of their buckets is the one labelled.
+    key = min(
+        (key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0)),
+        key=bucket_of,
+    )
+    bucket = _bucket_label(theorem, n, params, bucket_of(key))
+    mismatch = {"bucket": bucket, "lhs": lhs.get(key, 0), "rhs": rhs.get(key, 0)}
+    return VerificationReport(theorem, params, caps, "fail", mismatch)
 
 
 def _check_odd_index_count(m, s):

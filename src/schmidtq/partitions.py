@@ -26,7 +26,8 @@ __all__ = [
     "residue_column_table",
     "schmidt_weight_table",
     "schmidt_weight_distribution",
-    "schmidt_weight_statistics",
+    "schmidt_bucket_counts",
+    "split_bucket",
 ]
 
 
@@ -501,60 +502,87 @@ def schmidt_weight_distribution(n, m, s, cls="P"):
     return Counter({w: count for (w, size), count in table.items() if size == n})
 
 
-def schmidt_weight_statistics(n, m, s, cls="P"):
-    """How many partitions of Schmidt weight ``n`` have each ``(rho, profile)``.
+def schmidt_bucket_counts(n, m, s, cls="P"):
+    """How many partitions of Schmidt weight ``n`` fall in each packed bucket.
 
     Counts the objects of ``partitions_with_schmidt_weight(n, m, s, cls)``
-    by ``rho``, the tuple of ``residue_column_count(lam, m, j)`` for
-    ``j = 1 .. m-1``, and by ``repetition_profile(lam, m)``, without
-    building them.  The walk still visits every such partition.
+    by one int in base ``n + 1``, without building them.  Digit ``j - 1``
+    holds ``residue_column_count(lam, m, j)`` for ``j = 1 .. m-1``, and
+    digit ``m - 2 + len(s) * a`` holds ``p // m`` for each size ``a``
+    repeated ``p >= m`` times (class D repeats none): each block of ``m``
+    equal parts maps to one part ``len(s) * a`` of the image.  The walk
+    still visits every such partition; :func:`split_bucket` reads a key.
     """
-    _, counted = _schmidt_params(m, s, cls)
+    residues, counted = _schmidt_params(m, s, cls)
     if n < 0:
         raise ValueError(f"target weight must be nonnegative, got {n}")
     bounded = cls == "D"
     # A part a at an index of 0-based residue r adds a to rho_{r+1} and
     # takes it from rho_r, where rho_0 means rho_m; rho_m is not tracked.
     # Every prefix is a partition whose parts are at most n, so each rho
-    # entry lies in 0..n and rho is packed into one int in base n + 1.
+    # entry lies in 0..n.  The m indices of a block hold len(s) counted
+    # ones, so a block of a weighs at least len(s) * a and every image
+    # entry lies in 0..n as well.
     base = n + 1
     step = [
         (base**r if r < m - 1 else 0) - (base ** (r - 1) if r > 0 else 0) for r in range(m)
     ]
+    i = len(residues)
+    block = [base ** (m - 2 + i * a) if i * a <= n else 0 for a in range(n + 1)]
     # Iterative preorder walk over the prefixes of weight at most n.  Each
     # node is (residue of the next index, weight, last part, run length of
-    # the last part, packed rho, closed repetition profile); the root's
-    # last part n only bounds the first part.
-    packed = Counter()
-    stack = [(0, 0, n, 0, 0, ())]
+    # the last part, key), the key holding the closed runs only; the
+    # root's last part n only bounds the first part.  A prefix is counted
+    # when it is made, and a prefix of weight n is entered only if its
+    # next index is not counted, as only then can it grow.
+    out = Counter()
+    if n == 0:
+        out[0] = 1
+    stack = [(0, 0, n, 0, 0)]
     while stack:
-        r, weight, last, run, rho, profile = stack.pop()
-        if weight == n:
-            packed[rho, profile + ((last, run),) if run >= m else profile] += 1
+        r, weight, last, run, key = stack.pop()
+        closed = key + run // m * block[last]
         is_counted = counted[r]
         next_r = r + 1 if r + 1 < m else 0
+        grows = not counted[next_r]
         delta = step[r]
-        for a in range(min(last, n - weight) if is_counted else last, 0, -1):
+        child_weight = weight
+        top = last
+        if is_counted:
+            top = min(last, n - weight)
+        for a in range(top, 0, -1):
+            if is_counted:
+                child_weight = weight + a
             if a == last:
                 if bounded and run + 1 == m:
                     continue
-                child_run, child_profile = run + 1, profile
+                child_run, child_key = run + 1, key + a * delta
             else:
-                child_run = 1
-                child_profile = profile + ((last, run),) if run >= m else profile
-            stack.append(
-                (
-                    next_r,
-                    weight + a if is_counted else weight,
-                    a,
-                    child_run,
-                    rho + a * delta,
-                    child_profile,
-                )
-            )
-    return Counter(
-        {(tuple(_digits(rho, base, m - 1)), profile): c for (rho, profile), c in packed.items()}
-    )
+                child_run, child_key = 1, closed + a * delta
+            if child_weight == n:
+                out[child_key + child_run // m * block[a]] += 1
+                if not grows:
+                    continue
+            stack.append((next_r, child_weight, a, child_run, child_key))
+    return out
+
+
+def split_bucket(key, n, m):
+    """The ``(rho, image)`` pair of one :func:`schmidt_bucket_counts` key.
+
+    ``rho`` is the tuple of digits ``0 .. m-2`` and ``image`` lists the
+    sizes ``p`` counted at digit ``m - 2 + p``, in decreasing order.
+    """
+    base = n + 1
+    rho = tuple(_digits(key, base, m - 1))
+    key //= base ** (m - 1)
+    image = []
+    size = 0
+    while key:
+        key, count = divmod(key, base)
+        size += 1
+        image += [size] * count
+    return rho, tuple(reversed(image))
 
 
 def _digits(v, base, width):

@@ -63,6 +63,10 @@ COMMANDS = (
     # the ak_trivariate Schmidt side at a larger cap
     "verify ak_trivariate --q-cap 24 --json",
     "coeff --identity ak_trivariate --side enum --mono q=20,t1=7,t2=5",
+    # both counting sides as packed buckets: franklin_ext with m in s, ak_main at m = 3
+    "verify franklin_ext --m 2 --s 1 --n 16",
+    "verify franklin_ext --m 3 --s 1,3 --n 12 --json",
+    "verify ak_main --m 3 --s 1,2 --n 14",
     # coeff, each side
     "coeff --identity ak_trivariate --side sum --mono q=6,t1=2,t2=2",
     "coeff --identity ak_trivariate --side enum --mono q=6,t1=2,t2=2",

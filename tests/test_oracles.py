@@ -30,10 +30,20 @@ The ``ak_trivariate`` enum side is the theorem's Schmidt side,
 and ``_cor22_counts`` packs its state into one int.  The colored count,
 the per-group form and the tuple-keyed recurrence are kept below, with a
 brute-force count and a tuple-keyed, one-group-at-a-time table.
+
+Both sides of ``ak_main`` and ``franklin_ext`` count into one packed int
+per bucket: ``schmidt_bucket_counts`` walks the partitions of Schmidt
+weight n with one int per node, and ``colored_bucket_counts`` reads one
+table over the part types (size, color).  The colored counts, the
+``uncu`` total and ``overpartition_counts`` are tables over part sizes
+as well.  The profile-carrying walk, the multiplicity-group counts and
+the partition walk of ``overpartition_counts`` they replaced are kept
+below.
 """
 
 from collections import Counter
 from itertools import combinations_with_replacement, groupby, product
+from math import comb
 from operator import add, itemgetter, le
 
 import pytest
@@ -47,8 +57,10 @@ from schmidtq import (
     Series,
     SeriesContext,
     VerificationReport,
+    admissible_colors,
     geometric_inverse,
     color_counts,
+    colored_bucket_counts,
     colored_partition_counts,
     colored_partition_total,
     colored_partitions,
@@ -67,20 +79,27 @@ from schmidtq import (
     repetition_profile,
     residue_column_count,
     residue_column_table,
+    schmidt_bucket_counts,
     schmidt_weight,
     schmidt_weight_distribution,
-    schmidt_weight_statistics,
     schmidt_weight_table,
     size_graded_context,
+    split_bucket,
     substitute_one,
     sum_side,
+    top_color_part_counts,
     trivariate_context,
     verify_counting,
 )
 from schmidtq import identities
 from schmidtq.identities import _cor22_counts, _hook_exponent, _t1_slice_closed_form
-from schmidtq.colored import _grouped_counts
-from schmidtq.partitions import _check_class, _digits, _groups_in_class, partition_groups
+from schmidtq.partitions import (
+    _check_class,
+    _digits,
+    _groups_in_class,
+    _schmidt_params,
+    partition_groups,
+)
 from schmidtq.series import ALLOWED_VARIABLES, gaussian_multinomial_coeffs
 
 from conftest import residue_sets
@@ -410,8 +429,180 @@ def group_walk_table(m, s, cls, qcap, scap):
 # --- the replaced counting sides ---------------------------------------------
 
 
-def object_counting_buckets(theorem, n, m=None, s=None):
-    """(report, Schmidt-side buckets, colored-side buckets) from counted objects."""
+def grouped_counts(n, key_of, weight_of):
+    """Statistic vectors of the objects on the partitions of n, one group at a time.
+
+    Each (size, count) group is decorated independently; weight_of(key)
+    maps each vector to the number of ways to decorate a group with
+    key_of(size, count) == key, and vectors add across groups.  Each
+    distinct sorted tuple of group keys is expanded once, from its longest
+    expanded prefix.  Vectors are packed into one int in base n + 1.
+    """
+    base = n + 1
+    shapes = Counter(
+        tuple(sorted(key_of(size, count) for size, count in groups))
+        for groups in partition_groups(n)
+    )
+    weights = {}
+    polys = {(): {0: 1}}
+    out = Counter()
+    for shape, mult in shapes.items():
+        poly = polys[()]
+        for j, key in enumerate(shape, start=1):
+            prefix = shape[:j]
+            if prefix in polys:
+                poly = polys[prefix]
+                continue
+            if key not in weights:
+                weights[key] = {
+                    sum(e * base**k for k, e in enumerate(vec)): d
+                    for vec, d in weight_of(key).items()
+                }
+            step = {}
+            for v, c in poly.items():
+                for dv, d in weights[key].items():
+                    step[v + dv] = step.get(v + dv, 0) + c * d
+            poly = polys[prefix] = step
+        for v, c in poly.items():
+            out[v] += mult * c
+    return out
+
+
+def color_count_vectors(lo, hi, count, m):
+    """The color-count vectors of count equal parts over the palette lo..hi-1."""
+    dist = Counter()
+    for colors in combinations_with_replacement(range(lo, hi), count):
+        vec = [0] * m
+        for color in colors:
+            vec[color - 1] += 1
+        dist[tuple(vec)] += 1
+    return dist
+
+
+def palette_of(size, m, s, top):
+    lo = admissible_colors(size, m, s, top)
+    return lo.start, lo.stop
+
+
+def grouped_colored_partition_counts(n, m, s, top):
+    """``colored_partition_counts`` over multiplicity groups."""
+    packed = grouped_counts(
+        n,
+        lambda size, count: (palette_of(size, m, s, top), count),
+        lambda key: color_count_vectors(*key[0], key[1], m),
+    )
+    return Counter({tuple(_digits(v, n + 1, m)): c for v, c in packed.items()})
+
+
+def grouped_colored_partition_total(n, m, s, top):
+    """``colored_partition_total`` over multiplicity groups, one number per group."""
+    counts = grouped_counts(
+        n,
+        lambda size, count: comb(len(range(*palette_of(size, m, s, top))) + count - 1, count),
+        lambda w: {(): w},
+    )
+    return sum(counts.values())
+
+
+def grouped_top_color_part_counts(n, m, s):
+    """``top_color_part_counts`` over multiplicity groups: a group key carries
+    its size when its palette holds m, and its color-m parts sit at entry
+    m + size - 1 of the vector."""
+
+    def key_of(size, count):
+        lo, hi = palette_of(size, m, s, m + 1)
+        return (lo, hi), count, size if hi > m else 0
+
+    def weight_of(key):
+        (lo, hi), count, size = key
+        dist = color_count_vectors(lo, hi, count, m)
+        if not size:
+            return dist
+        return {vec + (0,) * (size - 1) + (vec[m - 1],): d for vec, d in dist.items()}
+
+    base = n + 1
+    out = Counter()
+    for v, c in grouped_counts(n, key_of, weight_of).items():
+        counts = _digits(v, base, m)
+        v //= base**m
+        sizes = []
+        size = 0
+        while v:
+            v, e = divmod(v, base)
+            size += 1
+            sizes += [size] * e
+        out[tuple(counts), tuple(reversed(sizes))] = c
+    return out
+
+
+def walk_overpartition_counts(n):
+    """``overpartition_counts`` from a walk over the partitions of n, counted by
+    (distinct sizes d, length l), each carrying C(d, o) overpartitions."""
+    shapes = Counter(
+        (len(groups), sum(count for _, count in groups)) for groups in partition_groups(n)
+    )
+    out = Counter()
+    for (d, length), count in shapes.items():
+        for o in range(d + 1):
+            out[o, length - o] += comb(d, o) * count
+    return out
+
+
+def schmidt_weight_statistics(n, m, s, cls="P"):
+    """How many partitions of Schmidt weight n have each (rho, repetition profile),
+    from a walk that carries the profile tuple at every node."""
+    _, counted = _schmidt_params(m, s, cls)
+    bounded = cls == "D"
+    base = n + 1
+    step = [
+        (base**r if r < m - 1 else 0) - (base ** (r - 1) if r > 0 else 0) for r in range(m)
+    ]
+    packed = Counter()
+    stack = [(0, 0, n, 0, 0, ())]
+    while stack:
+        r, weight, last, run, rho, profile = stack.pop()
+        if weight == n:
+            packed[rho, profile + ((last, run),) if run >= m else profile] += 1
+        is_counted = counted[r]
+        next_r = r + 1 if r + 1 < m else 0
+        delta = step[r]
+        for a in range(min(last, n - weight) if is_counted else last, 0, -1):
+            if a == last:
+                if bounded and run + 1 == m:
+                    continue
+                child_run, child_profile = run + 1, profile
+            else:
+                child_run = 1
+                child_profile = profile + ((last, run),) if run >= m else profile
+            stack.append(
+                (
+                    next_r,
+                    weight + a if is_counted else weight,
+                    a,
+                    child_run,
+                    rho + a * delta,
+                    child_profile,
+                )
+            )
+    return Counter(
+        {(tuple(_digits(rho, base, m - 1)), profile): c for (rho, profile), c in packed.items()}
+    )
+
+
+def unpacked(counts, bucket_of):
+    """A Counter of packed keys, keyed by the buckets they stand for."""
+    out = Counter()
+    for key, count in counts.items():
+        out[bucket_of(key)] += count
+    return out
+
+
+def object_counting_buckets(theorem, n, m=None, s=None, extra=()):
+    """(report, Schmidt-side buckets, colored-side buckets) from counted objects.
+
+    ``extra`` lists colored-side buckets that each gain one object, as if
+    the colored side counted too many there.
+    """
     if theorem in ("schmidt", "uncu"):
         cls = "D" if theorem == "schmidt" else "P"
         lhs = sum(1 for _ in partitions_with_schmidt_weight(n, 2, (1,), cls))
@@ -430,6 +621,7 @@ def object_counting_buckets(theorem, n, m=None, s=None):
         rhs = Counter()
         for mu in colored_partitions(n, m, residues, m):
             rhs[color_counts(mu, m)[: m - 1]] += 1
+        rhs.update(extra)
         params = {"m": m, "s": list(residues)}
         pairs = [
             (f"rho={key}", lhs.get(key, 0), rhs.get(key, 0))
@@ -446,6 +638,7 @@ def object_counting_buckets(theorem, n, m=None, s=None):
         for mu in colored_partitions(n, m, residues, m + 1):
             top_parts = tuple(sorted((p for p, c in mu.parts if c == m), reverse=True))
             rhs[(color_counts(mu, m)[: m - 1], top_parts)] += 1
+        rhs.update(extra)
         lhs = Counter()
         preimages = {}
         for (rho, profile), count in schmidt_buckets.items():
@@ -577,7 +770,7 @@ def colored_enum_terms(qcap):
 
 def grouped_overpartition_counts(n):
     """``overpartition_counts`` with the weight t2^c + t1 t2^(c-1) per group."""
-    packed = _grouped_counts(n, lambda size, count: count, lambda c: {(0, c): 1, (1, c - 1): 1})
+    packed = grouped_counts(n, lambda size, count: count, lambda c: {(0, c): 1, (1, c - 1): 1})
     return Counter({tuple(_digits(v, n + 1, 2)): c for v, c in packed.items()})
 
 
@@ -808,28 +1001,37 @@ COUNTING_CASES = [("schmidt", None, None), ("uncu", None, None)] + [
 def test_counting_theorems_match_object_counting(theorem, m, s):
     for n in range(15):
         report, lhs, rhs = object_counting_buckets(theorem, n, m, s)
-        _, got_lhs, got_rhs, _ = identities._counting_buckets(theorem, n, m, s)
-        assert (got_lhs, got_rhs) == (lhs, rhs), n
+        _, got_lhs, got_rhs, bucket_of = identities._counting_buckets(theorem, n, m, s)
+        assert (unpacked(got_lhs, bucket_of), unpacked(got_rhs, bucket_of)) == (lhs, rhs), n
         assert verify_counting(theorem, n=n, m=m, s=s) == report, n
 
 
-def _bump(monkeypatch, name, key):
-    # One colored bucket off by one.
-    original = getattr(identities, name)
+def _bump(monkeypatch, n, m, buckets):
+    # One colored bucket off by one for each (rho or color counts, sizes of
+    # the parts colored m) in buckets, packed as colored_bucket_counts
+    # packs them.
+    original = identities.colored_bucket_counts
+    base = n + 1
+    keys = [
+        sum(e * base**k for k, e in enumerate(counts))
+        + sum(base ** (m - 2 + p) for p in sizes)
+        for counts, sizes in buckets
+    ]
 
     def bumped(*args):
         counts = original(*args)
-        counts[key] += 1
+        for key in keys:
+            counts[key] += 1
         return counts
 
-    monkeypatch.setattr(identities, name, bumped)
+    monkeypatch.setattr(identities, "colored_bucket_counts", bumped)
 
 
 def test_failing_counting_reports_keep_their_evidence(monkeypatch):
     # Expected strings are those of the object-counting verifier with one
     # extra colored partition in the same bucket: 5_1,2_2,1_1 for
     # franklin_ext and 4_2,1_1,1_1 for ak_main.
-    _bump(monkeypatch, "top_color_part_counts", ((2, 1), (2,)))
+    _bump(monkeypatch, 8, 2, [((2,), (2,))])
     report = verify_counting("franklin_ext", n=8, m=2, s=(1,))
     assert report.evidence_text() == (
         "bucket rho=(2,) color_2_parts=(2,) profiles=(((2, 2),), ((2, 3),)): 3 != 4"
@@ -839,12 +1041,34 @@ def test_failing_counting_reports_keep_their_evidence(monkeypatch):
         ' profiles=(((2, 2),), ((2, 3),))","lhs":"3","rhs":"4"},'
         '"params":{"m":"2","s":["1"]},"status":"fail","theorem":"franklin_ext"}'
     )
-    _bump(monkeypatch, "colored_partition_counts", (2, 1, 0))
+    monkeypatch.undo()
+    _bump(monkeypatch, 6, 3, [((2, 1), ())])
     report = verify_counting("ak_main", n=6, m=3, s=(1, 2))
     assert report.evidence_text() == "bucket rho=(2, 1): 2 != 3"
     assert report.to_json_text() == (
         '{"caps":{"n":"6"},"mismatch":{"bucket":"rho=(2, 1)","lhs":"2","rhs":"3"},'
         '"params":{"m":"3","s":["1","2"]},"status":"fail","theorem":"ak_main"}'
+    )
+
+
+@pytest.mark.parametrize("s, profile", [((1,), "((4, 4),)"), ((1, 3), "((2, 4),)")])
+def test_failing_report_names_the_first_bucket_in_bucket_order(monkeypatch, s, profile):
+    # Two colored buckets off by one whose packed keys order the other way
+    # round: rho = (0, 1) comes first as a bucket, but its color-3 part of
+    # size 4 sits on a higher digit than everything the other key holds.
+    first, second = ((0, 1), (4,)), ((1, 0), (2,))
+    n, m = 9, 3
+    _, _, _, bucket_of = identities._counting_buckets("franklin_ext", n, m, s)
+    _bump(monkeypatch, n, m, [first, second])
+    _, _, rhs, _ = identities._counting_buckets("franklin_ext", n, m, s)
+    keys = {bucket_of(key): key for key in rhs}
+    assert keys[second] < keys[first]
+    want, _, _ = object_counting_buckets("franklin_ext", n, m, s, extra=[first, second])
+    report = verify_counting("franklin_ext", n=n, m=m, s=s)
+    assert report.evidence_text() == want.evidence_text()
+    assert report.to_json_text() == want.to_json_text()
+    assert report.evidence_text() == (
+        f"bucket rho=(0, 1) color_3_parts=(4,) profiles=({profile},): 1 != 2"
     )
 
 
@@ -1053,3 +1277,81 @@ def test_residue_column_table_matches_group_at_a_time_table(data):
     assert residue_column_table(m, s, cls, qcap=qcap) == group_at_a_time_residue_columns(
         m, s, cls, qcap
     )
+
+
+def profile_buckets(n, m, s, cls):
+    """``schmidt_weight_statistics`` with each profile mapped to its image."""
+    i = len(normalize_residue_set(m, s, allow_m=True))
+    out = Counter()
+    for (rho, profile), count in schmidt_weight_statistics(n, m, s, cls).items():
+        image = sorted((i * alpha for alpha, p in profile for _ in range(p // m)), reverse=True)
+        out[rho, tuple(image)] += count
+    return out
+
+
+@pytest.mark.parametrize(
+    "m, s, cls", TABLE_CASES, ids=[f"m{m}-s{','.join(map(str, s))}-{c}" for m, s, c in TABLE_CASES]
+)
+def test_schmidt_bucket_counts_match_profile_walk(m, s, cls):
+    for n in range(13):
+        got = unpacked(schmidt_bucket_counts(n, m, s, cls), lambda key: split_bucket(key, n, m))
+        assert got == profile_buckets(n, m, s, cls), n
+
+
+def test_schmidt_bucket_counts_match_profile_walk_at_larger_weights():
+    for n in range(13, 19):
+        got = unpacked(schmidt_bucket_counts(n, 2, (1,), "P"), lambda key: split_bucket(key, n, 2))
+        assert got == profile_buckets(n, 2, (1,), "P"), n
+
+
+@pytest.mark.parametrize("m, s, top", PALETTES)
+def test_colored_partition_counts_match_group_walk(m, s, top):
+    for n in range(21):
+        assert colored_partition_counts(n, m, s, top) == grouped_colored_partition_counts(
+            n, m, s, top
+        ), n
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_top_color_part_counts_match_group_walk(m):
+    for s in residue_sets(m, True):
+        for n in range(15):
+            assert top_color_part_counts(n, m, s) == grouped_top_color_part_counts(n, m, s), (s, n)
+
+
+def test_colored_bucket_counts_unpack_to_top_color_part_counts():
+    # Both sides of franklin_ext share the layout of split_bucket.
+    for m, s in [(2, (1,)), (3, (1, 3)), (4, (1, 2, 4))]:
+        for n in range(13):
+            got = Counter()
+            for key, count in colored_bucket_counts(n, m, s, m + 1).items():
+                counts, sizes = split_bucket(key, n, m)
+                got[(*counts, len(sizes)), sizes] += count
+            assert got == top_color_part_counts(n, m, s), (m, s, n)
+
+
+def test_colored_partition_total_matches_group_walk():
+    for n in range(36):
+        assert colored_partition_total(n, 2, (1,), 3) == grouped_colored_partition_total(
+            n, 2, (1,), 3
+        ), n
+    for m, s, top in PALETTES:
+        for n in range(17):
+            assert colored_partition_total(n, m, s, top) == grouped_colored_partition_total(
+                n, m, s, top
+            ), (m, s, top, n)
+
+
+def test_overpartition_counts_match_partition_walk():
+    for n in range(31):
+        assert overpartition_counts(n) == walk_overpartition_counts(n), n
+
+
+def test_overpartition_enum_side_matches_partition_walk():
+    terms = Counter()
+    for n in range(25):
+        for (o, p), count in walk_overpartition_counts(n).items():
+            terms[n, o, p] += count
+    for qcap in range(25):
+        want = Series(trivariate_context(qcap), {k: v for k, v in terms.items() if k[0] <= qcap})
+        assert enum_side("overpartition", qcap=qcap) == want, qcap

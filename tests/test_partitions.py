@@ -12,9 +12,9 @@ from schmidtq import (
     partitions_with_schmidt_weight,
     repetition_profile,
     residue_column_count,
+    schmidt_bucket_counts,
     schmidt_weight,
     schmidt_weight_distribution,
-    schmidt_weight_statistics,
     schmidt_weight_table,
 )
 
@@ -193,7 +193,7 @@ def test_schmidt_weight_counters_take_classes_p_and_d_only():
         with pytest.raises(ValueError, match="class must be 'P' or 'D'"):
             schmidt_weight_distribution(4, 2, (1,), cls)
         with pytest.raises(ValueError, match="class must be 'P' or 'D'"):
-            schmidt_weight_statistics(4, 2, (1,), cls)
+            schmidt_bucket_counts(4, 2, (1,), cls)
         with pytest.raises(ValueError, match="class must be 'P' or 'D'"):
             schmidt_weight_table(2, (1,), cls, qcap=4, scap=4)
     with pytest.raises(ValueError, match="nonnegative"):

@@ -21,10 +21,9 @@ def test_no_module_rests_on_assert():
     assert found == []
 
 
-def test_partitions_reads_no_other_side():
-    # The Schmidt-side tables stay independent of the product and colored
-    # sides: partitions.py imports nothing from those modules.
-    tree = ast.parse((SOURCE / "partitions.py").read_text())
+def imported_names(module):
+    """``module.py:line name`` for every name the module imports."""
+    tree = ast.parse((SOURCE / module).read_text())
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -34,9 +33,26 @@ def test_partitions_reads_no_other_side():
             names = [alias.name for alias in node.names]
         else:
             continue
-        found += [
-            f"partitions.py:{node.lineno} {name}"
-            for name in names
-            if {"series", "colored", "identities"} & set(name.split("."))
-        ]
+        found += [(f"{module}:{node.lineno} {name}", set(name.split("."))) for name in names]
+    return found
+
+
+def test_partitions_reads_no_other_side():
+    # The Schmidt-side tables stay independent of the product and colored
+    # sides: partitions.py imports nothing from those modules.
+    found = [
+        where
+        for where, parts in imported_names("partitions.py")
+        if {"series", "colored", "identities"} & parts
+    ]
+    assert found == []
+
+
+def test_colored_reads_no_series_or_identities():
+    # The colored tables count objects from their own definition, never
+    # from a product formula or a verifier: colored.py imports nothing
+    # from the series or identities modules.
+    found = [
+        where for where, parts in imported_names("colored.py") if {"series", "identities"} & parts
+    ]
     assert found == []
