@@ -101,6 +101,18 @@ COMMANDS = (
     "map --bijection psi --m 3 --s 1,2 --partition 5,4,4,2,1",
     "map --bijection glaisher --m 2 --partition 4,4,3,1",
     "map --bijection decompose --m 3 --partition 5,5,5,5,2",
+    # coeff and witness on every side the identity table routes, and its usage errors
+    "coeff --identity cor22 --side sum --mono q=6,t1=1,t2=2",
+    "coeff --identity cor22 --side product --mono q=9,t1=2,t2=3",
+    "coeff --identity ak_trivariate --side product --mono q=6,t1=2,t2=2",
+    "coeff --identity overpartition --side sum --mono q=8,t1=2,t2=3",
+    "coeff --identity mork_odd --side product --mono q=5,s=8",
+    "coeff --identity mork_even --side enum --mono q=3,s=8",
+    "coeff --identity psi_dm --side product --mono q=5,s=7 --m 3 --s 1,2",
+    "coeff --identity psi_dm --side enum --mono q=5,s=7 --m 3 --s 1,2",
+    "coeff --identity mork_odd --side sum --mono q=1",
+    "coeff --identity cor22 --side enum --mono s=2",
+    "witness --identity cor22 --mono s=3",
 )
 
 

@@ -26,6 +26,7 @@ from schmidtq import (
     verify_identity,
     witnesses,
 )
+from schmidtq import identities
 from schmidtq.identities import _compare_sides, _repeated_size_count, _series_mismatch
 
 
@@ -255,6 +256,50 @@ def test_identity_argument_errors():
         product_side("ak_trivariate", qcap=-1)
     with pytest.raises(ValueError):
         enum_side("nope", qcap=3)
+
+
+def _failing(theorem, params, caps, lhs, rhs, sides):
+    mismatch = {"monomial": {}, "lhs": lhs, "rhs": rhs, "sides": sides}
+    return VerificationReport(theorem, params, caps, "fail", mismatch)
+
+
+_Q4 = {"q": 4, "t1": 4, "t2": 4}
+_S4 = {"q": 4, "s": 4}
+
+
+@pytest.mark.parametrize(
+    "identity, kwargs, expected",
+    [
+        ("ak_trivariate", {"qcap": 4}, _failing("ak_trivariate", {}, _Q4, 1, 2, ["sum", "enum"])),
+        ("overpartition", {"qcap": 4}, _failing("overpartition", {}, _Q4, 1, 2, ["sum", "enum"])),
+        ("cor22", {"qcap": 4}, _failing("cor22", {}, _Q4, 2, 1, ["enum", "sum"])),
+        ("mork_odd", {"scap": 4}, _failing("mork_odd", {}, _S4, 1, 2, ["product", "enum"])),
+        ("mork_even", {"scap": 4}, _failing("mork_even", {}, _S4, 1, 2, ["product", "enum"])),
+        (
+            "psi_all",
+            {"scap": 4, "m": 3, "i": 2},
+            _failing("psi_all", {"m": 3, "i": 2}, _S4, 1, 2, ["product", "enum"]),
+        ),
+        (
+            "psi_dm",
+            {"scap": 4, "m": 3, "i": 2},
+            _failing("psi_dm", {"m": 3, "i": 2}, _S4, 1, 2, ["product", "enum"]),
+        ),
+    ],
+)
+def test_failing_reports_pin_sides_params_and_caps(monkeypatch, identity, kwargs, expected):
+    # Every enum side gains 1 on its constant term, through the module
+    # attribute the verifier must look up when it runs.  cor22 compares its
+    # own enum side and the overpartition one first, so both agree and the
+    # first mismatch is against the sum side.
+    original = identities.enum_side
+
+    def bumped(*args, **kw):
+        series = original(*args, **kw)
+        return series + series.context.one()
+
+    monkeypatch.setattr(identities, "enum_side", bumped)
+    assert verify_identity(identity, **kwargs) == expected
 
 
 # --- length recurrence -------------------------------------------------------
