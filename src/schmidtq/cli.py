@@ -81,10 +81,10 @@ def _parse_monomial(text):
 
 
 def _contiguous_block(residues):
-    # The block statistics take residues 1..i; anything else has no
-    # product side here.
-    block = tuple(range(1, len(residues) + 1))
-    if tuple(sorted(set(residues))) != block:
+    # The block statistics take the residue set 1..i, however it is
+    # spelled; anything else has no product side here.
+    block = sorted(set(residues))
+    if block != list(range(1, len(block) + 1)):
         raise UsageError(f"residues must be 1..i for this identity, got {residues}")
     return len(block)
 

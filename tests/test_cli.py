@@ -306,6 +306,22 @@ def test_verify_odd_index_counts_accept_repeated_residues(capsys):
     assert (code, out) == (0, "ak_main: pass\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "psi_all", "--m", "3", "--s-cap", "6"),
+        ("coeff", "--identity", "psi_dm", "--side", "enum", "--mono", "q=5,s=7", "--m", "3"),
+        ("witness", "--identity", "psi_all", "--mono", "q=5,s=7", "--m", "3"),
+    ],
+)
+def test_psi_residues_are_a_set(capsys, argv):
+    # 1,1,2 spells the block {1, 2} as 1,2 does; 1,3 is no block 1..i.
+    assert _run(capsys, *argv, "--s", "1,1,2")[:2] == _run(capsys, *argv, "--s", "1,2")[:2]
+    assert _run(capsys, *argv, "--s", "2,1")[:2] == _run(capsys, *argv, "--s", "1,2")[:2]
+    code, _, err = _run(capsys, *argv, "--s", "1,3")
+    assert code == 2 and "residues must be 1..i" in err
+
+
 # --- enumerate ---------------------------------------------------------------
 
 

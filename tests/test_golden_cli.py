@@ -113,6 +113,8 @@ COMMANDS = (
     "coeff --identity mork_odd --side sum --mono q=1",
     "coeff --identity cor22 --side enum --mono s=2",
     "witness --identity cor22 --mono s=3",
+    # a repeated residue spells the same block
+    "verify psi_all --m 3 --s 1,1,2 --s-cap 6",
 )
 
 
