@@ -27,8 +27,11 @@ from .bijections import (
 from .colored import ColoredPartition, colored_partitions, overpartitions
 from .identities import (
     COUNTING_THEOREMS,
+    IDENTITY_TABLE,
+    RING_CAPS,
     SERIES_IDENTITIES,
     cauchy_check,
+    check_exponents,
     enum_side,
     product_side,
     sum_side,
@@ -39,9 +42,7 @@ from .identities import (
 )
 from .partitions import Partition, partitions_of, partitions_with_schmidt_weight
 
-_Q_GRADED = ("ak_trivariate", "overpartition", "cor22")
-_S_GRADED = ("mork_odd", "mork_even", "psi_all", "psi_dm")
-_PSI = ("psi_all", "psi_dm")
+_CAP_FLAGS = {"qcap": "--q-cap", "scap": "--s-cap"}
 _VERIFY_IDS = SERIES_IDENTITIES + COUNTING_THEOREMS + ("cauchy", "t1_slice")
 
 
@@ -89,11 +90,22 @@ def _contiguous_block(residues):
     return len(block)
 
 
+def _given(args, flag):
+    return getattr(args, flag.lstrip("-").replace("-", "_"))
+
+
 def _need(args, flag):
-    value = getattr(args, flag.lstrip("-").replace("-", "_"))
+    value = _given(args, flag)
     if value is None:
         raise UsageError(f"{flag} is required here")
     return value
+
+
+def _params(args, entry):
+    # m and i from --m and --s, for the series identities that take them.
+    if not entry.params:
+        return {}
+    return {"m": _need(args, "--m"), "i": _contiguous_block(_need(args, "--s"))}
 
 
 def _build_parser():
@@ -151,13 +163,11 @@ def _build_parser():
 
 def _cmd_verify(args, out):
     ident = args.id
-    if ident in _Q_GRADED:
-        report = verify_identity(ident, qcap=_need(args, "--q-cap"))
-    elif ident in ("mork_odd", "mork_even"):
-        report = verify_identity(ident, scap=_need(args, "--s-cap"))
-    elif ident in _PSI:
-        i = _contiguous_block(_need(args, "--s"))
-        report = verify_identity(ident, scap=_need(args, "--s-cap"), m=_need(args, "--m"), i=i)
+    if ident in IDENTITY_TABLE:
+        entry = IDENTITY_TABLE[ident]
+        cap = RING_CAPS[entry.ring]
+        caps = {cap: _need(args, _CAP_FLAGS[cap])}
+        report = verify_identity(ident, **caps, **_params(args, entry))
     elif ident in ("schmidt", "uncu"):
         report = verify_counting(ident, n=_need(args, "--n"), m=args.m, s=args.s)
     elif ident in ("ak_main", "franklin_ext"):
@@ -179,34 +189,22 @@ def _cmd_verify(args, out):
 
 
 def _side_series(ident, side, exps, args):
-    if ident in _Q_GRADED:
-        needed = max([exps.get(v, 0) for v in ("q", "t1", "t2")], default=0)
-        if exps.get("s"):
-            raise UsageError(f"{ident} has no variable s")
-        qcap = args.q_cap if args.q_cap is not None else needed
-        if qcap < needed:
-            raise UsageError(f"--q-cap {qcap} is below the requested exponents")
-        inner = "overpartition" if ident == "cor22" and side != "enum" else ident
-        if side == "sum":
-            return sum_side(inner, qcap)
-        if side == "product":
-            return product_side(inner, qcap=qcap)
-        return enum_side(ident, qcap=qcap)
-    needed = max(exps.get("q", 0), exps.get("s", 0))
-    if exps.get("t1") or exps.get("t2"):
-        raise UsageError(f"{ident} has no variables t1, t2")
-    scap = args.s_cap if args.s_cap is not None else needed
-    if scap < needed:
-        raise UsageError(f"--s-cap {scap} is below the requested exponents")
-    if side == "sum":
-        raise UsageError(f"{ident} has no sum side")
-    kwargs = {"scap": scap}
-    if ident in _PSI:
-        kwargs["m"] = _need(args, "--m")
-        kwargs["i"] = _contiguous_block(_need(args, "--s"))
-    if side == "product":
-        return product_side(ident, **kwargs)
-    return enum_side(ident, **kwargs)
+    entry = IDENTITY_TABLE[ident]
+    check_exponents(ident, exps)
+    cap = RING_CAPS[entry.ring]
+    flag = _CAP_FLAGS[cap]
+    needed = max(exps.get(v, 0) for v in entry.ring)
+    value = _given(args, flag)
+    value = needed if value is None else value
+    if value < needed:
+        raise UsageError(f"{flag} {value} is below the requested exponents")
+    # --side names a compared side by its report label.
+    sources = {label: (kind, source) for label, kind, source in entry.sides}
+    if side not in sources:
+        raise UsageError(f"{ident} has no {side} side")
+    kind, source = sources[side]
+    build = {"sum": sum_side, "product": product_side, "enum": enum_side}[kind]
+    return build(source, **{cap: value}, **_params(args, entry))
 
 
 def _cmd_coeff(args, out):
@@ -218,15 +216,8 @@ def _cmd_coeff(args, out):
 
 
 def _cmd_witness(args, out):
-    kwargs = {}
-    if args.identity in _PSI:
-        kwargs["m"] = _need(args, "--m")
-        kwargs["i"] = _contiguous_block(_need(args, "--s"))
-    try:
-        lines = witnesses(args.identity, args.mono, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    for line in lines:
+    kwargs = _params(args, IDENTITY_TABLE[args.identity])
+    for line in witnesses(args.identity, args.mono, **kwargs):
         print(line, file=out)
     return 0
 

@@ -31,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from math import isqrt
+from typing import NamedTuple
 
 from .colored import (
     _overpartition_table,
@@ -66,6 +67,8 @@ from .series import (
 )
 
 __all__ = [
+    "IDENTITY_TABLE",
+    "RING_CAPS",
     "SERIES_IDENTITIES",
     "COUNTING_THEOREMS",
     "VerificationReport",
@@ -80,17 +83,46 @@ __all__ = [
     "verify_identity",
     "verify_counting",
     "witnesses",
+    "check_exponents",
 ]
 
-SERIES_IDENTITIES = (
-    "ak_trivariate",
-    "overpartition",
-    "cor22",
-    "mork_odd",
-    "mork_even",
-    "psi_all",
-    "psi_dm",
-)
+
+class SeriesIdentity(NamedTuple):
+    """One row of ``IDENTITY_TABLE``."""
+
+    ring: tuple  # the variables of its ring; RING_CAPS names the cap
+    params: tuple  # () or ("m", "i")
+    sides: tuple  # (label, side, source id) per compared side, in report order
+
+
+_Q_T1_T2 = ("q", "t1", "t2")
+_Q_S = ("q", "s")
+
+# The keyword of each ring's cap, which bounds every variable of the ring.
+RING_CAPS = {_Q_T1_T2: "qcap", _Q_S: "scap"}
+
+
+def _own(identity, *sides):
+    return tuple((side, side, identity) for side in sides)
+
+
+IDENTITY_TABLE = {
+    "ak_trivariate": SeriesIdentity(_Q_T1_T2, (), _own("ak_trivariate", "sum", "product", "enum")),
+    "overpartition": SeriesIdentity(_Q_T1_T2, (), _own("overpartition", "sum", "product", "enum")),
+    # cor22 is the overpartition series read off bounded-repetition partitions.
+    "cor22": SeriesIdentity(
+        _Q_T1_T2,
+        (),
+        (("enum", "enum", "cor22"), ("enum_overpartition", "enum", "overpartition"))
+        + _own("overpartition", "sum", "product"),
+    ),
+    "mork_odd": SeriesIdentity(_Q_S, (), _own("mork_odd", "product", "enum")),
+    "mork_even": SeriesIdentity(_Q_S, (), _own("mork_even", "product", "enum")),
+    "psi_all": SeriesIdentity(_Q_S, ("m", "i"), _own("psi_all", "product", "enum")),
+    "psi_dm": SeriesIdentity(_Q_S, ("m", "i"), _own("psi_dm", "product", "enum")),
+}
+
+SERIES_IDENTITIES = tuple(IDENTITY_TABLE)
 
 COUNTING_THEOREMS = ("schmidt", "uncu", "ak_main", "franklin_ext")
 
@@ -100,14 +132,14 @@ def trivariate_context(qcap):
     every monomial on every side has q-degree at least t1-degree + t2-degree."""
     if qcap < 0:
         raise ValueError(f"cap must be nonnegative, got {qcap}")
-    return SeriesContext(("q", "t1", "t2"), (qcap, qcap, qcap))
+    return SeriesContext(_Q_T1_T2, (qcap, qcap, qcap))
 
 
 def size_graded_context(scap):
     """Ring for the s-graded identities; the tracked weight never exceeds the size."""
     if scap < 0:
         raise ValueError(f"cap must be nonnegative, got {scap}")
-    return SeriesContext(("q", "s"), (scap, scap))
+    return SeriesContext(_Q_S, (scap, scap))
 
 
 # ---------------------------------------------------------------------------
@@ -287,35 +319,46 @@ def _psi_params(m, i):
     return m, i
 
 
+def _checked(identity, m, i, **caps):
+    # (entry, cap, params) of one series identity: the cap of its ring when
+    # caps are given, and its params as its report gives them.
+    entry = IDENTITY_TABLE.get(identity)
+    if entry is None:
+        raise ValueError(f"unknown identity {identity!r}")
+    params = dict(zip(entry.params, _psi_params(m, i))) if entry.params else {}
+    name = RING_CAPS[entry.ring]
+    cap = _required(caps[name], name) if caps else None
+    return entry, cap, params
+
+
 def product_side(identity, *, qcap=None, scap=None, m=None, i=None):
     """The infinite-product side, truncated to the caps."""
+    _checked(identity, m, i, qcap=qcap, scap=scap)
     if identity == "ak_trivariate":
-        ctx = trivariate_context(_required(qcap, "qcap"))
+        ctx = trivariate_context(qcap)
         q = ctx.monomial(q=1)
         return poch_infinite_inverse(ctx, ctx.monomial(q=1, t1=1), q) * poch_infinite_inverse(
             ctx, ctx.monomial(q=1, t2=1), q
         )
     if identity in ("overpartition", "cor22"):
-        ctx = trivariate_context(_required(qcap, "qcap"))
+        ctx = trivariate_context(qcap)
         q = ctx.monomial(q=1)
         numer = poch_infinite(ctx, ctx.monomial(q=1, t1=1), q, coefficient=-1)
         return numer * poch_infinite_inverse(ctx, ctx.monomial(q=1, t2=1), q)
     if identity == "mork_odd":
-        ctx = size_graded_context(_required(scap, "scap"))
+        ctx = size_graded_context(scap)
         return poch_infinite_inverse(ctx, ctx.monomial(q=1, s=1), ctx.monomial(q=1, s=2))
     if identity == "mork_even":
-        ctx = size_graded_context(_required(scap, "scap"))
+        ctx = size_graded_context(scap)
         return poch_infinite_inverse(ctx, ctx.monomial(s=1), ctx.monomial(q=1, s=2))
     if identity in ("psi_all", "psi_dm"):
-        m, i = _psi_params(m, i)
-        ctx = size_graded_context(_required(scap, "scap"))
+        ctx = size_graded_context(scap)
         ratio = ctx.monomial(q=i, s=m)
         last = m if identity == "psi_all" else m - 1
         out = ctx.one()
         for r in range(1, last + 1):
             out = out * poch_infinite_inverse(ctx, ctx.monomial(q=min(r, i), s=r), ratio)
         return out
-    raise ValueError(f"no product side for {identity!r}")
 
 
 def _required(value, name):
@@ -382,14 +425,13 @@ def _cor22_counts(qcap):
 
 def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
     """The brute-force generating function, graded exactly like the other sides."""
+    _checked(identity, m, i, qcap=qcap, scap=scap)
     if identity == "ak_trivariate":
         # The Schmidt side of the theorem: odd-index weight and the
         # residue column counts, not the product's colored model.
-        qcap = _required(qcap, "qcap")
         table = residue_column_table(2, (1,), "P", qcap=qcap)
         return Series(trivariate_context(qcap), table)
     if identity == "overpartition":
-        qcap = _required(qcap, "qcap")
         table = _overpartition_table(qcap)
         terms = {
             (n, *divmod(v, qcap + 1)): count
@@ -398,21 +440,16 @@ def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
         }
         return Series(trivariate_context(qcap), terms)
     if identity == "cor22":
-        qcap = _required(qcap, "qcap")
         return Series(trivariate_context(qcap), _cor22_counts(qcap))
     if identity in ("mork_odd", "mork_even"):
-        scap = _required(scap, "scap")
         table = schmidt_weight_table(2, (1,), "D", qcap=scap, scap=scap)
         if identity == "mork_even":
             table = {(size - odd, size): count for (odd, size), count in table.items()}
         return Series(size_graded_context(scap), table)
     if identity in ("psi_all", "psi_dm"):
-        m, i = _psi_params(m, i)
-        scap = _required(scap, "scap")
         cls = "P" if identity == "psi_all" else "D"
         table = schmidt_weight_table(m, tuple(range(1, i + 1)), cls, qcap=scap, scap=scap)
         return Series(size_graded_context(scap), table)
-    raise ValueError(f"no enumeration side for {identity!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -529,46 +566,13 @@ def _t1_slice_closed_form(ctx, J):
 
 
 def verify_identity(identity, *, qcap=None, scap=None, m=None, i=None):
-    """Build every available side of one identity and compare all pairs."""
-    if identity in ("ak_trivariate", "overpartition"):
-        qcap = _required(qcap, "qcap")
-        sides = [
-            ("sum", sum_side(identity, qcap)),
-            ("product", product_side(identity, qcap=qcap)),
-            ("enum", enum_side(identity, qcap=qcap)),
-        ]
-        return _compare_sides(
-            identity, {}, {"q": qcap, "t1": qcap, "t2": qcap}, sides
-        )
-    if identity == "cor22":
-        qcap = _required(qcap, "qcap")
-        sides = [
-            ("enum", enum_side("cor22", qcap=qcap)),
-            ("enum_overpartition", enum_side("overpartition", qcap=qcap)),
-            ("sum", sum_side("overpartition", qcap)),
-            ("product", product_side("overpartition", qcap=qcap)),
-        ]
-        return _compare_sides(
-            identity, {}, {"q": qcap, "t1": qcap, "t2": qcap}, sides
-        )
-    if identity in ("mork_odd", "mork_even"):
-        scap = _required(scap, "scap")
-        sides = [
-            ("product", product_side(identity, scap=scap)),
-            ("enum", enum_side(identity, scap=scap)),
-        ]
-        return _compare_sides(identity, {}, {"q": scap, "s": scap}, sides)
-    if identity in ("psi_all", "psi_dm"):
-        m, i = _psi_params(m, i)
-        scap = _required(scap, "scap")
-        sides = [
-            ("product", product_side(identity, scap=scap, m=m, i=i)),
-            ("enum", enum_side(identity, scap=scap, m=m, i=i)),
-        ]
-        return _compare_sides(
-            identity, {"m": m, "i": i}, {"q": scap, "s": scap}, sides
-        )
-    raise ValueError(f"unknown identity {identity!r}")
+    """Build every compared side of one identity and compare all pairs."""
+    entry, cap, params = _checked(identity, m, i, qcap=qcap, scap=scap)
+    kwargs = {RING_CAPS[entry.ring]: cap, **params}
+    # Read when the verifier runs, so wrappers installed on this module apply.
+    build = {"sum": sum_side, "product": product_side, "enum": enum_side}
+    sides = [(label, build[side](source, **kwargs)) for label, side, source in entry.sides]
+    return _compare_sides(identity, params, dict.fromkeys(entry.ring, cap), sides)
 
 
 def _counting_buckets(theorem, n, m, s):
@@ -667,6 +671,22 @@ def _required_set(s):
 # witness extraction
 
 
+def check_exponents(identity, exponents):
+    """Raise ``ValueError`` unless ``exponents`` maps variable names (q, t1,
+    t2, s) to nonnegative integers, none nonzero outside the identity's
+    ring: a monomial in such a variable lies on none of its sides."""
+    unknown = set(exponents) - {"q", "t1", "t2", "s"}
+    if unknown:
+        raise ValueError(f"unknown variables {sorted(unknown)}")
+    for v, e in exponents.items():
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent for {v} must be a nonnegative integer, got {e!r}")
+    outside = sorted({"t1", "t2", "s"} - set(IDENTITY_TABLE[identity].ring))
+    if any(exponents.get(v) for v in outside):
+        plural = "s" if len(outside) > 1 else ""
+        raise ValueError(f"{identity} has no variable{plural} {', '.join(outside)}")
+
+
 def witnesses(identity, exponents, *, m=None, i=None):
     """Serialized enumerated objects landing on one monomial of an enum side.
 
@@ -677,19 +697,8 @@ def witnesses(identity, exponents, *, m=None, i=None):
     enumeration order.
     """
     exps = dict(exponents)
-    unknown = set(exps) - {"q", "t1", "t2", "s"}
-    if unknown:
-        raise ValueError(f"unknown variables {sorted(unknown)}")
-    for v, e in exps.items():
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent for {v} must be a nonnegative integer, got {e!r}")
-    # A monomial in a variable the identity is not graded by lies on none
-    # of its sides, so no object can land on it.
-    if identity in ("ak_trivariate", "overpartition", "cor22"):
-        if exps.get("s"):
-            raise ValueError(f"{identity} has no variable s")
-    elif identity in SERIES_IDENTITIES and (exps.get("t1") or exps.get("t2")):
-        raise ValueError(f"{identity} has no variables t1, t2")
+    _checked(identity, m, i)
+    check_exponents(identity, exps)
     q = exps.get("q", 0)
     t1 = exps.get("t1", 0)
     t2 = exps.get("t2", 0)
@@ -717,12 +726,9 @@ def witnesses(identity, exponents, *, m=None, i=None):
             if w == q:
                 out.append(lam.to_text())
     elif identity in ("psi_all", "psi_dm"):
-        m, i = _psi_params(m, i)
         residues = tuple(range(1, i + 1))
         cls = "P" if identity == "psi_all" else "D"
         for lam in partitions_of(size, cls, m):
             if schmidt_weight(lam, m, residues) == q:
                 out.append(lam.to_text())
-    else:
-        raise ValueError(f"no enumeration to search for {identity!r}")
     return out

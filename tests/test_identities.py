@@ -1,6 +1,7 @@
 """Series identities, counting theorems, reports, and witness extraction."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,7 @@ from schmidtq import (
     witnesses,
 )
 from schmidtq import identities
-from schmidtq.identities import _compare_sides, _repeated_size_count, _series_mismatch
+from schmidtq.identities import IDENTITY_TABLE, _compare_sides, _repeated_size_count, _series_mismatch
 
 
 # --- contexts ----------------------------------------------------------------
@@ -256,6 +257,20 @@ def test_identity_argument_errors():
         product_side("ak_trivariate", qcap=-1)
     with pytest.raises(ValueError):
         enum_side("nope", qcap=3)
+
+
+def test_readme_identity_table_matches_the_identity_table():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Identity and theorem ids", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            ident, grading, sides = (cell.strip() for cell in line.split("|")[1:4])
+            rows.append((ident.strip("`"), tuple(grading.split(", ")), tuple(sides.split(", "))))
+    assert rows == [
+        (ident, entry.ring, tuple(label for label, _, _ in entry.sides))
+        for ident, entry in IDENTITY_TABLE.items()
+    ]
 
 
 def _failing(theorem, params, caps, lhs, rhs, sides):

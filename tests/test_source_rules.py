@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import schmidtq
+from schmidtq.identities import SERIES_IDENTITIES
 
 SOURCE = Path(schmidtq.__file__).parent
 
@@ -54,5 +55,17 @@ def test_colored_reads_no_series_or_identities():
     # from the series or identities modules.
     found = [
         where for where, parts in imported_names("colored.py") if {"series", "identities"} & parts
+    ]
+    assert found == []
+
+
+def test_cli_spells_no_series_identity():
+    # The CLI reads each series identity's ring, parameters and sides from
+    # the identity table, so cli.py names no series id.
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    found = [
+        f"cli.py:{node.lineno} {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in SERIES_IDENTITIES
     ]
     assert found == []
