@@ -29,6 +29,7 @@ from .identities import (
     COUNTING_THEOREMS,
     IDENTITY_TABLE,
     RING_CAPS,
+    RING_VARIABLES,
     SERIES_IDENTITIES,
     cauchy_check,
     check_exponents,
@@ -69,7 +70,7 @@ def _parse_monomial(text):
     for piece in text.split(","):
         name, sep, value = piece.partition("=")
         name = name.strip()
-        if not sep or name not in ("q", "t1", "t2", "s"):
+        if not sep or name not in RING_VARIABLES:
             raise UsageError(f"bad monomial component {piece!r}; use q=6,t1=1,t2=2")
         try:
             e = int(value)

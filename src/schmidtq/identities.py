@@ -43,6 +43,8 @@ from .colored import (
     overpartitions,
 )
 from .partitions import (
+    _part_size_pass,
+    _schmidt_weight_total,
     in_class,
     normalize_residue_set,
     partition_groups,
@@ -69,6 +71,7 @@ from .series import (
 __all__ = [
     "IDENTITY_TABLE",
     "RING_CAPS",
+    "RING_VARIABLES",
     "SERIES_IDENTITIES",
     "COUNTING_THEOREMS",
     "VerificationReport",
@@ -123,6 +126,9 @@ IDENTITY_TABLE = {
 }
 
 SERIES_IDENTITIES = tuple(IDENTITY_TABLE)
+
+# The variables a monomial of some series identity may name: q, t1, t2, s.
+RING_VARIABLES = tuple(dict.fromkeys(v for entry in IDENTITY_TABLE.values() for v in entry.ring))
 
 COUNTING_THEOREMS = ("schmidt", "uncu", "ak_main", "franklin_ext")
 
@@ -381,41 +387,24 @@ def _repeated_size_count(lam):
 
 def _cor22_counts(qcap):
     # Every partition with odd-index weight at most qcap and every
-    # multiplicity below 4, counted by (weight, repeated sizes, alternating
-    # sum) in one pass over the part sizes a = qcap .. 1; index 1 is odd,
-    # so no part exceeds qcap.  A group of c copies of a sits on
-    # (c + odd) // 2 odd indices: each adds a to the weight and to the
-    # alternating sum, each even index subtracts a from the latter, and
-    # c > 1 makes the size repeated.  A state is one int
+    # multiplicity below 4, by (weight, repeated sizes, alternating sum).  A
+    # group of c copies of a sits on (c + odd) // 2 odd indices: each adds a
+    # to the weight and to the alternating sum, each even index subtracts a
+    # from the latter, and c > 1 makes the size repeated.  A state is one int
     # (((weight * base + repeated) * base + alt) * 2 + odd), odd saying
-    # whether the next index is odd.  Every prefix is a partition of weight
-    # at most qcap, so each field stays in 0..qcap and a signed step never
-    # borrows; weight is the top field, so a state is within the cap
-    # exactly when it is below limit.
+    # whether the next index is odd.  As index 1 is odd, each field stays in
+    # 0..qcap, so a signed step never borrows; weight is the top field.
     base = qcap + 1
     unit = base * base * 2
-    limit = base * unit
-    # rows[odd][c - 1] = (g, d): c copies of a step by a * g + d.
-    rows = [
-        [
-            (
-                (c + odd) // 2 * unit + (2 * ((c + odd) // 2) - c) * 2,
-                (c > 1) * base * 2 + (odd ^ (c & 1)) - odd,
-            )
+
+    def steps(a, odd):
+        return [
+            a * ((c + odd) // 2 * unit + (2 * ((c + odd) // 2) - c) * 2)
+            + (c > 1) * base * 2 + (odd ^ (c & 1)) - odd
             for c in (1, 2, 3)
         ]
-        for odd in (0, 1)
-    ]
-    states = Counter({1: 1})
-    for a in range(qcap, 0, -1):
-        steps = [[a * g + d for g, d in row] for row in rows]
-        # The groups of a extend only the states from larger parts.
-        for key, count in list(states.items()):
-            for step in steps[key & 1]:
-                # The weight gain grows with c.
-                if key + step >= limit:
-                    break
-                states[key + step] += count
+
+    states = _part_size_pass({1: 1}, qcap, base * unit, 2, steps)
     acc = Counter()
     for key, count in states.items():
         weight, rest = divmod(key >> 1, base * base)
@@ -584,10 +573,7 @@ def _counting_buckets(theorem, n, m, s):
     if theorem in ("schmidt", "uncu"):
         _check_odd_index_count(m, s)
         cls = "D" if theorem == "schmidt" else "P"
-        # Each even-index part is at most the part before it, so a
-        # partition of odd-index weight n has size at most 2n.
-        table = schmidt_weight_table(2, (1,), cls, qcap=n, scap=2 * n)
-        lhs = sum(count for (w, _), count in table.items() if w == n)
+        lhs = _schmidt_weight_total(n, 2, (1,), cls)
         if theorem == "schmidt":
             rhs = sum(1 for _ in partition_groups(n))
         else:
@@ -672,16 +658,17 @@ def _required_set(s):
 
 
 def check_exponents(identity, exponents):
-    """Raise ``ValueError`` unless ``exponents`` maps variable names (q, t1,
-    t2, s) to nonnegative integers, none nonzero outside the identity's
-    ring: a monomial in such a variable lies on none of its sides."""
-    unknown = set(exponents) - {"q", "t1", "t2", "s"}
+    """Raise ``ValueError`` unless ``exponents`` maps names in
+    ``RING_VARIABLES`` (q, t1, t2, s) to nonnegative integers, none nonzero
+    outside the identity's ring: a monomial in such a variable lies on none
+    of its sides."""
+    unknown = set(exponents) - set(RING_VARIABLES)
     if unknown:
         raise ValueError(f"unknown variables {sorted(unknown)}")
     for v, e in exponents.items():
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent for {v} must be a nonnegative integer, got {e!r}")
-    outside = sorted({"t1", "t2", "s"} - set(IDENTITY_TABLE[identity].ring))
+    outside = sorted(set(RING_VARIABLES) - set(IDENTITY_TABLE[identity].ring))
     if any(exponents.get(v) for v in outside):
         plural = "s" if len(outside) > 1 else ""
         raise ValueError(f"{identity} has no variable{plural} {', '.join(outside)}")

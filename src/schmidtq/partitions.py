@@ -5,6 +5,12 @@ in this module is pure and exact: no floats, no mutation, plain tuples
 under the hood.  Indexing follows the usual convention that ``part(k)``
 is 0 once ``k`` runs past the last part, which keeps the alternating-sum
 and residue-class statistics below free of edge cases.
+
+The Schmidt-side tables count without walking partitions, in one private
+pass over the part sizes from the cap down to 1 on packed-int states.  A
+table gives the pass its state layout and the steps of the groups of one
+size from each residue; class P adds the blocks of m copies by one
+division step per size.
 """
 
 from __future__ import annotations
@@ -352,6 +358,65 @@ def _schmidt_params(m, s, cls):
     return residues, [r + 1 in residues for r in range(m)]
 
 
+def _part_size_pass(states, cap, limit, m, steps, *, block=0, first=()):
+    # The one dynamic program behind the Schmidt-side tables.  For each part
+    # size a = cap .. 1, every old state takes the groups of a that
+    # steps(a, r) lists for r = key % m, the residue of its next index, their
+    # top-field gains growing, up to the first that reaches limit.  steps is
+    # called only for the residues met, so a huge m costs no m^2 work.  The
+    # empty partition, if kept out of states, takes a * g + d for (g, d) in
+    # first.  A nonzero block, m copies of a part 1, then divides by
+    # 1 - x^(a * block) chain by chain, as the series division step does.
+    for a in range(cap, 0, -1):
+        rows = {r: steps(a, r) for r in {key % m for key in states}}
+        out = states.copy()
+        for key, count in states.items():
+            for step in rows[key % m]:
+                target = key + step
+                if target >= limit:
+                    break
+                out[target] = out.get(target, 0) + count
+        for g, d in first:
+            target = a * g + d
+            if target >= limit:
+                break
+            out[target] = out.get(target, 0) + 1
+        if block:
+            step = a * block
+            pending, out = out, {}
+            for key in sorted(pending):
+                if key not in pending:
+                    continue
+                acc = 0
+                while key < limit:
+                    acc += pending.pop(key, 0)
+                    out[key] = acc
+                    key += step
+        states = out
+    return states
+
+
+def _schmidt_states(counted, cls, cap, *, sized):
+    # The pass's states for the class-P/D partitions with parts at most
+    # cap: ((size * (cap + 1) + weight) * m + r) when sized, else
+    # (weight * m + r); the weight never exceeds the size.  before[j] counts
+    # the counted 0-based indices below j over two periods, so c < m copies
+    # from residue r sit on before[r + c] - before[r] of them.
+    m = len(counted)
+    before = list(accumulate(counted * 2, initial=0))
+    unit = (cap + 1) * m if sized else 0
+
+    def steps(a, r):
+        most = min(m - 1, cap // a) if sized else m - 1
+        return [
+            a * (c * unit + (before[r + c] - before[r]) * m) + (r + c) % m - r
+            for c in range(1, most + 1)
+        ]
+
+    block = m * unit + sum(counted) * m if cls == "P" else 0
+    return _part_size_pass({0: 1}, cap, (cap + 1) * (unit or m), m, steps, block=block)
+
+
 def schmidt_weight_table(m, s, cls, *, qcap, scap):
     """How many partitions in the class have each ``(weight, size)``.
 
@@ -359,44 +424,28 @@ def schmidt_weight_table(m, s, cls, *, qcap, scap):
     of class ``"P"`` or ``"D"`` with size at most ``scap`` and Schmidt
     weight at most ``qcap``, without walking them.  One pass over the part
     sizes ``a = scap .. 1`` keeps a count for each state (size so far,
-    residue of the next index, weight so far).  A group of ``c`` copies of
+    weight so far, residue of the next index).  A group of ``c`` copies of
     ``a`` starting at residue ``r`` sits on ``c // m * len(s)`` counted
     indices plus those among the first ``c % m`` indices from ``r``; it
     moves the residue to ``(r + c) % m`` and adds ``a * c`` to the size.
+    The weight cap is applied when the states are read.
     """
-    residues, counted = _schmidt_params(m, s, cls)
+    _, counted = _schmidt_params(m, s, cls)
     if qcap < 0 or scap < 0:
         raise ValueError(f"caps must be nonnegative, got qcap={qcap}, scap={scap}")
-    # before[j]: counted indices among the 0-based indices 0 .. j-1 over two
-    # periods, so the k < m consecutive indices from residue r hold
-    # before[r + k] - before[r] of them, at a cost linear in m.
-    before = list(accumulate(counted * 2, initial=0))
-    full = len(residues)
-    top = m - 1 if cls == "D" else scap
-    # states[size] maps each residue reached to {weight so far: count}.
-    states = [{} for _ in range(scap + 1)]
-    states[0][0] = {0: 1}
-    for a in range(scap, 0, -1):
-        # Sizes from the top down: the copies of a only feed larger sizes,
-        # which have taken their own copies of a already, so no state
-        # takes a second group of a.
-        for size in range(scap - a, -1, -1):
-            for r, weights in states[size].items():
-                low = min(weights)
-                for c in range(1, min(top, (scap - size) // a) + 1):
-                    gain = a * (c // m * full + before[r + c % m] - before[r])
-                    if low + gain > qcap:
-                        break
-                    target = states[size + a * c].setdefault((r + c) % m, {})
-                    for w, count in weights.items():
-                        if w + gain <= qcap:
-                            target[w + gain] = target.get(w + gain, 0) + count
     out = Counter()
-    for size, by_residue in enumerate(states):
-        for weights in by_residue.values():
-            for w, count in weights.items():
-                out[w, size] += count
+    for key, count in _schmidt_states(counted, cls, scap, sized=True).items():
+        size, weight = divmod(key // m, scap + 1)
+        if weight <= qcap:
+            out[weight, size] += count
     return out
+
+
+def _schmidt_weight_total(n, m, s, cls):
+    # How many partitions of the class have Schmidt weight n, from the
+    # pass with the weight as its only field.
+    states = _schmidt_states(_schmidt_params(m, s, cls)[1], cls, n, sized=False)
+    return sum(states.get(n * m + r, 0) for r in range(m))
 
 
 def residue_column_table(m, s, cls, *, qcap):
@@ -420,66 +469,29 @@ def residue_column_table(m, s, cls, *, qcap):
     # A state is one int ((weight * base**m + rho) * m + r), rho_j at digit
     # j - 1 of rho.  Every prefix is a partition whose parts are at most
     # qcap, as index 1 is counted, so each digit stays in 0..qcap and a
-    # signed step never borrows across fields.  Weight is the top field, so
-    # a state is within the cap exactly when it is below limit.  The empty
-    # partition would be key 0, the only state of weight 0; it is kept out
-    # of states, which hold the nonempty prefixes.
+    # signed step never borrows across fields.  Weight is the top field.
     base = qcap + 1
     unit = base**m * m
-    limit = base * unit
     before = list(accumulate(counted * 2, initial=0))
-    # run[r][j - 1] = (g, d): 0 < j < m copies of a from residue r step by
-    # a * g + d.  Zero copies leave a state as it is.
-    run = [
-        [
-            (
-                (before[r + j] - before[r]) * unit
-                + (base ** ((r + j - 1) % m) - base ** ((r - 1) % m)) * m,
-                (r + j) % m - r,
-            )
+    # power[r]: rho at the residue of the index before residue r.
+    power = [base ** ((r - 1) % m) * m for r in range(m)]
+
+    def steps(a, r):
+        # 0 < j < m copies of a; zero copies leave a state as it is.
+        return [
+            a * ((before[r + j] - before[r]) * unit + power[(r + j) % m] - power[r])
+            + (r + j) % m - r
             for j in range(1, m)
         ]
-        for r in range(m)
-    ]
-    # The first group of the empty partition subtracts nothing, as index 1
-    # has no predecessor.  Its runs of 1..m copies are taken directly (up
-    # to m - 1 in class D), and the blocks extend them like any other run.
+
+    # The first group subtracts nothing, as index 1 has no predecessor, so
+    # the empty partition is kept out of states and takes its runs of 1..m
+    # copies (up to m - 1 in class D) directly; blocks extend them.
     first = [
-        (before[c] * unit + base ** (c - 1) * m, c % m)
-        for c in range(1, m + 1 if cls == "P" else m)
+        (before[c] * unit + power[c % m], c % m) for c in range(1, m + 1 if cls == "P" else m)
     ]
-    block = len(residues) * unit
-    states = {}
-    for a in range(qcap, 0, -1):
-        steps = [[a * g + d for g, d in row] for row in run]
-        out = states.copy()
-        for key, count in states.items():
-            for step in steps[key % m]:
-                # Runs from one residue gain weight in step order.
-                target = key + step
-                if target >= limit:
-                    break
-                out[target] = out.get(target, 0) + count
-        for g, d in first:
-            target = a * g + d
-            if target >= limit:
-                break
-            out[target] = out.get(target, 0) + 1
-        if cls == "P":
-            # out / (1 - x^(a * block)), one chain at a time in ascending
-            # key order, as in the series division step.
-            step = a * block
-            pending = out
-            out = {}
-            for key in sorted(pending):
-                if key not in pending:
-                    continue
-                acc = 0
-                while key < limit:
-                    acc += pending.pop(key, 0)
-                    out[key] = acc
-                    key += step
-        states = out
+    block = len(residues) * unit if cls == "P" else 0
+    states = _part_size_pass({}, qcap, base * unit, m, steps, block=block, first=first)
     # Sum over the residue field, then unpack each (weight, rho) once.
     packed = Counter({0: 1})
     for key, count in states.items():

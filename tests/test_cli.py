@@ -192,6 +192,15 @@ def test_witness_rejects_variables_outside_the_grading(capsys):
     assert (code, out) == (2, "") and "no variables t1, t2" in err
 
 
+def test_monomials_name_only_ring_variables(capsys):
+    # z is a series variable of the Cauchy check, but no identity's ring has it.
+    for command in (["coeff", "--side", "enum"], ["witness"]):
+        code, out, err = _run(
+            capsys, *command, "--identity", "overpartition", "--mono", "q=2,z=1"
+        )
+        assert (code, out) == (2, "") and "--mono: invalid" in err
+
+
 def test_witness_requires_psi_parameters(capsys):
     code, _, err = _run(
         capsys, "witness", "--identity", "psi_all", "--mono", "q=2,s=2"

@@ -1,5 +1,7 @@
 """Partition core: construction, conjugation, weights, classes, enumeration."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -215,6 +217,18 @@ def test_schmidt_weight_table_with_a_modulus_above_the_size_cap():
     # table cannot depend on m there; a huge m must cost no m^2 work.
     want = schmidt_weight_table(7, (1, 2), "P", qcap=6, scap=6)
     assert schmidt_weight_table(10**5, (1, 2), "P", qcap=6, scap=6) == want
+    # A table of steps for every residue would hold m^2 entries; the
+    # linear-in-m work peaks at about 0.4 MB here.
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        assert schmidt_weight_table(10**4, (1, 2), "P", qcap=6, scap=6) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_serialization_roundtrip():

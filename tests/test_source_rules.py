@@ -69,3 +69,17 @@ def test_cli_spells_no_series_identity():
         if isinstance(node, ast.Constant) and node.value in SERIES_IDENTITIES
     ]
     assert found == []
+
+
+def test_colored_shares_no_counting_loop_with_the_schmidt_side():
+    # The two sides of a counting theorem never share one counting loop, so
+    # a fault in it cannot cancel out: colored.py neither imports nor names
+    # the part-size pass behind the Schmidt-side tables.
+    tree = ast.parse((SOURCE / "colored.py").read_text())
+    found = [where for where, parts in imported_names("colored.py") if "_part_size_pass" in parts]
+    found += [
+        f"colored.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if "_part_size_pass" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert found == []
