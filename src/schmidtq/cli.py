@@ -47,20 +47,17 @@ _CAP_FLAGS = {"qcap": "--q-cap", "scap": "--s-cap"}
 _VERIFY_IDS = SERIES_IDENTITIES + COUNTING_THEOREMS + ("cauchy", "t1_slice")
 
 
-class UsageError(ValueError):
-    # ValueError so argparse turns a raise inside a type= callable into
-    # its own usage error (exit 2) instead of crashing.
-    pass
+# The type= parsers raise ArgumentTypeError, as argparse prints only that
+# exception's message; both it and run exit 2 on a usage error.
 
 
 def _parse_residues(text):
     try:
-        values = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"residue list must be comma-separated integers, got {text!r}")
-    if not values:
-        raise UsageError("residue list must not be empty")
-    return values
+        raise argparse.ArgumentTypeError(
+            f"residue list must be comma-separated integers, got {text!r}"
+        )
 
 
 def _parse_monomial(text):
@@ -71,13 +68,13 @@ def _parse_monomial(text):
         name, sep, value = piece.partition("=")
         name = name.strip()
         if not sep or name not in RING_VARIABLES:
-            raise UsageError(f"bad monomial component {piece!r}; use q=6,t1=1,t2=2")
+            raise argparse.ArgumentTypeError(f"bad monomial component {piece!r}; use q=6,t1=1,t2=2")
         try:
             e = int(value)
         except ValueError:
-            raise UsageError(f"exponent in {piece!r} is not an integer")
+            raise argparse.ArgumentTypeError(f"exponent in {piece!r} is not an integer")
         if e < 0 or name in exps:
-            raise UsageError(f"bad monomial component {piece!r}")
+            raise argparse.ArgumentTypeError(f"bad monomial component {piece!r}")
         exps[name] = e
     return exps
 
@@ -87,7 +84,7 @@ def _contiguous_block(residues):
     # spelled; anything else has no product side here.
     block = sorted(set(residues))
     if block != list(range(1, len(block) + 1)):
-        raise UsageError(f"residues must be 1..i for this identity, got {residues}")
+        raise ValueError(f"residues must be 1..i for this identity, got {residues}")
     return len(block)
 
 
@@ -98,7 +95,7 @@ def _given(args, flag):
 def _need(args, flag):
     value = _given(args, flag)
     if value is None:
-        raise UsageError(f"{flag} is required here")
+        raise ValueError(f"{flag} is required here")
     return value
 
 
@@ -198,11 +195,11 @@ def _side_series(ident, side, exps, args):
     value = _given(args, flag)
     value = needed if value is None else value
     if value < needed:
-        raise UsageError(f"{flag} {value} is below the requested exponents")
+        raise ValueError(f"{flag} {value} is below the requested exponents")
     # --side names a compared side by its report label.
     sources = {label: (kind, source) for label, kind, source in entry.sides}
     if side not in sources:
-        raise UsageError(f"{ident} has no {side} side")
+        raise ValueError(f"{ident} has no {side} side")
     kind, source = sources[side]
     build = {"sum": sum_side, "product": product_side, "enum": enum_side}[kind]
     return build(source, **{cap: value}, **_params(args, entry))
@@ -225,7 +222,7 @@ def _cmd_witness(args, out):
 
 def _split_pair(text):
     if text.count(";") != 1:
-        raise UsageError(f"expected two ;-separated partitions, got {text!r}")
+        raise ValueError(f"expected two ;-separated partitions, got {text!r}")
     a, b = text.split(";")
     return Partition.from_text(a), Partition.from_text(b)
 
@@ -268,9 +265,9 @@ def _cmd_enumerate(args, out):
     cls = args.cls
     if args.schmidt_weight is not None:
         if cls not in ("P", "D"):
-            raise UsageError("--schmidt-weight applies to classes P and D only")
+            raise ValueError("--schmidt-weight applies to classes P and D only")
         if args.n is not None:
-            raise UsageError("give either --n or --schmidt-weight, not both")
+            raise ValueError("give either --n or --schmidt-weight, not both")
         m = args.m if args.m is not None else 2
         s = args.s if args.s is not None else (1,)
         stream = partitions_with_schmidt_weight(args.schmidt_weight, m, s, cls)
@@ -309,9 +306,6 @@ def run(argv=None):
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args, sys.stdout)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
-from .partitions import _digits, normalize_residue_set, partition_groups, split_bucket
+from .partitions import normalize_residue_set, partition_groups
 
 __all__ = [
     "ColoredPartition",
@@ -25,11 +25,8 @@ __all__ = [
     "color_counts",
     "colored_partitions",
     "colored_bucket_counts",
-    "colored_partition_counts",
     "colored_partition_total",
-    "top_color_part_counts",
     "overpartitions",
-    "overpartition_counts",
     "over_stats",
 ]
 
@@ -285,19 +282,6 @@ def _coin_table(n, parts):
     return table
 
 
-def _color_count_table(n, residues, top, ceiling):
-    # table[N] maps the color counts of the colored partitions of N <= n,
-    # color c at digit c - 1 in base n + 1, to how many there are; colors
-    # at or above ceiling are taken out of every palette.  One pass over
-    # the part types (a, color), a = n .. 1.
-    base = n + 1
-    parts = []
-    for a in range(n, 0, -1):
-        lo, hi = _palette(a, residues, top)
-        parts += [(a, base ** (color - 1)) for color in range(lo, min(hi, ceiling))]
-    return _coin_table(n, parts)
-
-
 def colored_bucket_counts(n, m, s, top):
     """How many colored partitions of ``n`` fall in each packed bucket.
 
@@ -307,13 +291,18 @@ def colored_bucket_counts(n, m, s, top):
     of parts of size ``p`` colored ``m``.  Those parts form a partition
     nu into the sizes whose palette holds ``m``, which is empty for
     ``top == m``; the rest is a colored partition of ``n - |nu|`` with
-    color ``m`` taken out of every palette, read off one table.
+    color ``m`` taken out of every palette, read off one table over the
+    part types (size, color).
     """
     residues = _validate_palette(m, s, top)
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
     base = n + 1
-    table = _color_count_table(n, residues, top, m)
+    parts = []
+    for a in range(n, 0, -1):
+        lo, hi = _palette(a, residues, top)
+        parts += [(a, base ** (color - 1)) for color in range(lo, min(hi, m))]
+    table = _coin_table(n, parts)
     images = _coin_table(
         n,
         [
@@ -331,27 +320,14 @@ def colored_bucket_counts(n, m, s, top):
     return out
 
 
-def colored_partition_counts(n, m, s, top):
-    """How many colored partitions of ``n`` have each color-count vector.
-
-    Counts the objects of ``colored_partitions(n, m, s, top)`` by
-    ``color_counts(mu, m)`` without building them, in one pass over the
-    part types (size, color): each is taken any number of times.
-    """
-    residues = _validate_palette(m, s, top)
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got {n}")
-    table = _color_count_table(n, residues, top, top)
-    return Counter({tuple(_digits(v, n + 1, m)): c for v, c in table[n].items()})
-
-
 def colored_partition_total(n, m, s, top):
     """How many colored partitions of ``n`` there are.
 
-    The sum of :func:`colored_partition_counts` over its vectors, in one
-    pass over the part types (size, color): ``ways[k]`` counts the
-    colored partitions of ``k`` into the types seen so far, and a type of
-    size ``a`` adds ``ways[k - a]`` to ``ways[k]`` for ``k`` upward.
+    Counts the objects of ``colored_partitions(n, m, s, top)`` without
+    building them, in one pass over the part types (size, color):
+    ``ways[k]`` counts the colored partitions of ``k`` into the types seen
+    so far, and a type of size ``a`` adds ``ways[k - a]`` to ``ways[k]``
+    for ``k`` upward.
     """
     residues = _validate_palette(m, s, top)
     if n < 0:
@@ -363,22 +339,6 @@ def colored_partition_total(n, m, s, top):
             for k in range(a, n + 1):
                 ways[k] += ways[k - a]
     return ways[n]
-
-
-def top_color_part_counts(n, m, s):
-    """How many colored partitions of ``n`` have each color-count vector
-    and each list of sizes of the parts colored ``m``.
-
-    Counts the objects of ``colored_partitions(n, m, s, m + 1)`` by the
-    pair ``(color_counts(mu, m), sizes)``, the sizes decreasing, without
-    building them: the keys of ``colored_bucket_counts(n, m, s, m + 1)``
-    unpacked.
-    """
-    out = Counter()
-    for v, c in colored_bucket_counts(n, m, s, m + 1).items():
-        counts, sizes = split_bucket(v, n, m)
-        out[(*counts, len(sizes)), sizes] = c
-    return out
 
 
 def _overpartition_table(qcap):
@@ -394,16 +354,3 @@ def _overpartition_table(qcap):
         _add_part(table, a, 1, range(a, qcap + 1))
         _add_part(table, a, base, range(qcap, a - 1, -1))
     return table
-
-
-def overpartition_counts(n):
-    """How many overpartitions of ``n`` have each (overlined, plain) part count.
-
-    Counts the objects of ``overpartitions(n)`` without building them:
-    the size-``n`` slice of one pass over the part sizes, in which ``c``
-    copies of a size are ``c`` plain parts or an overlined first copy and
-    ``c - 1`` plain ones.
-    """
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got {n}")
-    return Counter({divmod(v, n + 1): c for v, c in _overpartition_table(n)[n].items()})

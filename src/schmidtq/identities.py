@@ -431,13 +431,13 @@ def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
     if identity == "cor22":
         return Series(trivariate_context(qcap), _cor22_counts(qcap))
     if identity in ("mork_odd", "mork_even"):
-        table = schmidt_weight_table(2, (1,), "D", qcap=scap, scap=scap)
+        table = schmidt_weight_table(2, (1,), "D", cap=scap)
         if identity == "mork_even":
             table = {(size - odd, size): count for (odd, size), count in table.items()}
         return Series(size_graded_context(scap), table)
     if identity in ("psi_all", "psi_dm"):
         cls = "P" if identity == "psi_all" else "D"
-        table = schmidt_weight_table(m, tuple(range(1, i + 1)), cls, qcap=scap, scap=scap)
+        table = schmidt_weight_table(m, tuple(range(1, i + 1)), cls, cap=scap)
         return Series(size_graded_context(scap), table)
 
 

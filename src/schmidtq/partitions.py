@@ -31,7 +31,6 @@ __all__ = [
     "partitions_with_schmidt_weight",
     "residue_column_table",
     "schmidt_weight_table",
-    "schmidt_weight_distribution",
     "schmidt_bucket_counts",
     "split_bucket",
 ]
@@ -417,27 +416,25 @@ def _schmidt_states(counted, cls, cap, *, sized):
     return _part_size_pass({0: 1}, cap, (cap + 1) * (unit or m), m, steps, block=block)
 
 
-def schmidt_weight_table(m, s, cls, *, qcap, scap):
+def schmidt_weight_table(m, s, cls, *, cap):
     """How many partitions in the class have each ``(weight, size)``.
 
     Counts ``schmidt_weight(lam, m, s)`` and the size over the partitions
-    of class ``"P"`` or ``"D"`` with size at most ``scap`` and Schmidt
-    weight at most ``qcap``, without walking them.  One pass over the part
-    sizes ``a = scap .. 1`` keeps a count for each state (size so far,
+    of class ``"P"`` or ``"D"`` with size at most ``cap``, without walking
+    them; the weight never exceeds the size.  One pass over the part
+    sizes ``a = cap .. 1`` keeps a count for each state (size so far,
     weight so far, residue of the next index).  A group of ``c`` copies of
     ``a`` starting at residue ``r`` sits on ``c // m * len(s)`` counted
     indices plus those among the first ``c % m`` indices from ``r``; it
     moves the residue to ``(r + c) % m`` and adds ``a * c`` to the size.
-    The weight cap is applied when the states are read.
     """
     _, counted = _schmidt_params(m, s, cls)
-    if qcap < 0 or scap < 0:
-        raise ValueError(f"caps must be nonnegative, got qcap={qcap}, scap={scap}")
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     out = Counter()
-    for key, count in _schmidt_states(counted, cls, scap, sized=True).items():
-        size, weight = divmod(key // m, scap + 1)
-        if weight <= qcap:
-            out[weight, size] += count
+    for key, count in _schmidt_states(counted, cls, cap, sized=True).items():
+        size, weight = divmod(key // m, cap + 1)
+        out[weight, size] += count
     return out
 
 
@@ -499,19 +496,6 @@ def residue_column_table(m, s, cls, *, qcap):
     return Counter(
         {(key // base**m, *_digits(key, base, m)): count for key, count in packed.items()}
     )
-
-
-def schmidt_weight_distribution(n, m, s, cls="P"):
-    """How many partitions of ``n`` in the class have each Schmidt weight.
-
-    Counts ``schmidt_weight(lam, m, s)`` over ``partitions_of(n, cls, m)``
-    for class ``"P"`` or ``"D"``: the size-``n`` slice of
-    ``schmidt_weight_table``.
-    """
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got {n}")
-    table = schmidt_weight_table(m, s, cls, qcap=n, scap=n)
-    return Counter({w: count for (w, size), count in table.items() if size == n})
 
 
 def schmidt_bucket_counts(n, m, s, cls="P"):

@@ -33,8 +33,7 @@ exponent is above its cap, so a product monomial costs one add and its
 cap check one add and one mask.  Keys are packed where they enter (the
 constructor, :meth:`Series.coefficient`, the step and Pochhammer
 arguments) after their arity, sign and caps are checked, and unpacked
-where they leave (:meth:`Series.sorted_terms`, text, JSON,
-:func:`substitute_one`).
+where they leave (:meth:`Series.sorted_terms`, text, JSON).
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ __all__ = [
     "Monomial",
     "SeriesContext",
     "Series",
-    "SubstitutionResult",
     "geometric_inverse",
     "poch_finite",
     "poch_infinite",
@@ -62,7 +60,6 @@ __all__ = [
     "gaussian_multinomial_coeffs",
     "q_binomial",
     "q_multinomial",
-    "substitute_one",
 ]
 
 
@@ -84,10 +81,6 @@ class Monomial(tuple):
         if k < 0:
             raise ValueError(f"monomial powers must be nonnegative, got {k}")
         return Monomial(e * k for e in self)
-
-    @property
-    def degree(self):
-        return sum(self)
 
     def is_constant(self):
         return not any(self)
@@ -235,9 +228,6 @@ class Series:
         pairs = [(unpack(k), v) for k, v in self._terms.items()]
         pairs.sort(key=lambda kv: (sum(kv[0]), kv[0]))
         return pairs
-
-    def is_zero(self):
-        return not self._terms
 
     def __bool__(self):
         return bool(self._terms)
@@ -627,31 +617,3 @@ def q_binomial(context, n, k):
 def q_multinomial(context, n, parts):
     """The Gaussian multinomial as a series in the context's ``q`` variable."""
     return _embed_q_poly(context, gaussian_multinomial_coeffs(n, parts))
-
-
-class SubstitutionResult(NamedTuple):
-    series: "Series"
-    saturated: bool
-
-
-def substitute_one(a, var):
-    """Set one variable to 1 by erasing its exponents.
-
-    Returns the collapsed series together with a ``saturated`` flag that
-    is true when some term already sat at the variable's cap, in which
-    case contributions beyond the cap may have been truncated away and
-    the collapsed coefficients are only lower-bound evidence.
-    """
-    ctx = a.context
-    vi = ctx.index(var)
-    layout = _layout(ctx.caps)
-    field = layout.masks[vi] << layout.shifts[vi]
-    at_cap = ctx.caps[vi] << layout.shifts[vi]
-    out = {}
-    saturated = False
-    for mon, coeff in a._terms.items():
-        if mon & field == at_cap:
-            saturated = True
-        key = mon & ~field
-        out[key] = out.get(key, 0) + coeff
-    return SubstitutionResult(Series._raw(ctx, _nonzero(out)), saturated)

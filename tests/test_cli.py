@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schmidtq.cli as cli
 from schmidtq import VerificationReport
@@ -198,7 +200,7 @@ def test_monomials_name_only_ring_variables(capsys):
         code, out, err = _run(
             capsys, *command, "--identity", "overpartition", "--mono", "q=2,z=1"
         )
-        assert (code, out) == (2, "") and "--mono: invalid" in err
+        assert (code, out) == (2, "") and "--mono: bad monomial component 'z=1'" in err
 
 
 def test_witness_requires_psi_parameters(capsys):
@@ -300,6 +302,8 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "--m is required" in err
     code, _, err = _run(capsys, "verify", "schmidt", "--n", "4", "--m", "3")
     assert code == 2
+    code, _, err = _run(capsys, "verify", "ak_main", "--m", "3", "--s", "a", "--n", "3")
+    assert code == 2 and "residue list must be comma-separated integers" in err
 
 
 def test_verify_odd_index_counts_accept_repeated_residues(capsys):
@@ -460,3 +464,63 @@ def test_python_dash_m_usage_error_exits_two(argv):
     assert proc.returncode == 2
     assert proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
+
+
+# --- fuzz --------------------------------------------------------------------
+
+SMALL_INTS = st.integers(-2, 8).map(str)
+VALUES = {
+    "--m": SMALL_INTS,
+    "--n": SMALL_INTS,
+    "--q-cap": SMALL_INTS,
+    "--s-cap": SMALL_INTS,
+    "--top": SMALL_INTS,
+    "--schmidt-weight": SMALL_INTS,
+    "--s": st.one_of(
+        st.lists(st.integers(-1, 5), min_size=1, max_size=4).map(
+            lambda rs: ",".join(map(str, rs))
+        ),
+        st.sampled_from(["a", "", "0,1", "1,,2"]),
+    ),
+    "--mono": st.lists(
+        st.tuples(
+            st.sampled_from(["q", "t1", "t2", "s", "z"]),
+            st.sampled_from(["=", ""]),
+            st.sampled_from(["0", "1", "3", "8", "-1", "x", ""]),
+        ),
+        max_size=3,
+    ).map(lambda pieces: ",".join("".join(piece) for piece in pieces)),
+    "--identity": st.sampled_from(cli.SERIES_IDENTITIES),
+    "--side": st.sampled_from(["sum", "product", "enum"]),
+    "--bijection": st.sampled_from(["psi", "mork", "glaisher", "decompose"]),
+    "--partition": st.sampled_from(["", "3,2,1", "2,3", "4_1,2_2", "2,1;3", "x", "0"]),
+    "--class": st.sampled_from(["P", "D", "F", "R", "cs", "over"]),
+    "--json": st.just(None),
+    "--inverse": st.just(None),
+}
+COMMANDS = {
+    "verify": ["--m", "--s", "--n", "--q-cap", "--s-cap", "--json"],
+    "coeff": ["--identity", "--side", "--mono", "--m", "--s", "--q-cap", "--s-cap"],
+    "witness": ["--identity", "--mono", "--m", "--s"],
+    "map": ["--bijection", "--m", "--s", "--partition", "--inverse"],
+    "enumerate": ["--class", "--n", "--m", "--s", "--top", "--schmidt-weight"],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(cli._VERIFY_IDS)))
+    for flag in draw(st.lists(st.sampled_from(COMMANDS[command]), unique=True)):
+        value = draw(VALUES[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argvs())
+def test_fuzzed_arguments_exit_with_a_known_code(argv):
+    # Every drawn int is at most 8, which keeps each run small.
+    assert run(argv) in (0, 1, 2), argv

@@ -20,13 +20,13 @@ this replaced are kept below as well.
 
 A series stores each exponent vector packed into one int and checks the
 caps with one add and one mask.  The tuple-keyed multiply and divide
-steps, the bucketed product and ``substitute_one`` it replaced are kept
-below, on plain ``{exponent tuple: coefficient}`` dicts, and so is the
-summed colored Counter that the ``uncu`` colored total replaced.
+steps and the bucketed product it replaced are kept below, on plain
+``{exponent tuple: coefficient}`` dicts, and so is the summed colored
+Counter that the ``uncu`` colored total replaced.
 
 The ``ak_trivariate`` enum side is the theorem's Schmidt side,
 ``residue_column_table``, in place of the colored model of the product;
-``overpartition_counts`` counts partitions by (distinct sizes, length);
+the overpartition side counts partitions by (distinct sizes, length);
 and ``_cor22_counts`` packs its state into one int.  The colored count,
 the per-group form and the tuple-keyed recurrence are kept below, with a
 brute-force count and a tuple-keyed, one-group-at-a-time table.
@@ -34,11 +34,12 @@ brute-force count and a tuple-keyed, one-group-at-a-time table.
 Both sides of ``ak_main`` and ``franklin_ext`` count into one packed int
 per bucket: ``schmidt_bucket_counts`` walks the partitions of Schmidt
 weight n with one int per node, and ``colored_bucket_counts`` reads one
-table over the part types (size, color).  The colored counts, the
-``uncu`` total and ``overpartition_counts`` are tables over part sizes
-as well.  The profile-carrying walk, the multiplicity-group counts and
-the partition walk of ``overpartition_counts`` they replaced are kept
-below.
+table over the part types (size, color).  The ``uncu`` total and the
+overpartition side are tables over part sizes as well.  The
+profile-carrying walk, the multiplicity-group counts and the partition
+walk of the overpartition side they replaced are kept below.  The color
+counts are read off ``colored_bucket_counts`` through ``split_bucket``,
+and the overpartition counts off the rows of ``_overpartition_table``.
 """
 
 from collections import Counter
@@ -61,14 +62,12 @@ from schmidtq import (
     geometric_inverse,
     color_counts,
     colored_bucket_counts,
-    colored_partition_counts,
     colored_partition_total,
     colored_partitions,
     enum_side,
     ln_series,
     normalize_residue_set,
     over_stats,
-    overpartition_counts,
     overpartitions,
     partitions_of,
     partitions_with_schmidt_weight,
@@ -81,17 +80,15 @@ from schmidtq import (
     residue_column_table,
     schmidt_bucket_counts,
     schmidt_weight,
-    schmidt_weight_distribution,
     schmidt_weight_table,
     size_graded_context,
     split_bucket,
-    substitute_one,
     sum_side,
-    top_color_part_counts,
     trivariate_context,
     verify_counting,
 )
 from schmidtq import identities
+from schmidtq.colored import _overpartition_table
 from schmidtq.identities import _cor22_counts, _hook_exponent, _t1_slice_closed_form
 from schmidtq.partitions import (
     _check_class,
@@ -414,14 +411,13 @@ def preorder_cor22_counts(qcap):
     return acc
 
 
-def group_walk_table(m, s, cls, qcap, scap):
+def group_walk_table(m, s, cls, cap):
     """``schmidt_weight_table`` from one group walk per size."""
     return Counter(
         {
             (w, size): count
-            for size in range(scap + 1)
+            for size in range(cap + 1)
             for w, count in group_walk_distribution(size, m, s, cls).items()
-            if w <= qcap
         }
     )
 
@@ -485,7 +481,7 @@ def palette_of(size, m, s, top):
 
 
 def grouped_colored_partition_counts(n, m, s, top):
-    """``colored_partition_counts`` over multiplicity groups."""
+    """The colored partitions of n by color-count vector, over multiplicity groups."""
     packed = grouped_counts(
         n,
         lambda size, count: (palette_of(size, m, s, top), count),
@@ -505,8 +501,9 @@ def grouped_colored_partition_total(n, m, s, top):
 
 
 def grouped_top_color_part_counts(n, m, s):
-    """``top_color_part_counts`` over multiplicity groups: a group key carries
-    its size when its palette holds m, and its color-m parts sit at entry
+    """The colored partitions of n by color-count vector and the sizes of
+    the parts colored m, over multiplicity groups: a group key carries its
+    size when its palette holds m, and its color-m parts sit at entry
     m + size - 1 of the vector."""
 
     def key_of(size, count):
@@ -536,8 +533,9 @@ def grouped_top_color_part_counts(n, m, s):
 
 
 def walk_overpartition_counts(n):
-    """``overpartition_counts`` from a walk over the partitions of n, counted by
-    (distinct sizes d, length l), each carrying C(d, o) overpartitions."""
+    """The overpartitions of n by (overlined, plain) part count, from a walk
+    over the partitions of n counted by (distinct sizes d, length l), each
+    carrying C(d, o) overpartitions."""
     shapes = Counter(
         (len(groups), sum(count for _, count in groups)) for groups in partition_groups(n)
     )
@@ -595,6 +593,28 @@ def unpacked(counts, bucket_of):
     for key, count in counts.items():
         out[bucket_of(key)] += count
     return out
+
+
+def color_buckets(n, m, s, top):
+    """``colored_bucket_counts`` keyed by (color counts, sizes of the parts colored m)."""
+
+    def bucket(key):
+        counts, sizes = split_bucket(key, n, m)
+        return (*counts, len(sizes)), sizes
+
+    return unpacked(colored_bucket_counts(n, m, s, top), bucket)
+
+
+def color_count_table(n, m, s, top):
+    """``colored_bucket_counts`` keyed by color counts alone."""
+    return unpacked(color_buckets(n, m, s, top), itemgetter(0))
+
+
+def overpartition_rows(cap):
+    """The rows of ``_overpartition_table(cap)`` keyed by (overlined, plain) part count."""
+    return [
+        unpacked(row, lambda v: divmod(v, cap + 1)) for row in _overpartition_table(cap)
+    ]
 
 
 def object_counting_buckets(theorem, n, m=None, s=None, extra=()):
@@ -744,17 +764,6 @@ def tuple_bucketed_mul(a, b, caps):
     return {k: c for k, c in out.items() if c}
 
 
-def tuple_substitute_one(terms, caps, vi):
-    out = {}
-    saturated = False
-    for mon, coeff in terms.items():
-        if mon[vi] == caps[vi]:
-            saturated = True
-        key = mon[:vi] + (0,) + mon[vi + 1 :]
-        out[key] = out.get(key, 0) + coeff
-    return {k: c for k, c in out.items() if c}, saturated
-
-
 def tuple_terms(series):
     return {tuple(mon): c for mon, c in series.sorted_terms()}
 
@@ -763,13 +772,14 @@ def colored_enum_terms(qcap):
     """The ak_trivariate terms of the product's model: 2-colored partitions by color counts."""
     acc = Counter()
     for n in range(qcap + 1):
-        for (c1, c2), count in colored_partition_counts(n, 2, (1,), 3).items():
+        for (c1, c2), count in color_count_table(n, 2, (1,), 3).items():
             acc[(n, c1, c2)] += count
     return acc
 
 
 def grouped_overpartition_counts(n):
-    """``overpartition_counts`` with the weight t2^c + t1 t2^(c-1) per group."""
+    """The overpartitions of n by (overlined, plain) part count, with the
+    weight t2^c + t1 t2^(c-1) per group."""
     packed = grouped_counts(n, lambda size, count: count, lambda c: {(0, c): 1, (1, c - 1): 1})
     return Counter({tuple(_digits(v, n + 1, 2)): c for v, c in packed.items()})
 
@@ -871,16 +881,17 @@ def test_overpartitions_match_recursive_walk():
 def test_colored_partition_counts_match_objects(m, s, top):
     for n in range(13):
         want = Counter(color_counts(mu, m) for mu in recursive_colored_partitions(n, m, s, top))
-        assert colored_partition_counts(n, m, s, top) == want, n
+        assert color_count_table(n, m, s, top) == want, n
 
 
 def test_overpartition_counts_match_objects():
+    rows = overpartition_rows(14)
     for n in range(15):
         want = Counter()
         for mu in recursive_overpartitions(n):
             o, length = over_stats(mu)
             want[(o, length - o)] += 1
-        assert overpartition_counts(n) == want, n
+        assert rows[n] == want, n
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -1079,15 +1090,13 @@ TABLE_CASES = [(m, s, cls) for m in (2, 3, 4) for s in residue_sets(m, True) for
     "m, s, cls", TABLE_CASES, ids=[f"m{m}-s{','.join(map(str, s))}-{c}" for m, s, c in TABLE_CASES]
 )
 def test_schmidt_weight_table_matches_group_walk(m, s, cls):
-    # The Schmidt weight never exceeds the size, so qcap = scap cuts
-    # nothing, and one walk up to the largest cap gives every smaller cap.
+    # One walk up to the largest cap gives every smaller cap.
     walks = [group_walk_distribution(size, m, s, cls) for size in range(31)]
     for scap in range(31):
         want = Counter(
             {(w, size): count for size in range(scap + 1) for w, count in walks[size].items()}
         )
-        assert schmidt_weight_table(m, s, cls, qcap=scap, scap=scap) == want, scap
-        assert schmidt_weight_distribution(scap, m, s, cls) == walks[scap], scap
+        assert schmidt_weight_table(m, s, cls, cap=scap) == want, scap
 
 
 @settings(max_examples=40, deadline=None)
@@ -1096,12 +1105,9 @@ def test_schmidt_weight_table_matches_group_walk_at_any_caps(data):
     m = data.draw(st.integers(2, 5))
     extra = data.draw(st.sets(st.integers(2, m)))
     cls = data.draw(st.sampled_from("PD"))
-    scap = data.draw(st.integers(0, 24))
-    qcap = data.draw(st.integers(0, scap))
+    cap = data.draw(st.integers(0, 24))
     s = (1, *sorted(extra))
-    assert schmidt_weight_table(m, s, cls, qcap=qcap, scap=scap) == group_walk_table(
-        m, s, cls, qcap, scap
-    )
+    assert schmidt_weight_table(m, s, cls, cap=cap) == group_walk_table(m, s, cls, cap)
 
 
 def test_cor22_counts_match_preorder_walk():
@@ -1183,18 +1189,6 @@ def test_packed_product_matches_tuple_keyed_bucketed_product(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_packed_substitute_one_matches_tuple_keyed_collapse(data):
-    ctx = packed_context(data)
-    terms = tuple_keyed(data, ctx)
-    vi = data.draw(st.integers(0, len(ctx.caps) - 1))
-    got = substitute_one(Series(ctx, terms), ctx.variables[vi])
-    want, saturated = tuple_substitute_one(terms, ctx.caps, vi)
-    assert tuple_terms(got.series) == want
-    assert got.saturated == saturated
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
 def test_coefficient_is_zero_off_the_caps(data):
     ctx = packed_context(data)
     terms = tuple_keyed(data, ctx)
@@ -1229,12 +1223,12 @@ def test_coefficient_and_steps_never_pack_a_key_wider_than_its_field():
 def test_colored_partition_total_matches_summed_counts():
     for n in range(31):
         assert colored_partition_total(n, 2, (1,), 3) == sum(
-            colored_partition_counts(n, 2, (1,), 3).values()
+            colored_bucket_counts(n, 2, (1,), 3).values()
         ), n
     for m, s, top in PALETTES:
         for n in range(13):
             assert colored_partition_total(n, m, s, top) == sum(
-                colored_partition_counts(n, m, s, top).values()
+                colored_bucket_counts(n, m, s, top).values()
             ), (m, s, top, n)
 
 
@@ -1246,8 +1240,9 @@ def test_ak_trivariate_schmidt_side_matches_colored_model():
 
 
 def test_overpartition_counts_match_group_weights():
+    rows = overpartition_rows(30)
     for n in range(31):
-        assert overpartition_counts(n) == grouped_overpartition_counts(n), n
+        assert rows[n] == grouped_overpartition_counts(n), n
 
 
 def test_packed_cor22_counts_match_tuple_keyed_counts():
@@ -1307,7 +1302,7 @@ def test_schmidt_bucket_counts_match_profile_walk_at_larger_weights():
 @pytest.mark.parametrize("m, s, top", PALETTES)
 def test_colored_partition_counts_match_group_walk(m, s, top):
     for n in range(21):
-        assert colored_partition_counts(n, m, s, top) == grouped_colored_partition_counts(
+        assert color_count_table(n, m, s, top) == grouped_colored_partition_counts(
             n, m, s, top
         ), n
 
@@ -1316,18 +1311,20 @@ def test_colored_partition_counts_match_group_walk(m, s, top):
 def test_top_color_part_counts_match_group_walk(m):
     for s in residue_sets(m, True):
         for n in range(15):
-            assert top_color_part_counts(n, m, s) == grouped_top_color_part_counts(n, m, s), (s, n)
+            got = color_buckets(n, m, s, m + 1)
+            assert got == grouped_top_color_part_counts(n, m, s), (s, n)
 
 
 def test_colored_bucket_counts_unpack_to_top_color_part_counts():
-    # Both sides of franklin_ext share the layout of split_bucket.
+    # Both sides of franklin_ext share the layout of split_bucket: its image
+    # sizes are the sizes of the parts colored m, read off the objects here.
     for m, s in [(2, (1,)), (3, (1, 3)), (4, (1, 2, 4))]:
         for n in range(13):
-            got = Counter()
-            for key, count in colored_bucket_counts(n, m, s, m + 1).items():
-                counts, sizes = split_bucket(key, n, m)
-                got[(*counts, len(sizes)), sizes] += count
-            assert got == top_color_part_counts(n, m, s), (m, s, n)
+            want = Counter(
+                (color_counts(mu, m), tuple(p for p, c in mu.parts if c == m))
+                for mu in colored_partitions(n, m, s, m + 1)
+            )
+            assert color_buckets(n, m, s, m + 1) == want, (m, s, n)
 
 
 def test_colored_partition_total_matches_group_walk():
@@ -1343,8 +1340,9 @@ def test_colored_partition_total_matches_group_walk():
 
 
 def test_overpartition_counts_match_partition_walk():
+    rows = overpartition_rows(30)
     for n in range(31):
-        assert overpartition_counts(n) == walk_overpartition_counts(n), n
+        assert rows[n] == walk_overpartition_counts(n), n
 
 
 def test_overpartition_enum_side_matches_partition_walk():

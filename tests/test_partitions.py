@@ -16,7 +16,6 @@ from schmidtq import (
     residue_column_count,
     schmidt_bucket_counts,
     schmidt_weight,
-    schmidt_weight_distribution,
     schmidt_weight_table,
 )
 
@@ -193,37 +192,31 @@ def test_weight_enumeration_counts_match_size_counts():
 def test_schmidt_weight_counters_take_classes_p_and_d_only():
     for cls in ("F", "R", "X"):
         with pytest.raises(ValueError, match="class must be 'P' or 'D'"):
-            schmidt_weight_distribution(4, 2, (1,), cls)
-        with pytest.raises(ValueError, match="class must be 'P' or 'D'"):
             schmidt_bucket_counts(4, 2, (1,), cls)
         with pytest.raises(ValueError, match="class must be 'P' or 'D'"):
-            schmidt_weight_table(2, (1,), cls, qcap=4, scap=4)
+            schmidt_weight_table(2, (1,), cls, cap=4)
     with pytest.raises(ValueError, match="nonnegative"):
-        schmidt_weight_table(2, (1,), "P", qcap=-1, scap=4)
-    with pytest.raises(ValueError, match="nonnegative"):
-        schmidt_weight_distribution(-1, 2, (1,), "P")
+        schmidt_weight_table(2, (1,), "P", cap=-1)
 
 
 def test_schmidt_weight_table_examples():
     # Distinct parts of size at most 4, by odd-index weight and size.
     want = {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1, (2, 3): 1, (4, 4): 1, (3, 4): 1}
-    assert schmidt_weight_table(2, (1,), "D", qcap=4, scap=4) == want
-    # A weight cap below the size cap drops the heavier partitions only.
-    assert schmidt_weight_table(2, (1,), "P", qcap=1, scap=3) == {(0, 0): 1, (1, 1): 1, (1, 2): 1}
+    assert schmidt_weight_table(2, (1,), "D", cap=4) == want
 
 
 def test_schmidt_weight_table_with_a_modulus_above_the_size_cap():
     # With at most 6 parts, index k has residue k for every m > 6, so the
     # table cannot depend on m there; a huge m must cost no m^2 work.
-    want = schmidt_weight_table(7, (1, 2), "P", qcap=6, scap=6)
-    assert schmidt_weight_table(10**5, (1, 2), "P", qcap=6, scap=6) == want
+    want = schmidt_weight_table(7, (1, 2), "P", cap=6)
+    assert schmidt_weight_table(10**5, (1, 2), "P", cap=6) == want
     # A table of steps for every residue would hold m^2 entries; the
     # linear-in-m work peaks at about 0.4 MB here.
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        assert schmidt_weight_table(10**4, (1, 2), "P", qcap=6, scap=6) == want
+        assert schmidt_weight_table(10**4, (1, 2), "P", cap=6) == want
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if not tracing:

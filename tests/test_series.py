@@ -24,7 +24,6 @@ from schmidtq import (
     poch_infinite_inverse,
     q_binomial,
     q_multinomial,
-    substitute_one,
 )
 
 
@@ -52,7 +51,6 @@ def test_monomial_validation():
         Monomial((-1,))
     assert Monomial((2, 1)) * Monomial((0, 3)) == Monomial((2, 4))
     assert Monomial((1, 2)) ** 3 == Monomial((3, 6))
-    assert Monomial((1, 2)).degree == 3
     assert Monomial((0, 0)).is_constant()
     assert Monomial((2, 1)).within((2, 1))
     assert not Monomial((2, 1)).within((1, 1))
@@ -185,17 +183,6 @@ def test_q_multinomial():
         q_multinomial(ctx, 3, (1, 1))
     with pytest.raises(ValueError):
         q_multinomial(ctx, 3, (4, -1))
-
-
-def test_substitute_one():
-    ctx = SeriesContext(("q", "t1"), (8, 8))
-    a = Series(ctx, {(0, 0): 1, (1, 1): 1, (1, 0): 1})
-    res = substitute_one(a, "t1")
-    assert res.series == Series(ctx, {(0, 0): 1, (1, 0): 2})
-    assert not res.saturated
-    tight = SeriesContext(("q", "t1"), (8, 1))
-    res = substitute_one(Series(tight, {(1, 1): 1}), "t1")
-    assert res.saturated  # the variable hit its cap, so mass may be missing
 
 
 def test_canonical_text_and_json():

@@ -59,6 +59,17 @@ def test_colored_reads_no_series_or_identities():
     assert found == []
 
 
+def test_colored_decodes_no_key_of_the_schmidt_side():
+    # From partitions.py the colored side takes the residue check and the
+    # partition walk only, never the Schmidt side's bucket decoder.
+    found = [
+        where
+        for where, parts in imported_names("colored.py")
+        if "partitions" in parts and not parts & {"normalize_residue_set", "partition_groups"}
+    ]
+    assert found == []
+
+
 def test_cli_spells_no_series_identity():
     # The CLI reads each series identity's ring, parameters and sides from
     # the identity table, so cli.py names no series id.
@@ -83,3 +94,47 @@ def test_colored_shares_no_counting_loop_with_the_schmidt_side():
         if "_part_size_pass" in (getattr(node, "id", None), getattr(node, "attr", None))
     ]
     assert found == []
+
+
+# Defined in src/ but used only from outside it, each for a reason.
+UNUSED_IN_SOURCE = {
+    "geometric_inverse": "a target of perfbench/tracer.py",
+    "q_multinomial": "a target of perfbench/tracer.py",
+    "admissible_colors": "a target of perfbench/tracer.py",
+    "cs_validate": "a target of perfbench/tracer.py",
+    "Series.coefficient_at": "read by perfbench's runner and demos/coefficient_hunt.py",
+    "ln_series": "a series_sides benchmark op",
+    "Series.mul_one_minus": "the multiply step the README documents",
+    "Partition.multiplicity": "read by the bijection and partition tests",
+}
+
+
+def defined_names(node, prefix=""):
+    """``(module-level qualified name, node)`` for every def and class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            yield name, child
+            yield from defined_names(child, name + ".")
+        else:
+            yield from defined_names(child, prefix)
+
+
+def test_every_definition_has_a_use():
+    # A def or class nothing in src/ refers to is dead code unless it is on
+    # the list above.  Imports and __all__ strings are not uses.
+    used, defined = set(), []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        defined += [(path.name, name, node) for name, node in defined_names(tree)]
+    unused = {
+        name: f"{module}:{node.lineno}"
+        for module, name, node in defined
+        if not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in used
+    }
+    assert sorted(unused) == sorted(UNUSED_IN_SOURCE), unused
