@@ -28,8 +28,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import groupby
 
-from .colored import ColoredPartition
-from .partitions import Partition, in_class, normalize_residue_set
+from .colored import ColoredPartition, _palette
+from .partitions import Partition, _check_modulus, in_class, normalize_residue_set
 
 __all__ = [
     "color_conjugate",
@@ -86,9 +86,7 @@ def color_conjugate_inverse(mu, m, s):
     i = len(residues)
     heights = []
     for p, c in mu.parts:
-        k = ((p - 1) % i) + 1
-        lo = residues[k - 1]
-        hi = residues[k] if k < i else m + 1
+        lo, hi = _palette(p, residues, m + 1)
         if not lo <= c < hi:
             raise ValueError(
                 f"part ({p}, {c}) is not admissible for modulus {m}, residues {residues}"
@@ -166,8 +164,7 @@ def glaisher_reduce(lam, m):
     and ``banked`` has all parts divisible by ``m``, with sizes adding up
     to the size of ``lam``.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
+    _check_modulus(m)
     heights = Counter(lam.conjugate().parts)
     kept_cols = []
     banked = []
@@ -180,8 +177,7 @@ def glaisher_reduce(lam, m):
 
 def glaisher_expand(kept, banked, m):
     """Inverse of :func:`glaisher_reduce`: reinsert each banked part as ``m`` equal columns."""
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
+    _check_modulus(m)
     if not in_class(kept, "F", m):
         raise ValueError(f"{kept.parts} has a gap of {m} or more, so it is not reduced")
     cols = list(kept.conjugate().parts)
@@ -200,8 +196,7 @@ def decompose_multiplicity(mu, m):
     ``m``) and ``bulk`` keeps the complementary ``m * floor(count / m)``
     copies (so every multiplicity in ``bulk`` is divisible by ``m``).
     """
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
+    _check_modulus(m)
     low = []
     bulk = []
     for size, grp in groupby(mu.parts):

@@ -43,6 +43,7 @@ from .colored import (
     overpartitions,
 )
 from .partitions import (
+    _check_modulus,
     _part_size_pass,
     _schmidt_weight_total,
     in_class,
@@ -274,7 +275,7 @@ def _hook_sum(qcap, with_t1_denominator):
             floor = n * (n - 1) // 2
         else:
             floor = max(0, (n * n - 1) // 4)
-        if n > 0 and floor > qcap:
+        if floor > qcap:
             break
         inner = {}
         for j in range(n + 1):
@@ -318,8 +319,7 @@ def sum_side(identity, qcap):
 
 
 def _psi_params(m, i):
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
+    _check_modulus(m)
     if not isinstance(i, int) or not 1 <= i <= m:
         raise ValueError(f"residue block length must lie in 1..{m}, got {i!r}")
     return m, i
@@ -450,39 +450,26 @@ def ln_series(n, qcap):
     partitions with exactly ``n`` parts, by the three-term recurrence.
 
     The step factor for index ``r`` is ``Q_r/(1 - Q_r)`` with
-    ``Q_{2k} = q^k`` and ``Q_{2k+1} = t2 q^{k+1}``; each new part beyond
-    the second contributes the previous three states, the two shorter
-    ones weighted by ``t1``.
+    ``Q_{2k} = q^k`` and ``Q_{2k+1} = t2 q^{k+1}``; each new part
+    contributes the previous three states, the two shorter ones weighted
+    by ``t1``.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"part count must be a nonnegative integer, got {n!r}")
     ctx = trivariate_context(qcap)
-    caps = ctx.caps
-    seq = [ctx.one()]
-
-    def step_monomial(r):
-        if r % 2 == 0:
-            return ctx.monomial(q=r // 2)
-        return ctx.monomial(q=(r + 1) // 2, t2=1)
-
-    t1 = Series(ctx, {ctx.monomial(t1=1): 1}) if ctx.monomial(t1=1).within(caps) else ctx.zero()
+    t1 = ctx.term(1, ctx.monomial(t1=1)) if qcap else ctx.zero()
+    # Two zero states before the empty partition's make the general step
+    # also the step of r = 1 and r = 2.
+    seq = [ctx.zero(), ctx.zero(), ctx.one()]
     for r in range(1, n + 1):
-        quot = step_monomial(r)
-        if not quot.within(caps):
+        quot = ctx.monomial(q=(r + 1) // 2, t2=r % 2)
+        if not quot.within(ctx.caps):
             seq.append(ctx.zero())
             continue
         # seq[r] = Q_r / (1 - Q_r) * tail: a shift, then one division step.
-        if r == 1:
-            tail = ctx.one()
-        elif r == 2:
-            first = step_monomial(1)
-            tail = t1
-            if first.within(caps):
-                tail = tail + ctx.term(1, first).div_one_minus(first)
-        else:
-            tail = seq[r - 1] + t1 * (seq[r - 2] + seq[r - 3])
+        tail = seq[-1] + t1 * (seq[-2] + seq[-3])
         seq.append((ctx.term(1, quot) * tail).div_one_minus(quot))
-    return seq[n]
+    return seq[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ division step per size.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, groupby
 
@@ -123,6 +122,11 @@ class Partition:
         return cls(int(tok) for tok in text.split(","))
 
 
+def _check_modulus(m):
+    if not isinstance(m, int) or m < 2:
+        raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
+
+
 def normalize_residue_set(m, s, *, allow_m=True):
     """Validate a modulus/residue-set pair and return the residues as a sorted tuple.
 
@@ -130,8 +134,7 @@ def normalize_residue_set(m, s, *, allow_m=True):
     ``{1, ..., m}`` (or ``{1, ..., m-1}`` when ``allow_m`` is false) that
     contains 1.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
+    _check_modulus(m)
     residues = tuple(sorted({int(r) for r in s}))
     if not residues:
         raise ValueError("residue set must be nonempty")
@@ -164,8 +167,7 @@ def residue_column_count(lam, m, j):
     ``k >= 0``, with ``j`` taken in ``1..m`` (a height divisible by ``m``
     counts under ``j = m``).
     """
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
+    _check_modulus(m)
     if not 1 <= j <= m:
         raise ValueError(f"residue must lie in 1..{m}, got {j}")
     total = 0
@@ -283,65 +285,36 @@ def partitions_with_schmidt_weight(n, m, s, cls="P"):
     below ``m``).  Enumeration order is depth-first with parts tried in
     decreasing order, emitting each prefix before its extensions.
     """
-    residues = normalize_residue_set(m, s, allow_m=True)
+    # A set, not the m flags of _schmidt_params, so a huge m costs nothing.
+    counted = set(normalize_residue_set(m, s, allow_m=True))
     if cls not in ("P", "D"):
         raise ValueError(f"class must be 'P' or 'D', got {cls!r}")
     if n < 0:
         raise ValueError(f"target weight must be nonnegative, got {n}")
-    max_len = m * n
-    counted = set(residues)
-
-    def can_extend(length, weight):
-        # A prefix still short of the target is dead once no counted index
-        # remains in range; residues[0] is 1, so one recurs within m.
-        idx = length + 1
-        if idx > max_len:
-            return False
-        if weight < n:
-            r = (idx - 1) % m + 1
-            j = bisect_left(residues, r)
-            gap = residues[j] - r if j < len(residues) else m - r + 1
-            return idx + gap <= max_len
-        return True
-
-    # Iterative preorder walk over the prefixes that can still be extended:
-    # parts is the current prefix, weights[d] and runs[d] are the weight and
-    # the final run length of its first d parts, and nexts[d] is the next
-    # part to try after them.  A child that cannot be extended is only
-    # emitted, never entered.
-    if n == 0:
-        yield Partition._trusted(())
     bounded = cls == "D"
-    parts, weights, runs = [], [0], [0]
-    nexts = [n] if can_extend(0, 0) else []
-    while nexts:
-        depth = len(parts)
-        weight = weights[-1]
-        a = nexts[-1]
-        is_counted = depth % m + 1 in counted
-        if is_counted and a > n - weight:
-            a = n - weight
-        last = parts[-1] if parts else None
-        if bounded and a == last and runs[-1] + 1 >= m:
-            a -= 1
-        if a < 1:
-            nexts.pop()
-            if parts:
-                parts.pop()
-                weights.pop()
-                runs.pop()
-            continue
-        nexts[-1] = a - 1
-        child_weight = weight + a if is_counted else weight
-        parts.append(a)
-        if child_weight == n:
-            yield Partition._trusted(tuple(parts))
-        if can_extend(depth + 1, child_weight):
-            weights.append(child_weight)
-            runs.append(runs[-1] + 1 if a == last else 1)
-            nexts.append(a)
-        else:
-            parts.pop()
+    # The walk of schmidt_bucket_counts, with its growth rule: a prefix of
+    # weight below n always grows, as index 1's residue recurs within m and
+    # parts of size 1 fill any deficit, and a prefix of weight n grows only
+    # while its next index is not counted.  Each node is (residue in 1..m of
+    # the next index, weight, last part, run length of the last part,
+    # parts); the root's last part n only bounds the first part.  Children
+    # are pushed smallest part first, so the largest pops first.
+    stack = [(1, 0, n, 0, ())]
+    while stack:
+        r, weight, last, run, parts = stack.pop()
+        is_counted = r in counted
+        if weight == n:
+            yield Partition._trusted(parts)
+            if is_counted:
+                continue
+        next_r = r + 1 if r < m else 1
+        top = min(last, n - weight) if is_counted else last
+        for a in range(1, top + 1):
+            if a == last and bounded and run + 1 == m:
+                continue
+            child_run = run + 1 if a == last else 1
+            child_weight = weight + a if is_counted else weight
+            stack.append((next_r, child_weight, a, child_run, parts + (a,)))
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,8 @@ class Series:
         terms = dict(self._terms)
         mon = _as_monomial(self._context, monomial)
         if mon.within(self._context.caps):
-            _mul_one_minus(terms, _layout(self._context.caps), mon, coefficient)
+            layout = _layout(self._context.caps)
+            _mul_one_minus(terms, layout, layout.pack(mon), coefficient)
         return Series._raw(self._context, terms)
 
     def div_one_minus(self, monomial):
@@ -331,7 +332,8 @@ class Series:
             raise ValueError("cannot divide by 1 - 1; the monomial must be nonconstant")
         terms = self._terms
         if mon.within(self._context.caps):
-            terms = _div_one_minus(terms, _layout(self._context.caps), mon)
+            layout = _layout(self._context.caps)
+            terms = _div_one_minus(terms, layout, layout.pack(mon))
         return Series._raw(self._context, terms)
 
     def __pow__(self, k):
@@ -414,11 +416,10 @@ def _bucket_variable(a, b, caps, layout):
     return best
 
 
-def _mul_one_minus(terms, layout, mon, coefficient):
-    # In place: terms *= (1 - coefficient * x^mon), for an in-cap mon.  The
-    # snapshot keeps each shifted term reading the input coefficient, also
-    # when mon is constant.
-    step = layout.pack(mon)
+def _mul_one_minus(terms, layout, step, coefficient):
+    # In place: terms *= (1 - coefficient * x^step), for the packed key step
+    # of an in-cap monomial.  The snapshot keeps each shifted term reading
+    # the input coefficient, also when the monomial is constant.
     off, guard = layout.off, layout.guard
     for key, value in list(terms.items()):
         shifted = key + step
@@ -430,15 +431,14 @@ def _mul_one_minus(terms, layout, mon, coefficient):
                 terms.pop(shifted, None)
 
 
-def _div_one_minus(terms, layout, mon):
-    # terms / (1 - x^mon) by out[k] = in[k] + out[k - mon], for an in-cap,
-    # nonconstant mon; terms is left as it is.  Keys k and k + mon lie on
-    # one chain, and the packed k + mon is the larger int.  Taken in
-    # ascending packed order, the first key met on a chain is its lowest
-    # input key; the chain is walked once from there up to the caps,
+def _div_one_minus(terms, layout, step):
+    # terms / (1 - x^step) by out[k] = in[k] + out[k - step], for the packed
+    # key step of an in-cap, nonconstant monomial; terms is left as it is.
+    # Keys k and k + step lie on one chain, and k + step is the larger int.
+    # Taken in ascending packed order, the first key met on a chain is its
+    # lowest input key; the chain is walked once from there up to the caps,
     # popping each input value it passes, so a popped key is never a
     # chain's start.
-    step = layout.pack(mon)
     off, guard = layout.off, layout.guard
     pending = dict(terms)
     out = {}
@@ -454,6 +454,20 @@ def _div_one_minus(terms, layout, mon):
     return out
 
 
+def _factor_steps(context, z, g, n=None):
+    # The packed keys of the factors z * g**k (k < n when n is given), up to
+    # the first factor that leaves the caps.  With g constant every factor
+    # is z, so stopping there loses no in-cap factor.
+    caps = context.caps
+    pack = _layout(caps).pack
+    cur = z
+    for _ in repeat(None) if n is None else range(n):
+        if not cur.within(caps):
+            return
+        yield pack(cur)
+        cur = cur * g
+
+
 def geometric_inverse(context, monomial):
     """The truncation of ``1 / (1 - monomial)``, i.e. the geometric sum of its powers.
 
@@ -462,19 +476,10 @@ def geometric_inverse(context, monomial):
     :meth:`Series.div_one_minus`; this whole-series form is the reference
     the tests compare that step against.
     """
-    mon = Monomial(monomial)
-    if len(mon) != len(context.variables):
-        raise ValueError(f"monomial {mon} has wrong arity for {context.variables}")
+    mon = _as_monomial(context, monomial)
     if mon.is_constant():
         raise ValueError("cannot invert 1 - 1; the monomial must be nonconstant")
-    caps = context.caps
-    pack = _layout(caps).pack
-    out = {}
-    cur = Monomial([0] * len(caps))
-    while cur.within(caps):
-        out[pack(cur)] = 1
-        cur = cur * mon
-    return Series._raw(context, out)
+    return Series._raw(context, dict.fromkeys(_factor_steps(context, context.monomial(), mon), 1))
 
 
 def _as_monomial(context, monomial):
@@ -494,16 +499,10 @@ def poch_finite(context, z, g, n, coefficient=1):
         raise ValueError(f"factor count must be a nonnegative integer, got {n!r}")
     z = _as_monomial(context, z)
     g = _as_monomial(context, g)
-    caps = context.caps
-    layout = _layout(caps)
+    layout = _layout(context.caps)
     terms = {0: 1}
-    cur = z
-    for _ in range(n):
-        if cur.within(caps):
-            _mul_one_minus(terms, layout, cur, coefficient)
-        elif not g.is_constant():
-            break
-        cur = cur * g
+    for step in _factor_steps(context, z, g, n):
+        _mul_one_minus(terms, layout, step, coefficient)
     return Series._raw(context, terms)
 
 
@@ -519,13 +518,10 @@ def poch_infinite(context, z, g, coefficient=1):
     g = _as_monomial(context, g)
     if z.is_constant() or g.is_constant():
         raise ValueError("base and ratio must both be nonconstant monomials")
-    caps = context.caps
-    layout = _layout(caps)
+    layout = _layout(context.caps)
     terms = {0: 1}
-    cur = z
-    while cur.within(caps):
-        _mul_one_minus(terms, layout, cur, coefficient)
-        cur = cur * g
+    for step in _factor_steps(context, z, g):
+        _mul_one_minus(terms, layout, step, coefficient)
     return Series._raw(context, terms)
 
 
@@ -540,13 +536,10 @@ def poch_infinite_inverse(context, z, g):
     g = _as_monomial(context, g)
     if z.is_constant() or g.is_constant():
         raise ValueError("base and ratio must both be nonconstant monomials")
-    caps = context.caps
-    layout = _layout(caps)
+    layout = _layout(context.caps)
     terms = {0: 1}
-    cur = z
-    while cur.within(caps):
-        terms = _div_one_minus(terms, layout, cur)
-        cur = cur * g
+    for step in _factor_steps(context, z, g):
+        terms = _div_one_minus(terms, layout, step)
     return Series._raw(context, terms)
 
 

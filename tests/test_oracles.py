@@ -902,6 +902,13 @@ def test_partitions_with_schmidt_weight_matches_recursive_walk(m):
                 assert list(partitions_with_schmidt_weight(n, m, s, cls)) == list(
                     recursive_partitions_with_schmidt_weight(n, m, s, cls)
                 ), (s, cls, n)
+    if m == 2:
+        # The deepest stacks the objects benchmark deck streams.
+        for cls in ("P", "D"):
+            for n in range(10, 15):
+                assert list(partitions_with_schmidt_weight(n, 2, (1,), cls)) == list(
+                    recursive_partitions_with_schmidt_weight(n, 2, (1,), cls)
+                ), (cls, n)
 
 
 
@@ -937,6 +944,11 @@ def test_pochhammer_builders_match_whole_series_products(ctx, base, ratio):
     # A constant ratio repeats one factor n times.
     const = ctx.monomial()
     assert poch_finite(ctx, z, const, 4, 3) == poch_finite_by_products(ctx, z, const, 4, 3)
+    # A constant ratio with a base above the caps repeats a factor of 1.
+    above = ctx.monomial(**{v: c + 1 for v, c in zip(ctx.variables, ctx.caps)})
+    assert poch_finite(ctx, above, const, 4, 3) == poch_finite_by_products(
+        ctx, above, const, 4, 3
+    ) == ctx.one()
 
 
 @pytest.mark.parametrize("identity", ["ak_trivariate", "overpartition", "cor22"])
@@ -962,8 +974,9 @@ def test_residue_product_sides_match_whole_series_products(identity):
 
 
 def test_ln_series_matches_whole_series_recurrence():
-    for n in range(8):
-        assert ln_series(n, 16) == ln_series_by_products(n, 16), n
+    for qcap in (0, 1, 2, 16):
+        for n in range(8):
+            assert ln_series(n, qcap) == ln_series_by_products(n, qcap), (n, qcap)
 
 
 def test_t1_slice_closed_form_matches_whole_series_products():

@@ -1,6 +1,7 @@
 """Rules about the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import schmidtq
@@ -36,6 +37,26 @@ def imported_names(module):
             continue
         found += [(f"{module}:{node.lineno} {name}", set(name.split("."))) for name in names]
     return found
+
+
+def test_src_imports_only_the_standard_library():
+    # schmidtq has no runtime dependencies: every absolute import names a
+    # standard-library module.  Relative imports stay inside the package.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert found == []
 
 
 def test_partitions_reads_no_other_side():
