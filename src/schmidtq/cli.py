@@ -11,6 +11,7 @@ with every number as a decimal string.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -106,7 +107,10 @@ def _params(args, entry):
     return {"m": _need(args, "--m"), "i": _contiguous_block(_need(args, "--s"))}
 
 
+@functools.cache
 def _build_parser():
+    # Built once per process: a parse leaves the parser as it was, and
+    # building it costs more than most commands.
     parser = argparse.ArgumentParser(
         prog="schmidtq",
         description="Exact checks and maps for Schmidt-type partition statistics.",

@@ -46,6 +46,14 @@ class ColoredPartition:
         norm.sort(reverse=True)
         self._parts = tuple(norm)
 
+    @classmethod
+    def _trusted(cls, parts):
+        # The enumerators build (size, color) tuples of positive ints sorted
+        # decreasing already; skip the validation of __init__.
+        mu = object.__new__(cls)
+        mu._parts = parts
+        return mu
+
     @property
     def parts(self):
         return self._parts
@@ -148,10 +156,9 @@ def colored_partitions(n, m, s, top):
             palette = range(hi - 1, lo - 1, -1)
             options.append(list(combinations_with_replacement(palette, count)))
         for choice in product(*options):
-            parts = []
-            for (size, _), colors in zip(groups, choice):
-                parts.extend((size, c) for c in colors)
-            yield ColoredPartition(parts)
+            yield ColoredPartition._trusted(
+                tuple((size, c) for (size, _), colors in zip(groups, choice) for c in colors)
+            )
 
 
 class Overpartition:
@@ -175,6 +182,15 @@ class Overpartition:
         if len(set(sizes)) != len(sizes):
             raise ValueError(f"duplicate size entries in {norm}")
         self._entries = tuple(norm)
+
+    @classmethod
+    def _trusted(cls, entries):
+        # The enumerators build (size, count, overlined) entries with strictly
+        # decreasing positive sizes, positive counts and bool flags already;
+        # skip the validation of __init__.
+        mu = object.__new__(cls)
+        mu._entries = entries
+        return mu
 
     @classmethod
     def from_flagged_parts(cls, flagged):
@@ -245,8 +261,8 @@ def overpartitions(n):
         raise ValueError(f"size must be nonnegative, got {n}")
     for groups in partition_groups(n):
         for flags in product((False, True), repeat=len(groups)):
-            yield Overpartition(
-                (size, count, flag) for (size, count), flag in zip(groups, flags)
+            yield Overpartition._trusted(
+                tuple((size, count, flag) for (size, count), flag in zip(groups, flags))
             )
 
 

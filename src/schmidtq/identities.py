@@ -29,33 +29,30 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations
 from math import isqrt
 from typing import NamedTuple
 
 from .colored import (
+    ColoredPartition,
+    Overpartition,
     _overpartition_table,
-    color_counts,
     colored_bucket_counts,
     colored_partition_total,
-    colored_partitions,
-    over_stats,
-    overpartitions,
 )
 from .partitions import (
     _check_modulus,
+    _length_walk,
     _part_size_pass,
     _schmidt_weight_total,
-    in_class,
+    _weight_walk,
     normalize_residue_set,
     partition_groups,
-    partitions_of,
     partitions_with_schmidt_weight,
     repetition_profile,
     residue_column_count,
     residue_column_table,
     schmidt_bucket_counts,
-    schmidt_weight,
     schmidt_weight_table,
     split_bucket,
 )
@@ -379,12 +376,6 @@ def _required(value, name):
 # enumeration sides
 
 
-def _repeated_size_count(lam):
-    # Number of part sizes occurring more than once; inside multiplicity-
-    # below-4 partitions this is exactly the count of sizes used 2 or 3 times.
-    return sum(1 for _, grp in groupby(lam.parts) if len(tuple(grp)) > 1)
-
-
 def _cor22_counts(qcap):
     # Every partition with odd-index weight at most qcap and every
     # multiplicity below 4, by (weight, repeated sizes, alternating sum).  A
@@ -668,7 +659,10 @@ def witnesses(identity, exponents, *, m=None, i=None):
     omitted variables mean zero.  A nonzero exponent of a variable the
     identity is not graded by (s for the q/t1/t2 identities, t1 or t2 for
     the s-graded ones) raises ``ValueError``.  Objects come back in
-    enumeration order.
+    enumeration order: partitions reverse-lexicographically, and within one
+    partition the colorings or overlinings in the order of
+    ``colored_partitions`` and ``overpartitions``.  Only objects on the
+    monomial are built.
     """
     exps = dict(exponents)
     _checked(identity, m, i)
@@ -677,32 +671,51 @@ def witnesses(identity, exponents, *, m=None, i=None):
     t1 = exps.get("t1", 0)
     t2 = exps.get("t2", 0)
     size = exps.get("s", 0)
-    out = []
     if identity == "ak_trivariate":
-        for mu in colored_partitions(q, 2, (1,), 3):
-            if color_counts(mu, 2) == (t1, t2):
-                out.append(mu.to_text())
-    elif identity == "overpartition":
-        for mu in overpartitions(q):
-            o, length = over_stats(mu)
-            if o == t1 and length - o == t2:
-                out.append(mu.to_text())
-    elif identity == "cor22":
-        for lam in partitions_with_schmidt_weight(q, 2, (1,), "P"):
-            if not in_class(lam, "D", 4):
-                continue
-            if _repeated_size_count(lam) == t1 and residue_column_count(lam, 2, 1) == t2:
-                out.append(lam.to_text())
+        # The 2-colored partitions of q with t1 parts colored 1 and t2
+        # colored 2: each group of c copies takes j of color 1, the rest of
+        # color 2 first, with j ascending from the first group on.
+        return [
+            ColoredPartition._trusted(
+                tuple(
+                    part
+                    for (a, c), j in zip(groups, ones)
+                    for part in ((a, 2),) * (c - j) + ((a, 1),) * j
+                )
+            ).to_text()
+            for groups in _length_walk(q, t1 + t2)
+            for ones in _splits(t1, [c for _, c in groups])
+        ]
+    if identity == "overpartition":
+        # t1 of the sizes overlined, their flags in the order of
+        # overpartitions: the sets of plain sizes in lexicographic order.
+        return [
+            Overpartition._trusted(
+                tuple((a, c, g not in plain) for g, (a, c) in enumerate(groups))
+            ).to_text()
+            for groups in _length_walk(q, t1 + t2, t1)
+            for plain in combinations(range(len(groups)), len(groups) - t1)
+        ]
+    if identity == "cor22":
+        # Odd-index weight q and alternating sum t2 put q - t2 on the even
+        # indices, so these are partitions of 2q - t2.
+        stream = _weight_walk(2 * q - t2, 2, 1, q, most=3, repeated=t1)
     elif identity in ("mork_odd", "mork_even"):
-        for lam in partitions_of(size, "D", 2):
-            odd = schmidt_weight(lam, 2, (1,))
-            w = odd if identity == "mork_odd" else size - odd
-            if w == q:
-                out.append(lam.to_text())
-    elif identity in ("psi_all", "psi_dm"):
-        residues = tuple(range(1, i + 1))
-        cls = "P" if identity == "psi_all" else "D"
-        for lam in partitions_of(size, cls, m):
-            if schmidt_weight(lam, m, residues) == q:
-                out.append(lam.to_text())
-    return out
+        stream = _weight_walk(size, 2, 1, q if identity == "mork_odd" else size - q, most=1)
+    else:
+        most = None if identity == "psi_all" else m - 1
+        stream = _weight_walk(size, m, i, q, most=most)
+    return [",".join(str(a) for a, c in groups for _ in range(c)) for groups in stream]
+
+
+def _splits(total, bounds):
+    # Every (j_1, ..., j_k) with 0 <= j_g <= bounds[g] summing to total, in
+    # lexicographic order.
+    if not bounds:
+        if total == 0:
+            yield ()
+        return
+    rest = sum(bounds[1:])
+    for j in range(max(total - rest, 0), min(bounds[0], total) + 1):
+        for tail in _splits(total - j, bounds[1:]):
+            yield (j, *tail)

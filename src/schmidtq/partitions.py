@@ -267,13 +267,161 @@ def _expand(groups):
 
 
 def partitions_of(n, cls="P", m=None):
-    """Yield the partitions of ``n`` in the given class, reverse-lexicographically."""
+    """Yield the partitions of ``n`` in the given class, reverse-lexicographically.
+
+    Only members of the class are built.  Class R lists the partitions of
+    ``n / m`` with every part scaled by ``m``; classes D and F walk the
+    partitions of ``n`` without ever making an ``m``-th copy of a size, or a
+    prefix that can no longer close with every gap below ``m``.
+    """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
     _check_class(cls, m)
-    for groups in partition_groups(n):
-        if _groups_in_class(groups, cls, m):
-            yield Partition._trusted(_expand(groups))
+    if cls == "P":
+        stream = partition_groups(n)
+    elif cls == "R":
+        stream = (
+            tuple((m * size, count) for size, count in groups)
+            for groups in (partition_groups(n // m) if n % m == 0 else ())
+        )
+    elif cls == "D":
+        stream = _walk(n, _multiplicity_rule(m - 1))
+    else:
+        stream = _walk(n, _gap_rule(m, n))
+    for groups in stream:
+        yield Partition._trusted(_expand(groups))
+
+
+def _walk(n, children, state=None, *, empty=True):
+    # The one pruned walk behind the class and witness streams: depth first
+    # over the groups (a, c), c copies of a part a, of the partitions of n,
+    # sizes decreasing.  children(rem, last, state) lists the groups that may
+    # follow a prefix that leaves rem to place and whose smallest size is last
+    # (n + 1 at the root), as (a, c, child state) triples, a and then c
+    # decreasing; that order makes the walk reverse-lexicographic.  It lists
+    # every group a kept partition goes on with, and a group that leaves 0
+    # only if it completes a kept partition; the fewer groups it lists that
+    # cannot close, the fewer dead ends the walk meets.  Yields the groups of
+    # each kept partition, and of the empty one at n = 0 when empty says so.
+    stack = [(n, n + 1, state, ())]
+    while stack:
+        rem, last, state, groups = stack.pop()
+        if not rem:
+            if groups or empty:
+                yield groups
+            continue
+        kids = [
+            (rem - a * c, a, child, groups + ((a, c),))
+            for a, c, child in children(rem, last, state)
+        ]
+        kids.reverse()
+        stack += kids
+
+
+def _multiplicity_rule(most):
+    # Class D: at most `most` copies of a size, and no group that leaves more
+    # than the sizes below it hold with `most` copies each.
+    def children(rem, last, _):
+        for a in range(min(last - 1, rem), 0, -1):
+            below = most * a * (a - 1) // 2
+            if below + most * a < rem:
+                break
+            for c in range(min(most, rem // a), 0, -1):
+                if rem - a * c > below:
+                    break
+                yield a, c, None
+
+    return children
+
+
+def _gap_rule(m, n):
+    # Class F: gaps below m, the last part's gap to 0 included.  close[a] is
+    # the least that parts below a last part a must add to close: the descent
+    # a - (m - 1), a - 2(m - 1), ... to a part below m.  Anything larger closes
+    # too, by parts of size 1 after that descent, so a group of a > 1 closes
+    # exactly when it leaves at least close[a], and a group of 1s when it
+    # leaves nothing.
+    close = [0] * (n + 1)
+    for a in range(m, n + 1):
+        close[a] = a - m + 1 + close[a - m + 1]
+
+    def children(rem, last, _):
+        lowest = max(last - m + 1, 1) if last <= n else 1
+        for a in range(min(last - 1, rem), lowest - 1, -1):
+            for c in range((rem - close[a]) // a, 0 if a > 1 else rem - 1, -1):
+                yield a, c, None
+
+    return children
+
+
+def _length_walk(n, length, sizes=0):
+    # The groups of the partitions of n with exactly `length` parts and at
+    # least `sizes` distinct sizes, reverse-lexicographically.  The state is
+    # (parts left, distinct sizes still needed).  After a group of size a,
+    # the k parts left lie in 1..a-1, and d more sizes need at least 1..d
+    # plus k - d parts 1, and leave room for at most a-1, ..., a-d plus k - d
+    # parts a - 1.
+    def children(rem, last, state):
+        left, needed = state
+        d = max(needed - 1, 0)
+        for a in range(min(last - 1, rem), 0, -1):
+            if rem > left * a:
+                break
+            for c in range(min(left, rem // a), 0, -1):
+                k, after = left - c, rem - a * c
+                if d <= min(k, a - 1) and d * (d + 1) // 2 + k - d <= after <= (
+                    k * (a - 1) - d * (d - 1) // 2
+                ):
+                    yield a, c, (k, d)
+
+    return _walk(n, children, (length, sizes), empty=length == 0 == sizes)
+
+
+def _weight_walk(n, m, i, weight, *, most=None, repeated=None):
+    # The groups of the partitions of n whose Schmidt weight on the residues
+    # 1..i mod m is `weight`, with at most `most` copies of a size, and with
+    # exactly `repeated` sizes of two copies or more unless that is None,
+    # reverse-lexicographically.  The state is (0-based residue of the next
+    # index, weight so far, repeated sizes so far).  A group leaves need to
+    # the counted indices and spare to the others.  As parts decrease, every
+    # uncounted part is at most the counted part that opens its window of m
+    # indices, and every counted part past the first counted run at most the
+    # uncounted part just before its window; so spare is at most (m - i) *
+    # need, and need at most i * spare, each plus the opening run of its kind.
+    def counted(x):
+        # Counted 0-based indices below x.
+        return x // m * i + min(x % m, i)
+
+    def children(rem, last, state):
+        r, w, rep = state
+        for a in range(min(last - 1, rem), 0, -1):
+            b = a - 1
+            if most is not None and most * a * (a + 1) // 2 < rem:
+                break
+            room = most * a * b // 2 if most is not None else (rem if b else 0)
+            for c in range(min(rem // a, most or rem), 0, -1):
+                after = rem - a * c
+                if after > room:
+                    break
+                child_w = w + a * (counted(r + c) - counted(r))
+                need = weight - child_w
+                spare = after - need
+                child_rep = rep + (c > 1)
+                more = repeated - child_rep if repeated is not None else 0
+                child_r = (r + c) % m
+                if (
+                    need < 0
+                    or spare < 0
+                    or more < 0
+                    or more > b
+                    or more * (more + 1) > after
+                    or spare > (m - i) * need + (b * (m - child_r) if child_r >= i else 0)
+                    or (i < m and need > i * spare + (b * (i - child_r) if child_r < i else 0))
+                ):
+                    continue
+                yield a, c, (child_r, child_w, child_rep)
+
+    return _walk(n, children, (0, 0, 0), empty=weight == 0 and not repeated)
 
 
 def partitions_with_schmidt_weight(n, m, s, cls="P"):

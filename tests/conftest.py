@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, groupby
 
 from schmidtq import Partition
 
@@ -15,3 +15,9 @@ def residue_sets(m, include_m):
 
 def descending(parts):
     return Partition(tuple(sorted(parts, reverse=True)))
+
+
+def repeated_size_count(lam):
+    """Number of part sizes occurring more than once; inside multiplicity-
+    below-4 partitions, the count of sizes used 2 or 3 times."""
+    return sum(1 for _, grp in groupby(lam.parts) if len(tuple(grp)) > 1)

@@ -36,9 +36,7 @@ from schmidtq import (
     verify_identity,
     witnesses,
 )
-from schmidtq.identities import _repeated_size_count
-
-from conftest import residue_sets
+from conftest import repeated_size_count, residue_sets
 
 
 def test_criterion_01_overpartition_three_way_q16():
@@ -169,7 +167,7 @@ def test_criterion_09_length_recurrence():
         for lam in partitions_with_schmidt_weight(w, 2, (1,), "P"):
             if not in_class(lam, "D", 4):
                 continue
-            key = (w, _repeated_size_count(lam), residue_column_count(lam, 2, 1))
+            key = (w, repeated_size_count(lam), residue_column_count(lam, 2, 1))
             acc = by_length.setdefault(len(lam), {})
             acc[key] = acc.get(key, 0) + 1
     for n in range(9):

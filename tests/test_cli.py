@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schmidtq.cli as cli
-from schmidtq import VerificationReport
+from schmidtq import VerificationReport, identities
 from schmidtq.cli import run
 
 
@@ -289,6 +289,32 @@ def test_verify_failure_exit_and_evidence(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "overpartition", "--q-cap", "2", "--json")
     assert code == 1
     assert json.loads(out)["status"] == "fail"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # run builds its parser once per process.  A usage error, --help, a
+    # witness and a mismatch, run in turn on that one parser, each print and
+    # exit as they do on a parser of their own.
+    original = identities.enum_side
+
+    def bumped(*args, **kw):
+        series = original(*args, **kw)
+        return series + series.context.one()
+
+    monkeypatch.setattr(identities, "enum_side", bumped)
+    calls = [
+        ["verify", "nope", "--q-cap", "3"],
+        ["--help"],
+        ["witness", "--identity", "cor22", "--mono", "q=6,t1=1,t2=2"],
+        ["verify", "overpartition", "--q-cap", "4"],
+    ]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(_run(capsys, *argv))
+    assert [code for code, _, _ in alone] == [2, 0, 0, 1]
+    assert [_run(capsys, *argv) for argv in calls] == alone
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_verify_usage_errors(capsys):

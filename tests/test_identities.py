@@ -27,7 +27,9 @@ from schmidtq import (
     witnesses,
 )
 from schmidtq import identities
-from schmidtq.identities import IDENTITY_TABLE, _compare_sides, _repeated_size_count, _series_mismatch
+from schmidtq.identities import IDENTITY_TABLE, _compare_sides, _series_mismatch
+
+from conftest import repeated_size_count
 
 
 # --- contexts ----------------------------------------------------------------
@@ -331,7 +333,7 @@ def _exact_length_enumeration(n, qcap):
         for lam in partitions_with_schmidt_weight(w, 2, (1,), "P"):
             if len(lam) != n or not in_class(lam, "D", 4):
                 continue
-            key = (w, _repeated_size_count(lam), residue_column_count(lam, 2, 1))
+            key = (w, repeated_size_count(lam), residue_column_count(lam, 2, 1))
             acc[key] = acc.get(key, 0) + 1
     return Series(ctx, acc)
 

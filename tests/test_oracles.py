@@ -86,6 +86,7 @@ from schmidtq import (
     sum_side,
     trivariate_context,
     verify_counting,
+    witnesses,
 )
 from schmidtq import identities
 from schmidtq.colored import _overpartition_table
@@ -99,7 +100,7 @@ from schmidtq.partitions import (
 )
 from schmidtq.series import ALLOWED_VARIABLES, gaussian_multinomial_coeffs
 
-from conftest import residue_sets
+from conftest import repeated_size_count, residue_sets
 
 
 # --- the replaced algorithms -------------------------------------------------
@@ -335,6 +336,44 @@ def recursive_partitions_with_schmidt_weight(n, m, s, cls="P"):
             yield from extend(prefix + (a,), w2, a, run_len + 1 if a == last else 1)
 
     yield from extend((), 0, n, 0)
+
+
+def filtered_partitions_of(n, cls="P", m=None):
+    """``partitions_of`` as a filter over every partition of n."""
+    for groups in partition_groups(n):
+        if _groups_in_class(groups, cls, m):
+            yield Partition(size for size, count in groups for _ in range(count))
+
+
+def filtered_witness_lists(identity, size, m=None, i=None):
+    """The witnesses of every monomial at one size, by the filter ``witnesses``
+    replaced: one walk over every object of the size, in its order, each text
+    appended to the list of the monomial its statistics land on."""
+    out = {}
+
+    def add(key, obj):
+        out.setdefault(key, []).append(obj.to_text())
+
+    if identity == "ak_trivariate":
+        for mu in colored_partitions(size, 2, (1,), 3):
+            add((size, *color_counts(mu, 2)), mu)
+    elif identity == "overpartition":
+        for mu in overpartitions(size):
+            o, length = over_stats(mu)
+            add((size, o, length - o), mu)
+    elif identity == "cor22":
+        for lam in partitions_with_schmidt_weight(size, 2, (1,), "P"):
+            if in_class_by_parts(lam.parts, "D", 4):
+                add((size, repeated_size_count(lam), residue_column_count(lam, 2, 1)), lam)
+    elif identity in ("mork_odd", "mork_even"):
+        for lam in filtered_partitions_of(size, "D", 2):
+            odd = schmidt_weight(lam, 2, (1,))
+            add((odd if identity == "mork_odd" else size - odd, size), lam)
+    else:
+        cls = "P" if identity == "psi_all" else "D"
+        for lam in filtered_partitions_of(size, cls, m):
+            add((schmidt_weight(lam, m, tuple(range(1, i + 1))), size), lam)
+    return out
 
 
 def object_counting_enum_terms(identity, qcap):
@@ -861,20 +900,60 @@ def test_partitions_of_matches_recursive_walk():
                 ), (n, cls, m)
 
 
+def test_class_streams_match_the_filter():
+    for n in range(23):
+        for cls in ("D", "F", "R"):
+            for m in (2, 3, 4):
+                assert list(partitions_of(n, cls, m)) == list(
+                    filtered_partitions_of(n, cls, m)
+                ), (n, cls, m)
+
+
+@pytest.mark.parametrize("identity", ["ak_trivariate", "overpartition", "cor22"])
+def test_q_graded_witnesses_match_the_filter(identity):
+    # Every witness monomial of size q has t1, t2 <= q; the monomials around
+    # them must have none.
+    for q in range(15):
+        want = filtered_witness_lists(identity, q)
+        assert all(t1 <= q and t2 <= q for _, t1, t2 in want), q
+        for t1 in range(q + 2):
+            for t2 in range(q + 2):
+                got = witnesses(identity, {"q": q, "t1": t1, "t2": t2})
+                assert got == want.get((q, t1, t2), []), (q, t1, t2)
+
+
+@pytest.mark.parametrize("identity", ["mork_odd", "mork_even", "psi_all", "psi_dm"])
+def test_s_graded_witnesses_match_the_filter(identity):
+    if identity.startswith("mork"):
+        params = [(None, None)]
+    else:
+        params = [(m, i) for m in (2, 3, 4) for i in range(1, m + 1)]
+    for m, i in params:
+        for s in range(15):
+            want = filtered_witness_lists(identity, s, m, i)
+            for q in range(s + 2):
+                got = witnesses(identity, {"q": q, "s": s}, m=m, i=i)
+                assert got == want.get((q, s), []), (m, i, s, q)
+
+
 PALETTES = [(2, (1,), 3), (2, (1,), 2), (3, (1, 2), 3), (3, (1, 3), 4), (3, (1, 2, 3), 4)]
 
 
 @pytest.mark.parametrize("m, s, top", PALETTES)
 def test_colored_partitions_match_recursive_walk(m, s, top):
     for n in range(15):
-        assert list(colored_partitions(n, m, s, top)) == list(
-            recursive_colored_partitions(n, m, s, top)
-        ), n
+        got = list(colored_partitions(n, m, s, top))
+        assert got == list(recursive_colored_partitions(n, m, s, top)), n
+        # The stream builds through the trusted constructor.
+        assert all(ColoredPartition(mu.parts) == mu for mu in got), n
 
 
 def test_overpartitions_match_recursive_walk():
     for n in range(15):
-        assert list(overpartitions(n)) == list(recursive_overpartitions(n)), n
+        got = list(overpartitions(n))
+        assert got == list(recursive_overpartitions(n)), n
+        # The stream builds through the trusted constructor.
+        assert all(Overpartition(mu.entries) == mu for mu in got), n
 
 
 @pytest.mark.parametrize("m, s, top", PALETTES)

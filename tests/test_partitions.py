@@ -18,6 +18,7 @@ from schmidtq import (
     schmidt_weight,
     schmidt_weight_table,
 )
+from schmidtq import partitions
 
 from conftest import descending
 
@@ -155,6 +156,29 @@ def test_enumerate_by_size_classes_agree_with_filters():
             got = [p.parts for p in partitions_of(n, cls, m)]
             want = [p.parts for p in everything if in_class(p, cls, m)]
             assert got == want
+
+
+def test_class_and_length_walks_meet_no_dead_end(monkeypatch):
+    # Their rules list only the groups after which a prefix can still close,
+    # so every prefix below the root has a group to add.
+    walk = partitions._walk
+
+    def checked(n, children, state=None, **kw):
+        def listed(rem, last, st):
+            kids = list(children(rem, last, st))
+            assert kids or last > n, (n, rem, last, st)
+            return kids
+
+        return walk(n, listed, state, **kw)
+
+    monkeypatch.setattr(partitions, "_walk", checked)
+    for n in range(16):
+        for cls in ("D", "F"):
+            for m in (2, 3, 4):
+                assert list(partitions_of(n, cls, m))
+        for length in range(n + 1):
+            for sizes in range(length + 1):
+                list(partitions._length_walk(n, length, sizes))
 
 
 def test_enumerate_by_schmidt_weight_examples():

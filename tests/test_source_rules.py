@@ -117,12 +117,31 @@ def test_colored_shares_no_counting_loop_with_the_schmidt_side():
     assert found == []
 
 
+def test_witnesses_build_only_the_objects_they_keep():
+    # witnesses walks only the objects on its monomial, so it neither
+    # streams every object of a size nor filters by a statistic or a class.
+    tree = ast.parse((SOURCE / "identities.py").read_text())
+    (func,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "witnesses"
+    ]
+    banned = {"colored_partitions", "overpartitions", "color_counts", "over_stats", "in_class"}
+    found = [
+        f"identities.py:{node.lineno} {name}"
+        for node in ast.walk(func)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None))
+        if name in banned
+    ]
+    assert found == []
+
+
 # Defined in src/ but used only from outside it, each for a reason.
 UNUSED_IN_SOURCE = {
     "geometric_inverse": "a target of perfbench/tracer.py",
     "q_multinomial": "a target of perfbench/tracer.py",
     "admissible_colors": "a target of perfbench/tracer.py",
     "cs_validate": "a target of perfbench/tracer.py",
+    "color_counts": "a target of perfbench/tracer.py",
+    "over_stats": "a target of perfbench/tracer.py",
     "Series.coefficient_at": "read by perfbench's runner and demos/coefficient_hunt.py",
     "ln_series": "a series_sides benchmark op",
     "Series.mul_one_minus": "the multiply step the README documents",
