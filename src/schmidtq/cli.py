@@ -46,6 +46,8 @@ from .partitions import Partition, partitions_of, partitions_with_schmidt_weight
 
 _CAP_FLAGS = {"qcap": "--q-cap", "scap": "--s-cap"}
 _VERIFY_IDS = SERIES_IDENTITIES + COUNTING_THEOREMS + ("cauchy", "t1_slice")
+# --side takes the report label of any compared side.
+_SIDES = tuple(dict.fromkeys(side[0] for entry in IDENTITY_TABLE.values() for side in entry.sides))
 
 
 # The type= parsers raise ArgumentTypeError, as argparse prints only that
@@ -129,7 +131,7 @@ def _build_parser():
 
     p_coeff = sub.add_parser("coeff", help="print one exact coefficient of one side")
     p_coeff.add_argument("--identity", required=True, choices=SERIES_IDENTITIES)
-    p_coeff.add_argument("--side", required=True, choices=("sum", "product", "enum"))
+    p_coeff.add_argument("--side", required=True, choices=_SIDES)
     p_coeff.add_argument("--mono", required=True, type=_parse_monomial, metavar="q=6,t1=1,t2=2")
     p_coeff.add_argument("--m", type=int)
     p_coeff.add_argument("--s", type=_parse_residues, metavar="R1,R2,...")

@@ -358,10 +358,10 @@ def colored_partition_total(n, m, s, top):
 
 
 def _overpartition_table(qcap):
-    # table[N] maps o * (qcap + 1) + p to how many overpartitions of
-    # N <= qcap have o overlined and p plain parts.  One pass over the
-    # part sizes a = qcap .. 1: c >= 1 copies of a are c plain ones, or
-    # an overlined first copy and c - 1 plain ones, so each size takes
+    # How many overpartitions of N <= qcap have o overlined and p plain
+    # parts, by (N, o, p).  One pass over the sizes a = qcap .. 1 fills
+    # table[N] by o * (qcap + 1) + p: c >= 1 copies of a are c plain ones,
+    # or an overlined first copy and c - 1 plain ones, so each size takes
     # any number of plain copies and then at most one overlined copy.
     base = qcap + 1
     table = [{} for _ in range(qcap + 1)]
@@ -369,4 +369,6 @@ def _overpartition_table(qcap):
     for a in range(qcap, 0, -1):
         _add_part(table, a, 1, range(a, qcap + 1))
         _add_part(table, a, base, range(qcap, a - 1, -1))
-    return table
+    return {
+        (n, *divmod(v, base)): count for n, row in enumerate(table) for v, count in row.items()
+    }

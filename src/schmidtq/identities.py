@@ -27,7 +27,6 @@ passes or carries the first mismatching monomial or bucket.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
@@ -42,12 +41,11 @@ from .colored import (
 )
 from .partitions import (
     _check_modulus,
+    _cor22_counts,
     _length_walk,
-    _part_size_pass,
     _schmidt_weight_total,
     _weight_walk,
     normalize_residue_set,
-    partition_groups,
     partitions_with_schmidt_weight,
     repetition_profile,
     residue_column_count,
@@ -376,33 +374,6 @@ def _required(value, name):
 # enumeration sides
 
 
-def _cor22_counts(qcap):
-    # Every partition with odd-index weight at most qcap and every
-    # multiplicity below 4, by (weight, repeated sizes, alternating sum).  A
-    # group of c copies of a sits on (c + odd) // 2 odd indices: each adds a
-    # to the weight and to the alternating sum, each even index subtracts a
-    # from the latter, and c > 1 makes the size repeated.  A state is one int
-    # (((weight * base + repeated) * base + alt) * 2 + odd), odd saying
-    # whether the next index is odd.  As index 1 is odd, each field stays in
-    # 0..qcap, so a signed step never borrows; weight is the top field.
-    base = qcap + 1
-    unit = base * base * 2
-
-    def steps(a, odd):
-        return [
-            a * ((c + odd) // 2 * unit + (2 * ((c + odd) // 2) - c) * 2)
-            + (c > 1) * base * 2 + (odd ^ (c & 1)) - odd
-            for c in (1, 2, 3)
-        ]
-
-    states = _part_size_pass({1: 1}, qcap, base * unit, 2, steps)
-    acc = Counter()
-    for key, count in states.items():
-        weight, rest = divmod(key >> 1, base * base)
-        acc[(weight, *divmod(rest, base))] += count
-    return acc
-
-
 def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
     """The brute-force generating function, graded exactly like the other sides."""
     _checked(identity, m, i, qcap=qcap, scap=scap)
@@ -412,13 +383,7 @@ def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
         table = residue_column_table(2, (1,), "P", qcap=qcap)
         return Series(trivariate_context(qcap), table)
     if identity == "overpartition":
-        table = _overpartition_table(qcap)
-        terms = {
-            (n, *divmod(v, qcap + 1)): count
-            for n, by_parts in enumerate(table)
-            for v, count in by_parts.items()
-        }
-        return Series(trivariate_context(qcap), terms)
+        return Series(trivariate_context(qcap), _overpartition_table(qcap))
     if identity == "cor22":
         return Series(trivariate_context(qcap), _cor22_counts(qcap))
     if identity in ("mork_odd", "mork_even"):
@@ -552,10 +517,9 @@ def _counting_buckets(theorem, n, m, s):
         _check_odd_index_count(m, s)
         cls = "D" if theorem == "schmidt" else "P"
         lhs = _schmidt_weight_total(n, 2, (1,), cls)
-        if theorem == "schmidt":
-            rhs = sum(1 for _ in partition_groups(n))
-        else:
-            rhs = colored_partition_total(n, 2, (1,), 3)
+        # One color per part under ceiling m for schmidt, as ak_main has for
+        # class D: the partitions of n.  Two colors under m + 1 for uncu.
+        rhs = colored_partition_total(n, 2, (1,), 2 if theorem == "schmidt" else 3)
         return {"m": 2, "s": [1]}, {"total": lhs}, {"total": rhs}, str
     if theorem == "ak_main":
         # Keys pack rho_1 .. rho_{m-1}, or the counts of colors 1 .. m-1.

@@ -516,6 +516,33 @@ def _part_size_pass(states, cap, limit, m, steps, *, block=0, first=()):
     return states
 
 
+def _cor22_counts(qcap):
+    # Every partition with odd-index weight at most qcap and every
+    # multiplicity below 4, by (weight, repeated sizes, alternating sum).  A
+    # group of c copies of a sits on (c + odd) // 2 odd indices: each adds a
+    # to the weight and to the alternating sum, each even index subtracts a
+    # from the latter, and c > 1 makes the size repeated.  A state is one int
+    # (((weight * base + repeated) * base + alt) * 2 + odd), odd saying
+    # whether the next index is odd.  As index 1 is odd, each field stays in
+    # 0..qcap, so a signed step never borrows; weight is the top field.
+    base = qcap + 1
+    unit = base * base * 2
+
+    def steps(a, odd):
+        return [
+            a * ((c + odd) // 2 * unit + (2 * ((c + odd) // 2) - c) * 2)
+            + (c > 1) * base * 2 + (odd ^ (c & 1)) - odd
+            for c in (1, 2, 3)
+        ]
+
+    states = _part_size_pass({1: 1}, qcap, base * unit, 2, steps)
+    acc = Counter()
+    for key, count in states.items():
+        weight, rest = divmod(key >> 1, base * base)
+        acc[(weight, *divmod(rest, base))] += count
+    return acc
+
+
 def _schmidt_states(counted, cls, cap, *, sized):
     # The pass's states for the class-P/D partitions with parts at most
     # cap: ((size * (cap + 1) + weight) * m + r) when sized, else

@@ -45,10 +45,7 @@ from itertools import repeat
 from operator import and_, le, lshift, rshift
 from typing import NamedTuple
 
-ALLOWED_VARIABLES = ("q", "t1", "t2", "s", "z")
-
 __all__ = [
-    "ALLOWED_VARIABLES",
     "Monomial",
     "SeriesContext",
     "Series",
@@ -104,8 +101,9 @@ class SeriesContext:
         if len(variables) != len(set(variables)):
             raise ValueError(f"duplicate variables in {variables}")
         for v in variables:
-            if v not in ALLOWED_VARIABLES:
-                raise ValueError(f"unknown variable {v!r}; choose from {ALLOWED_VARIABLES}")
+            # Names are the keywords of monomial(**exponents).
+            if not (isinstance(v, str) and v.isidentifier()):
+                raise ValueError(f"variable names must be identifiers, got {v!r}")
         if len(caps) != len(variables):
             raise ValueError("need exactly one cap per variable")
         if any(c < 0 for c in caps):
@@ -554,26 +552,29 @@ def _dense_mul(a, b):
 
 @lru_cache(maxsize=None)
 def gaussian_binomial_coeffs(n, k):
-    """Dense coefficient tuple of the Gaussian binomial, via the q-Pascal rule.
+    """Dense coefficient tuple of the Gaussian binomial, as a product.
 
-    Uses ``[n, k] = [n-1, k-1] + q^k [n-1, k]``; the result has degree
-    ``k * (n - k)`` and nonnegative coefficients.  Out-of-range ``k`` is
-    the empty selection, a zero polynomial.
+    ``[n, k]`` is the product over ``i = 1..k`` of ``(1 - q^(n-k+i)) /
+    (1 - q^i)``, with ``k`` the smaller of ``k`` and ``n - k``: one
+    multiply and one exact divide step per factor on one dense list.  The
+    result has degree ``k * (n - k)`` and nonnegative coefficients.
+    Out-of-range ``k`` is the empty selection, a zero polynomial.
     """
     if not (isinstance(n, int) and isinstance(k, int)) or n < 0:
         raise ValueError(f"need integers with n >= 0, got n={n!r}, k={k!r}")
     if k < 0 or k > n:
         return (0,)
-    if k == 0 or k == n:
-        return (1,)
-    left = gaussian_binomial_coeffs(n - 1, k - 1)
-    right = gaussian_binomial_coeffs(n - 1, k)
-    out = [0] * (k * (n - k) + 1)
-    for i, c in enumerate(left):
-        out[i] += c
-    for i, c in enumerate(right):
-        out[i + k] += c
-    return tuple(out)
+    k = min(k, n - k)
+    # After i factors the list holds [n - k + i, i], of degree i * (n - k);
+    # the multiply step takes it to i * (n - k + 1) before the divide.
+    out = [1] + [0] * (k * (n - k + 1))
+    for i in range(1, k + 1):
+        a, top = n - k + i, i * (n - k + 1)
+        for d in range(top, a - 1, -1):
+            out[d] -= out[d - a]
+        for d in range(i, top + 1):
+            out[d] += out[d - i]
+    return tuple(out[: k * (n - k) + 1])
 
 
 def gaussian_multinomial_coeffs(n, parts):

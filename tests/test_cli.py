@@ -129,6 +129,22 @@ def test_coeff_cor22_delegates_sum_and_product(capsys):
         assert (code, out) == (0, "6\n")
 
 
+def test_coeff_takes_every_report_label(capsys):
+    # A failing verify cor22 names its sides by these labels.
+    code, out, _ = _run(
+        capsys,
+        "coeff", "--identity", "cor22", "--side", "enum_overpartition",
+        "--mono", "q=6,t1=1,t2=2",
+    )
+    assert (code, out) == (0, "6\n")
+    code, _, err = _run(
+        capsys,
+        "coeff", "--identity", "overpartition", "--side", "enum_overpartition",
+        "--mono", "q=6,t1=1,t2=2",
+    )
+    assert code == 2 and "overpartition has no enum_overpartition side" in err
+
+
 def test_coeff_size_graded(capsys):
     code, out, _ = _run(
         capsys, "coeff", "--identity", "mork_odd", "--side", "enum", "--mono", "q=2,s=3"
@@ -246,6 +262,12 @@ def test_verify_standalone_checks(capsys):
     assert (code, out) == (0, "cauchy: pass\n")
     code, out, _ = _run(capsys, "verify", "t1_slice", "--n", "1", "--q-cap", "8")
     assert (code, out) == (0, "t1_slice: pass\n")
+
+
+def test_verify_cauchy_at_many_factors(capsys):
+    # 1500 factors need Gaussian binomials far deeper than the recursion limit.
+    code, out, _ = _run(capsys, "verify", "cauchy", "--n", "1500", "--q-cap", "5")
+    assert (code, out) == (0, "cauchy: pass\n")
 
 
 def test_verify_json_output(capsys):
@@ -517,7 +539,7 @@ VALUES = {
         max_size=3,
     ).map(lambda pieces: ",".join("".join(piece) for piece in pieces)),
     "--identity": st.sampled_from(cli.SERIES_IDENTITIES),
-    "--side": st.sampled_from(["sum", "product", "enum"]),
+    "--side": st.sampled_from(["sum", "product", "enum", "enum_overpartition"]),
     "--bijection": st.sampled_from(["psi", "mork", "glaisher", "decompose"]),
     "--partition": st.sampled_from(["", "3,2,1", "2,3", "4_1,2_2", "2,1;3", "x", "0"]),
     "--class": st.sampled_from(["P", "D", "F", "R", "cs", "over"]),

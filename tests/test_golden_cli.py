@@ -112,6 +112,8 @@ COMMANDS = (
     "coeff --identity psi_dm --side enum --mono q=5,s=7 --m 3 --s 1,2",
     "coeff --identity mork_odd --side sum --mono q=1",
     "coeff --identity cor22 --side enum --mono s=2",
+    "coeff --identity cor22 --side enum_overpartition --mono q=6,t1=1,t2=2",
+    "coeff --identity overpartition --side enum_overpartition --mono q=6,t1=1,t2=2",
     "witness --identity cor22 --mono s=3",
     # a repeated residue spells the same block
     "verify psi_all --m 3 --s 1,1,2 --s-cap 6",

@@ -39,10 +39,17 @@ overpartition side are tables over part sizes as well.  The
 profile-carrying walk, the multiplicity-group counts and the partition
 walk of the overpartition side they replaced are kept below.  The color
 counts are read off ``colored_bucket_counts`` through ``split_bucket``,
-and the overpartition counts off the rows of ``_overpartition_table``.
+and the overpartition counts off the ``(N, o, p)`` keys of
+``_overpartition_table``.
+
+The Gaussian binomials are products of one multiply and one divide step
+per factor, and the ``schmidt`` colored side is a colored total with one
+color per part.  The q-Pascal recursion and the walk over the partitions
+of n they replaced are kept below.
 """
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
 from math import comb
 from operator import add, itemgetter, le
@@ -90,15 +97,16 @@ from schmidtq import (
 )
 from schmidtq import identities
 from schmidtq.colored import _overpartition_table
-from schmidtq.identities import _cor22_counts, _hook_exponent, _t1_slice_closed_form
+from schmidtq.identities import _hook_exponent, _t1_slice_closed_form
 from schmidtq.partitions import (
     _check_class,
+    _cor22_counts,
     _digits,
     _groups_in_class,
     _schmidt_params,
     partition_groups,
 )
-from schmidtq.series import ALLOWED_VARIABLES, gaussian_multinomial_coeffs
+from schmidtq.series import gaussian_binomial_coeffs, gaussian_multinomial_coeffs
 
 from conftest import repeated_size_count, residue_sets
 
@@ -250,6 +258,21 @@ def t1_closed_form_by_products(ctx, J):
         inner = inner + Series(ctx, {ctx.monomial(q=mm * mm, t2=mm): 1}) * denom
         mm += 1
     return prefix * inner
+
+
+@lru_cache(maxsize=None)
+def pascal_gaussian_binomial(n, k):
+    """``[n, k]`` by the q-Pascal rule ``[n, k] = [n-1, k-1] + q^k [n-1, k]``."""
+    if k < 0 or k > n:
+        return (0,)
+    if k == 0 or k == n:
+        return (1,)
+    out = [0] * (k * (n - k) + 1)
+    for i, c in enumerate(pascal_gaussian_binomial(n - 1, k - 1)):
+        out[i] += c
+    for i, c in enumerate(pascal_gaussian_binomial(n - 1, k)):
+        out[i + k] += c
+    return tuple(out)
 
 
 # --- the replaced enumerators ------------------------------------------------
@@ -650,10 +673,11 @@ def color_count_table(n, m, s, top):
 
 
 def overpartition_rows(cap):
-    """The rows of ``_overpartition_table(cap)`` keyed by (overlined, plain) part count."""
-    return [
-        unpacked(row, lambda v: divmod(v, cap + 1)) for row in _overpartition_table(cap)
-    ]
+    """``_overpartition_table(cap)`` as one row per size, keyed by (overlined, plain) part count."""
+    rows = [Counter() for _ in range(cap + 1)]
+    for (n, o, p), count in _overpartition_table(cap).items():
+        rows[n][o, p] += count
+    return rows
 
 
 def object_counting_buckets(theorem, n, m=None, s=None, extra=()):
@@ -1224,7 +1248,7 @@ def packed_context(data):
     """A context of 1-5 variables with caps at the field-width edges."""
     width = data.draw(st.integers(1, 5))
     caps = data.draw(st.lists(st.sampled_from(CAP_EDGES), min_size=width, max_size=width))
-    return SeriesContext(ALLOWED_VARIABLES[:width], tuple(caps))
+    return SeriesContext(("q", "t1", "t2", "s", "z")[:width], tuple(caps))
 
 
 def tuple_keyed(data, ctx):
@@ -1445,3 +1469,15 @@ def test_overpartition_enum_side_matches_partition_walk():
     for qcap in range(25):
         want = Series(trivariate_context(qcap), {k: v for k, v in terms.items() if k[0] <= qcap})
         assert enum_side("overpartition", qcap=qcap) == want, qcap
+
+
+def test_gaussian_binomials_match_q_pascal_recursion():
+    for n in range(40):
+        for k in range(-1, n + 2):
+            assert gaussian_binomial_coeffs(n, k) == pascal_gaussian_binomial(n, k), (n, k)
+
+
+def test_schmidt_colored_side_matches_partition_walk():
+    for n in range(36):
+        _, _, rhs, _ = identities._counting_buckets("schmidt", n, None, None)
+        assert rhs == {"total": sum(1 for _ in partition_groups(n))}, n

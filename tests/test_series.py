@@ -39,11 +39,18 @@ def test_context_validation():
     with pytest.raises(ValueError):
         SeriesContext(("q", "q"), (2, 2))
     with pytest.raises(ValueError):
-        SeriesContext(("w",), (2,))
+        SeriesContext(("t 1",), (2,))
     with pytest.raises(ValueError):
         SeriesContext(("q",), (2, 3))
     with pytest.raises(ValueError):
         SeriesContext(("q",), (-1,))
+
+
+def test_context_takes_any_identifier_as_a_name():
+    ctx = SeriesContext(("x1", "y"), (2, 3))
+    assert ctx.monomial(x1=1, y=3) == (1, 3)
+    with pytest.raises(ValueError):
+        SeriesContext((1,), (2,))
 
 
 def test_monomial_validation():
