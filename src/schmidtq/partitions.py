@@ -16,7 +16,8 @@ division step per size.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
+from operator import floordiv, mod
 
 __all__ = [
     "Partition",
@@ -536,11 +537,15 @@ def _cor22_counts(qcap):
         ]
 
     states = _part_size_pass({1: 1}, qcap, base * unit, 2, steps)
-    acc = Counter()
+    # Sum over the odd bit, then unpack the three fields a field at a time.
+    packed = Counter()
     for key, count in states.items():
-        weight, rest = divmod(key >> 1, base * base)
-        acc[(weight, *divmod(rest, base))] += count
-    return acc
+        packed[key >> 1] += count
+    keys = packed.keys()
+    weight = map(floordiv, keys, repeat(base * base))
+    repeated = map(mod, map(floordiv, keys, repeat(base)), repeat(base))
+    alt = map(mod, keys, repeat(base))
+    return Counter(dict(zip(zip(weight, repeated, alt), packed.values())))
 
 
 def _schmidt_states(counted, cls, cap, *, sized):
@@ -637,13 +642,14 @@ def residue_column_table(m, s, cls, *, qcap):
     ]
     block = len(residues) * unit if cls == "P" else 0
     states = _part_size_pass({}, qcap, base * unit, m, steps, block=block, first=first)
-    # Sum over the residue field, then unpack each (weight, rho) once.
+    # Sum over the residue field, then unpack (weight, rho) a field at a time.
     packed = Counter({0: 1})
     for key, count in states.items():
         packed[key // m] += count
-    return Counter(
-        {(key // base**m, *_digits(key, base, m)): count for key, count in packed.items()}
-    )
+    keys = packed.keys()
+    rho = [map(mod, map(floordiv, keys, repeat(base**j)), repeat(base)) for j in range(m)]
+    weight = map(floordiv, keys, repeat(base**m))
+    return Counter(dict(zip(zip(weight, *rho), packed.values())))
 
 
 def schmidt_bucket_counts(n, m, s, cls="P"):

@@ -34,6 +34,16 @@ cap check one add and one mask.  Keys are packed where they enter (the
 constructor, :meth:`Series.coefficient`, the step and Pochhammer
 arguments) after their arity, sign and caps are checked, and unpacked
 where they leave (:meth:`Series.sorted_terms`, text, JSON).
+
+The constructor checks and packs a dict's keys column by column: one
+set of key lengths for the arity, then per exponent column one set of
+types, one ``min`` and one ``max`` against its cap and one shift-and-add
+into the packed ints, each a single pass at C speed.  Any other input,
+and a dict that fails a column check, is scanned key by key, so the
+first bad key raises just as it would alone.  Exponents, caps and
+coefficients are read through ``operator.index``: ints, bools and other
+``__index__`` types pass, and a float or a string raises ``TypeError``
+instead of being truncated.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import and_, le, lshift, rshift
+from operator import add, and_, index, le, lshift, rshift
 from typing import NamedTuple
 
 __all__ = [
@@ -64,7 +74,7 @@ class Monomial(tuple):
     """An exponent vector; multiplication adds exponents componentwise."""
 
     def __new__(cls, exponents):
-        t = tuple(int(e) for e in exponents)
+        t = tuple(map(index, exponents))
         if any(e < 0 for e in t):
             raise ValueError(f"exponents must be nonnegative, got {t}")
         return super().__new__(cls, t)
@@ -95,7 +105,7 @@ class SeriesContext:
 
     def __post_init__(self):
         variables = tuple(self.variables)
-        caps = tuple(int(c) for c in self.caps)
+        caps = tuple(map(index, self.caps))
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "caps", caps)
         if len(variables) != len(set(variables)):
@@ -169,7 +179,9 @@ class Series:
 
     The constructor accepts any mapping or iterable of (exponent tuple,
     coefficient) pairs, merges duplicates, drops zero coefficients, and
-    rejects terms outside the context caps.
+    rejects terms outside the context caps.  Exponents and coefficients
+    must be ints or other ``__index__`` types; anything else, a float
+    included, raises ``TypeError``.
     """
 
     __slots__ = ("_context", "_terms")
@@ -177,22 +189,16 @@ class Series:
     def __init__(self, context, terms=()):
         if not isinstance(context, SeriesContext):
             raise TypeError(f"expected a SeriesContext, got {context!r}")
-        items = terms.items() if hasattr(terms, "items") else terms
-        width, caps = len(context.variables), context.caps
-        pack = _layout(caps).pack
+        packed = None
+        if isinstance(terms, dict):
+            packed, coeffs = _pack_columns(terms.keys(), context.caps), terms.values()
+        if packed is None or not set(map(type, coeffs)) <= {int}:
+            items = terms.items() if hasattr(terms, "items") else terms
+            packed, coeffs = _check_rows(items, context)
         acc = {}
-        for mon, coeff in items:
-            key = tuple(map(int, mon))
-            if len(key) != width:
-                raise ValueError(f"monomial {key} has wrong arity for {context.variables}")
-            if min(key, default=0) < 0:
-                raise ValueError(f"exponents must be nonnegative, got {key}")
-            if not all(map(le, key, caps)):
-                raise ValueError(f"monomial {key} exceeds caps {caps}")
-            coeff = int(coeff)
+        for key, coeff in zip(packed, coeffs):
             if coeff:
-                packed = pack(key)
-                acc[packed] = acc.get(packed, 0) + coeff
+                acc[key] = acc.get(key, 0) + coeff
         self._context = context
         self._terms = {k: v for k, v in acc.items() if v}
 
@@ -211,7 +217,7 @@ class Series:
 
     def coefficient(self, monomial):
         """The coefficient of an exponent vector; 0 for any vector off the context's caps."""
-        key = tuple(map(int, monomial))
+        key = tuple(map(index, monomial))
         caps = self._context.caps
         if len(key) != len(caps) or min(key, default=0) < 0 or not all(map(le, key, caps)):
             return 0
@@ -393,6 +399,42 @@ class Series:
 
 def _nonzero(terms):
     return {k: v for k, v in terms.items() if v}
+
+
+def _pack_columns(keys, caps):
+    """The packed ints of ``keys``, or None when some key fails a check.
+
+    Works a column at a time: every key must be a tuple of ``len(caps)``
+    plain ints, each column within 0 .. its cap.
+    """
+    if not set(map(type, keys)) <= {tuple, Monomial} or not set(map(len, keys)) <= {len(caps)}:
+        return None
+    packed = [0] * len(keys)
+    for column, cap, shift in zip(zip(*keys), caps, _layout(caps).shifts):
+        if set(map(type, column)) != {int} or min(column) < 0 or max(column) > cap:
+            return None
+        packed = list(map(add, packed, map(lshift, column, repeat(shift))))
+    return packed
+
+
+def _check_rows(rows, context):
+    # Key by key in input order, so the first bad key or coefficient
+    # raises; otherwise the packed keys and int coefficients, coerced
+    # through __index__.
+    caps = context.caps
+    pack = _layout(caps).pack
+    packed, coeffs = [], []
+    for mon, coeff in rows:
+        key = tuple(map(index, mon))
+        if len(key) != len(caps):
+            raise ValueError(f"monomial {key} has wrong arity for {context.variables}")
+        if min(key, default=0) < 0:
+            raise ValueError(f"exponents must be nonnegative, got {key}")
+        if not all(map(le, key, caps)):
+            raise ValueError(f"monomial {key} exceeds caps {caps}")
+        packed.append(pack(key))
+        coeffs.append(index(coeff))
+    return packed, coeffs
 
 
 def _bucket_variable(a, b, caps, layout):
@@ -579,7 +621,7 @@ def gaussian_binomial_coeffs(n, k):
 
 def gaussian_multinomial_coeffs(n, parts):
     """Dense coefficients of the Gaussian multinomial with the given composition."""
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(map(index, parts))
     if any(p < 0 for p in parts):
         raise ValueError(f"composition entries must be nonnegative, got {parts}")
     if sum(parts) != n:

@@ -21,3 +21,13 @@ def repeated_size_count(lam):
     """Number of part sizes occurring more than once; inside multiplicity-
     below-4 partitions, the count of sizes used 2 or 3 times."""
     return sum(1 for _, grp in groupby(lam.parts) if len(tuple(grp)) > 1)
+
+
+class Exactly:
+    """An int-like that is not an int: it converts only through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value

@@ -46,13 +46,18 @@ The Gaussian binomials are products of one multiply and one divide step
 per factor, and the ``schmidt`` colored side is a colored total with one
 color per part.  The q-Pascal recursion and the walk over the partitions
 of n they replaced are kept below.
+
+The ``Series`` constructor checks and packs a dict's keys a column at a
+time.  The constructor that checked and packed one key at a time is kept
+below, with ``operator.index`` in place of ``int``: valid input must give
+the same terms, and bad input the same exception and message.
 """
 
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
 from math import comb
-from operator import add, itemgetter, le
+from operator import add, index, itemgetter, le
 
 import pytest
 from hypothesis import given, settings
@@ -106,9 +111,9 @@ from schmidtq.partitions import (
     _schmidt_params,
     partition_groups,
 )
-from schmidtq.series import gaussian_binomial_coeffs, gaussian_multinomial_coeffs
+from schmidtq.series import Monomial, _layout, gaussian_binomial_coeffs, gaussian_multinomial_coeffs
 
-from conftest import repeated_size_count, residue_sets
+from conftest import Exactly, repeated_size_count, residue_sets
 
 
 # --- the replaced algorithms -------------------------------------------------
@@ -831,6 +836,27 @@ def tuple_terms(series):
     return {tuple(mon): c for mon, c in series.sorted_terms()}
 
 
+def per_key_series_terms(context, terms):
+    """The packed terms of ``Series(context, terms)``, checked and packed one key at a time."""
+    items = terms.items() if hasattr(terms, "items") else terms
+    width, caps = len(context.variables), context.caps
+    pack = _layout(caps).pack
+    acc = {}
+    for mon, coeff in items:
+        key = tuple(map(index, mon))
+        if len(key) != width:
+            raise ValueError(f"monomial {key} has wrong arity for {context.variables}")
+        if min(key, default=0) < 0:
+            raise ValueError(f"exponents must be nonnegative, got {key}")
+        if not all(map(le, key, caps)):
+            raise ValueError(f"monomial {key} exceeds caps {caps}")
+        coeff = index(coeff)
+        if coeff:
+            packed = pack(key)
+            acc[packed] = acc.get(packed, 0) + coeff
+    return {k: v for k, v in acc.items() if v}
+
+
 def colored_enum_terms(qcap):
     """The ak_trivariate terms of the product's model: 2-colored partitions by color counts."""
     acc = Counter()
@@ -1322,6 +1348,90 @@ def test_coefficient_is_zero_off_the_caps(data):
         assert series.coefficient(key) == 0, key
     assert series.coefficient(base + [0]) == 0
     assert series.coefficient(base[:-1]) == 0
+
+
+# Each kind of row the column checks must hand to the key-by-key scan: a
+# key that is a bare int, of the wrong arity, negative, over a cap (by
+# one, or at the next field's lowest bit), a float, holding a bool or an
+# __index__ object, or a list; or an in-cap key with a bool, __index__ or
+# float coefficient.  "none" adds no such row and "two" adds two.
+ODD_KINDS = ("bare", "arity", "negative", "over", "float", "index", "coefficient", "list")
+NEEDS_A_VARIABLE = ("negative", "over", "float", "index")
+
+
+def odd_row(data, caps, kind):
+    key = list(data.draw(st.tuples(*(st.integers(0, c) for c in caps))))
+    if kind == "coefficient":
+        return tuple(key), data.draw(st.sampled_from([True, False, Exactly(2), 1.0, 1.5]))
+    coeff = data.draw(st.integers(-3, 3))
+    if kind == "list":
+        return key, coeff
+    if kind == "bare":
+        return data.draw(st.integers(0, 6)), coeff
+    if kind == "arity":
+        wrong = st.lists(st.integers(0, 6), max_size=5).filter(lambda k: len(k) != len(caps))
+        return tuple(data.draw(wrong)), coeff
+    i = data.draw(st.integers(0, len(caps) - 1))
+    if kind == "negative":
+        key[i] = -1
+    elif kind == "over":
+        key[i] = data.draw(st.sampled_from([caps[i] + 1, 1 << (caps[i].bit_length() + 1)]))
+    elif kind == "float":
+        key[i] += data.draw(st.sampled_from([0.0, 0.5]))
+    else:
+        key[i] = data.draw(st.sampled_from([bool(key[i] % 2), Exactly(key[i])]))
+    return tuple(key), coeff
+
+
+def constructor_rows(data, caps, odd_kinds):
+    """In-cap (key, coefficient) rows, some keys Monomials, with repeated
+    keys, zero coefficients and pairs that cancel, and one odd row of each
+    given kind at a drawn place."""
+    exponents = st.tuples(*(st.integers(0, c) for c in caps))
+    rows = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        if rows and data.draw(st.integers(0, 3)) == 0:
+            key, coeff = data.draw(st.sampled_from(rows))
+            rows.append((key, -coeff))
+        else:
+            key = data.draw(exponents)
+            key = Monomial(key) if data.draw(st.booleans()) else key
+            rows.append((key, data.draw(st.integers(-3, 3))))
+    for kind in odd_kinds:
+        rows.insert(data.draw(st.integers(0, len(rows))), odd_row(data, caps, kind))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ("none",) + ODD_KINDS + ("two",))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_constructor_matches_per_key_constructor(kind, data):
+    if kind == "two":
+        odd_kinds = data.draw(st.lists(st.sampled_from(ODD_KINDS), min_size=2, max_size=2))
+    else:
+        odd_kinds = [kind] if kind != "none" else []
+    least = 1 if set(odd_kinds) & set(NEEDS_A_VARIABLE) else 0
+    width = data.draw(st.integers(least, 4))
+    caps = tuple(data.draw(st.lists(st.integers(0, 6), min_size=width, max_size=width)))
+    ctx = SeriesContext(("q", "t1", "t2", "s")[:width], caps)
+    # A list key cannot be a dict key.
+    forms = ["list", "generator"] + ["dict", "dict"] * ("list" not in odd_kinds)
+    form = data.draw(st.sampled_from(forms))
+    rows = constructor_rows(data, caps, odd_kinds)
+
+    def fresh():
+        if form == "dict":
+            return dict(rows)
+        return list(rows) if form == "list" else (row for row in rows)
+
+    try:
+        want = per_key_series_terms(ctx, fresh())
+    except (TypeError, ValueError) as err:
+        with pytest.raises(type(err)) as got:
+            Series(ctx, fresh())
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+    else:
+        assert Series(ctx, fresh())._terms == want
 
 
 def test_coefficient_and_steps_never_pack_a_key_wider_than_its_field():

@@ -25,6 +25,9 @@ from schmidtq import (
     q_binomial,
     q_multinomial,
 )
+from schmidtq.series import gaussian_multinomial_coeffs
+
+from conftest import Exactly
 
 
 QCTX = SeriesContext(("q",), (8,))
@@ -68,6 +71,74 @@ def test_series_rejects_out_of_cap_terms():
         Series(QCTX, {(9,): 1})
     with pytest.raises(ValueError):
         Series(QCTX, {(1, 1): 1})
+
+
+def test_series_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match=r"exponents must be nonnegative, got \(-1,\)"):
+        Series(QCTX, {(-1,): 1})
+    with pytest.raises(ValueError, match="nonnegative"):
+        Series(SeriesContext(("q", "t1"), (3, 3)), [((0, 1), 2), ((1, -1), 1)])
+
+
+def test_series_rejects_a_key_that_is_not_a_sequence():
+    with pytest.raises(TypeError, match="'int' object is not iterable"):
+        Series(QCTX, {5: 1})
+
+
+def test_series_merges_duplicates_and_drops_zeros():
+    # From an iterable, and from a generator that can be read only once.
+    assert Series(QCTX, [((2,), 3), ((1,), 1), (Monomial((2,)), -3)]) == qpoly(0, 1)
+    assert Series(QCTX, (kv for kv in [((2,), 3), ((2,), -3)])) == QCTX.zero()
+    dropped = Series(QCTX, {(0,): 0, (1,): 2, (3,): 0})
+    assert dropped == qpoly(0, 2) and len(dropped) == 1
+
+
+def test_zero_variable_ring_holds_constants():
+    ctx = SeriesContext((), ())
+    five = Series(ctx, {(): 5})
+    assert str(five) == "5"
+    assert five + five == ctx.constant(10)
+    assert Series(ctx, [((), 2), ((), -2)]) == ctx.zero()
+
+
+NOT_AN_INTEGER = "cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Series(QCTX, {(2.5,): 1}),
+        lambda: Series(QCTX, {(2,): 1.9}),
+        lambda: Series(QCTX, {("3",): 1}),
+        lambda: Series(QCTX, [((2.0,), 1)]),
+        lambda: qpoly(0, 0, 4).coefficient((2.7,)),
+        lambda: SeriesContext(("q",), (8.5,)),
+        lambda: Monomial((1.5,)),
+        lambda: gaussian_multinomial_coeffs(3, (1.0, 2)),
+    ],
+    ids=[
+        "float-exponent",
+        "float-coefficient",
+        "str-exponent",
+        "integral-float-in-iterable",
+        "float-coefficient-lookup",
+        "float-cap",
+        "float-monomial",
+        "float-part",
+    ],
+)
+def test_inexact_input_raises_type_error(build):
+    with pytest.raises(TypeError, match=NOT_AN_INTEGER):
+        build()
+
+
+def test_bools_and_index_types_count_as_integers():
+    assert Series(QCTX, {(Exactly(3),): True}) == Series(QCTX, {(3,): 1})
+    assert Series(QCTX, [((True,), Exactly(3))]) == qpoly(0, 3)
+    assert qpoly(0, 0, 0, 7).coefficient((Exactly(3),)) == 7
+    assert SeriesContext(("q",), (Exactly(3),)).caps == (3,)
+    assert Monomial((True, Exactly(3))) == (1, 3)
+    assert gaussian_multinomial_coeffs(3, (Exactly(3), False)) == (1,)
 
 
 def test_basic_arithmetic():
