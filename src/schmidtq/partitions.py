@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, groupby, repeat
-from operator import floordiv, mod
+from operator import add, floordiv, mod
 
 __all__ = [
     "Partition",
@@ -441,13 +441,15 @@ def partitions_with_schmidt_weight(n, m, s, cls="P"):
     if n < 0:
         raise ValueError(f"target weight must be nonnegative, got {n}")
     bounded = cls == "D"
-    # The walk of schmidt_bucket_counts, with its growth rule: a prefix of
-    # weight below n always grows, as index 1's residue recurs within m and
-    # parts of size 1 fill any deficit, and a prefix of weight n grows only
-    # while its next index is not counted.  Each node is (residue in 1..m of
-    # the next index, weight, last part, run length of the last part,
-    # parts); the root's last part n only bounds the first part.  Children
-    # are pushed smallest part first, so the largest pops first.
+    # The walk shape and growth rule of schmidt_bucket_counts, which walks
+    # the subtree of a small remainder once per state where this stream
+    # yields every node: a prefix of weight below n always grows, as index
+    # 1's residue recurs within m and parts of size 1 fill any deficit, and
+    # a prefix of weight n grows only while its next index is not counted.
+    # Each node is (residue in 1..m of the next index, weight, last part,
+    # run length of the last part, parts); the root's last part n only
+    # bounds the first part.  Children are pushed smallest part first, so
+    # the largest pops first.
     stack = [(1, 0, n, 0, ())]
     while stack:
         r, weight, last, run, parts = stack.pop()
@@ -652,6 +654,14 @@ def residue_column_table(m, s, cls, *, qcap):
     return Counter(dict(zip(zip(weight, *rho), packed.values())))
 
 
+# schmidt_bucket_counts walks the subtree of a prefix with at most this
+# much Schmidt weight left (and some left) once per state, and replays its
+# keys for every later prefix in that state.  Chosen by interleaved timing
+# against 3, 4, 6 and 7 at the franklin_ext and ak_main weights 14-20:
+# 4 and 5 tie, and 3, 6 and 7 are slower on franklin_ext.
+_TAIL_WEIGHT = 5
+
+
 def schmidt_bucket_counts(n, m, s, cls="P"):
     """How many partitions of Schmidt weight ``n`` fall in each packed bucket.
 
@@ -660,13 +670,14 @@ def schmidt_bucket_counts(n, m, s, cls="P"):
     holds ``residue_column_count(lam, m, j)`` for ``j = 1 .. m-1``, and
     digit ``m - 2 + len(s) * a`` holds ``p // m`` for each size ``a``
     repeated ``p >= m`` times (class D repeats none): each block of ``m``
-    equal parts maps to one part ``len(s) * a`` of the image.  The walk
-    still visits every such partition; :func:`split_bucket` reads a key.
+    equal parts maps to one part ``len(s) * a`` of the image.  Each such
+    partition is counted once, its key the sum of its own parts' steps;
+    the prefixes that share a small remainder share one walk of their
+    completions.  :func:`split_bucket` reads a key.
     """
     residues, counted = _schmidt_params(m, s, cls)
     if n < 0:
         raise ValueError(f"target weight must be nonnegative, got {n}")
-    bounded = cls == "D"
     # A part a at an index of 0-based residue r adds a to rho_{r+1} and
     # takes it from rho_r, where rho_0 means rho_m; rho_m is not tracked.
     # Every prefix is a partition whose parts are at most n, so each rho
@@ -679,16 +690,35 @@ def schmidt_bucket_counts(n, m, s, cls="P"):
     ]
     i = len(residues)
     block = [base ** (m - 2 + i * a) if i * a <= n else 0 for a in range(n + 1)]
-    # Iterative preorder walk over the prefixes of weight at most n.  Each
-    # node is (residue of the next index, weight, last part, run length of
-    # the last part, key), the key holding the closed runs only; the
-    # root's last part n only bounds the first part.  A prefix is counted
-    # when it is made, and a prefix of weight n is entered only if its
-    # next index is not counted, as only then can it grow.
     out = Counter()
     if n == 0:
         out[0] = 1
-    stack = [(0, 0, n, 0, 0)]
+    done = []
+    shape = (n, m, counted, cls == "D", step, block)
+    _bucket_walk([(0, 0, n, 0, 0)], done, _TAIL_WEIGHT, {}, out, shape)
+    out.update(done)
+    return out
+
+
+def _bucket_walk(stack, done, cut, tails, out, shape):
+    # Iterative preorder walk over the prefixes of weight at most n.  Each
+    # node is (residue of the next index, weight, last part, run length of
+    # the last part, key), the key holding the closed runs only; the root's
+    # last part n only bounds the first part.  A prefix is counted when it
+    # is made, its key appended to done, and a prefix of weight n is
+    # entered only if its next index is not counted, as only then can it
+    # grow.
+    #
+    # A key is a sum of one step per part and one block per closed run, so
+    # the keys below a prefix are its key plus deltas that depend only on
+    # its state: (residue of the next index, weight, last part, run length
+    # of the last part).  A prefix with 1..cut weight left is counted into
+    # out by adding its key to the deltas of its state, which tails maps to
+    # the keys, duplicates kept, of one walk below that state from key 0.
+    # That walk has cut 0, so the lists hold disjoint subtrees: no more
+    # entries than partitions counted.  A closure that called itself would
+    # form a cycle holding the memo until a full garbage collection.
+    n, m, counted, bounded, step, block = shape
     while stack:
         r, weight, last, run, key = stack.pop()
         closed = key + run // m * block[last]
@@ -710,11 +740,18 @@ def schmidt_bucket_counts(n, m, s, cls="P"):
             else:
                 child_run, child_key = 1, closed + a * delta
             if child_weight == n:
-                out[child_key + child_run // m * block[a]] += 1
+                done.append(child_key + child_run // m * block[a])
                 if not grows:
                     continue
+            elif n - child_weight <= cut:
+                state = (next_r, child_weight, a, child_run)
+                deltas = tails.get(state)
+                if deltas is None:
+                    deltas = tails[state] = []
+                    _bucket_walk([(*state, 0)], deltas, 0, tails, out, shape)
+                out.update(map(add, deltas, repeat(child_key)))
+                continue
             stack.append((next_r, child_weight, a, child_run, child_key))
-    return out
 
 
 def split_bucket(key, n, m):

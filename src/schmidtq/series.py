@@ -296,8 +296,7 @@ class Series:
         # formed, and the rest are checked against every cap by the guard.
         layout = _layout(caps)
         off, guard = layout.off, layout.guard
-        v = _bucket_variable(a, b, caps, layout)
-        shift, mask, cap = layout.shifts[v], layout.masks[v], caps[v]
+        shift, mask, cap = _bucket_field(a, b, caps, layout)
         buckets = {}
         for m2, c2 in b.items():
             buckets.setdefault((m2 >> shift) & mask, []).append((m2, c2))
@@ -437,14 +436,16 @@ def _check_rows(rows, context):
     return packed, coeffs
 
 
-def _bucket_variable(a, b, caps, layout):
-    """The variable index whose buckets of ``b`` leave ``a * b`` the fewest pairs.
+def _bucket_field(a, b, caps, layout):
+    """The ``(shift, mask, cap)`` of the variable that leaves ``a * b`` the fewest pairs.
 
-    A pair (m1, m2) is visited when ``m2[v] <= caps[v] - m1[v]``; the count
-    for each v comes from a cumulative histogram of b's exponents.
+    Bucketing ``b`` by variable v, a pair (m1, m2) is visited when
+    ``m2[v] <= caps[v] - m1[v]``; the count for each v comes from a
+    cumulative histogram of b's exponents.  A ring without variables gets
+    ``(0, 0, 0)``: one bucket, every pair visited.
     """
-    best, best_pairs = 0, None
-    for v, (cap, shift, mask) in enumerate(zip(caps, layout.shifts, layout.masks)):
+    best, best_pairs = (0, 0, 0), None
+    for cap, shift, mask in zip(caps, layout.shifts, layout.masks):
         below = [0] * (cap + 1)
         for m2 in b:
             below[(m2 >> shift) & mask] += 1
@@ -452,7 +453,7 @@ def _bucket_variable(a, b, caps, layout):
             below[e] += below[e - 1]
         pairs = sum(below[cap - ((m1 >> shift) & mask)] for m1 in a)
         if best_pairs is None or pairs < best_pairs:
-            best, best_pairs = v, pairs
+            best, best_pairs = (shift, mask, cap), pairs
     return best
 
 

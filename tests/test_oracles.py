@@ -40,7 +40,10 @@ profile-carrying walk, the multiplicity-group counts and the partition
 walk of the overpartition side they replaced are kept below.  The color
 counts are read off ``colored_bucket_counts`` through ``split_bucket``,
 and the overpartition counts off the ``(N, o, p)`` keys of
-``_overpartition_table``.
+``_overpartition_table``.  ``schmidt_bucket_counts`` walks the subtree of
+each state with little weight left once and replays its keys; the walk
+that built every key on the way down is kept below, and the replay must
+stay within 3x its tracemalloc peak.
 
 The Gaussian binomials are products of one multiply and one divide step
 per factor, and the ``schmidt`` colored side is a colored total with one
@@ -53,6 +56,7 @@ below, with ``operator.index`` in place of ``int``: valid input must give
 the same terms, and bad input the same exception and message.
 """
 
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
@@ -652,6 +656,49 @@ def schmidt_weight_statistics(n, m, s, cls="P"):
     return Counter(
         {(tuple(_digits(rho, base, m - 1)), profile): c for (rho, profile), c in packed.items()}
     )
+
+
+def walk_schmidt_bucket_counts(n, m, s, cls="P"):
+    """``schmidt_bucket_counts`` from one walk over every partition of Schmidt
+    weight n, each key built on the way down with no subtree shared."""
+    residues, counted = _schmidt_params(m, s, cls)
+    bounded = cls == "D"
+    base = n + 1
+    step = [
+        (base**r if r < m - 1 else 0) - (base ** (r - 1) if r > 0 else 0) for r in range(m)
+    ]
+    i = len(residues)
+    block = [base ** (m - 2 + i * a) if i * a <= n else 0 for a in range(n + 1)]
+    out = Counter()
+    if n == 0:
+        out[0] = 1
+    stack = [(0, 0, n, 0, 0)]
+    while stack:
+        r, weight, last, run, key = stack.pop()
+        closed = key + run // m * block[last]
+        is_counted = counted[r]
+        next_r = r + 1 if r + 1 < m else 0
+        grows = not counted[next_r]
+        delta = step[r]
+        child_weight = weight
+        top = last
+        if is_counted:
+            top = min(last, n - weight)
+        for a in range(top, 0, -1):
+            if is_counted:
+                child_weight = weight + a
+            if a == last:
+                if bounded and run + 1 == m:
+                    continue
+                child_run, child_key = run + 1, key + a * delta
+            else:
+                child_run, child_key = 1, closed + a * delta
+            if child_weight == n:
+                out[child_key + child_run // m * block[a]] += 1
+                if not grows:
+                    continue
+            stack.append((next_r, child_weight, a, child_run, child_key))
+    return out
 
 
 def unpacked(counts, bucket_of):
@@ -1523,6 +1570,64 @@ def test_schmidt_bucket_counts_match_profile_walk_at_larger_weights():
     for n in range(13, 19):
         got = unpacked(schmidt_bucket_counts(n, 2, (1,), "P"), lambda key: split_bucket(key, n, 2))
         assert got == profile_buckets(n, 2, (1,), "P"), n
+
+
+@pytest.mark.parametrize(
+    "m, s, cls", TABLE_CASES, ids=[f"m{m}-s{','.join(map(str, s))}-{c}" for m, s, c in TABLE_CASES]
+)
+def test_schmidt_bucket_counts_match_whole_walk(m, s, cls):
+    for n in range(15):
+        assert schmidt_bucket_counts(n, m, s, cls) == walk_schmidt_bucket_counts(n, m, s, cls), n
+
+
+def test_schmidt_bucket_counts_match_whole_walk_at_larger_weights():
+    for n in range(15, 23):
+        assert schmidt_bucket_counts(n, 2, (1,), "P") == walk_schmidt_bucket_counts(
+            n, 2, (1,), "P"
+        ), n
+
+
+LARGE_MODULI = [(6, 12, (1,), "P"), (5, 20, (1,), "P"), (8, 6, (1, 2), "D")]
+
+
+@pytest.mark.parametrize(
+    "n, m, s, cls", LARGE_MODULI, ids=[f"n{n}-m{m}-{c}" for n, m, _, c in LARGE_MODULI]
+)
+def test_schmidt_bucket_counts_match_whole_walk_at_large_moduli(n, m, s, cls):
+    assert schmidt_bucket_counts(n, m, s, cls) == walk_schmidt_bucket_counts(n, m, s, cls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_schmidt_bucket_counts_match_whole_walk_at_any_weight(data):
+    # Reaches modulus 5, past the parametrized grid.
+    m = data.draw(st.integers(2, 5))
+    s = data.draw(st.sampled_from(residue_sets(m, True)))
+    cls = data.draw(st.sampled_from("PD"))
+    n = data.draw(st.integers(0, 12))
+    assert schmidt_bucket_counts(n, m, s, cls) == walk_schmidt_bucket_counts(n, m, s, cls)
+
+
+def traced_peak(f, *args):
+    """The tracemalloc peak, in bytes, of one call ``f(*args)``."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "n, m, s, cls", [(20, 2, (1,), "P"), (6, 12, (1,), "P")], ids=["n20-m2-P", "n6-m12-P"]
+)
+def test_schmidt_bucket_counts_memory_stays_near_the_whole_walk(n, m, s, cls):
+    # The replayed lists hold at most one delta per partition counted.
+    walk = traced_peak(walk_schmidt_bucket_counts, n, m, s, cls)
+    assert traced_peak(schmidt_bucket_counts, n, m, s, cls) <= 3 * walk
 
 
 @pytest.mark.parametrize("m, s, top", PALETTES)

@@ -99,6 +99,12 @@ def test_zero_variable_ring_holds_constants():
     assert str(five) == "5"
     assert five + five == ctx.constant(10)
     assert Series(ctx, [((), 2), ((), -2)]) == ctx.zero()
+    assert five * five == ctx.constant(25)
+    assert five**2 == ctx.constant(25)
+    assert five**0 == ctx.one()
+    assert five * 3 == 3 * five == ctx.constant(15)
+    assert five * ctx.zero() == ctx.zero()
+    assert five * -five == ctx.constant(-25)
 
 
 NOT_AN_INTEGER = "cannot be interpreted as an integer"
