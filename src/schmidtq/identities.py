@@ -57,9 +57,10 @@ from .partitions import (
 from .series import (
     Series,
     SeriesContext,
+    _Family,
+    _poch_product,
     gaussian_multinomial_coeffs,
     poch_finite,
-    poch_infinite,
     poch_infinite_inverse,
     q_binomial,
 )
@@ -333,33 +334,32 @@ def _checked(identity, m, i, **caps):
 
 
 def product_side(identity, *, qcap=None, scap=None, m=None, i=None):
-    """The infinite-product side, truncated to the caps."""
+    """The infinite-product side, truncated to the caps.
+
+    Each product is a list of Pochhammer families, built as one running
+    series by ``_poch_product``, largest factors first.
+    """
     _checked(identity, m, i, qcap=qcap, scap=scap)
-    if identity == "ak_trivariate":
+    if identity in ("ak_trivariate", "overpartition", "cor22"):
         ctx = trivariate_context(qcap)
         q = ctx.monomial(q=1)
-        return poch_infinite_inverse(ctx, ctx.monomial(q=1, t1=1), q) * poch_infinite_inverse(
-            ctx, ctx.monomial(q=1, t2=1), q
-        )
-    if identity in ("overpartition", "cor22"):
-        ctx = trivariate_context(qcap)
-        q = ctx.monomial(q=1)
-        numer = poch_infinite(ctx, ctx.monomial(q=1, t1=1), q, coefficient=-1)
-        return numer * poch_infinite_inverse(ctx, ctx.monomial(q=1, t2=1), q)
+        t1 = ctx.monomial(q=1, t1=1)
+        if identity == "ak_trivariate":
+            first = _Family(t1, q, divide=True)  # 1/(t1 q; q)oo
+        else:
+            first = _Family(t1, q, coefficient=-1)  # (-t1 q; q)oo
+        return _poch_product(ctx, [first, _Family(ctx.monomial(q=1, t2=1), q, divide=True)])
+    ctx = size_graded_context(scap)
     if identity == "mork_odd":
-        ctx = size_graded_context(scap)
         return poch_infinite_inverse(ctx, ctx.monomial(q=1, s=1), ctx.monomial(q=1, s=2))
     if identity == "mork_even":
-        ctx = size_graded_context(scap)
         return poch_infinite_inverse(ctx, ctx.monomial(s=1), ctx.monomial(q=1, s=2))
-    if identity in ("psi_all", "psi_dm"):
-        ctx = size_graded_context(scap)
-        ratio = ctx.monomial(q=i, s=m)
-        last = m if identity == "psi_all" else m - 1
-        out = ctx.one()
-        for r in range(1, last + 1):
-            out = out * poch_infinite_inverse(ctx, ctx.monomial(q=min(r, i), s=r), ratio)
-        return out
+    ratio = ctx.monomial(q=i, s=m)
+    last = m if identity == "psi_all" else m - 1
+    families = [
+        _Family(ctx.monomial(q=min(r, i), s=r), ratio, divide=True) for r in range(1, last + 1)
+    ]
+    return _poch_product(ctx, families)
 
 
 def _required(value, name):

@@ -760,6 +760,9 @@ def split_bucket(key, n, m):
     ``rho`` is the tuple of digits ``0 .. m-2`` and ``image`` lists the
     sizes ``p`` counted at digit ``m - 2 + p``, in decreasing order.
     """
+    if key < 0:
+        # Floor division keeps a negative key at -1, so the digits never end.
+        raise ValueError(f"bucket keys are nonnegative, got {key}")
     base = n + 1
     rho = tuple(_digits(key, base, m - 1))
     key //= base ** (m - 1)

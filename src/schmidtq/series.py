@@ -17,7 +17,15 @@ time linear in the number of terms: :meth:`Series.mul_one_minus`
 multiplies by ``1 - c * x^a`` in one pass over the terms, and
 :meth:`Series.div_one_minus` divides by ``1 - x^a`` through the
 recurrence ``out[k] = in[k] + out[k - a]``, walked chain by chain along
-``a``.  The Pochhammer builders are loops of these steps.  A general
+``a``.  The Pochhammer builders, and the product sides of the
+identities, gather every in-cap factor of their families into one list
+and apply these steps to one running series, largest total degree first
+(ties by packed key).  The truncated ring is a commutative ideal
+quotient, so the order changes no coefficient; it only decides how large
+the running series is while it is built.  Large factors first keep it
+sparse until the last small factors fill it in: the divisions of
+``1/(t1 q; q)oo`` at cap 20 write 620 entries in this order and 3,686 in
+generation order (``z``, ``z g``, ``z g^2``, ...).  A general
 product (``*``) buckets the larger operand by one exponent and visits,
 for each term of the other operand, only the buckets that still fit
 under that exponent's cap.
@@ -52,7 +60,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import add, and_, index, le, lshift, rshift
+from operator import add, and_, index, itemgetter, le, lshift, rshift
 from typing import NamedTuple
 
 __all__ = [
@@ -495,17 +503,16 @@ def _div_one_minus(terms, layout, step):
     return out
 
 
-def _factor_steps(context, z, g, n=None):
-    # The packed keys of the factors z * g**k (k < n when n is given), up to
-    # the first factor that leaves the caps.  With g constant every factor
-    # is z, so stopping there loses no in-cap factor.
+def _factors(context, z, g, n=None):
+    # The factors z * g**k (k < n when n is given), up to the first one that
+    # leaves the caps.  With g constant every factor is z, so stopping there
+    # loses no in-cap factor.
     caps = context.caps
-    pack = _layout(caps).pack
     cur = z
     for _ in repeat(None) if n is None else range(n):
         if not cur.within(caps):
             return
-        yield pack(cur)
+        yield cur
         cur = cur * g
 
 
@@ -520,7 +527,8 @@ def geometric_inverse(context, monomial):
     mon = _as_monomial(context, monomial)
     if mon.is_constant():
         raise ValueError("cannot invert 1 - 1; the monomial must be nonconstant")
-    return Series._raw(context, dict.fromkeys(_factor_steps(context, context.monomial(), mon), 1))
+    powers = _factors(context, context.monomial(), mon)
+    return Series._raw(context, dict.fromkeys(map(_layout(context.caps).pack, powers), 1))
 
 
 def _as_monomial(context, monomial):
@@ -530,21 +538,60 @@ def _as_monomial(context, monomial):
     return mon
 
 
+class _Family(NamedTuple):
+    """The factors ``1 - coefficient * z * g**k`` for ``k < n`` (every k when n is None).
+
+    With ``divide`` the product takes their inverses, ``1 / (1 - z * g**k)``,
+    and the coefficient must be 1; z must then be nonconstant.
+    """
+
+    z: Monomial
+    g: Monomial
+    n: object = None  # an int, or None for an infinite family
+    coefficient: int = 1
+    divide: bool = False
+
+
+def _poch_product(context, families):
+    """The product of every in-cap factor of the families, as one running series.
+
+    One step per factor on one ``{0: 1}`` dict, largest total degree
+    first and ties by packed key (see the module docstring).
+    """
+    layout = _layout(context.caps)
+    steps = []
+    for z, g, n, coefficient, divide in families:
+        for mon in _factors(context, z, g, n):
+            steps.append((sum(mon), layout.pack(mon), coefficient, divide))
+    steps.sort(key=itemgetter(0, 1), reverse=True)
+    terms = {0: 1}
+    for _, step, coefficient, divide in steps:
+        if divide:
+            terms = _div_one_minus(terms, layout, step)
+        else:
+            _mul_one_minus(terms, layout, step, coefficient)
+    return Series._raw(context, terms)
+
+
 def poch_finite(context, z, g, n, coefficient=1):
     """The product of ``1 - coefficient * z * g**k`` over ``k = 0..n-1``.
 
     One multiply step (:meth:`Series.mul_one_minus`) per factor inside the
-    caps, each one pass over the terms built so far: O(n * terms).
+    caps, largest total degree first, each one pass over the terms built
+    so far: O(n * terms).
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"factor count must be a nonnegative integer, got {n!r}")
+    family = _Family(_as_monomial(context, z), _as_monomial(context, g), n, coefficient)
+    return _poch_product(context, [family])
+
+
+def _nonconstant_pair(context, z, g):
     z = _as_monomial(context, z)
     g = _as_monomial(context, g)
-    layout = _layout(context.caps)
-    terms = {0: 1}
-    for step in _factor_steps(context, z, g, n):
-        _mul_one_minus(terms, layout, step, coefficient)
-    return Series._raw(context, terms)
+    if z.is_constant() or g.is_constant():
+        raise ValueError("base and ratio must both be nonconstant monomials")
+    return z, g
 
 
 def poch_infinite(context, z, g, coefficient=1):
@@ -552,36 +599,23 @@ def poch_infinite(context, z, g, coefficient=1):
 
     ``z`` and ``g`` must be nonconstant, so that only finitely many
     factors survive the caps.  One multiply step
-    (:meth:`Series.mul_one_minus`) per surviving factor, each one pass over
-    the terms built so far: O(factors * terms).
+    (:meth:`Series.mul_one_minus`) per surviving factor, largest total
+    degree first, each one pass over the terms built so far:
+    O(factors * terms).
     """
-    z = _as_monomial(context, z)
-    g = _as_monomial(context, g)
-    if z.is_constant() or g.is_constant():
-        raise ValueError("base and ratio must both be nonconstant monomials")
-    layout = _layout(context.caps)
-    terms = {0: 1}
-    for step in _factor_steps(context, z, g):
-        _mul_one_minus(terms, layout, step, coefficient)
-    return Series._raw(context, terms)
+    z, g = _nonconstant_pair(context, z, g)
+    return _poch_product(context, [_Family(z, g, coefficient=coefficient)])
 
 
 def poch_infinite_inverse(context, z, g):
     """The product of ``1 / (1 - z * g**k)`` over all ``k >= 0``.
 
     One division step (:meth:`Series.div_one_minus`) per factor inside the
-    caps, each linear in the size of the series it produces:
-    O(factors * terms).
+    caps, largest total degree first, each linear in the size of the
+    series it produces: O(factors * terms).
     """
-    z = _as_monomial(context, z)
-    g = _as_monomial(context, g)
-    if z.is_constant() or g.is_constant():
-        raise ValueError("base and ratio must both be nonconstant monomials")
-    layout = _layout(context.caps)
-    terms = {0: 1}
-    for step in _factor_steps(context, z, g):
-        terms = _div_one_minus(terms, layout, step)
-    return Series._raw(context, terms)
+    z, g = _nonconstant_pair(context, z, g)
+    return _poch_product(context, [_Family(z, g, divide=True)])
 
 
 def _dense_mul(a, b):

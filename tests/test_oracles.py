@@ -6,6 +6,12 @@ The sum sides are nested the Horner way and the Pochhammer builders,
 below keep the earlier forms, which multiply whole truncated geometric
 series and sum forward, as oracles.
 
+Each product side is one running series: every factor of all its
+Pochhammer families, largest total degree first.  The path it replaced,
+one step per factor in generation order and one general product per
+family, is kept below, and mixed families must give one series in the
+builder's order, in generation order and in its reverse.
+
 The enumerators walk partitions iteratively in multiplicity form, and
 the enum sides and both sides of the counting theorems count without
 building objects.  The recursive enumerators, the object-counting enum
@@ -59,7 +65,7 @@ the same terms, and bad input the same exception and message.
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, count, groupby, product
 from math import comb
 from operator import add, index, itemgetter, le
 
@@ -115,7 +121,14 @@ from schmidtq.partitions import (
     _schmidt_params,
     partition_groups,
 )
-from schmidtq.series import Monomial, _layout, gaussian_binomial_coeffs, gaussian_multinomial_coeffs
+from schmidtq.series import (
+    Monomial,
+    _Family,
+    _layout,
+    _poch_product,
+    gaussian_binomial_coeffs,
+    gaussian_multinomial_coeffs,
+)
 
 from conftest import Exactly, repeated_size_count, residue_sets
 
@@ -161,60 +174,68 @@ def factor(ctx, mon, coefficient=1):
     return Series(ctx, {tuple([0] * len(ctx.caps)): 1, tuple(mon): -coefficient})
 
 
-def poch_finite_by_products(ctx, z, g, n, coefficient=1):
-    # Nonconstant z only: the whole-series factor above merges 1 and -c
-    # into one key when z is constant.
-    result = ctx.one()
+def family_factors(ctx, z, g, n=None, coefficient=1, divide=False):
+    """The in-cap factors of one Pochhammer family, in generation order.
+
+    The family is ``1 - coefficient * z * g**k`` for ``k < n`` (every k
+    when n is None), or with ``divide`` the inverses ``1 / (1 - z * g**k)``;
+    each factor is ``(monomial, coefficient, divide)``.  An infinite family
+    needs a nonconstant ratio.
+    """
+    factors = []
     cur = z
-    for _ in range(n):
+    for _ in count() if n is None else range(n):
         if cur.within(ctx.caps):
-            result = result * factor(ctx, cur, coefficient)
-        elif not g.is_constant():
+            factors.append((cur, coefficient, divide))
+        elif n is None:
             break
         cur = cur * g
-    return result
+    return factors
 
 
-def poch_infinite_by_products(ctx, z, g, coefficient=1):
-    result = ctx.one()
-    cur = z
-    while cur.within(ctx.caps):
-        result = result * factor(ctx, cur, coefficient)
-        cur = cur * g
-    return result
+def by_steps(ctx, factors):
+    # One multiply or divide step per factor, in the order given.
+    out = ctx.one()
+    for mon, coefficient, divide in factors:
+        out = out.div_one_minus(mon) if divide else out.mul_one_minus(mon, coefficient)
+    return out
 
 
-def poch_infinite_inverse_by_products(ctx, z, g):
-    result = ctx.one()
-    cur = z
-    while cur.within(ctx.caps):
-        result = result * geometric_inverse(ctx, cur)
-        cur = cur * g
-    return result
+def by_products(ctx, factors):
+    # One whole-series product per factor.  Nonconstant monomials only: the
+    # whole-series factor merges 1 and -c into one key when mon is constant.
+    out = ctx.one()
+    for mon, coefficient, divide in factors:
+        out = out * (geometric_inverse(ctx, mon) if divide else factor(ctx, mon, coefficient))
+    return out
 
 
-def product_side_by_products(identity, *, qcap=None, scap=None, m=None, i=None):
-    if identity == "ak_trivariate":
+def product_families(identity, *, qcap=None, scap=None, m=None, i=None):
+    """``(ctx, [(base, ratio, coefficient, divide), ...])``: each product side's infinite families."""
+    if identity in ("ak_trivariate", "overpartition", "cor22"):
         ctx = trivariate_context(qcap)
         q = ctx.monomial(q=1)
-        return poch_infinite_inverse_by_products(
-            ctx, ctx.monomial(q=1, t1=1), q
-        ) * poch_infinite_inverse_by_products(ctx, ctx.monomial(q=1, t2=1), q)
-    if identity in ("overpartition", "cor22"):
-        ctx = trivariate_context(qcap)
-        q = ctx.monomial(q=1)
-        numer = poch_infinite_by_products(ctx, ctx.monomial(q=1, t1=1), q, coefficient=-1)
-        return numer * poch_infinite_inverse_by_products(ctx, ctx.monomial(q=1, t2=1), q)
+        t2 = (ctx.monomial(q=1, t2=1), q, 1, True)
+        if identity == "ak_trivariate":
+            return ctx, [(ctx.monomial(q=1, t1=1), q, 1, True), t2]
+        return ctx, [(ctx.monomial(q=1, t1=1), q, -1, False), t2]
     ctx = size_graded_context(scap)
     if identity == "mork_odd":
-        return poch_infinite_inverse_by_products(ctx, ctx.monomial(q=1, s=1), ctx.monomial(q=1, s=2))
+        return ctx, [(ctx.monomial(q=1, s=1), ctx.monomial(q=1, s=2), 1, True)]
     if identity == "mork_even":
-        return poch_infinite_inverse_by_products(ctx, ctx.monomial(s=1), ctx.monomial(q=1, s=2))
+        return ctx, [(ctx.monomial(s=1), ctx.monomial(q=1, s=2), 1, True)]
     ratio = ctx.monomial(q=i, s=m)
     last = m if identity == "psi_all" else m - 1
+    return ctx, [(ctx.monomial(q=min(r, i), s=r), ratio, 1, True) for r in range(1, last + 1)]
+
+
+def product_side_by_families(build, identity, **caps):
+    # One general product per family; build multiplies out each family's
+    # factors in generation order.
+    ctx, families = product_families(identity, **caps)
     out = ctx.one()
-    for r in range(1, last + 1):
-        out = out * poch_infinite_inverse_by_products(ctx, ctx.monomial(q=min(r, i), s=r), ratio)
+    for z, g, coefficient, divide in families:
+        out = out * build(ctx, family_factors(ctx, z, g, None, coefficient, divide))
     return out
 
 
@@ -1102,6 +1123,7 @@ POCH_CASES = [
     (SeriesContext(("q", "s"), (14, 9)), {"q": 2, "s": 1}, {"q": 1}),
     (SeriesContext(("q", "t1", "t2"), (10, 3, 4)), {"q": 1, "t1": 1}, {"q": 1}),
     (SeriesContext(("q", "t1", "t2"), (10, 3, 4)), {"t2": 1}, {"t1": 1}),
+    (SeriesContext(("q", "s", "t"), (11, 6, 2)), {"q": 1, "s": 1}, {"q": 2, "t": 1}),
 ]
 
 
@@ -1110,34 +1132,51 @@ def test_pochhammer_builders_match_whole_series_products(ctx, base, ratio):
     z, g = ctx.monomial(**base), ctx.monomial(**ratio)
     for coefficient in (1, -1, 2):
         for n in (0, 1, 3, 20):
-            assert poch_finite(ctx, z, g, n, coefficient) == poch_finite_by_products(
-                ctx, z, g, n, coefficient
-            )
-        assert poch_infinite(ctx, z, g, coefficient) == poch_infinite_by_products(
-            ctx, z, g, coefficient
-        )
-    assert poch_infinite_inverse(ctx, z, g) == poch_infinite_inverse_by_products(ctx, z, g)
+            want = by_products(ctx, family_factors(ctx, z, g, n, coefficient))
+            assert poch_finite(ctx, z, g, n, coefficient) == want
+        want = by_products(ctx, family_factors(ctx, z, g, None, coefficient))
+        assert poch_infinite(ctx, z, g, coefficient) == want
+    want = by_products(ctx, family_factors(ctx, z, g, divide=True))
+    assert poch_infinite_inverse(ctx, z, g) == want
     # A constant ratio repeats one factor n times.
     const = ctx.monomial()
-    assert poch_finite(ctx, z, const, 4, 3) == poch_finite_by_products(ctx, z, const, 4, 3)
+    want = by_products(ctx, family_factors(ctx, z, const, 4, 3))
+    assert poch_finite(ctx, z, const, 4, 3) == want
     # A constant ratio with a base above the caps repeats a factor of 1.
     above = ctx.monomial(**{v: c + 1 for v, c in zip(ctx.variables, ctx.caps)})
-    assert poch_finite(ctx, above, const, 4, 3) == poch_finite_by_products(
-        ctx, above, const, 4, 3
-    ) == ctx.one()
+    want = by_products(ctx, family_factors(ctx, above, const, 4, 3))
+    assert poch_finite(ctx, above, const, 4, 3) == want == ctx.one()
+    # Multiply and divide families together, with coefficients -1, 1 and 2
+    # and a finite family with a constant ratio: the builder's order
+    # (largest total degree first), generation order and its reverse give
+    # one series.
+    families = [
+        _Family(z, g, divide=True),
+        _Family(g, z * g, coefficient=-1),
+        _Family(z * g, const, 3, coefficient=2),
+        _Family(z, g, 5),
+        _Family(g, g, divide=True),
+    ]
+    factors = [f for family in families for f in family_factors(ctx, *family)]
+    pack = _layout(ctx.caps).pack
+    descending = sorted(factors, key=lambda f: (sum(f[0]), pack(f[0])), reverse=True)
+    want = by_products(ctx, factors)
+    assert len(want) > 1
+    assert _poch_product(ctx, families) == by_steps(ctx, descending) == want
+    assert by_steps(ctx, factors) == by_steps(ctx, factors[::-1]) == want
 
 
 @pytest.mark.parametrize("identity", ["ak_trivariate", "overpartition", "cor22"])
 def test_q_graded_product_sides_match_whole_series_products(identity):
     for qcap in (0, 1, 5, 12):
-        want = product_side_by_products(identity, qcap=qcap)
+        want = product_side_by_families(by_products, identity, qcap=qcap)
         assert product_side(identity, qcap=qcap) == want, qcap
 
 
 @pytest.mark.parametrize("identity", ["mork_odd", "mork_even"])
 def test_interleave_product_sides_match_whole_series_products(identity):
     for scap in (0, 1, 7, 20):
-        want = product_side_by_products(identity, scap=scap)
+        want = product_side_by_families(by_products, identity, scap=scap)
         assert product_side(identity, scap=scap) == want, scap
 
 
@@ -1145,8 +1184,22 @@ def test_interleave_product_sides_match_whole_series_products(identity):
 def test_residue_product_sides_match_whole_series_products(identity):
     for m in (2, 3, 4):
         for i in range(1, m + 1):
-            want = product_side_by_products(identity, scap=18, m=m, i=i)
+            want = product_side_by_families(by_products, identity, scap=18, m=m, i=i)
             assert product_side(identity, scap=18, m=m, i=i) == want, (m, i)
+
+
+@pytest.mark.parametrize("identity", identities.SERIES_IDENTITIES)
+def test_product_sides_match_per_family_steps_at_benchmark_caps(identity):
+    # The path the one running series replaced: each family built by one
+    # step per factor in generation order, and one general product per
+    # family.  The caps are those of the series_sides benchmark.
+    entry = identities.IDENTITY_TABLE[identity]
+    name = identities.RING_CAPS[entry.ring]
+    params = dict(zip(entry.params, (3, 2)))
+    for cap in {"qcap": (16, 20, 24), "scap": (30, 35, 40)}[name]:
+        caps = {name: cap, **params}
+        want = product_side_by_families(by_steps, identity, **caps)
+        assert product_side(identity, **caps) == want, caps
 
 
 def test_ln_series_matches_whole_series_recurrence():

@@ -17,6 +17,7 @@ from schmidtq import (
     schmidt_bucket_counts,
     schmidt_weight,
     schmidt_weight_table,
+    split_bucket,
 )
 from schmidtq import partitions
 
@@ -221,6 +222,12 @@ def test_schmidt_weight_counters_take_classes_p_and_d_only():
             schmidt_weight_table(2, (1,), cls, cap=4)
     with pytest.raises(ValueError, match="nonnegative"):
         schmidt_weight_table(2, (1,), "P", cap=-1)
+
+
+def test_split_bucket_rejects_a_negative_key():
+    assert split_bucket(0, 2, 2) == ((0,), ())
+    with pytest.raises(ValueError, match="nonnegative"):
+        split_bucket(-1, 2, 2)
 
 
 def test_schmidt_weight_table_examples():

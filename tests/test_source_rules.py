@@ -150,6 +150,7 @@ def test_witnesses_build_only_the_objects_they_keep():
 # Defined in src/ but used only from outside it, each for a reason.
 UNUSED_IN_SOURCE = {
     "geometric_inverse": "a target of perfbench/tracer.py",
+    "poch_infinite": "a target of perfbench/tracer.py",
     "q_multinomial": "a target of perfbench/tracer.py",
     "admissible_colors": "a target of perfbench/tracer.py",
     "cs_validate": "a target of perfbench/tracer.py",
