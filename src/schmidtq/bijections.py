@@ -1,6 +1,10 @@
 """Bijections between partition families that transport diagram statistics.
 
-Four maps live here.
+Four maps live here.  None of them walks the diagram cell by cell:
+exactly ``lam_h - lam_(h+1)`` columns have height ``h`` (``lam`` read as
+0 past the last part), so the maps read the column multiplicities off
+the parts, and where a map still needs the conjugate it takes the
+O(``lam_1 + len(lam)``) pointer walk of :meth:`Partition.conjugate`.
 
 ``color_conjugate`` sends an ordinary partition to a colored partition:
 mark the rows of the diagram whose index residue lies in the chosen set,
@@ -14,10 +18,12 @@ through the cell just right of it.  The images are exactly the
 partitions with distinct parts, and the odd-indexed parts of the image
 sum to the size of the source.
 
-``glaisher_reduce`` repeatedly removes groups of ``m`` equal-height
-columns, banking each removed group of height ``k`` as a part ``k * m``;
-what remains has all column multiplicities below ``m``, i.e. all gaps
-below ``m``.
+``glaisher_reduce`` removes the groups of ``m`` equal-height columns:
+of the ``lam_h - lam_(h+1)`` columns of height ``h`` it keeps that count
+mod ``m`` and banks each full group as a part ``h * m``; what remains
+has all column multiplicities below ``m``, i.e. all gaps below ``m``.
+``glaisher_expand`` puts each banked part ``p`` back as ``m`` cells on
+each of the rows ``1 .. p / m``.
 
 ``decompose_multiplicity`` splits each part multiplicity into its
 residue and its multiple-of-``m`` bulk.
@@ -25,8 +31,8 @@ residue and its multiple-of-``m`` bulk.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import groupby
+from bisect import bisect_right
+from itertools import groupby, repeat
 
 from .colored import ColoredPartition, _palette
 from .partitions import Partition, _check_modulus, in_class, normalize_residue_set
@@ -46,7 +52,7 @@ __all__ = [
 def _marked_rows_below(h, m, residues):
     # Count row indices r <= h with ((r - 1) % m) + 1 in residues.
     full, rem = divmod(h, m)
-    return full * len(residues) + sum(1 for r in residues if r <= rem)
+    return full * len(residues) + bisect_right(residues, rem)
 
 
 def color_conjugate(lam, m, s):
@@ -65,14 +71,18 @@ def color_conjugate(lam, m, s):
     residues = normalize_residue_set(m, s, allow_m=True)
     i = len(residues)
     parts = []
-    for h in lam.conjugate().parts:
-        p = _marked_rows_below(h, m, residues)
-        # Row 1 is always marked, so every positive column has p >= 1.
-        k = ((p - 1) % i) + 1
-        last_marked = m * ((p - 1) // i) + residues[k - 1]
-        j = h - last_marked
-        parts.append((p, residues[k - 1] + j))
-    return ColoredPartition(parts)
+    below = 0
+    # lambda_h - lambda_(h+1) columns have height h.  Heights run from
+    # len(lam) down, and (p, color) grows with the height, so the parts
+    # come out in order.
+    for h, part in zip(range(len(lam), 0, -1), reversed(lam.parts)):
+        if part > below:
+            p = _marked_rows_below(h, m, residues)
+            # Row 1 is always marked, so every positive column has p >= 1,
+            # and s_k + j = h - m * ((p - 1) // i).
+            parts += repeat((p, h - m * ((p - 1) // i)), part - below)
+            below = part
+    return ColoredPartition._trusted(tuple(parts))
 
 
 def color_conjugate_inverse(mu, m, s):
@@ -91,10 +101,10 @@ def color_conjugate_inverse(mu, m, s):
             raise ValueError(
                 f"part ({p}, {c}) is not admissible for modulus {m}, residues {residues}"
             )
-        last_marked = m * ((p - 1) // i) + lo
-        heights.append(last_marked + (c - lo))
-    heights.sort(reverse=True)
-    return Partition(heights).conjugate()
+        heights.append(m * ((p - 1) // i) + c)
+    # mu's parts decrease, and the height grows with (p, c), so the
+    # heights decrease too.
+    return Partition._trusted(tuple(heights)).conjugate()
 
 
 def mork_forward(lam):
@@ -105,14 +115,17 @@ def mork_forward(lam):
     cell (d, d + 1) exists, ``lam_d + conj_{d+1} - 2d`` (the hook through
     it).  The image has strictly decreasing parts.
     """
-    conj = lam.conjugate()
+    rows = lam.parts
+    cols = lam.conjugate().parts
     out = []
-    d = 1
-    while lam.part(d) >= d:
-        out.append(lam.part(d) + conj.part(d) - 2 * d + 1)
-        if lam.part(d) >= d + 1:
-            out.append(lam.part(d) + conj.part(d + 1) - 2 * d)
-        d += 1
+    # Row d = r + 1 meets the diagonal while lam_d >= d, and then cols has
+    # at least d entries, d + 1 when the cell (d, d + 1) exists.
+    for r, row in enumerate(rows):
+        if row <= r:
+            break
+        out.append(row + cols[r] - 2 * r - 1)
+        if row > r + 1:
+            out.append(row + cols[r + 1] - 2 * r - 2)
     return Partition(out)
 
 
@@ -151,9 +164,13 @@ def mork_inverse(mu):
             raise ValueError(f"{parts} is not an image: hook components must nest")
     rows = [arm[d] + d for d in range(1, dm + 1)]
     cols = [leg[d] + d for d in range(1, dm + 1)]
-    # Rows below the diagonal square are read off the column heights.
+    # Rows below the diagonal square are read off the column heights: row r
+    # counts the columns of height at least r, and cols strictly decreases.
+    k = dm
     for r in range(dm + 1, cols[0] + 1):
-        rows.append(sum(1 for c in cols if c >= r))
+        while cols[k - 1] < r:
+            k -= 1
+        rows.append(k)
     return Partition(rows)
 
 
@@ -165,14 +182,23 @@ def glaisher_reduce(lam, m):
     to the size of ``lam``.
     """
     _check_modulus(m)
-    heights = Counter(lam.conjugate().parts)
-    kept_cols = []
+    kept = []
     banked = []
-    for h, count in heights.items():
-        kept_cols.extend([h] * (count % m))
-        banked.extend([h * m] * (count // m))
-    kept = Partition(sorted(kept_cols, reverse=True)).conjugate()
-    return kept, Partition(sorted(banked, reverse=True))
+    row = 0
+    below = 0
+    # count = lambda_h - lambda_(h+1) columns have height h.  Kept row h
+    # holds count % m of them for each height from h up, so walking the
+    # heights from len(lam) down builds the kept rows from the last, and
+    # the banked parts in decreasing order.
+    for h, part in zip(range(len(lam), 0, -1), reversed(lam.parts)):
+        count = part - below
+        below = part
+        row += count % m
+        if row:
+            kept.append(row)
+        banked += repeat(h * m, count // m)
+    kept.reverse()
+    return Partition._trusted(tuple(kept)), Partition._trusted(tuple(banked))
 
 
 def glaisher_expand(kept, banked, m):
@@ -180,12 +206,17 @@ def glaisher_expand(kept, banked, m):
     _check_modulus(m)
     if not in_class(kept, "F", m):
         raise ValueError(f"{kept.parts} has a gap of {m} or more, so it is not reduced")
-    cols = list(kept.conjugate().parts)
+    # Each banked part p puts m columns of height p / m back: m cells on
+    # each of rows 1 .. p / m.  Adding to a prefix keeps the rows decreasing.
+    rows = list(kept.parts)
     for p in banked.parts:
         if p % m:
             raise ValueError(f"banked part {p} is not divisible by {m}")
-        cols.extend([p // m] * m)
-    return Partition(sorted(cols, reverse=True)).conjugate()
+        h = p // m
+        rows += repeat(0, h - len(rows))
+        for r in range(h):
+            rows[r] += m
+    return Partition._trusted(tuple(rows))
 
 
 def decompose_multiplicity(mu, m):

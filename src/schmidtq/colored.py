@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from operator import index
 
 from .partitions import normalize_residue_set, partition_groups
 
@@ -39,7 +40,7 @@ class ColoredPartition:
     def __init__(self, parts=()):
         norm = []
         for size, color in parts:
-            size, color = int(size), int(color)
+            size, color = index(size), index(color)
             if size < 1 or color < 1:
                 raise ValueError(f"sizes and colors must be positive, got ({size}, {color})")
             norm.append((size, color))

@@ -16,8 +16,8 @@ division step per size.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, groupby, repeat
-from operator import add, floordiv, mod
+from itertools import accumulate, chain, groupby, repeat, starmap
+from operator import add, floordiv, index, lt, mod
 
 __all__ = [
     "Partition",
@@ -46,10 +46,11 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts=()):
-        t = tuple(int(p) for p in parts)
-        for a, b in zip(t, t[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing, got {t}")
+        # operator.index refuses floats, Fractions and strings instead of
+        # truncating or parsing them; ints, bools and __index__ types pass.
+        t = tuple(map(index, parts))
+        if any(map(lt, t, t[1:])):
+            raise ValueError(f"parts must be weakly decreasing, got {t}")
         if t and t[-1] < 1:
             raise ValueError(f"parts must be positive integers, got {t}")
         self._parts = t
@@ -98,14 +99,24 @@ class Partition:
         return f"Partition({list(self._parts)!r})"
 
     def conjugate(self):
-        """Reflect the Ferrers diagram: column heights become parts."""
-        if not self._parts:
-            return Partition()
-        cols = [0] * self._parts[0]
-        for p in self._parts:
-            for c in range(p):
-                cols[c] += 1
-        return Partition(cols)
+        """Reflect the Ferrers diagram: column heights become parts.
+
+        One pointer walk over the columns and the parts, so O(lambda_1 +
+        len) steps rather than one per cell; the output decreases by
+        construction and is not validated again.
+        """
+        parts = self._parts
+        if not parts:
+            return self
+        # Column c has height k, the number of parts at least c; k only
+        # falls as c grows, so it moves down the parts at most len times.
+        cols = []
+        k = len(parts)
+        for c in range(1, parts[0] + 1):
+            while parts[k - 1] < c:
+                k -= 1
+            cols.append(k)
+        return Partition._trusted(tuple(cols))
 
     def multiplicity(self, value):
         """How many parts equal ``value``."""
@@ -264,7 +275,7 @@ def _groups_in_class(groups, cls, m):
 
 
 def _expand(groups):
-    return tuple(size for size, count in groups for _ in range(count))
+    return tuple(chain.from_iterable(starmap(repeat, groups)))
 
 
 def partitions_of(n, cls="P", m=None):

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, groupby
 
 from schmidtq import Partition
@@ -21,6 +22,11 @@ def repeated_size_count(lam):
     """Number of part sizes occurring more than once; inside multiplicity-
     below-4 partitions, the count of sizes used 2 or 3 times."""
     return sum(1 for _, grp in groupby(lam.parts) if len(tuple(grp)) > 1)
+
+
+def exact(message):
+    """A pattern for pytest.raises that matches the whole message and no more."""
+    return f"^{re.escape(message)}$"
 
 
 class Exactly:

@@ -23,7 +23,7 @@ from schmidtq import (
     schmidt_weight,
 )
 
-from conftest import descending, residue_sets
+from conftest import descending, exact, residue_sets
 
 
 part_lists = st.lists(st.integers(min_value=1, max_value=10), max_size=9)
@@ -77,9 +77,12 @@ def test_color_conjugate_injective():
 
 
 def test_color_conjugate_inverse_rejects_bad_colors():
-    with pytest.raises(ValueError):
+    # Size 2 may wear only color 2, size 1 only color 1.
+    message = "part (2, 1) is not admissible for modulus 5, residues (1, 2, 3)"
+    with pytest.raises(ValueError, match=exact(message)):
         color_conjugate_inverse(ColoredPartition(((2, 1),)), 5, (1, 2, 3))
-    with pytest.raises(ValueError):
+    message = "part (1, 6) is not admissible for modulus 5, residues (1, 2, 3)"
+    with pytest.raises(ValueError, match=exact(message)):
         color_conjugate_inverse(ColoredPartition(((1, 6),)), 5, (1, 2, 3))
 
 
@@ -138,6 +141,13 @@ def test_mork_inverse_rejects_repeats():
         mork_inverse(Partition((3, 3)))
 
 
+def test_mork_forward_inverts_mork_inverse_on_distinct_parts():
+    # The images are exactly the distinct-part partitions: none is refused.
+    for n in range(25):
+        for mu in partitions_of(n, "D", 2):
+            assert mork_forward(mork_inverse(mu)) == mu
+
+
 def test_mork_size_relations():
     for n in range(13):
         for lam in partitions_of(n):
@@ -171,10 +181,16 @@ def test_glaisher_roundtrip_and_classes():
 
 
 def test_glaisher_expand_validation():
-    with pytest.raises(ValueError):
-        glaisher_expand(Partition((3, 1)), Partition(()), 2)  # gap of 2
-    with pytest.raises(ValueError):
-        glaisher_expand(Partition(()), Partition((3,)), 2)  # not divisible
+    gap = exact("(3, 1) has a gap of 2 or more, so it is not reduced")
+    with pytest.raises(ValueError, match=gap):
+        glaisher_expand(Partition((3, 1)), Partition(()), 2)
+    with pytest.raises(ValueError, match=exact("banked part 3 is not divisible by 2")):
+        glaisher_expand(Partition(()), Partition((3,)), 2)
+    # The kept partition is checked first, then the banked parts in order.
+    with pytest.raises(ValueError, match=gap):
+        glaisher_expand(Partition((3, 1)), Partition((3,)), 2)
+    with pytest.raises(ValueError, match=exact("banked part 3 is not divisible by 2")):
+        glaisher_expand(Partition((2, 1)), Partition((4, 3, 1)), 2)
 
 
 def test_glaisher_fixes_small_gap_partitions():

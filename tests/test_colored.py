@@ -14,6 +14,8 @@ from schmidtq import (
     partitions_of,
 )
 
+from conftest import Exactly, exact
+
 
 FIG_IMAGE = ColoredPartition(((7, 1), (6, 5), (6, 4), (6, 3), (2, 2)))
 
@@ -59,10 +61,23 @@ def test_colored_partition_canonical_form():
     assert ColoredPartition.from_text("") == ColoredPartition(())
     with pytest.raises(ValueError):
         ColoredPartition.from_text("3_")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("sizes and colors must be positive, got (0, 1)")):
         ColoredPartition(((0, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("sizes and colors must be positive, got (1, 0)")):
         ColoredPartition(((1, 0),))
+
+
+@pytest.mark.parametrize("part", [(2.9, 1.2), ("2", 1)], ids=["float", "string"])
+def test_colored_partition_refuses_non_integral_parts(part):
+    # (2.9, 1.2) was truncated to (2, 1).
+    with pytest.raises(TypeError):
+        ColoredPartition([part])
+
+
+def test_colored_partition_takes_bools_and_index_types():
+    mu = ColoredPartition([(True, Exactly(2)), (Exactly(3), True)])
+    assert mu.parts == ((3, 1), (1, 2))
+    assert all(type(v) is int for part in mu.parts for v in part)
 
 
 def test_two_colored_count_of_three():

@@ -60,6 +60,15 @@ The ``Series`` constructor checks and packs a dict's keys a column at a
 time.  The constructor that checked and packed one key at a time is kept
 below, with ``operator.index`` in place of ``int``: valid input must give
 the same terms, and bad input the same exception and message.
+
+The bijections read the column multiplicities ``lam_h - lam_(h+1)`` off
+the parts, and ``Partition.conjugate`` is one pointer walk.  The
+cell-count conjugate, the ``Counter``-of-columns ``glaisher_reduce``, the
+conjugate-and-sort ``glaisher_expand``, the per-column ``color_conjugate``
+and its sorting inverse, the ``part()``-based ``mork_forward``, the
+``sum``-based ``mork_inverse`` and the generator-expression expansion of
+multiplicity groups are kept below: valid input must give the same
+objects, and bad input the same exception and message.
 """
 
 import tracemalloc
@@ -82,12 +91,18 @@ from schmidtq import (
     VerificationReport,
     admissible_colors,
     geometric_inverse,
+    color_conjugate,
+    color_conjugate_inverse,
     color_counts,
     colored_bucket_counts,
     colored_partition_total,
     colored_partitions,
     enum_side,
+    glaisher_expand,
+    glaisher_reduce,
     ln_series,
+    mork_forward,
+    mork_inverse,
     normalize_residue_set,
     over_stats,
     overpartitions,
@@ -111,12 +126,13 @@ from schmidtq import (
     witnesses,
 )
 from schmidtq import identities
-from schmidtq.colored import _overpartition_table
+from schmidtq.colored import _overpartition_table, _palette
 from schmidtq.identities import _hook_exponent, _t1_slice_closed_form
 from schmidtq.partitions import (
     _check_class,
     _cor22_counts,
     _digits,
+    _expand,
     _groups_in_class,
     _schmidt_params,
     partition_groups,
@@ -303,6 +319,114 @@ def pascal_gaussian_binomial(n, k):
     for i, c in enumerate(pascal_gaussian_binomial(n - 1, k)):
         out[i + k] += c
     return tuple(out)
+
+
+# --- the replaced bijections ------------------------------------------------
+
+
+def cell_count_conjugate(lam):
+    """The conjugate, counting the diagram one cell at a time."""
+    if not lam.parts:
+        return Partition()
+    cols = [0] * lam.parts[0]
+    for p in lam.parts:
+        for c in range(p):
+            cols[c] += 1
+    return Partition(cols)
+
+
+def counter_glaisher_reduce(lam, m):
+    heights = Counter(cell_count_conjugate(lam).parts)
+    kept_cols = []
+    banked = []
+    for h, count in heights.items():
+        kept_cols.extend([h] * (count % m))
+        banked.extend([h * m] * (count // m))
+    kept = cell_count_conjugate(Partition(sorted(kept_cols, reverse=True)))
+    return kept, Partition(sorted(banked, reverse=True))
+
+
+def conjugate_and_sort_glaisher_expand(kept, banked, m):
+    if not in_class_by_parts(kept.parts, "F", m):
+        raise ValueError(f"{kept.parts} has a gap of {m} or more, so it is not reduced")
+    cols = list(cell_count_conjugate(kept).parts)
+    for p in banked.parts:
+        if p % m:
+            raise ValueError(f"banked part {p} is not divisible by {m}")
+        cols.extend([p // m] * m)
+    return cell_count_conjugate(Partition(sorted(cols, reverse=True)))
+
+
+def per_column_color_conjugate(lam, m, s):
+    residues = normalize_residue_set(m, s, allow_m=True)
+    i = len(residues)
+    parts = []
+    for h in cell_count_conjugate(lam).parts:
+        full, rem = divmod(h, m)
+        p = full * i + sum(1 for r in residues if r <= rem)
+        k = ((p - 1) % i) + 1
+        last_marked = m * ((p - 1) // i) + residues[k - 1]
+        parts.append((p, residues[k - 1] + h - last_marked))
+    return ColoredPartition(parts)
+
+
+def sorting_color_conjugate_inverse(mu, m, s):
+    residues = normalize_residue_set(m, s, allow_m=True)
+    i = len(residues)
+    heights = []
+    for p, c in mu.parts:
+        lo, hi = _palette(p, residues, m + 1)
+        if not lo <= c < hi:
+            raise ValueError(
+                f"part ({p}, {c}) is not admissible for modulus {m}, residues {residues}"
+            )
+        heights.append(m * ((p - 1) // i) + lo + (c - lo))
+    heights.sort(reverse=True)
+    return cell_count_conjugate(Partition(heights))
+
+
+def part_based_mork_forward(lam):
+    conj = cell_count_conjugate(lam)
+    out = []
+    d = 1
+    while lam.part(d) >= d:
+        out.append(lam.part(d) + conj.part(d) - 2 * d + 1)
+        if lam.part(d) >= d + 1:
+            out.append(lam.part(d) + conj.part(d + 1) - 2 * d)
+        d += 1
+    return Partition(out)
+
+
+def sum_based_mork_inverse(mu):
+    parts = mu.parts
+    if len(set(parts)) != len(parts):
+        raise ValueError(f"{parts} has repeated parts, so it is not an image")
+    n = len(parts)
+    if n == 0:
+        return Partition()
+    dm = (n + 1) // 2
+    arm = [0] * (dm + 2)
+    leg = [0] * (dm + 2)
+    arm[dm] = parts[2 * dm - 1] if n % 2 == 0 else 0
+    leg[dm] = parts[2 * dm - 2] - arm[dm] - 1
+    for d in range(dm - 1, 0, -1):
+        arm[d] = parts[2 * d - 1] - leg[d + 1] - 1
+        leg[d] = parts[2 * d - 2] - arm[d] - 1
+    for d in range(1, dm + 1):
+        if arm[d] < 0 or leg[d] < 0:
+            raise ValueError(f"{parts} is not an image: negative hook component")
+    for d in range(1, dm):
+        if arm[d] <= arm[d + 1] or leg[d] <= leg[d + 1]:
+            raise ValueError(f"{parts} is not an image: hook components must nest")
+    rows = [arm[d] + d for d in range(1, dm + 1)]
+    cols = [leg[d] + d for d in range(1, dm + 1)]
+    for r in range(dm + 1, cols[0] + 1):
+        rows.append(sum(1 for c in cols if c >= r))
+    return Partition(rows)
+
+
+def generator_expand(groups):
+    return tuple(size for size, count in groups for _ in range(count))
 
 
 # --- the replaced enumerators ------------------------------------------------
@@ -1749,3 +1873,95 @@ def test_schmidt_colored_side_matches_partition_walk():
     for n in range(36):
         _, _, rhs, _ = identities._counting_buckets("schmidt", n, None, None)
         assert rhs == {"total": sum(1 for _ in partition_groups(n))}, n
+
+
+@lru_cache(maxsize=None)
+def partitions_up_to(n):
+    """Every partition of size at most n, smallest sizes first."""
+    return tuple(lam for size in range(n + 1) for lam in partitions_of(size))
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of its ValueError."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def test_conjugate_matches_cell_count():
+    for lam in partitions_up_to(20):
+        conj = lam.conjugate()
+        assert conj == cell_count_conjugate(lam), lam
+        assert conj.conjugate() == lam
+
+
+def test_expand_matches_generator_expression():
+    for n in range(21):
+        for groups in partition_groups(n):
+            assert _expand(groups) == generator_expand(groups), groups
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_glaisher_maps_match_conjugating_maps(m):
+    for lam in partitions_up_to(20):
+        kept, banked = glaisher_reduce(lam, m)
+        assert (kept, banked) == counter_glaisher_reduce(lam, m), lam
+        back = glaisher_expand(kept, banked, m)
+        assert back == conjugate_and_sort_glaisher_expand(kept, banked, m) == lam
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_color_conjugate_matches_per_column_map(m):
+    for s in residue_sets(m, True):
+        for lam in partitions_up_to(20):
+            mu = color_conjugate(lam, m, s)
+            assert mu == per_column_color_conjugate(lam, m, s), (s, lam)
+            back = color_conjugate_inverse(mu, m, s)
+            assert back == sorting_color_conjugate_inverse(mu, m, s) == lam
+
+
+def test_mork_maps_match_part_indexing_maps():
+    for lam in partitions_up_to(20):
+        mu = mork_forward(lam)
+        assert mu == part_based_mork_forward(lam), lam
+        assert mork_inverse(mu) == sum_based_mork_inverse(mu) == lam
+    # Every distinct-part partition, and partitions with repeats, which
+    # both refuse with the same message.
+    for n in range(25):
+        for mu in partitions_of(n, "D", 2):
+            assert mork_inverse(mu) == sum_based_mork_inverse(mu), mu
+    for mu in partitions_up_to(12):
+        assert outcome(mork_inverse, mu) == outcome(sum_based_mork_inverse, mu), mu
+
+
+drawn_partitions = st.lists(st.integers(1, 60), max_size=40).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), lam=drawn_partitions, kept=drawn_partitions, banked=drawn_partitions)
+def test_bijections_match_replaced_maps_past_the_grid(data, lam, kept, banked):
+    # Up to 40 parts of up to 60 and moduli up to 8, past the n <= 20 grid.
+    m = data.draw(st.integers(2, 8))
+    s = data.draw(st.sampled_from(residue_sets(m, True)))
+    assert lam.conjugate() == cell_count_conjugate(lam)
+    groups = tuple((size, len(tuple(run))) for size, run in groupby(lam.parts))
+    assert _expand(groups) == generator_expand(groups)
+    reduced = glaisher_reduce(lam, m)
+    assert reduced == counter_glaisher_reduce(lam, m)
+    assert glaisher_expand(*reduced, m) == lam
+    # Any pair, reduced or not, gives the same partition or the same error.
+    assert outcome(glaisher_expand, kept, banked, m) == outcome(
+        conjugate_and_sort_glaisher_expand, kept, banked, m
+    )
+    mu = color_conjugate(lam, m, s)
+    assert mu == per_column_color_conjugate(lam, m, s)
+    assert color_conjugate_inverse(mu, m, s) == sorting_color_conjugate_inverse(mu, m, s) == lam
+    image = mork_forward(lam)
+    assert image == part_based_mork_forward(lam)
+    assert mork_inverse(image) == sum_based_mork_inverse(image) == lam
+    distinct = Partition(sorted(set(kept.parts), reverse=True))
+    for nu in (kept, distinct):
+        assert outcome(mork_inverse, nu) == outcome(sum_based_mork_inverse, nu)

@@ -1,6 +1,7 @@
 """Partition core: construction, conjugation, weights, classes, enumeration."""
 
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,7 @@ from schmidtq import (
 )
 from schmidtq import partitions
 
-from conftest import descending
+from conftest import Exactly, descending, exact
 
 
 part_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=10)
@@ -30,12 +31,30 @@ part_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=10)
 def test_constructor_validates():
     Partition((3, 3, 1))
     Partition(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("parts must be weakly decreasing, got (1, 2)")):
         Partition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("parts must be positive integers, got (0,)")):
         Partition((0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exact("parts must be positive integers, got (2, -1)")):
         Partition((2, -1))
+    # Converted parts print as ints.
+    with pytest.raises(ValueError, match=exact("parts must be weakly decreasing, got (1, 2)")):
+        Partition([True, Exactly(2)])
+
+
+@pytest.mark.parametrize(
+    "parts", [[2.5, 1], [Fraction(7, 2)], ["3", "1"]], ids=["float", "fraction", "string"]
+)
+def test_constructor_refuses_non_integral_parts(parts):
+    # These were truncated or parsed, so Partition([2.5, 1]) was (2, 1).
+    with pytest.raises(TypeError):
+        Partition(parts)
+
+
+def test_constructor_takes_bools_and_index_types():
+    lam = Partition([Exactly(3), True, True])
+    assert lam == Partition((3, 1, 1))
+    assert all(type(p) is int for p in lam.parts)
 
 
 def test_indexing_and_length():
