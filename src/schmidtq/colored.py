@@ -328,13 +328,16 @@ def colored_bucket_counts(n, m, s, top):
             if _palette(p, residues, top)[1] > m
         ],
     )
-    out = Counter()
+    # A plain dict, wrapped once at the end: each key arrives once here,
+    # and a Counter's += would call its Python __missing__ for every one.
+    out = {}
+    get = out.get
     for size, nus in enumerate(images):
         rest = table[n - size]
         for v, count in nus.items():
             for u, ways in rest.items():
-                out[u + v] += count * ways
-    return out
+                out[u + v] = get(u + v, 0) + count * ways
+    return Counter(out)
 
 
 def colored_partition_total(n, m, s, top):

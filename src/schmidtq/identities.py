@@ -569,14 +569,17 @@ def verify_counting(theorem, *, n, m=None, s=None):
         raise ValueError(f"weight must be a nonnegative integer, got {n!r}")
     params, lhs, rhs, bucket_of = _counting_buckets(theorem, n, m, s)
     caps = {"n": n}
-    if lhs == rhs:
+    # dict equality runs in C; Counter's runs a Python generator.  Sides
+    # that differ only by keys stored with count 0 still pass, as Counters.
+    differing = ()
+    if not dict.__eq__(lhs, rhs):
+        keys = lhs.keys() | rhs.keys()
+        differing = [key for key in keys if lhs.get(key, 0) != rhs.get(key, 0)]
+    if not differing:
         return VerificationReport(theorem, params, caps, "pass")
     # Keys order otherwise than buckets, so only the mismatching keys are
     # unpacked, and the first of their buckets is the one labelled.
-    key = min(
-        (key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0)),
-        key=bucket_of,
-    )
+    key = min(differing, key=bucket_of)
     bucket = _bucket_label(theorem, n, params, bucket_of(key))
     mismatch = {"bucket": bucket, "lhs": lhs.get(key, 0), "rhs": rhs.get(key, 0)}
     return VerificationReport(theorem, params, caps, "fail", mismatch)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, chain, groupby, repeat, starmap
-from operator import add, floordiv, index, lt, mod
+from operator import add, eq, floordiv, index, lt, mod, sub
 
 __all__ = [
     "Partition",
@@ -147,7 +147,9 @@ def normalize_residue_set(m, s, *, allow_m=True):
     contains 1.
     """
     _check_modulus(m)
-    residues = tuple(sorted({int(r) for r in s}))
+    # operator.index refuses floats and strings instead of truncating or
+    # parsing them, as Partition does for parts.
+    residues = tuple(sorted(set(map(index, s))))
     if not residues:
         raise ValueError("residue set must be nonempty")
     top = m if allow_m else m - 1
@@ -208,8 +210,17 @@ def in_class(lam, cls, m=None):
     ``"R"`` keeps only parts divisible by ``m``.
     """
     _check_class(cls, m)
-    groups = [(size, len(tuple(grp))) for size, grp in groupby(lam.parts)]
-    return _groups_in_class(groups, cls, m)
+    t = lam.parts
+    if cls == "P":
+        return True
+    if cls == "D":
+        # The parts decrease, so a size with m copies or more equals the
+        # part m - 1 places on.
+        return not any(map(eq, t, t[m - 1 :]))
+    if cls == "F":
+        # Every gap, the last part's down to 0 included.
+        return all(map(lt, map(sub, t, (*t[1:], 0)), repeat(m)))
+    return not any(map(mod, t, repeat(m)))
 
 
 def repetition_profile(lam, m):
@@ -260,18 +271,6 @@ def partition_groups(n):
         groups.append((size, rest // size))
         if rest % size:
             groups.append((rest % size, 1))
-
-
-def _groups_in_class(groups, cls, m):
-    # Class membership read off the multiplicity form; cls and m are valid.
-    if cls == "P":
-        return True
-    if cls == "D":
-        return all(count < m for _, count in groups)
-    if cls == "F":
-        sizes = [size for size, _ in groups] + [0]
-        return all(a - b < m for a, b in zip(sizes, sizes[1:]))
-    return all(size % m == 0 for size, _ in groups)
 
 
 def _expand(groups):
@@ -668,8 +667,11 @@ def residue_column_table(m, s, cls, *, qcap):
 # schmidt_bucket_counts walks the subtree of a prefix with at most this
 # much Schmidt weight left (and some left) once per state, and replays its
 # keys for every later prefix in that state.  Chosen by interleaved timing
-# against 3, 4, 6 and 7 at the franklin_ext and ak_main weights 14-20:
-# 4 and 5 tie, and 3, 6 and 7 are slower on franklin_ext.
+# against 3, 4, 6 and 7 at the franklin_ext (m = 2) and ak_main (m = 3)
+# weights 14-20, re-measured once the state kept runs mod m (Python 3.11,
+# 2 vCPUs): 5 is the fastest on franklin_ext (37-46 ms a pass; 4, 6 and 7
+# took 43-50, 45-47 and 51-54), and ak_main's 4-6 ms passes do not tell
+# them apart.
 _TAIL_WEIGHT = 5
 
 
@@ -714,25 +716,24 @@ def schmidt_bucket_counts(n, m, s, cls="P"):
 def _bucket_walk(stack, done, cut, tails, out, shape):
     # Iterative preorder walk over the prefixes of weight at most n.  Each
     # node is (residue of the next index, weight, last part, run length of
-    # the last part, key), the key holding the closed runs only; the root's
-    # last part n only bounds the first part.  A prefix is counted when it
-    # is made, its key appended to done, and a prefix of weight n is
-    # entered only if its next index is not counted, as only then can it
-    # grow.
+    # the last part mod m, key); the root's last part n only bounds the
+    # first part.  A part adds its step to the key, and the part that
+    # makes a run reach m copies adds its block too, so a key is always a
+    # sum of the prefix's own steps.  A prefix is counted when it is made,
+    # its key appended to done, and a prefix of weight n is entered only
+    # if its next index is not counted, as only then can it grow.
     #
-    # A key is a sum of one step per part and one block per closed run, so
-    # the keys below a prefix are its key plus deltas that depend only on
+    # The keys below a prefix are its key plus deltas that depend only on
     # its state: (residue of the next index, weight, last part, run length
-    # of the last part).  A prefix with 1..cut weight left is counted into
-    # out by adding its key to the deltas of its state, which tails maps to
-    # the keys, duplicates kept, of one walk below that state from key 0.
+    # mod m).  A prefix with 1..cut weight left is counted into out by
+    # adding its key to the deltas of its state, which tails maps to the
+    # keys, duplicates kept, of one walk below that state from key 0.
     # That walk has cut 0, so the lists hold disjoint subtrees: no more
     # entries than partitions counted.  A closure that called itself would
     # form a cycle holding the memo until a full garbage collection.
     n, m, counted, bounded, step, block = shape
     while stack:
         r, weight, last, run, key = stack.pop()
-        closed = key + run // m * block[last]
         is_counted = counted[r]
         next_r = r + 1 if r + 1 < m else 0
         grows = not counted[next_r]
@@ -744,14 +745,18 @@ def _bucket_walk(stack, done, cut, tails, out, shape):
         for a in range(top, 0, -1):
             if is_counted:
                 child_weight = weight + a
-            if a == last:
-                if bounded and run + 1 == m:
-                    continue
-                child_run, child_key = run + 1, key + a * delta
+            child_key = key + a * delta
+            if a != last:
+                child_run = 1
+            elif run + 1 < m:
+                child_run = run + 1
+            elif bounded:
+                continue
             else:
-                child_run, child_key = 1, closed + a * delta
+                child_run = 0
+                child_key += block[a]
             if child_weight == n:
-                done.append(child_key + child_run // m * block[a])
+                done.append(child_key)
                 if not grows:
                     continue
             elif n - child_weight <= cut:

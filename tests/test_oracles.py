@@ -49,7 +49,9 @@ and the overpartition counts off the ``(N, o, p)`` keys of
 ``_overpartition_table``.  ``schmidt_bucket_counts`` walks the subtree of
 each state with little weight left once and replays its keys; the walk
 that built every key on the way down is kept below, and the replay must
-stay within 3x its tracemalloc peak.
+stay within 3x its tracemalloc peak.  Its state keeps the run length of
+the last part mod m, a block added as a run reaches m copies; the walk
+that kept whole runs and added their blocks as they closed is kept below.
 
 The Gaussian binomials are products of one multiply and one divide step
 per factor, and the ``schmidt`` colored side is a colored total with one
@@ -68,13 +70,18 @@ conjugate-and-sort ``glaisher_expand``, the per-column ``color_conjugate``
 and its sorting inverse, the ``part()``-based ``mork_forward``, the
 ``sum``-based ``mork_inverse`` and the generator-expression expansion of
 multiplicity groups are kept below: valid input must give the same
-objects, and bad input the same exception and message.
+objects, and bad input the same exception and message.  So are the
+forms that built a tuple for every run of equal parts, which
+``decompose_multiplicity`` and ``in_class`` replaced by counting runs as
+they pass and comparing neighbouring parts, and the validating
+constructors that ``decompose_multiplicity`` and ``merge_partitions``
+no longer call on outputs that decrease by construction.
 """
 
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations_with_replacement, count, groupby, product
+from itertools import combinations_with_replacement, count, groupby, product, repeat
 from math import comb
 from operator import add, index, itemgetter, le
 
@@ -97,10 +104,13 @@ from schmidtq import (
     colored_bucket_counts,
     colored_partition_total,
     colored_partitions,
+    decompose_multiplicity,
     enum_side,
     glaisher_expand,
     glaisher_reduce,
+    in_class,
     ln_series,
+    merge_partitions,
     mork_forward,
     mork_inverse,
     normalize_residue_set,
@@ -125,7 +135,7 @@ from schmidtq import (
     verify_counting,
     witnesses,
 )
-from schmidtq import identities
+from schmidtq import identities, partitions
 from schmidtq.colored import _overpartition_table, _palette
 from schmidtq.identities import _hook_exponent, _t1_slice_closed_form
 from schmidtq.partitions import (
@@ -133,7 +143,6 @@ from schmidtq.partitions import (
     _cor22_counts,
     _digits,
     _expand,
-    _groups_in_class,
     _schmidt_params,
     partition_groups,
 )
@@ -429,6 +438,20 @@ def generator_expand(groups):
     return tuple(size for size, count in groups for _ in range(count))
 
 
+def tuple_run_decompose_multiplicity(mu, m):
+    low = []
+    bulk = []
+    for size, grp in groupby(mu.parts):
+        count = len(tuple(grp))
+        low.extend([size] * (count % m))
+        bulk.extend([size] * (count - count % m))
+    return Partition(low), Partition(bulk)
+
+
+def validating_merge_partitions(a, b):
+    return Partition(sorted(a.parts + b.parts, reverse=True))
+
+
 # --- the replaced enumerators ------------------------------------------------
 
 
@@ -439,6 +462,25 @@ def descending_sequences(n, maxpart):
     for a in range(min(n, maxpart), 0, -1):
         for rest in descending_sequences(n - a, a):
             yield (a,) + rest
+
+
+def groups_in_class(groups, cls, m):
+    """Class membership read off the multiplicity form; cls and m are valid."""
+    if cls == "P":
+        return True
+    if cls == "D":
+        return all(count < m for _, count in groups)
+    if cls == "F":
+        sizes = [size for size, _ in groups] + [0]
+        return all(a - b < m for a, b in zip(sizes, sizes[1:]))
+    return all(size % m == 0 for size, _ in groups)
+
+
+def grouped_in_class(lam, cls, m=None):
+    """``in_class`` from a tuple built for every run of equal parts."""
+    _check_class(cls, m)
+    groups = [(size, len(tuple(grp))) for size, grp in groupby(lam.parts)]
+    return groups_in_class(groups, cls, m)
 
 
 def in_class_by_parts(parts, cls, m):
@@ -518,7 +560,7 @@ def recursive_partitions_with_schmidt_weight(n, m, s, cls="P"):
 def filtered_partitions_of(n, cls="P", m=None):
     """``partitions_of`` as a filter over every partition of n."""
     for groups in partition_groups(n):
-        if _groups_in_class(groups, cls, m):
+        if groups_in_class(groups, cls, m):
             yield Partition(size for size, count in groups for _ in range(count))
 
 
@@ -595,7 +637,7 @@ def group_walk_distribution(n, m, s, cls="P"):
     full = len(residues)
     out = Counter()
     for groups in partition_groups(n):
-        if not _groups_in_class(groups, cls, m):
+        if not groups_in_class(groups, cls, m):
             continue
         weight = start = 0
         for size, count in groups:
@@ -803,17 +845,24 @@ def schmidt_weight_statistics(n, m, s, cls="P"):
     )
 
 
-def walk_schmidt_bucket_counts(n, m, s, cls="P"):
-    """``schmidt_bucket_counts`` from one walk over every partition of Schmidt
-    weight n, each key built on the way down with no subtree shared."""
+def bucket_layout(n, m, s, cls):
+    """``(counted, bounded, step, block)``: which 0-based residues count,
+    whether runs stop below m, and the key steps of a part at each residue
+    and of a block of each size, as ``schmidt_bucket_counts`` packs them."""
     residues, counted = _schmidt_params(m, s, cls)
-    bounded = cls == "D"
     base = n + 1
     step = [
         (base**r if r < m - 1 else 0) - (base ** (r - 1) if r > 0 else 0) for r in range(m)
     ]
     i = len(residues)
     block = [base ** (m - 2 + i * a) if i * a <= n else 0 for a in range(n + 1)]
+    return counted, cls == "D", step, block
+
+
+def walk_schmidt_bucket_counts(n, m, s, cls="P"):
+    """``schmidt_bucket_counts`` from one walk over every partition of Schmidt
+    weight n, each key built on the way down with no subtree shared."""
+    counted, bounded, step, block = bucket_layout(n, m, s, cls)
     out = Counter()
     if n == 0:
         out[0] = 1
@@ -844,6 +893,57 @@ def walk_schmidt_bucket_counts(n, m, s, cls="P"):
                     continue
             stack.append((next_r, child_weight, a, child_run, child_key))
     return out
+
+
+def full_run_schmidt_bucket_counts(n, m, s, cls="P"):
+    """``schmidt_bucket_counts`` with the walk that tracked each run in full
+    and added its blocks when the run closed, replaying small-remainder
+    subtrees as the walk does."""
+    out = Counter()
+    if n == 0:
+        out[0] = 1
+    done = []
+    shape = (n, m, *bucket_layout(n, m, s, cls))
+    full_run_bucket_walk([(0, 0, n, 0, 0)], done, 5, {}, out, shape)
+    out.update(done)
+    return out
+
+
+def full_run_bucket_walk(stack, done, cut, tails, out, shape):
+    n, m, counted, bounded, step, block = shape
+    while stack:
+        r, weight, last, run, key = stack.pop()
+        closed = key + run // m * block[last]
+        is_counted = counted[r]
+        next_r = r + 1 if r + 1 < m else 0
+        grows = not counted[next_r]
+        delta = step[r]
+        child_weight = weight
+        top = last
+        if is_counted:
+            top = min(last, n - weight)
+        for a in range(top, 0, -1):
+            if is_counted:
+                child_weight = weight + a
+            if a == last:
+                if bounded and run + 1 == m:
+                    continue
+                child_run, child_key = run + 1, key + a * delta
+            else:
+                child_run, child_key = 1, closed + a * delta
+            if child_weight == n:
+                done.append(child_key + child_run // m * block[a])
+                if not grows:
+                    continue
+            elif n - child_weight <= cut:
+                state = (next_r, child_weight, a, child_run)
+                deltas = tails.get(state)
+                if deltas is None:
+                    deltas = tails[state] = []
+                    full_run_bucket_walk([(*state, 0)], deltas, 0, tails, out, shape)
+                out.update(map(add, deltas, repeat(child_key)))
+                continue
+            stack.append((next_r, child_weight, a, child_run, child_key))
 
 
 def unpacked(counts, bucket_of):
@@ -1428,6 +1528,30 @@ def test_failing_counting_reports_keep_their_evidence(monkeypatch):
     )
 
 
+def test_counting_reports_read_stored_zero_counts_as_missing(monkeypatch):
+    # The sides compare as dicts first, so a key stored with count 0 on
+    # one side alone makes them differ; read as Counters they still match.
+    # Key 0, the first bucket of all, holds no partition of 8.
+    original = identities.schmidt_bucket_counts
+
+    def padded(*args):
+        counts = original(*args)
+        assert 0 not in counts
+        counts[0] = 0
+        return counts
+
+    monkeypatch.setattr(identities, "schmidt_bucket_counts", padded)
+    for theorem, m, s in [("franklin_ext", 2, (1,)), ("ak_main", 3, (1, 2))]:
+        report = verify_counting(theorem, n=8, m=m, s=s)
+        assert report == VerificationReport(theorem, {"m": m, "s": list(s)}, {"n": 8}, "pass")
+    # A real mismatch is labelled as it is without the zero.
+    _bump(monkeypatch, 8, 2, [((2,), (2,))])
+    report = verify_counting("franklin_ext", n=8, m=2, s=(1,))
+    assert report.evidence_text() == (
+        "bucket rho=(2,) color_2_parts=(2,) profiles=(((2, 2),), ((2, 3),)): 3 != 4"
+    )
+
+
 @pytest.mark.parametrize("s, profile", [((1,), "((4, 4),)"), ((1, 3), "((2, 4),)")])
 def test_failing_report_names_the_first_bucket_in_bucket_order(monkeypatch, s, profile):
     # Two colored buckets off by one whose packed keys order the other way
@@ -1785,6 +1909,25 @@ def test_schmidt_bucket_counts_match_whole_walk_at_any_weight(data):
     assert schmidt_bucket_counts(n, m, s, cls) == walk_schmidt_bucket_counts(n, m, s, cls)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_franklin_ext_buckets_match_full_run_walk(m):
+    # The walk keeps each run mod m and adds a block as the run reaches m
+    # copies; the walk that kept whole runs added them as the run closed.
+    top = 20 if m == 2 else 16
+    for s in residue_sets(m, True):
+        for n in range(top + 1):
+            assert schmidt_bucket_counts(n, m, s, "P") == full_run_schmidt_bucket_counts(
+                n, m, s, "P"
+            ), (s, n)
+
+
+def test_ak_main_buckets_match_full_run_walk():
+    for n in range(21):
+        assert schmidt_bucket_counts(n, 3, (1, 2), "D") == full_run_schmidt_bucket_counts(
+            n, 3, (1, 2), "D"
+        ), n
+
+
 def traced_peak(f, *args):
     """The tracemalloc peak, in bytes, of one call ``f(*args)``."""
     tracing = tracemalloc.is_tracing()
@@ -1805,6 +1948,19 @@ def test_schmidt_bucket_counts_memory_stays_near_the_whole_walk(n, m, s, cls):
     # The replayed lists hold at most one delta per partition counted.
     walk = traced_peak(walk_schmidt_bucket_counts, n, m, s, cls)
     assert traced_peak(schmidt_bucket_counts, n, m, s, cls) <= 3 * walk
+
+
+def test_schmidt_bucket_counts_memory_in_class_d_stays_near_the_unreplayed_walk(monkeypatch):
+    # In class D the whole walk's Counter holds one entry per rho bucket,
+    # 65 at n = 20, while a walk that lists its keys holds one per
+    # partition, 627, so the bound above fails there (4.9-7x).  The
+    # replayed lists add at most one delta per partition counted to the
+    # same walk with no replay, which lists every key.
+    args = (20, 3, (1, 2), "D")
+    replayed = traced_peak(schmidt_bucket_counts, *args)
+    monkeypatch.setattr(partitions, "_TAIL_WEIGHT", 0)
+    assert schmidt_bucket_counts(*args) == walk_schmidt_bucket_counts(*args)
+    assert replayed <= 3 * traced_peak(schmidt_bucket_counts, *args)
 
 
 @pytest.mark.parametrize("m, s, top", PALETTES)
@@ -1894,6 +2050,29 @@ def test_conjugate_matches_cell_count():
         conj = lam.conjugate()
         assert conj == cell_count_conjugate(lam), lam
         assert conj.conjugate() == lam
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_in_class_matches_grouped_runs(m):
+    for lam in partitions_up_to(20):
+        for cls in "PDFR":
+            assert in_class(lam, cls, m) == grouped_in_class(lam, cls, m), (cls, lam)
+
+
+def test_in_class_refuses_as_grouped_runs():
+    lam = Partition((2, 1))
+    for cls, m in [("X", 2), ("D", None), ("F", 1), ("R", 2.0), ("D", True)]:
+        assert outcome(in_class, lam, cls, m) == outcome(grouped_in_class, lam, cls, m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_decompose_and_merge_match_tuple_runs_and_validating_merge(m):
+    for lam in partitions_up_to(16):
+        low, bulk = decompose_multiplicity(lam, m)
+        assert (low, bulk) == tuple_run_decompose_multiplicity(lam, m), lam
+        assert merge_partitions(low, bulk) == validating_merge_partitions(low, bulk) == lam
+        # Any two partitions, not only the halves of one.
+        assert merge_partitions(lam, low) == validating_merge_partitions(lam, low)
 
 
 def test_expand_matches_generator_expression():

@@ -19,6 +19,7 @@ from schmidtq import (
     schmidt_weight,
     schmidt_weight_table,
     split_bucket,
+    verify_counting,
 )
 from schmidtq import partitions
 
@@ -104,6 +105,20 @@ def test_residue_set_validation():
         normalize_residue_set(3, (1, 4))
     with pytest.raises(ValueError):
         normalize_residue_set(3, (1, 3), allow_m=False)
+
+
+@pytest.mark.parametrize("s", [(1.9,), (1, 2.0), ("1",), (1, "2")], ids=str)
+def test_residue_set_refuses_non_integral_residues(s):
+    # These were truncated or parsed, so (1.9,) read as (1,).
+    with pytest.raises(TypeError):
+        normalize_residue_set(2, s)
+    with pytest.raises(TypeError):
+        verify_counting("franklin_ext", n=6, m=2, s=s)
+
+
+def test_residue_set_takes_bools_and_index_types():
+    assert normalize_residue_set(3, [Exactly(2), True]) == (1, 2)
+    assert all(type(r) is int for r in normalize_residue_set(3, [Exactly(2), True]))
 
 
 def test_rho_examples():
