@@ -337,6 +337,10 @@ def colored_bucket_counts(n, m, s, top):
         for v, count in nus.items():
             for u, ways in rest.items():
                 out[u + v] = get(u + v, 0) + count * ways
+    # Free the coin tables (images has n + 1 >= 1 rows, so the loop names
+    # are bound) before the wrap: the dict and its Counter copy are alive
+    # at once there.
+    del table, images, rest, nus
     return Counter(out)
 
 

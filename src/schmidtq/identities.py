@@ -57,6 +57,7 @@ from .partitions import (
 from .series import (
     Series,
     SeriesContext,
+    _divide_by_monomial,
     _Family,
     _poch_product,
     gaussian_multinomial_coeffs,
@@ -255,12 +256,16 @@ def _hook_exponent(n, j, k, with_t1_denominator):
     return n * (n - 1) // 2 + k * (k + 1) // 2 + j * j - n * j + j
 
 
-def _hook_sum(qcap, with_t1_denominator):
+def _hook_sum(qcap, js, *, with_t1_denominator):
     # The sum of inner_n / D_n, where D_n is the product over r = 1..n of
     # (1 - q^r)(1 - t2 q^r), times (1 - t1 q^r) with the t1 denominator.
     # Nested the Horner way from the largest n down,
     # acc = inner_n + acc / (D_{n+1} / D_n), so each level costs two or
     # three linear division steps instead of products of whole series.
+    # inner_n keeps the terms whose t1 exponent j lies in js, an ascending
+    # range.  Every term has j <= e: e is at least C(j + 1, 2) with the t1
+    # denominator and at least (n - j)^2 + C(j + 1, 2) without it.  So
+    # range(qcap + 1) keeps every in-cap term.
     ctx = trivariate_context(qcap)
     inners = []
     n = 0
@@ -274,7 +279,9 @@ def _hook_sum(qcap, with_t1_denominator):
         if floor > qcap:
             break
         inner = {}
-        for j in range(n + 1):
+        for j in js:
+            if j > n:
+                break
             for k in range(max(0, n - j), n + 1):
                 e = _hook_exponent(n, j, k, with_t1_denominator)
                 if e < 0:
@@ -304,9 +311,9 @@ def _hook_sum(qcap, with_t1_denominator):
 def sum_side(identity, qcap):
     """The explicit double-sum side, summed until its minimal exponent leaves the caps."""
     if identity == "ak_trivariate":
-        return _hook_sum(qcap, with_t1_denominator=True)
+        return _hook_sum(qcap, range(qcap + 1), with_t1_denominator=True)
     if identity == "overpartition":
-        return _hook_sum(qcap, with_t1_denominator=False)
+        return _hook_sum(qcap, range(qcap + 1), with_t1_denominator=False)
     raise ValueError(f"no sum side for {identity!r}")
 
 
@@ -456,23 +463,31 @@ def cauchy_check(N, qcap=None):
 
 
 def t1_slice_check(J, qcap):
-    """One fixed power of t1, read off the double sum and off the closed form."""
+    """One fixed power of t1, read off the double sum and off the closed form.
+
+    The t1^J slice of the overpartition double sum is the sum of its
+    ``j = J`` terms alone, exactly: the denominators ``D_n`` hold no t1,
+    so every division step keeps a term's t1 degree, and no other term
+    reaches t1^J.  Only those terms are summed, and the result is shifted
+    from t1^J down to t1^0.
+    """
     if not isinstance(J, int) or J < 0:
         raise ValueError(f"slice index must be a nonnegative integer, got {J!r}")
     qcap = _required(qcap, "qcap")
-    full = sum_side("overpartition", qcap)
-    ctx = full.context
-    sliced = {}
-    for mon, coeff in full.sorted_terms():
-        if mon[1] == J:
-            sliced[(mon[0], 0, mon[2])] = coeff
-    lhs = Series(ctx, sliced)
+    ctx = trivariate_context(qcap)
     return _compare_sides(
         "t1_slice",
         {"j": J},
         {"q": qcap, "t1": qcap, "t2": qcap},
-        [("sum_slice", lhs), ("closed_form", _t1_slice_closed_form(ctx, J))],
+        [("sum_slice", _t1_slice_sum(ctx, J)), ("closed_form", _t1_slice_closed_form(ctx, J))],
     )
+
+
+def _t1_slice_sum(ctx, J):
+    # The j = J terms of the overpartition double sum, shifted from t1^J
+    # down to t1^0.
+    sliced = _hook_sum(ctx.caps[0], range(J, J + 1), with_t1_denominator=False)
+    return _divide_by_monomial(sliced, ctx.monomial(t1=J))
 
 
 def _t1_slice_closed_form(ctx, J):

@@ -549,10 +549,13 @@ def _cor22_counts(qcap):
         ]
 
     states = _part_size_pass({1: 1}, qcap, base * unit, 2, steps)
-    # Sum over the odd bit, then unpack the three fields a field at a time.
-    packed = Counter()
+    # Sum over the odd bit into a plain dict (a Counter's += would call its
+    # Python __missing__ for every new key), then unpack the three fields a
+    # field at a time.
+    packed = {}
+    get = packed.get
     for key, count in states.items():
-        packed[key >> 1] += count
+        packed[key >> 1] = get(key >> 1, 0) + count
     keys = packed.keys()
     weight = map(floordiv, keys, repeat(base * base))
     repeated = map(mod, map(floordiv, keys, repeat(base)), repeat(base))
@@ -654,10 +657,12 @@ def residue_column_table(m, s, cls, *, qcap):
     ]
     block = len(residues) * unit if cls == "P" else 0
     states = _part_size_pass({}, qcap, base * unit, m, steps, block=block, first=first)
-    # Sum over the residue field, then unpack (weight, rho) a field at a time.
-    packed = Counter({0: 1})
+    # Sum over the residue field into a plain dict, as _cor22_counts does,
+    # then unpack (weight, rho) a field at a time.
+    packed = {0: 1}
+    get = packed.get
     for key, count in states.items():
-        packed[key // m] += count
+        packed[key // m] = get(key // m, 0) + count
     keys = packed.keys()
     rho = [map(mod, map(floordiv, keys, repeat(base**j)), repeat(base)) for j in range(m)]
     weight = map(floordiv, keys, repeat(base**m))

@@ -28,7 +28,11 @@ sparse until the last small factors fill it in: the divisions of
 generation order (``z``, ``z g``, ``z g^2``, ...).  A general
 product (``*``) buckets the larger operand by one exponent and visits,
 for each term of the other operand, only the buckets that still fit
-under that exponent's cap.
+under that exponent's cap.  A product with a single-term operand is a
+key shift of the other operand: one add, one cap check and one multiply
+per term, with no buckets.  A sum (``+``) copies the larger operand and
+walks the smaller one, deleting each key whose coefficients cancel, so
+it costs one pass over the smaller operand beyond the copy.
 
 Inside a series each exponent vector is packed into one int.  Exponent
 ``k`` gets a field of ``caps[k].bit_length() + 1`` bits, one more than
@@ -46,7 +50,9 @@ where they leave (:meth:`Series.sorted_terms`, text, JSON).
 The constructor checks and packs a dict's keys column by column: one
 set of key lengths for the arity, then per exponent column one set of
 types, one ``min`` and one ``max`` against its cap and one shift-and-add
-into the packed ints, each a single pass at C speed.  Any other input,
+into the packed ints, each a single pass at C speed.  Those keys are
+distinct, so when no coefficient is zero the result is the packed ints
+zipped with the coefficients.  Any other input,
 and a dict that fails a column check, is scanned key by key, so the
 first bad key raises just as it would alone.  Exponents, caps and
 coefficients are read through ``operator.index``: ints, bools and other
@@ -203,6 +209,12 @@ class Series:
         if packed is None or not set(map(type, coeffs)) <= {int}:
             items = terms.items() if hasattr(terms, "items") else terms
             packed, coeffs = _check_rows(items, context)
+        elif 0 not in coeffs:
+            # The column checks passed, so the keys are distinct tuples of
+            # in-cap ints and pack to distinct ints: nothing to merge.
+            self._context = context
+            self._terms = dict(zip(packed, coeffs))
+            return
         acc = {}
         for key, coeff in zip(packed, coeffs):
             if coeff:
@@ -264,10 +276,17 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._require_same_context(other)
-        out = dict(self._terms)
-        for k, v in other._terms.items():
-            out[k] = out.get(k, 0) + v
-        return Series._raw(self._context, _nonzero(out))
+        a, b = self._terms, other._terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for k, v in b.items():
+            v += out.get(k, 0)
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return Series._raw(self._context, out)
 
     __radd__ = __add__
 
@@ -299,11 +318,18 @@ class Series:
         out = {}
         if not a:
             return Series._raw(self._context, out)
+        layout = _layout(caps)
+        off, guard = layout.off, layout.guard
+        if len(a) == 1:
+            # A key shift: both coefficients are nonzero, so is each product.
+            ((m1, c1),) = a.items()
+            m1_off = m1 + off
+            return Series._raw(
+                self._context, {k + m1: c1 * v for k, v in b.items() if not (k + m1_off) & guard}
+            )
         # Bucket b by the exponent that leaves the fewest pairs to visit;
         # a pair whose bucket exponent already overflows its cap is never
         # formed, and the rest are checked against every cap by the guard.
-        layout = _layout(caps)
-        off, guard = layout.off, layout.guard
         shift, mask, cap = _bucket_field(a, b, caps, layout)
         buckets = {}
         for m2, c2 in b.items():
@@ -402,6 +428,14 @@ class Series:
 
     def to_json_text(self):
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
+
+
+def _divide_by_monomial(series, monomial):
+    # series / x^monomial, for a monomial that divides every term of the
+    # series: one subtraction per packed key, as no field borrows.  An
+    # empty series stays empty whatever the monomial, in cap or not.
+    down = _layout(series._context.caps).pack(monomial)
+    return Series._raw(series._context, {k - down: v for k, v in series._terms.items()})
 
 
 def _nonzero(terms):

@@ -58,6 +58,12 @@ per factor, and the ``schmidt`` colored side is a colored total with one
 color per part.  The q-Pascal recursion and the walk over the partitions
 of n they replaced are kept below.
 
+A product with a single-term operand is a key shift, a sum copies the
+larger operand and walks the smaller one, and the t1 slice sums only the
+``j = J`` terms of the overpartition double sum.  The bucketed product
+that every operand took, the add that filtered its whole result a second
+time, and the slice read off the whole sum are kept below.
+
 The ``Series`` constructor checks and packs a dict's keys a column at a
 time.  The constructor that checked and packed one key at a time is kept
 below, with ``operator.index`` in place of ``int``: valid input must give
@@ -148,6 +154,7 @@ from schmidtq.partitions import (
 )
 from schmidtq.series import (
     Monomial,
+    _bucket_field,
     _Family,
     _layout,
     _poch_product,
@@ -1124,6 +1131,54 @@ def tuple_bucketed_mul(a, b, caps):
     return {k: c for k, c in out.items() if c}
 
 
+def bucketed_mul(x, y):
+    """The packed terms of ``x * y`` by the bucketed product, which a single-term operand also took."""
+    caps = x.context.caps
+    a, b = x._terms, y._terms
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    if not a:
+        return out
+    layout = _layout(caps)
+    off, guard = layout.off, layout.guard
+    shift, mask, cap = _bucket_field(a, b, caps, layout)
+    buckets = {}
+    for m2, c2 in b.items():
+        buckets.setdefault((m2 >> shift) & mask, []).append((m2, c2))
+    levels = sorted(buckets.items())
+    for m1, c1 in a.items():
+        room = cap - ((m1 >> shift) & mask)
+        m1_off = m1 + off
+        for e, items in levels:
+            if e > room:
+                break
+            for m2, c2 in items:
+                if not (m1_off + m2) & guard:
+                    key = m1 + m2
+                    out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def refiltering_add(x, y):
+    """The packed terms of ``x + y`` by a copy, a merge and a second pass dropping zeros."""
+    out = dict(x._terms)
+    for k, v in y._terms.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def sliced_full_sum(J, qcap):
+    """The packed terms of the t1^J slice of the whole overpartition sum, moved to t1^0."""
+    full = sum_side("overpartition", qcap)
+    sliced = {}
+    for mon, coeff in full.sorted_terms():
+        if mon[1] == J:
+            sliced[(mon[0], 0, mon[2])] = coeff
+    return Series(full.context, sliced)._terms
+
+
 def tuple_terms(series):
     return {tuple(mon): c for mon, c in series.sorted_terms()}
 
@@ -1675,6 +1730,64 @@ def test_packed_product_matches_tuple_keyed_bucketed_product(data):
     a, b = tuple_keyed(data, ctx), tuple_keyed(data, ctx)
     got = Series(ctx, a) * Series(ctx, b)
     assert tuple_terms(got) == tuple_bucketed_mul(a, b, ctx.caps)
+
+
+def any_ring(data):
+    """The zero-variable ring, or a context of 1-5 variables at the field-width edges."""
+    if data.draw(st.integers(0, 5)) == 0:
+        return SeriesContext((), ())
+    return packed_context(data)
+
+
+def single_term(data, ctx):
+    """One in-cap term with a nonzero coefficient, often negative."""
+    key = data.draw(st.tuples(*(st.integers(0, cap) for cap in ctx.caps)))
+    return ctx.term(data.draw(st.integers(-9, 9).filter(bool)), key)
+
+
+def assert_no_stored_zero(series):
+    assert all(series._terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_single_term_product_matches_bucketed_product(data):
+    ctx = any_ring(data)
+    a, t = Series(ctx, tuple_keyed(data, ctx)), single_term(data, ctx)
+    want = bucketed_mul(a, t)
+    for got in (a * t, t * a):
+        assert got._terms == want
+        assert_no_stored_zero(got)
+    assert (t * t)._terms == bucketed_mul(t, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_add_matches_refiltering_add(data):
+    ctx = any_ring(data)
+    a = tuple_keyed(data, ctx)
+    b = tuple_keyed(data, ctx)
+    # Cancel some of a's terms outright and shift others, so sums meet
+    # zero, survive changed, and pass through untouched.
+    if a:
+        for key in data.draw(st.lists(st.sampled_from(sorted(a)), unique=True)):
+            b[key] = -a[key] + data.draw(st.sampled_from([0, 0, 1, -2]))
+    x, y = Series(ctx, a), Series(ctx, b)
+    pairs = [(x + y, x, y), (y + x, y, x), (x - y, x, -y), (x + (-x), x, -x)]
+    for got, left, right in pairs:
+        assert got._terms == refiltering_add(left, right)
+        assert_no_stored_zero(got)
+
+
+def test_t1_slice_sums_only_its_own_terms():
+    # The j = J terms alone, against the slice of the whole double sum, for
+    # every J up to one past the cap (an empty slice).
+    for qcap in range(21):
+        ctx = trivariate_context(qcap)
+        for J in range(qcap + 2):
+            got = identities._t1_slice_sum(ctx, J)
+            assert got._terms == sliced_full_sum(J, qcap), (J, qcap)
+            assert_no_stored_zero(got)
 
 
 @settings(max_examples=100, deadline=None)

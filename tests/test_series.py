@@ -165,6 +165,35 @@ def test_multiplication_truncates_to_caps():
     assert a * b == Series(ctx, {(0,): 1, (1,): 2, (2,): 2})
 
 
+# A cap of 2 leaves its field's top bit clear at 3, so only the cap check's
+# offset tells an exponent of 3 from an in-cap one.
+EDGE = SeriesContext(("q", "t"), (2, 2))
+EDGE_A = Series(EDGE, {(1, 0): 2, (2, 2): -1, (0, 1): 3})
+
+
+def test_single_term_shift_past_a_cap_gives_zero():
+    # Every term of a has q and t at least 1, so q^2, t^2 or both take each
+    # one past a cap, some to exactly 3.
+    a = Series(EDGE, {(1, 1): 2, (2, 2): -1, (1, 2): 3})
+    for key in ((2, 0), (0, 2), (2, 2)):
+        term = EDGE.term(-5, key)
+        assert (a * term)._terms == (term * a)._terms == {}
+    assert (EDGE.term(4, (1, 2)) * EDGE.term(1, (2, 1)))._terms == {}
+
+
+def test_single_term_one_and_minus_one():
+    assert EDGE_A * EDGE.one() == EDGE.one() * EDGE_A == EDGE_A
+    assert EDGE_A * EDGE.constant(-1) == EDGE.constant(-1) * EDGE_A == -EDGE_A
+    assert EDGE_A * EDGE.term(-1, (0, 1)) == Series(EDGE, {(1, 1): -2, (0, 2): -3})
+    assert EDGE.one() * EDGE.one() == EDGE.one()
+
+
+def test_a_series_plus_its_negation_is_empty():
+    for a in (EDGE_A, EDGE.one(), EDGE.zero()):
+        assert (a + (-a))._terms == {} and (-a + a)._terms == {}
+        assert not (a - a)
+
+
 def test_coefficient_access():
     a = qpoly(1, 2)
     assert a.coefficient((1,)) == 2
