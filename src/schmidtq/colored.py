@@ -13,8 +13,8 @@ of each part size may additionally be overlined.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement, product
-from operator import index
+from itertools import combinations_with_replacement, product, repeat
+from operator import floordiv, index, mod
 
 from .partitions import normalize_residue_set, partition_groups
 
@@ -367,16 +367,21 @@ def colored_partition_total(n, m, s, top):
 
 def _overpartition_table(qcap):
     # How many overpartitions of N <= qcap have o overlined and p plain
-    # parts, by (N, o, p).  One pass over the sizes a = qcap .. 1 fills
-    # table[N] by o * (qcap + 1) + p: c >= 1 copies of a are c plain ones,
-    # or an overlined first copy and c - 1 plain ones, so each size takes
-    # any number of plain copies and then at most one overlined copy.
+    # parts, as the columns N, o and p and the list of counts.  One pass
+    # over the sizes a = qcap .. 1 fills table[N] by o * (qcap + 1) + p:
+    # c >= 1 copies of a are c plain ones, or an overlined first copy and
+    # c - 1 plain ones, so each size takes any number of plain copies and
+    # then at most one overlined copy.
     base = qcap + 1
     table = [{} for _ in range(qcap + 1)]
     table[0][0] = 1
     for a in range(qcap, 0, -1):
         _add_part(table, a, 1, range(a, qcap + 1))
         _add_part(table, a, base, range(qcap, a - 1, -1))
-    return {
-        (n, *divmod(v, base)): count for n, row in enumerate(table) for v, count in row.items()
-    }
+    sizes, keys, counts = [], [], []
+    for n, row in enumerate(table):
+        sizes += repeat(n, len(row))
+        keys += row
+        counts += row.values()
+    overlined = list(map(floordiv, keys, repeat(base)))
+    return [sizes, overlined, list(map(mod, keys, repeat(base)))], counts

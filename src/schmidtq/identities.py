@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
+from operator import sub
 from typing import NamedTuple
 
 from .colored import (
@@ -43,24 +44,27 @@ from .partitions import (
     _check_modulus,
     _cor22_counts,
     _length_walk,
+    _residue_columns,
+    _schmidt_weight_columns,
     _schmidt_weight_total,
     _weight_walk,
     normalize_residue_set,
     partitions_with_schmidt_weight,
     repetition_profile,
     residue_column_count,
-    residue_column_table,
     schmidt_bucket_counts,
-    schmidt_weight_table,
     split_bucket,
 )
 from .series import (
     Series,
     SeriesContext,
+    _dense_mul,
+    _div_one_minus,
     _divide_by_monomial,
     _Family,
+    _layout,
     _poch_product,
-    gaussian_multinomial_coeffs,
+    gaussian_binomial_coeffs,
     poch_finite,
     poch_infinite_inverse,
     q_binomial,
@@ -256,29 +260,42 @@ def _hook_exponent(n, j, k, with_t1_denominator):
     return n * (n - 1) // 2 + k * (k + 1) // 2 + j * j - n * j + j
 
 
+def _hook_floor(n, with_t1_denominator):
+    # A provable floor for the least q-exponent at n, monotone in n; the
+    # per-pair check in _hook_sum applies the exact cutoff.
+    if with_t1_denominator:
+        return n * (n - 1) // 2
+    return max(0, (n * n - 1) // 4)
+
+
 def _hook_sum(qcap, js, *, with_t1_denominator):
     # The sum of inner_n / D_n, where D_n is the product over r = 1..n of
     # (1 - q^r)(1 - t2 q^r), times (1 - t1 q^r) with the t1 denominator.
     # Nested the Horner way from the largest n down,
     # acc = inner_n + acc / (D_{n+1} / D_n), so each level costs two or
     # three linear division steps instead of products of whole series.
-    # inner_n keeps the terms whose t1 exponent j lies in js, an ascending
-    # range.  Every term has j <= e: e is at least C(j + 1, 2) with the t1
-    # denominator and at least (n - j)^2 + C(j + 1, 2) without it.  So
-    # range(qcap + 1) keeps every in-cap term.
+    # acc is one dict of packed keys: each level divides it by the packed
+    # steps q^r, t2 q^r (and t1 q^r), all in cap when r is, then adds
+    # inner_n into it in place.  inner_n keeps the terms whose t1 exponent
+    # j lies in js, an ascending range.  Every term has j <= e: e is at
+    # least C(j + 1, 2) with the t1 denominator and at least
+    # (n - j)^2 + C(j + 1, 2) without it.  So range(qcap + 1) keeps every
+    # in-cap term.
     ctx = trivariate_context(qcap)
-    inners = []
-    n = 0
-    while True:
-        # Provable, monotone floor for the minimal q-exponent at this n;
-        # the per-pair scan below applies the exact cutoff.
-        if with_t1_denominator:
-            floor = n * (n - 1) // 2
-        else:
-            floor = max(0, (n * n - 1) // 4)
-        if floor > qcap:
-            break
-        inner = {}
+    layout = _layout(ctx.caps)
+    # Variable order of trivariate_context is (q, t1, t2).
+    _, t1, t2 = (1 << shift for shift in layout.shifts)
+    top = 0
+    while _hook_floor(top + 1, with_t1_denominator) <= qcap:
+        top += 1
+    acc = {}
+    for n in range(top, -1, -1):
+        r = n + 1
+        if r <= qcap:
+            acc = _div_one_minus(acc, layout, r)
+            acc = _div_one_minus(acc, layout, r + t2)
+            if with_t1_denominator:
+                acc = _div_one_minus(acc, layout, r + t1)
         for j in js:
             if j > n:
                 break
@@ -288,24 +305,23 @@ def _hook_sum(qcap, js, *, with_t1_denominator):
                     raise ArithmeticError(f"negative exponent {e} at n={n}, j={j}, k={k}")
                 if e > qcap:
                     continue
+                if j > qcap or k > qcap:
+                    raise ArithmeticError(f"t1 or t2 exponent above {qcap} at n={n}, j={j}, k={k}")
                 sign = -1 if (j + k + n) % 2 else 1
-                # Variable order of trivariate_context is (q, t1, t2).
-                for d, c in enumerate(
-                    gaussian_multinomial_coeffs(n, (n - j, n - k, j + k - n))
-                ):
-                    if c and e + d <= qcap:
-                        key = (e + d, j, k)
-                        inner[key] = inner.get(key, 0) + sign * c
-        inners.append(Series(ctx, inner))
-        n += 1
-    acc = ctx.zero()
-    for n in range(len(inners) - 1, -1, -1):
-        r = n + 1
-        acc = acc.div_one_minus(ctx.monomial(q=r)).div_one_minus(ctx.monomial(q=r, t2=1))
-        if with_t1_denominator:
-            acc = acc.div_one_minus(ctx.monomial(q=r, t1=1))
-        acc = acc + inners[n]
-    return acc
+                # [n; n - j, n - k, j + k - n] = [n, j] [j, n - k], cut at the cap.
+                coeffs = _dense_mul(
+                    gaussian_binomial_coeffs(n, j), gaussian_binomial_coeffs(j, n - k)
+                )
+                key = e + j * t1 + k * t2
+                for c in coeffs[: qcap - e + 1]:
+                    if c:
+                        c = acc.get(key, 0) + sign * c
+                        if c:
+                            acc[key] = c
+                        else:
+                            del acc[key]
+                    key += 1
+    return Series._raw(ctx, acc)
 
 
 def sum_side(identity, qcap):
@@ -384,24 +400,24 @@ def _required(value, name):
 def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
     """The brute-force generating function, graded exactly like the other sides."""
     _checked(identity, m, i, qcap=qcap, scap=scap)
+    # Each table hands over one list per variable and a list of counts.
     if identity == "ak_trivariate":
         # The Schmidt side of the theorem: odd-index weight and the
         # residue column counts, not the product's colored model.
-        table = residue_column_table(2, (1,), "P", qcap=qcap)
-        return Series(trivariate_context(qcap), table)
+        return Series._from_columns(trivariate_context(qcap), *_residue_columns(2, (1,), "P", qcap))
     if identity == "overpartition":
-        return Series(trivariate_context(qcap), _overpartition_table(qcap))
+        return Series._from_columns(trivariate_context(qcap), *_overpartition_table(qcap))
     if identity == "cor22":
-        return Series(trivariate_context(qcap), _cor22_counts(qcap))
+        return Series._from_columns(trivariate_context(qcap), *_cor22_counts(qcap))
     if identity in ("mork_odd", "mork_even"):
-        table = schmidt_weight_table(2, (1,), "D", cap=scap)
+        (weight, size), counts = _schmidt_weight_columns(2, (1,), "D", scap)
         if identity == "mork_even":
-            table = {(size - odd, size): count for (odd, size), count in table.items()}
-        return Series(size_graded_context(scap), table)
-    if identity in ("psi_all", "psi_dm"):
-        cls = "P" if identity == "psi_all" else "D"
-        table = schmidt_weight_table(m, tuple(range(1, i + 1)), cls, cap=scap)
-        return Series(size_graded_context(scap), table)
+            # The even-index weight: the size less the odd-index one.
+            weight = list(map(sub, size, weight))
+        return Series._from_columns(size_graded_context(scap), [weight, size], counts)
+    cls = "P" if identity == "psi_all" else "D"
+    table = _schmidt_weight_columns(m, tuple(range(1, i + 1)), cls, scap)
+    return Series._from_columns(size_graded_context(scap), *table)
 
 
 # ---------------------------------------------------------------------------

@@ -529,9 +529,22 @@ def _part_size_pass(states, cap, limit, m, steps, *, block=0, first=()):
     return states
 
 
+def _sum_over_residue(states, m, seed=()):
+    # The counts of the states summed over their lowest field, the residue
+    # mod m, into a plain dict that starts from the pairs of seed; a
+    # Counter's += would call its Python __missing__ for every new key.
+    # The tables read their fields off its keys a column at a time.
+    packed = dict(seed)
+    get = packed.get
+    for key, count in states.items():
+        packed[key // m] = get(key // m, 0) + count
+    return packed
+
+
 def _cor22_counts(qcap):
     # Every partition with odd-index weight at most qcap and every
-    # multiplicity below 4, by (weight, repeated sizes, alternating sum).  A
+    # multiplicity below 4, counted by (weight, repeated sizes, alternating
+    # sum): those three columns of ints and the list of counts.  A
     # group of c copies of a sits on (c + odd) // 2 odd indices: each adds a
     # to the weight and to the alternating sum, each even index subtracts a
     # from the latter, and c > 1 makes the size repeated.  A state is one int
@@ -548,19 +561,12 @@ def _cor22_counts(qcap):
             for c in (1, 2, 3)
         ]
 
-    states = _part_size_pass({1: 1}, qcap, base * unit, 2, steps)
-    # Sum over the odd bit into a plain dict (a Counter's += would call its
-    # Python __missing__ for every new key), then unpack the three fields a
-    # field at a time.
-    packed = {}
-    get = packed.get
-    for key, count in states.items():
-        packed[key >> 1] = get(key >> 1, 0) + count
+    packed = _sum_over_residue(_part_size_pass({1: 1}, qcap, base * unit, 2, steps), 2)
     keys = packed.keys()
-    weight = map(floordiv, keys, repeat(base * base))
-    repeated = map(mod, map(floordiv, keys, repeat(base)), repeat(base))
-    alt = map(mod, keys, repeat(base))
-    return Counter(dict(zip(zip(weight, repeated, alt), packed.values())))
+    weight = list(map(floordiv, keys, repeat(base * base)))
+    repeated = list(map(mod, map(floordiv, keys, repeat(base)), repeat(base)))
+    alt = list(map(mod, keys, repeat(base)))
+    return [weight, repeated, alt], list(packed.values())
 
 
 def _schmidt_states(counted, cls, cap, *, sized):
@@ -596,14 +602,21 @@ def schmidt_weight_table(m, s, cls, *, cap):
     indices plus those among the first ``c % m`` indices from ``r``; it
     moves the residue to ``(r + c) % m`` and adds ``a * c`` to the size.
     """
+    columns, counts = _schmidt_weight_columns(m, s, cls, cap)
+    return Counter(dict(zip(zip(*columns), counts)))
+
+
+def _schmidt_weight_columns(m, s, cls, cap):
+    # schmidt_weight_table as its weight and size columns and the list of
+    # counts.
     _, counted = _schmidt_params(m, s, cls)
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    out = Counter()
-    for key, count in _schmidt_states(counted, cls, cap, sized=True).items():
-        size, weight = divmod(key // m, cap + 1)
-        out[weight, size] += count
-    return out
+    packed = _sum_over_residue(_schmidt_states(counted, cls, cap, sized=True), m)
+    keys = packed.keys()
+    weight = list(map(mod, keys, repeat(cap + 1)))
+    size = list(map(floordiv, keys, repeat(cap + 1)))
+    return [weight, size], list(packed.values())
 
 
 def _schmidt_weight_total(n, m, s, cls):
@@ -628,6 +641,13 @@ def residue_column_table(m, s, cls, *, qcap):
     then ``c // m`` blocks of ``m`` copies, which add ``a * len(s)`` each
     to the weight and leave the rest as it is.
     """
+    columns, counts = _residue_columns(m, s, cls, qcap)
+    return Counter(dict(zip(zip(*columns), counts)))
+
+
+def _residue_columns(m, s, cls, qcap):
+    # residue_column_table as its weight, rho_1, ..., rho_m columns and the
+    # list of counts.
     residues, counted = _schmidt_params(m, s, cls)
     if qcap < 0:
         raise ValueError(f"cap must be nonnegative, got {qcap}")
@@ -657,16 +677,12 @@ def residue_column_table(m, s, cls, *, qcap):
     ]
     block = len(residues) * unit if cls == "P" else 0
     states = _part_size_pass({}, qcap, base * unit, m, steps, block=block, first=first)
-    # Sum over the residue field into a plain dict, as _cor22_counts does,
-    # then unpack (weight, rho) a field at a time.
-    packed = {0: 1}
-    get = packed.get
-    for key, count in states.items():
-        packed[key // m] = get(key // m, 0) + count
+    # The empty partition, kept out of the states, has every field 0.
+    packed = _sum_over_residue(states, m, {0: 1})
     keys = packed.keys()
-    rho = [map(mod, map(floordiv, keys, repeat(base**j)), repeat(base)) for j in range(m)]
-    weight = map(floordiv, keys, repeat(base**m))
-    return Counter(dict(zip(zip(weight, *rho), packed.values())))
+    weight = list(map(floordiv, keys, repeat(base**m)))
+    rho = [list(map(mod, map(floordiv, keys, repeat(base**j)), repeat(base))) for j in range(m)]
+    return [weight, *rho], list(packed.values())
 
 
 # schmidt_bucket_counts walks the subtree of a prefix with at most this

@@ -47,17 +47,29 @@ constructor, :meth:`Series.coefficient`, the step and Pochhammer
 arguments) after their arity, sign and caps are checked, and unpacked
 where they leave (:meth:`Series.sorted_terms`, text, JSON).
 
-The constructor checks and packs a dict's keys column by column: one
-set of key lengths for the arity, then per exponent column one set of
+One packer checks and packs exponent columns: per column one set of
 types, one ``min`` and one ``max`` against its cap and one shift-and-add
-into the packed ints, each a single pass at C speed.  Those keys are
-distinct, so when no coefficient is zero the result is the packed ints
-zipped with the coefficients.  Any other input,
-and a dict that fails a column check, is scanned key by key, so the
-first bad key raises just as it would alone.  Exponents, caps and
-coefficients are read through ``operator.index``: ints, bools and other
-``__index__`` types pass, and a float or a string raises ``TypeError``
-instead of being truncated.
+into the packed ints, each a single pass at C speed.  The constructor
+hands it a dict's keys transposed, after one set of key types and one
+of key lengths for the arity.  The private :meth:`Series._from_columns`
+hands it one list of exponents per variable as they are, next to a list
+of coefficients, after checking that there is one column per variable,
+each as long as the coefficients; the enum sides of ``identities.py``
+arrive this way, as the tables in ``partitions.py`` and ``colored.py``
+count them, with no tuple keys in between.  When the packed keys are
+distinct and no coefficient is zero the result is the packed ints zipped
+with the coefficients; otherwise duplicates are summed and zeros
+dropped.  Any other input, and columns that fail a check, are scanned
+row by row, so the first bad row raises just as it would alone.
+Exponents, caps and coefficients are read through ``operator.index``:
+ints, bools and other ``__index__`` types pass, and a float or a string
+raises ``TypeError`` instead of being truncated.
+
+The double sums of ``identities.py`` use the packed keys directly too:
+each level of the nesting steps one dict with :func:`_div_one_minus` on
+the packed keys of its denominators, skipping any whose q-exponent is
+past the cap, and adds its terms into that dict in place, cut at the
+cap.
 """
 
 from __future__ import annotations
@@ -203,24 +215,29 @@ class Series:
     def __init__(self, context, terms=()):
         if not isinstance(context, SeriesContext):
             raise TypeError(f"expected a SeriesContext, got {context!r}")
-        packed = None
-        if isinstance(terms, dict):
-            packed, coeffs = _pack_columns(terms.keys(), context.caps), terms.values()
-        if packed is None or not set(map(type, coeffs)) <= {int}:
-            items = terms.items() if hasattr(terms, "items") else terms
-            packed, coeffs = _check_rows(items, context)
-        elif 0 not in coeffs:
-            # The column checks passed, so the keys are distinct tuples of
-            # in-cap ints and pack to distinct ints: nothing to merge.
-            self._context = context
-            self._terms = dict(zip(packed, coeffs))
-            return
-        acc = {}
-        for key, coeff in zip(packed, coeffs):
-            if coeff:
-                acc[key] = acc.get(key, 0) + coeff
         self._context = context
-        self._terms = {k: v for k, v in acc.items() if v}
+        if isinstance(terms, dict):
+            columns = _key_columns(terms.keys(), len(context.caps))
+            if columns is not None:
+                self._terms = _packed_terms(context, columns, terms.values(), terms.items())
+                return
+        items = terms.items() if hasattr(terms, "items") else terms
+        self._terms = _merged(*_check_rows(items, context))
+
+    @classmethod
+    def _from_columns(cls, context, columns, coeffs):
+        # Internal constructor: the exponents as one list per variable, in
+        # context order, next to the list of coefficients; the same checks,
+        # merging and errors as the constructor on the rows they zip to.
+        caps = context.caps
+        if len(columns) != len(caps):
+            raise ValueError(
+                f"need one exponent column per variable of {context.variables}, got {len(columns)}"
+            )
+        if not set(map(len, columns)) <= {len(coeffs)}:
+            raise ValueError(f"every exponent column must hold {len(coeffs)} exponents")
+        rows = zip(zip(*columns) if columns else repeat(()), coeffs)
+        return cls._raw(context, _packed_terms(context, columns, coeffs, rows))
 
     @classmethod
     def _raw(cls, context, terms):
@@ -442,20 +459,51 @@ def _nonzero(terms):
     return {k: v for k, v in terms.items() if v}
 
 
-def _pack_columns(keys, caps):
-    """The packed ints of ``keys``, or None when some key fails a check.
-
-    Works a column at a time: every key must be a tuple of ``len(caps)``
-    plain ints, each column within 0 .. its cap.
-    """
-    if not set(map(type, keys)) <= {tuple, Monomial} or not set(map(len, keys)) <= {len(caps)}:
+def _key_columns(keys, width):
+    """The exponent columns of ``keys``, or None unless each is a tuple of ``width`` entries."""
+    if not set(map(type, keys)) <= {tuple, Monomial} or not set(map(len, keys)) <= {width}:
         return None
-    packed = [0] * len(keys)
-    for column, cap, shift in zip(zip(*keys), caps, _layout(caps).shifts):
+    return list(zip(*keys)) if width else []
+
+
+def _pack_columns(columns, coeffs, caps):
+    """The packed ints of the rows the columns spell, or None when some column fails a check.
+
+    Every coefficient must be a plain int, and every column a list of
+    plain ints within 0 .. its cap.
+    """
+    if not set(map(type, coeffs)) <= {int}:
+        return None
+    packed = [0] * len(coeffs)
+    for column, cap, shift in zip(columns, caps, _layout(caps).shifts):
         if set(map(type, column)) != {int} or min(column) < 0 or max(column) > cap:
             return None
         packed = list(map(add, packed, map(lshift, column, repeat(shift))))
     return packed
+
+
+def _packed_terms(context, columns, coeffs, rows):
+    # The terms of rows, packed a column at a time when every column
+    # passes its checks, else checked row by row so that the first bad
+    # row raises.
+    packed = _pack_columns(columns, coeffs, context.caps)
+    if packed is None:
+        packed, coeffs = _check_rows(rows, context)
+    return _merged(packed, coeffs)
+
+
+def _merged(packed, coeffs):
+    # {packed key: coefficient} with duplicate keys summed and zeros
+    # dropped.  Distinct keys and no zero coefficient, the common case,
+    # take one dict build at C speed.
+    terms = dict(zip(packed, coeffs))
+    if len(terms) == len(packed) and 0 not in coeffs:
+        return terms
+    acc = {}
+    for key, coeff in zip(packed, coeffs):
+        if coeff:
+            acc[key] = acc.get(key, 0) + coeff
+    return _nonzero(acc)
 
 
 def _check_rows(rows, context):

@@ -82,6 +82,14 @@ forms that built a tuple for every run of equal parts, which
 they pass and comparing neighbouring parts, and the validating
 constructors that ``decompose_multiplicity`` and ``merge_partitions``
 no longer call on outputs that decrease by construction.
+
+Every enum side hands its table to the ring as columns, one int list per
+variable, and the double sums step one dict of packed keys, each level
+a product of two cached Gaussian binomials cut at the cap.  The path
+that keyed each table by tuples and handed it to the ``Series``
+constructor, and the sum that built every level as a ``Series`` from one
+Gaussian multinomial per (n, j, k) and divided through
+``Series.div_one_minus``, are kept below.
 """
 
 import tracemalloc
@@ -137,12 +145,13 @@ from schmidtq import (
     size_graded_context,
     split_bucket,
     sum_side,
+    t1_slice_check,
     trivariate_context,
     verify_counting,
     witnesses,
 )
 from schmidtq import identities, partitions
-from schmidtq.colored import _overpartition_table, _palette
+from schmidtq.colored import _add_part, _overpartition_table, _palette
 from schmidtq.identities import _hook_exponent, _t1_slice_closed_form
 from schmidtq.partitions import (
     _check_class,
@@ -155,6 +164,7 @@ from schmidtq.partitions import (
 from schmidtq.series import (
     Monomial,
     _bucket_field,
+    _div_one_minus,
     _Family,
     _layout,
     _poch_product,
@@ -200,6 +210,79 @@ def forward_hook_sum(qcap, with_t1_denominator):
             total = total + Series(ctx, inner) * denom
         n += 1
     return total
+
+
+def series_step_hook_sum(qcap, js, *, with_t1_denominator):
+    """``_hook_sum`` with every level a ``Series`` and every step a ``Series`` method.
+
+    Each inner level is a tuple-keyed dict handed to the constructor, with
+    one Gaussian multinomial per (n, j, k), and each Horner step divides by
+    a ``Monomial`` through ``Series.div_one_minus``.
+    """
+    ctx = trivariate_context(qcap)
+    inners = []
+    n = 0
+    while True:
+        if with_t1_denominator:
+            floor = n * (n - 1) // 2
+        else:
+            floor = max(0, (n * n - 1) // 4)
+        if floor > qcap:
+            break
+        inner = {}
+        for j in js:
+            if j > n:
+                break
+            for k in range(max(0, n - j), n + 1):
+                e = _hook_exponent(n, j, k, with_t1_denominator)
+                if e > qcap:
+                    continue
+                sign = -1 if (j + k + n) % 2 else 1
+                for d, c in enumerate(gaussian_multinomial_coeffs(n, (n - j, n - k, j + k - n))):
+                    if c and e + d <= qcap:
+                        key = (e + d, j, k)
+                        inner[key] = inner.get(key, 0) + sign * c
+        inners.append(Series(ctx, inner))
+        n += 1
+    acc = ctx.zero()
+    for n in range(len(inners) - 1, -1, -1):
+        r = n + 1
+        acc = acc.div_one_minus(ctx.monomial(q=r)).div_one_minus(ctx.monomial(q=r, t2=1))
+        if with_t1_denominator:
+            acc = acc.div_one_minus(ctx.monomial(q=r, t1=1))
+        acc = acc + inners[n]
+    return acc
+
+
+def tuple_overpartition_table(qcap):
+    """``_overpartition_table`` keyed by the tuples ``(N, o, p)``."""
+    base = qcap + 1
+    table = [{} for _ in range(qcap + 1)]
+    table[0][0] = 1
+    for a in range(qcap, 0, -1):
+        _add_part(table, a, 1, range(a, qcap + 1))
+        _add_part(table, a, base, range(qcap, a - 1, -1))
+    return {
+        (n, *divmod(v, base)): count for n, row in enumerate(table) for v, count in row.items()
+    }
+
+
+def tuple_table_enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
+    """``enum_side`` as the constructor's dict path: each table keyed by tuples."""
+    if identity == "ak_trivariate":
+        return Series(trivariate_context(qcap), residue_column_table(2, (1,), "P", qcap=qcap))
+    if identity == "overpartition":
+        return Series(trivariate_context(qcap), tuple_overpartition_table(qcap))
+    if identity == "cor22":
+        return Series(trivariate_context(qcap), tuple_cor22_counts(qcap))
+    if identity in ("mork_odd", "mork_even"):
+        table = schmidt_weight_table(2, (1,), "D", cap=scap)
+        if identity == "mork_even":
+            table = {(size - odd, size): count for (odd, size), count in table.items()}
+        return Series(size_graded_context(scap), table)
+    cls = "P" if identity == "psi_all" else "D"
+    table = schmidt_weight_table(m, tuple(range(1, i + 1)), cls, cap=scap)
+    return Series(size_graded_context(scap), table)
 
 
 def factor(ctx, mon, coefficient=1):
@@ -976,10 +1059,15 @@ def color_count_table(n, m, s, top):
     return unpacked(color_buckets(n, m, s, top), itemgetter(0))
 
 
+def keyed(columns, counts):
+    """A table handed over as columns and counts, keyed by the tuples of its rows."""
+    return Counter(dict(zip(zip(*columns), counts)))
+
+
 def overpartition_rows(cap):
     """``_overpartition_table(cap)`` as one row per size, keyed by (overlined, plain) part count."""
     rows = [Counter() for _ in range(cap + 1)]
-    for (n, o, p), count in _overpartition_table(cap).items():
+    for (n, o, p), count in keyed(*_overpartition_table(cap)).items():
         rows[n][o, p] += count
     return rows
 
@@ -1501,6 +1589,79 @@ def test_negative_hook_exponent_raises(monkeypatch):
         sum_side("overpartition", 4)
 
 
+def test_hook_exponent_past_the_cap_raises(monkeypatch):
+    # An explicit raise, not an assert: with every exponent 0 at cap 0, the
+    # term n = k = 1 would carry t2^1 into a packed key whose t2 field
+    # holds only 0.
+    monkeypatch.setattr(identities, "_hook_exponent", lambda n, j, k, with_t1: 0)
+    with pytest.raises(ArithmeticError, match="exponent above 0 at n=1, j=0, k=1"):
+        sum_side("ak_trivariate", 0)
+
+
+@pytest.mark.parametrize("with_t1", [True, False])
+def test_hook_sums_match_series_steps(with_t1):
+    for qcap in range(25):
+        got = identities._hook_sum(qcap, range(qcap + 1), with_t1_denominator=with_t1)
+        assert got == series_step_hook_sum(qcap, range(qcap + 1), with_t1_denominator=with_t1)
+        assert_no_stored_zero(got)
+
+
+def test_t1_slices_match_series_steps():
+    for qcap in range(25):
+        for J in range(5):
+            got = identities._hook_sum(qcap, range(J, J + 1), with_t1_denominator=False)
+            want = series_step_hook_sum(qcap, range(J, J + 1), with_t1_denominator=False)
+            assert got == want, (qcap, J)
+
+
+def test_hook_sums_step_only_in_cap_keys(monkeypatch):
+    # _div_one_minus takes packed in-cap keys, as its terms and as its
+    # step: the Horner steps of q^r with r past the cap are skipped, not
+    # divided by, and every level is cut at the cap before it is added.
+    # (The step would drop an out-of-cap term unseen.)
+    steps, out_of_cap = [], []
+
+    def checked(terms, layout, step):
+        steps.append(step)
+        out_of_cap.extend(key for key in (step, *terms) if (key + layout.off) & layout.guard)
+        return _div_one_minus(terms, layout, step)
+
+    monkeypatch.setattr(identities, "_div_one_minus", checked)
+    for qcap in range(13):
+        for identity in ("ak_trivariate", "overpartition"):
+            sum_side(identity, qcap)
+        t1_slice_check(2, qcap)
+    assert steps and out_of_cap == []
+
+
+# The (m, i) of the psi sides in the enum_counts deck.
+DECK_MODULI = ((2, 1), (3, 2), (4, 2))
+ENUM_DECK_PARAMS = [
+    ("mork_odd", None, None),
+    ("mork_even", None, None),
+    *((identity, m, i) for identity in ("psi_all", "psi_dm") for m, i in DECK_MODULI),
+]
+
+
+@pytest.mark.parametrize("identity", ["ak_trivariate", "overpartition", "cor22"])
+def test_q_graded_enum_sides_match_tuple_tables(identity):
+    for qcap in range(23):
+        got = enum_side(identity, qcap=qcap)
+        assert got == tuple_table_enum_side(identity, qcap=qcap), qcap
+        assert_no_stored_zero(got)
+
+
+@pytest.mark.parametrize(
+    "identity, m, i", ENUM_DECK_PARAMS, ids=[f"{x}-m{m}-i{i}" for x, m, i in ENUM_DECK_PARAMS]
+)
+def test_s_graded_enum_sides_match_tuple_tables(identity, m, i):
+    # Every cap up to 22 and the enum_counts deck's caps 26 and 30.
+    for scap in [*range(23), 26, 30]:
+        got = enum_side(identity, scap=scap, m=m, i=i)
+        assert got == tuple_table_enum_side(identity, scap=scap, m=m, i=i), scap
+        assert_no_stored_zero(got)
+
+
 @pytest.mark.parametrize("identity", ["mork_odd", "mork_even", "psi_all", "psi_dm"])
 def test_s_graded_enum_sides_match_object_counting(identity):
     # Terms of q-degree n come only from partitions of n, so one count at
@@ -1657,7 +1818,7 @@ def test_schmidt_weight_table_matches_group_walk_at_any_caps(data):
 
 def test_cor22_counts_match_preorder_walk():
     for qcap in range(23):
-        assert _cor22_counts(qcap) == preorder_cor22_counts(qcap), qcap
+        assert keyed(*_cor22_counts(qcap)) == preorder_cor22_counts(qcap), qcap
 
 
 @pytest.mark.parametrize("theorem, cls", [("schmidt", "D"), ("uncu", "P")])
@@ -1934,7 +2095,7 @@ def test_overpartition_counts_match_group_weights():
 
 def test_packed_cor22_counts_match_tuple_keyed_counts():
     for qcap in range(31):
-        assert _cor22_counts(qcap) == tuple_cor22_counts(qcap), qcap
+        assert keyed(*_cor22_counts(qcap)) == tuple_cor22_counts(qcap), qcap
 
 
 @pytest.mark.parametrize(

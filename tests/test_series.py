@@ -107,6 +107,76 @@ def test_zero_variable_ring_holds_constants():
     assert five * -five == ctx.constant(-25)
 
 
+TCTX = SeriesContext(("q", "t"), (3, 2))
+
+
+def outcome(build):
+    """What ``build()`` returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+COLUMN_CASES = [
+    # (columns, coefficients, what the dict path raises or None)
+    ([[4, 0], [0, 1]], [1, 2], ValueError),
+    ([[0, 1], [3, 0]], [1, 2], ValueError),
+    ([[0, -1], [0, 1]], [1, 2], ValueError),
+    ([[1.0, 1], [0, 1]], [1, 2], TypeError),
+    ([[0, 1], [0, 1]], [1, 2.0], TypeError),
+    ([[True, 1], [0, 1]], [1, 2], None),
+    ([[0, 1], [0, 1]], [True, 2], None),
+]
+
+
+@pytest.mark.parametrize(
+    "columns, coeffs, raises",
+    COLUMN_CASES,
+    ids=[
+        "one-over-q-cap",
+        "one-over-t-cap",
+        "negative",
+        "float-exponent",
+        "float-coefficient",
+        "bool-exponent",
+        "bool-coefficient",
+    ],
+)
+def test_column_constructor_checks_as_the_dict_path(columns, coeffs, raises):
+    # The same exception and message, or the same series, as the
+    # constructor on the dict the columns spell.
+    got = outcome(lambda: Series._from_columns(TCTX, columns, coeffs))
+    assert got == outcome(lambda: Series(TCTX, dict(zip(zip(*columns), coeffs))))
+    if raises:
+        assert got[0] is raises
+    else:
+        assert isinstance(got, Series)
+
+
+def test_column_constructor_refuses_ragged_or_miscounted_columns():
+    with pytest.raises(ValueError, match="every exponent column must hold 2 exponents"):
+        Series._from_columns(TCTX, [[0, 1], [0]], [1, 2])
+    with pytest.raises(ValueError, match="every exponent column must hold 1 exponents"):
+        Series._from_columns(TCTX, [[0, 1], [0, 1]], [1])
+    for columns in ([[0, 1]], [[0, 1], [0, 1], [0, 1]]):
+        with pytest.raises(ValueError, match="one exponent column per variable of"):
+            Series._from_columns(TCTX, columns, [1, 2])
+    # The dict path refuses a key of the wrong arity with a ValueError too.
+    with pytest.raises(ValueError, match="wrong arity"):
+        Series(TCTX, {(0,): 1, (1,): 2})
+
+
+def test_column_constructor_merges_duplicates_and_drops_zeros():
+    merged = Series._from_columns(TCTX, [[1, 1, 2, 3], [0, 0, 1, 2]], [2, 3, 5, 0])
+    assert merged == Series(TCTX, {(1, 0): 5, (2, 1): 5}) and len(merged) == 2
+    assert Series._from_columns(TCTX, [[1, 1], [0, 0]], [4, -4]) == TCTX.zero()
+    assert Series._from_columns(TCTX, [[], []], []) == TCTX.zero()
+    ctx = SeriesContext((), ())
+    assert Series._from_columns(ctx, [], [2, 3]) == ctx.constant(5)
+    assert Series._from_columns(ctx, [], [True, 1]) == ctx.constant(2)
+
+
 NOT_AN_INTEGER = "cannot be interpreted as an integer"
 
 

@@ -161,6 +161,8 @@ UNUSED_IN_SOURCE = {
     "ln_series": "a series_sides benchmark op",
     "Series.mul_one_minus": "the multiply step the README documents",
     "Partition.multiplicity": "read by the bijection and partition tests",
+    "residue_column_table": "public tuple-keyed table; enum_side reads the same columns unzipped",
+    "schmidt_weight_table": "public tuple-keyed table; enum_side reads the same columns unzipped",
 }
 
 
