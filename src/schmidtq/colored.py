@@ -174,7 +174,7 @@ class Overpartition:
     def __init__(self, entries=()):
         norm = []
         for size, count, overlined in entries:
-            size, count = int(size), int(count)
+            size, count = index(size), index(count)
             if size < 1 or count < 1:
                 raise ValueError(f"sizes and counts must be positive, got ({size}, {count})")
             norm.append((size, count, bool(overlined)))

@@ -25,12 +25,12 @@ quotient, so the order changes no coefficient; it only decides how large
 the running series is while it is built.  Large factors first keep it
 sparse until the last small factors fill it in: the divisions of
 ``1/(t1 q; q)oo`` at cap 20 write 620 entries in this order and 3,686 in
-generation order (``z``, ``z g``, ``z g^2``, ...).  A general
-product (``*``) buckets the larger operand by one exponent and visits,
-for each term of the other operand, only the buckets that still fit
-under that exponent's cap.  A product with a single-term operand is a
-key shift of the other operand: one add, one cap check and one multiply
-per term, with no buckets.  A sum (``+``) copies the larger operand and
+generation order (``z``, ``z g``, ``z g^2``, ...).  A product with a
+single-term operand is a key shift of the other operand: one add, one
+cap check and one multiply per term.  Any other product (``*``) forms
+every pair of terms and keeps those the cap check passes; no side of an
+identity multiplies two multi-term series, so this loop serves the
+tests and the public API only.  A sum (``+``) copies the larger operand and
 walks the smaller one, deleting each key whose coefficients cancel, so
 it costs one pass over the smaller operand beyond the copy.
 
@@ -47,20 +47,18 @@ constructor, :meth:`Series.coefficient`, the step and Pochhammer
 arguments) after their arity, sign and caps are checked, and unpacked
 where they leave (:meth:`Series.sorted_terms`, text, JSON).
 
-One packer checks and packs exponent columns: per column one set of
-types, one ``min`` and one ``max`` against its cap and one shift-and-add
-into the packed ints, each a single pass at C speed.  The constructor
-hands it a dict's keys transposed, after one set of key types and one
-of key lengths for the arity.  The private :meth:`Series._from_columns`
-hands it one list of exponents per variable as they are, next to a list
-of coefficients, after checking that there is one column per variable,
-each as long as the coefficients; the enum sides of ``identities.py``
-arrive this way, as the tables in ``partitions.py`` and ``colored.py``
-count them, with no tuple keys in between.  When the packed keys are
-distinct and no coefficient is zero the result is the packed ints zipped
-with the coefficients; otherwise duplicates are summed and zeros
-dropped.  Any other input, and columns that fail a check, are scanned
-row by row, so the first bad row raises just as it would alone.
+The constructor checks its input row by row, so the first bad key or
+coefficient raises, then sums duplicates and drops zeros.  Only the
+private :meth:`Series._from_columns` packs columns: one list of
+exponents per variable, as the tables in ``partitions.py`` and
+``colored.py`` count the enum sides of ``identities.py``, next to a list
+of coefficients.  Per column one set of types, one ``min`` and one
+``max`` against its cap and one shift-and-add, each a single pass at C
+speed; columns that fail a check are scanned row by row as the
+constructor does.  On one seed-1 pass of each benchmark workload the
+constructor saw 101 dicts, all from ``series_sides`` and each of 0 or 1
+keys, where the row checks cost less than a transpose; a dict of a few
+thousand keys takes about 3x as long as its columns would.
 Exponents, caps and coefficients are read through ``operator.index``:
 ints, bools and other ``__index__`` types pass, and a float or a string
 raises ``TypeError`` instead of being truncated.
@@ -216,11 +214,6 @@ class Series:
         if not isinstance(context, SeriesContext):
             raise TypeError(f"expected a SeriesContext, got {context!r}")
         self._context = context
-        if isinstance(terms, dict):
-            columns = _key_columns(terms.keys(), len(context.caps))
-            if columns is not None:
-                self._terms = _packed_terms(context, columns, terms.values(), terms.items())
-                return
         items = terms.items() if hasattr(terms, "items") else terms
         self._terms = _merged(*_check_rows(items, context))
 
@@ -236,8 +229,12 @@ class Series:
             )
         if not set(map(len, columns)) <= {len(coeffs)}:
             raise ValueError(f"every exponent column must hold {len(coeffs)} exponents")
-        rows = zip(zip(*columns) if columns else repeat(()), coeffs)
-        return cls._raw(context, _packed_terms(context, columns, coeffs, rows))
+        packed = _pack_columns(columns, coeffs, caps)
+        if packed is None:
+            # The first bad row raises just as it would from the constructor.
+            rows = zip(zip(*columns) if columns else repeat(()), coeffs)
+            packed, coeffs = _check_rows(rows, context)
+        return cls._raw(context, _merged(packed, coeffs))
 
     @classmethod
     def _raw(cls, context, terms):
@@ -328,14 +325,13 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._require_same_context(other)
-        caps = self._context.caps
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
         out = {}
         if not a:
             return Series._raw(self._context, out)
-        layout = _layout(caps)
+        layout = _layout(self._context.caps)
         off, guard = layout.off, layout.guard
         if len(a) == 1:
             # A key shift: both coefficients are nonzero, so is each product.
@@ -344,24 +340,13 @@ class Series:
             return Series._raw(
                 self._context, {k + m1: c1 * v for k, v in b.items() if not (k + m1_off) & guard}
             )
-        # Bucket b by the exponent that leaves the fewest pairs to visit;
-        # a pair whose bucket exponent already overflows its cap is never
-        # formed, and the rest are checked against every cap by the guard.
-        shift, mask, cap = _bucket_field(a, b, caps, layout)
-        buckets = {}
-        for m2, c2 in b.items():
-            buckets.setdefault((m2 >> shift) & mask, []).append((m2, c2))
-        levels = sorted(buckets.items())
+        # Every pair, each checked against every cap by the guard.
         for m1, c1 in a.items():
-            room = cap - ((m1 >> shift) & mask)
             m1_off = m1 + off
-            for e, items in levels:
-                if e > room:
-                    break
-                for m2, c2 in items:
-                    if not (m1_off + m2) & guard:
-                        key = m1 + m2
-                        out[key] = out.get(key, 0) + c1 * c2
+            for m2, c2 in b.items():
+                if not (m1_off + m2) & guard:
+                    key = m1 + m2
+                    out[key] = out.get(key, 0) + c1 * c2
         return Series._raw(self._context, _nonzero(out))
 
     __rmul__ = __mul__
@@ -459,13 +444,6 @@ def _nonzero(terms):
     return {k: v for k, v in terms.items() if v}
 
 
-def _key_columns(keys, width):
-    """The exponent columns of ``keys``, or None unless each is a tuple of ``width`` entries."""
-    if not set(map(type, keys)) <= {tuple, Monomial} or not set(map(len, keys)) <= {width}:
-        return None
-    return list(zip(*keys)) if width else []
-
-
 def _pack_columns(columns, coeffs, caps):
     """The packed ints of the rows the columns spell, or None when some column fails a check.
 
@@ -480,16 +458,6 @@ def _pack_columns(columns, coeffs, caps):
             return None
         packed = list(map(add, packed, map(lshift, column, repeat(shift))))
     return packed
-
-
-def _packed_terms(context, columns, coeffs, rows):
-    # The terms of rows, packed a column at a time when every column
-    # passes its checks, else checked row by row so that the first bad
-    # row raises.
-    packed = _pack_columns(columns, coeffs, context.caps)
-    if packed is None:
-        packed, coeffs = _check_rows(rows, context)
-    return _merged(packed, coeffs)
 
 
 def _merged(packed, coeffs):
@@ -524,27 +492,6 @@ def _check_rows(rows, context):
         packed.append(pack(key))
         coeffs.append(index(coeff))
     return packed, coeffs
-
-
-def _bucket_field(a, b, caps, layout):
-    """The ``(shift, mask, cap)`` of the variable that leaves ``a * b`` the fewest pairs.
-
-    Bucketing ``b`` by variable v, a pair (m1, m2) is visited when
-    ``m2[v] <= caps[v] - m1[v]``; the count for each v comes from a
-    cumulative histogram of b's exponents.  A ring without variables gets
-    ``(0, 0, 0)``: one bucket, every pair visited.
-    """
-    best, best_pairs = (0, 0, 0), None
-    for cap, shift, mask in zip(caps, layout.shifts, layout.masks):
-        below = [0] * (cap + 1)
-        for m2 in b:
-            below[(m2 >> shift) & mask] += 1
-        for e in range(1, cap + 1):
-            below[e] += below[e - 1]
-        pairs = sum(below[cap - ((m1 >> shift) & mask)] for m1 in a)
-        if best_pairs is None or pairs < best_pairs:
-            best, best_pairs = (shift, mask, cap), pairs
-    return best
 
 
 def _mul_one_minus(terms, layout, step, coefficient):

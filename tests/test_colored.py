@@ -1,5 +1,7 @@
 """Colored partitions with residue-keyed palettes, and overpartitions."""
 
+from fractions import Fraction
+
 import pytest
 
 from schmidtq import (
@@ -128,6 +130,39 @@ def test_overpartition_construction():
         Overpartition.from_text("1,2")  # must be weakly decreasing
     with pytest.raises(ValueError):
         Overpartition.from_text("2,2'")  # flag only on the first copy
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        (2.5, 1, True),
+        (2, 1.9, False),
+        (2.0, 1, False),
+        (Fraction(3), 1, True),
+        (2, Fraction(1), False),
+        ("3", 1, False),
+        (3, "1", True),
+    ],
+    ids=[
+        "float-size",
+        "float-count",
+        "integral-float-size",
+        "fraction-size",
+        "fraction-count",
+        "string-size",
+        "string-count",
+    ],
+)
+def test_overpartition_refuses_non_integral_sizes_and_counts(entry):
+    # (2.5, 1.9, True) was truncated to (2, 1, True), and "3" was parsed.
+    with pytest.raises(TypeError):
+        Overpartition([entry])
+
+
+def test_overpartition_takes_bools_and_index_types():
+    mu = Overpartition([(Exactly(3), True, True), (True, Exactly(2), False)])
+    assert mu.entries == ((3, 1, True), (1, 2, False))
+    assert all(type(v) is int for entry in mu.entries for v in entry[:2])
 
 
 def test_overpartitions_of_three():

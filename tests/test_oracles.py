@@ -95,7 +95,7 @@ Gaussian multinomial per (n, j, k) and divided through
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations_with_replacement, count, groupby, product, repeat
+from itertools import combinations, combinations_with_replacement, count, groupby, product, repeat
 from math import comb
 from operator import add, index, itemgetter, le
 
@@ -152,7 +152,13 @@ from schmidtq import (
 )
 from schmidtq import identities, partitions
 from schmidtq.colored import _add_part, _overpartition_table, _palette
-from schmidtq.identities import _hook_exponent, _t1_slice_closed_form
+from schmidtq.identities import (
+    IDENTITY_TABLE,
+    _compare_sides,
+    _hook_exponent,
+    _series_mismatch,
+    _t1_slice_closed_form,
+)
 from schmidtq.partitions import (
     _check_class,
     _cor22_counts,
@@ -163,7 +169,6 @@ from schmidtq.partitions import (
 )
 from schmidtq.series import (
     Monomial,
-    _bucket_field,
     _div_one_minus,
     _Family,
     _layout,
@@ -1219,8 +1224,29 @@ def tuple_bucketed_mul(a, b, caps):
     return {k: c for k, c in out.items() if c}
 
 
+def _bucket_field(a, b, caps, layout):
+    """The ``(shift, mask, cap)`` of the variable that leaves ``a * b`` the fewest pairs.
+
+    Bucketing ``b`` by variable v, a pair (m1, m2) is visited when
+    ``m2[v] <= caps[v] - m1[v]``; the count for each v comes from a
+    cumulative histogram of b's exponents.  A ring without variables gets
+    ``(0, 0, 0)``: one bucket, every pair visited.
+    """
+    best, best_pairs = (0, 0, 0), None
+    for cap, shift, mask in zip(caps, layout.shifts, layout.masks):
+        below = [0] * (cap + 1)
+        for m2 in b:
+            below[(m2 >> shift) & mask] += 1
+        for e in range(1, cap + 1):
+            below[e] += below[e - 1]
+        pairs = sum(below[cap - ((m1 >> shift) & mask)] for m1 in a)
+        if best_pairs is None or pairs < best_pairs:
+            best, best_pairs = (shift, mask, cap), pairs
+    return best
+
+
 def bucketed_mul(x, y):
-    """The packed terms of ``x * y`` by the bucketed product, which a single-term operand also took."""
+    """The packed terms of ``x * y`` by the bucketed product that every product once took."""
     caps = x.context.caps
     a, b = x._terms, y._terms
     if len(a) > len(b):
@@ -1360,6 +1386,18 @@ def group_at_a_time_residue_columns(m, s, cls, qcap):
     for (_, weight, rho), count in states.items():
         out[(weight, *rho)] += count
     return out
+
+
+def pairwise_compare_sides(theorem, params, caps, sides):
+    # Every pair of sides in order, the first that differs reported.
+    for idx_a in range(len(sides)):
+        for idx_b in range(idx_a + 1, len(sides)):
+            name_a, a = sides[idx_a]
+            name_b, b = sides[idx_b]
+            mismatch = _series_mismatch(name_a, a, name_b, b)
+            if mismatch is not None:
+                return VerificationReport(theorem, params, caps, "fail", mismatch)
+    return VerificationReport(theorem, params, caps, "pass")
 
 
 # --- exact equality ----------------------------------------------------------
@@ -1891,6 +1929,7 @@ def test_packed_product_matches_tuple_keyed_bucketed_product(data):
     a, b = tuple_keyed(data, ctx), tuple_keyed(data, ctx)
     got = Series(ctx, a) * Series(ctx, b)
     assert tuple_terms(got) == tuple_bucketed_mul(a, b, ctx.caps)
+    assert got._terms == bucketed_mul(Series(ctx, a), Series(ctx, b))
 
 
 def any_ring(data):
@@ -1949,6 +1988,32 @@ def test_t1_slice_sums_only_its_own_terms():
             got = identities._t1_slice_sum(ctx, J)
             assert got._terms == sliced_full_sum(J, qcap), (J, qcap)
             assert_no_stored_zero(got)
+
+
+SPOILED_SIDES = [()] + [(i,) for i in range(4)] + list(combinations(range(4), 2))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["same-change", "own-change"])
+@pytest.mark.parametrize(
+    "spoiled", SPOILED_SIDES, ids=["-".join(map(str, at)) or "none" for at in SPOILED_SIDES]
+)
+def test_first_side_comparison_matches_pairwise_comparison(spoiled, shared):
+    # cor22's four sides, one coefficient changed in each spoiled side:
+    # the same change, so that two spoiled sides agree with each other, or
+    # a change of its own at another monomial.
+    qcap = 5
+    build = {"sum": sum_side, "product": product_side, "enum": enum_side}
+    entry = IDENTITY_TABLE["cor22"]
+    sides = [(label, build[side](source, qcap=qcap)) for label, side, source in entry.sides]
+    assert len(sides) == 4
+    ctx = trivariate_context(qcap)
+    for n, at in enumerate(spoiled):
+        change = ctx.term(1, (3, 1, 1)) if shared else ctx.term(n + 2, (2 + n, n, 1))
+        sides[at] = (sides[at][0], sides[at][1] + change)
+    args = ("cor22", {}, dict.fromkeys(("q", "t1", "t2"), qcap), sides)
+    report = _compare_sides(*args)
+    assert report == pairwise_compare_sides(*args)
+    assert report.status == ("fail" if spoiled else "pass")
 
 
 @settings(max_examples=100, deadline=None)

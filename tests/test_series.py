@@ -10,7 +10,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schmidtq import (
@@ -152,6 +152,56 @@ def test_column_constructor_checks_as_the_dict_path(columns, coeffs, raises):
         assert got[0] is raises
     else:
         assert isinstance(got, Series)
+
+
+EXPONENT_FLAWS = ("over-cap", "negative", "float", "integral-float", "bool")
+
+
+def spoil(data, columns, coeffs, caps):
+    """Replace one entry at a random row by a bad or unusual one; it may be a coefficient."""
+    row = data.draw(st.integers(0, len(coeffs) - 1))
+    flaw = data.draw(st.sampled_from(EXPONENT_FLAWS * bool(caps) + ("float-coefficient",)))
+    if flaw == "float-coefficient":
+        coeffs[row] = coeffs[row] + data.draw(st.sampled_from((0.0, 0.5)))
+        return
+    at = data.draw(st.integers(0, len(caps) - 1))
+    column, cap = columns[at], caps[at]
+    column[row] = {
+        "over-cap": cap + data.draw(st.integers(1, 3)),
+        "negative": -data.draw(st.integers(1, 3)),
+        "float": column[row] + 0.5,
+        "integral-float": float(column[row]),
+        "bool": data.draw(st.booleans()),
+    }[flaw]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_column_constructor_matches_the_row_constructor(data):
+    # The two constructors share only the row checks and the merge, so on
+    # any columns they give the same terms or raise the same error.
+    width = data.draw(st.integers(0, 4))
+    caps = tuple(data.draw(st.lists(st.integers(0, 5), min_size=width, max_size=width)))
+    ctx = SeriesContext(("q", "t1", "t2", "s")[:width], caps)
+    rows = data.draw(st.lists(st.tuples(*(st.integers(0, cap) for cap in caps)), max_size=10))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    # Repeat some rows, each with its coefficient negated half the time, so
+    # that some keys merge and some cancel.
+    for row, coeff in list(zip(rows, coeffs)):
+        if data.draw(st.integers(0, 3)) == 0:
+            rows.append(row)
+            coeffs.append(data.draw(st.sampled_from((coeff, -coeff))))
+    columns = [list(column) for column in zip(*rows)] if rows else [[] for _ in caps]
+    if coeffs and data.draw(st.booleans()):
+        spoil(data, columns, coeffs, caps)
+    keys = list(zip(*columns)) if columns else [()] * len(coeffs)
+    got = outcome(lambda: Series._from_columns(ctx, columns, coeffs))
+    want = outcome(lambda: Series(ctx, list(zip(keys, coeffs))))
+    if isinstance(want, Series):
+        assert isinstance(got, Series) and got._terms == want._terms
+        assert all(got._terms.values())
+    else:
+        assert got == want
 
 
 def test_column_constructor_refuses_ragged_or_miscounted_columns():

@@ -199,3 +199,32 @@ def test_every_definition_has_a_use():
         and node.name not in (names if "." not in name else names | attrs)
     }
     assert sorted(unused) == sorted(UNUSED_IN_SOURCE), unused
+
+
+def scoped_names(node, scope="<module>"):
+    """``(innermost def or class, name)`` for every name read, written or imported under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+        for name in (getattr(child, "id", None), getattr(child, "attr", None)):
+            if name:
+                yield inner, name
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield from ((inner, alias.name) for alias in child.names)
+        yield from scoped_names(child, inner)
+
+
+def test_only_the_column_constructor_packs_columns():
+    # The constructor checks its input row by row; the enum sides' column
+    # constructor is the one caller of the column packer, so no other path
+    # grows a second packer.
+    found = sorted(
+        {
+            f"{path.name} {scope}"
+            for path in SOURCE.glob("*.py")
+            for scope, name in scoped_names(ast.parse(path.read_text()))
+            if name == "_pack_columns"
+        }
+    )
+    assert found == ["series.py Series._from_columns"]
