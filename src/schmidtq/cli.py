@@ -27,7 +27,7 @@ from .bijections import (
 )
 from .colored import ColoredPartition, colored_partitions, overpartitions
 from .identities import (
-    COUNTING_THEOREMS,
+    COUNTING_TABLE,
     IDENTITY_TABLE,
     RING_CAPS,
     RING_VARIABLES,
@@ -45,7 +45,7 @@ from .identities import (
 from .partitions import Partition, partitions_of, partitions_with_schmidt_weight
 
 _CAP_FLAGS = {"qcap": "--q-cap", "scap": "--s-cap"}
-_VERIFY_IDS = SERIES_IDENTITIES + COUNTING_THEOREMS + ("cauchy", "t1_slice")
+_VERIFY_IDS = SERIES_IDENTITIES + tuple(COUNTING_TABLE) + ("cauchy", "t1_slice")
 # --side takes the report label of any compared side.
 _SIDES = tuple(dict.fromkeys(side[0] for entry in IDENTITY_TABLE.values() for side in entry.sides))
 
@@ -172,12 +172,12 @@ def _cmd_verify(args, out):
         cap = RING_CAPS[entry.ring]
         caps = {cap: _need(args, _CAP_FLAGS[cap])}
         report = verify_identity(ident, **caps, **_params(args, entry))
-    elif ident in ("schmidt", "uncu"):
-        report = verify_counting(ident, n=_need(args, "--n"), m=args.m, s=args.s)
-    elif ident in ("ak_main", "franklin_ext"):
-        report = verify_counting(
-            ident, n=_need(args, "--n"), m=_need(args, "--m"), s=_need(args, "--s")
-        )
+    elif ident in COUNTING_TABLE:
+        n = _need(args, "--n")
+        if COUNTING_TABLE[ident].fixed:
+            report = verify_counting(ident, n=n, m=args.m, s=args.s)
+        else:
+            report = verify_counting(ident, n=n, m=_need(args, "--m"), s=_need(args, "--s"))
     elif ident == "cauchy":
         report = cauchy_check(_need(args, "--n"), args.q_cap)
     else:

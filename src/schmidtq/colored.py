@@ -198,6 +198,7 @@ class Overpartition:
         """Build from ``(size, overlined)`` pairs; at most one flagged copy per size."""
         by_size = {}
         for size, flag in flagged:
+            size = index(size)  # so that 2 and an __index__ type worth 2 are one size
             count, seen = by_size.get(size, (0, False))
             if flag and seen:
                 raise ValueError(f"size {size} overlined more than once")

@@ -13,15 +13,17 @@ to explicit caps, and compared term-by-term:
 - ``cor22``: the bounded-repetition form: partitions with every
   multiplicity below 4, graded by repeated-size count, alternating sum,
   and odd-index weight, match the overpartition enumeration.
-- ``mork_odd`` / ``mork_even``: distinct-part-free gradings of
-  multiplicity-bounded partitions by odd/even index sums against the
-  lacunary products 1/(qs; qs^2)oo and 1/(s; qs^2)oo.
-- ``psi_all`` / ``psi_dm``: block-residue weights against the products
-  over residue classes r with base s^r q^min(r, i) and ratio s^m q^i.
+- ``psi_all`` / ``psi_dm``: block-residue weights of class P / D against
+  products with base s^r q^min(r, i) and ratio s^m q^i.  ``mork_odd`` /
+  ``mork_even`` are class D at m = 2, i = 1 by the odd / even index sum,
+  against 1/(qs; qs^2)oo and 1/(s; qs^2)oo.  Each side builds these four
+  rows on one path, from each row's ``Family``.
 
-Counting theorems are verified bucket-by-bucket from scratch
-enumerations on both sides.  All arithmetic is exact; a report either
-passes or carries the first mismatching monomial or bucket.
+The counting theorems, class D with palette ceiling m (``schmidt``,
+``ak_main``) or class P with m + 1 (``uncu``, ``franklin_ext``), share one
+path and are verified bucket-by-bucket from scratch enumerations on both
+sides.  All arithmetic is exact; a report either passes or carries the
+first mismatching monomial or bucket.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from .series import (
     _poch_product,
     gaussian_binomial_coeffs,
     poch_finite,
-    poch_infinite_inverse,
     q_binomial,
 )
 
@@ -92,12 +93,21 @@ __all__ = [
 ]
 
 
+class Family(NamedTuple):
+    """The Schmidt-side family one row of a table instantiates."""
+
+    cls: str  # "P" or "D"
+    fixed: tuple = ()  # the (m, i) or (m, S) the row fixes; () when the caller gives them
+    even: bool = False  # graded by the size less the weight: the even-index sum at m = 2
+
+
 class SeriesIdentity(NamedTuple):
     """One row of ``IDENTITY_TABLE``."""
 
     ring: tuple  # the variables of its ring; RING_CAPS names the cap
     params: tuple  # () or ("m", "i")
     sides: tuple  # (label, side, source id) per compared side, in report order
+    family: Family | None = None  # the Schmidt-weight family of an s-graded row
 
 
 _Q_T1_T2 = ("q", "t1", "t2")
@@ -121,10 +131,13 @@ IDENTITY_TABLE = {
         (("enum", "enum", "cor22"), ("enum_overpartition", "enum", "overpartition"))
         + _own("overpartition", "sum", "product"),
     ),
-    "mork_odd": SeriesIdentity(_Q_S, (), _own("mork_odd", "product", "enum")),
-    "mork_even": SeriesIdentity(_Q_S, (), _own("mork_even", "product", "enum")),
-    "psi_all": SeriesIdentity(_Q_S, ("m", "i"), _own("psi_all", "product", "enum")),
-    "psi_dm": SeriesIdentity(_Q_S, ("m", "i"), _own("psi_dm", "product", "enum")),
+    # mork_* is psi_dm at m = 2, i = 1, graded by the odd or the even index sum.
+    "mork_odd": SeriesIdentity(_Q_S, (), _own("mork_odd", "product", "enum"), Family("D", (2, 1))),
+    "mork_even": SeriesIdentity(
+        _Q_S, (), _own("mork_even", "product", "enum"), Family("D", (2, 1), even=True)
+    ),
+    "psi_all": SeriesIdentity(_Q_S, ("m", "i"), _own("psi_all", "product", "enum"), Family("P")),
+    "psi_dm": SeriesIdentity(_Q_S, ("m", "i"), _own("psi_dm", "product", "enum"), Family("D")),
 }
 
 SERIES_IDENTITIES = tuple(IDENTITY_TABLE)
@@ -132,7 +145,16 @@ SERIES_IDENTITIES = tuple(IDENTITY_TABLE)
 # The variables a monomial of some series identity may name: q, t1, t2, s.
 RING_VARIABLES = tuple(dict.fromkeys(v for entry in IDENTITY_TABLE.values() for v in entry.ring))
 
-COUNTING_THEOREMS = ("schmidt", "uncu", "ak_main", "franklin_ext")
+# Glaisher's pairing (class D, palette ceiling m) and Franklin's (class P,
+# ceiling m + 1); a row that fixes (2, {1}) is read as one total.
+COUNTING_TABLE = {
+    "schmidt": Family("D", (2, (1,))),
+    "uncu": Family("P", (2, (1,))),
+    "ak_main": Family("D"),
+    "franklin_ext": Family("P"),
+}
+
+COUNTING_THEOREMS = tuple(COUNTING_TABLE)
 
 
 def trivariate_context(qcap):
@@ -221,22 +243,18 @@ class VerificationReport:
 
 
 def _series_mismatch(name_a, a, name_b, b):
-    if a == b:
+    # The least differing key by (total degree, exponents); only those unpack.
+    ta, tb = a._terms, b._terms
+    if ta == tb:
         return None
-    keys = {tuple(mon) for mon, _ in a.sorted_terms()}
-    keys |= {tuple(mon) for mon, _ in b.sorted_terms()}
-    for key in sorted(keys, key=lambda t: (sum(t), t)):
-        ca = a.coefficient(key)
-        cb = b.coefficient(key)
-        if ca != cb:
-            names = a.context.variables
-            return {
-                "monomial": {v: e for v, e in zip(names, key) if e},
-                "lhs": ca,
-                "rhs": cb,
-                "sides": [name_a, name_b],
-            }
-    return None
+    unpack = _layout(a.context.caps).unpack
+    key = min((k for k, _ in ta.items() ^ tb.items()), key=lambda k: (sum(unpack(k)), unpack(k)))
+    return {
+        "monomial": {v: e for v, e in zip(a.context.variables, unpack(key)) if e},
+        "lhs": ta.get(key, 0),
+        "rhs": tb.get(key, 0),
+        "sides": [name_a, name_b],
+    }
 
 
 def _compare_sides(theorem, params, caps, sides):
@@ -338,33 +356,33 @@ def sum_side(identity, qcap):
 # product sides
 
 
-def _psi_params(m, i):
-    _check_modulus(m)
-    if not isinstance(i, int) or not 1 <= i <= m:
-        raise ValueError(f"residue block length must lie in 1..{m}, got {i!r}")
-    return m, i
-
-
 def _checked(identity, m, i, **caps):
-    # (entry, cap, params) of one series identity: the cap of its ring when
-    # caps are given, and its params as its report gives them.
+    # (entry, its ring's cap if caps are given, report params, m, i) of one series identity.
     entry = IDENTITY_TABLE.get(identity)
     if entry is None:
         raise ValueError(f"unknown identity {identity!r}")
-    params = dict(zip(entry.params, _psi_params(m, i))) if entry.params else {}
+    if entry.params:
+        _check_modulus(m)
+        if not isinstance(i, int) or not 1 <= i <= m:
+            raise ValueError(f"residue block length must lie in 1..{m}, got {i!r}")
+    elif entry.family:
+        m, i = entry.family.fixed
+    params = dict(zip(entry.params, (m, i)))
     name = RING_CAPS[entry.ring]
     cap = _required(caps[name], name) if caps else None
-    return entry, cap, params
+    return entry, cap, params, m, i
 
 
 def product_side(identity, *, qcap=None, scap=None, m=None, i=None):
     """The infinite-product side, truncated to the caps.
 
     Each product is a list of Pochhammer families, built as one running
-    series by ``_poch_product``, largest factors first.
+    series by ``_poch_product``, largest factors first.  An s-graded one has
+    base s^r q^min(r, i) and ratio s^m q^i for r = 1..m in class P, 1..m-1
+    in class D; graded by the size less the weight, q^a s^b is q^(b - a) s^b.
     """
-    _checked(identity, m, i, qcap=qcap, scap=scap)
-    if identity in ("ak_trivariate", "overpartition", "cor22"):
+    entry, _, _, m, i = _checked(identity, m, i, qcap=qcap, scap=scap)
+    if entry.family is None:
         ctx = trivariate_context(qcap)
         q = ctx.monomial(q=1)
         t1 = ctx.monomial(q=1, t1=1)
@@ -374,14 +392,11 @@ def product_side(identity, *, qcap=None, scap=None, m=None, i=None):
             first = _Family(t1, q, coefficient=-1)  # (-t1 q; q)oo
         return _poch_product(ctx, [first, _Family(ctx.monomial(q=1, t2=1), q, divide=True)])
     ctx = size_graded_context(scap)
-    if identity == "mork_odd":
-        return poch_infinite_inverse(ctx, ctx.monomial(q=1, s=1), ctx.monomial(q=1, s=2))
-    if identity == "mork_even":
-        return poch_infinite_inverse(ctx, ctx.monomial(s=1), ctx.monomial(q=1, s=2))
-    ratio = ctx.monomial(q=i, s=m)
-    last = m if identity == "psi_all" else m - 1
+    cls, _, even = entry.family
+    ratio = ctx.monomial(q=m - i if even else i, s=m)
     families = [
-        _Family(ctx.monomial(q=min(r, i), s=r), ratio, divide=True) for r in range(1, last + 1)
+        _Family(ctx.monomial(q=r - min(r, i) if even else min(r, i), s=r), ratio, divide=True)
+        for r in range(1, m + 1 if cls == "P" else m)
     ]
     return _poch_product(ctx, families)
 
@@ -400,7 +415,7 @@ def _required(value, name):
 
 def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
     """The brute-force generating function, graded exactly like the other sides."""
-    _checked(identity, m, i, qcap=qcap, scap=scap)
+    entry, _, _, m, i = _checked(identity, m, i, qcap=qcap, scap=scap)
     # Each table hands over one list per variable and a list of counts.
     if identity == "ak_trivariate":
         # The Schmidt side of the theorem: odd-index weight and the
@@ -410,15 +425,11 @@ def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
         return Series._from_columns(trivariate_context(qcap), *_overpartition_table(qcap))
     if identity == "cor22":
         return Series._from_columns(trivariate_context(qcap), *_cor22_counts(qcap))
-    if identity in ("mork_odd", "mork_even"):
-        (weight, size), counts = _schmidt_weight_columns(2, (1,), "D", scap)
-        if identity == "mork_even":
-            # The even-index weight: the size less the odd-index one.
-            weight = list(map(sub, size, weight))
-        return Series._from_columns(size_graded_context(scap), [weight, size], counts)
-    cls = "P" if identity == "psi_all" else "D"
-    table = _schmidt_weight_columns(m, tuple(range(1, i + 1)), cls, scap)
-    return Series._from_columns(size_graded_context(scap), *table)
+    cls, _, even = entry.family
+    (weight, size), counts = _schmidt_weight_columns(m, tuple(range(1, i + 1)), cls, scap)
+    if even:
+        weight = list(map(sub, size, weight))
+    return Series._from_columns(size_graded_context(scap), [weight, size], counts)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +542,7 @@ def _t1_slice_closed_form(ctx, J):
 
 def verify_identity(identity, *, qcap=None, scap=None, m=None, i=None):
     """Build every compared side of one identity and compare each with the first."""
-    entry, cap, params = _checked(identity, m, i, qcap=qcap, scap=scap)
+    entry, cap, params, _, _ = _checked(identity, m, i, qcap=qcap, scap=scap)
     kwargs = {RING_CAPS[entry.ring]: cap, **params}
     # Read when the verifier runs, so wrappers installed on this module apply.
     build = {"sum": sum_side, "product": product_side, "enum": enum_side}
@@ -545,54 +556,55 @@ def _counting_buckets(theorem, n, m, s):
     # Schmidt weight n; the colored side counts the colored partitions of
     # n without building them.  Neither reads the other.  bucket_of maps a
     # key of either side to the bucket it stands for.
-    if theorem in ("schmidt", "uncu"):
-        _check_odd_index_count(m, s)
-        cls = "D" if theorem == "schmidt" else "P"
-        lhs = _schmidt_weight_total(n, 2, (1,), cls)
-        # One color per part under ceiling m for schmidt, as ak_main has for
-        # class D: the partitions of n.  Two colors under m + 1 for uncu.
-        rhs = colored_partition_total(n, 2, (1,), 2 if theorem == "schmidt" else 3)
-        return {"m": 2, "s": [1]}, {"total": lhs}, {"total": rhs}, str
-    if theorem == "ak_main":
-        # Keys pack rho_1 .. rho_{m-1}, or the counts of colors 1 .. m-1.
-        residues = normalize_residue_set(m, _required_set(s), allow_m=False)
-        lhs = schmidt_bucket_counts(n, m, residues, "D")
-        rhs = colored_bucket_counts(n, m, residues, m)
-        return {"m": m, "s": list(residues)}, lhs, rhs, lambda key: split_bucket(key, n, m)[0]
-    if theorem == "franklin_ext":
-        # Keys pack rho with the image of the m-blocks, or the color counts
-        # with the sizes of the parts colored m.  The floor in p // m
-        # collapses distinct repetition profiles onto one image (at modulus
-        # 2, multiplicities 2 and 3 both bank one block), so each image
-        # bucket pools its preimages and must then match the colored count.
-        residues = normalize_residue_set(m, _required_set(s), allow_m=True)
-        lhs = schmidt_bucket_counts(n, m, residues, "P")
-        rhs = colored_bucket_counts(n, m, residues, m + 1)
-        return {"m": m, "s": list(residues)}, lhs, rhs, lambda key: split_bucket(key, n, m)
-    raise ValueError(f"unknown counting theorem {theorem!r}")
+    family = COUNTING_TABLE.get(theorem)
+    if family is None:
+        raise ValueError(f"unknown counting theorem {theorem!r}")
+    if family.fixed:
+        # The fixed modulus 2, residues {1}, may be given, however spelled.
+        if m not in (None, 2) or (s is not None and normalize_residue_set(2, s) != (1,)):
+            raise ValueError("this count is specific to modulus 2, residues {1}")
+        m, residues = family.fixed
+    elif s is None:
+        raise ValueError("a residue set is required here")
+    else:
+        residues = normalize_residue_set(m, s, allow_m=family.cls == "P")
+    top = m if family.cls == "D" else m + 1
+    params = {"m": m, "s": list(residues)}
+    if family.fixed:
+        lhs = _schmidt_weight_total(n, m, residues, family.cls)
+        return params, {"total": lhs}, {"total": colored_partition_total(n, m, residues, top)}, str
+    # Keys pack rho_1 .. rho_{m-1} (the counts of colors 1 .. m-1) and in class
+    # P the image of the m-blocks (the sizes of the parts colored m), which
+    # pools profiles: multiplicities 2 and 3 both bank one block at m = 2.
+    lhs = schmidt_bucket_counts(n, m, residues, family.cls)
+    rhs = colored_bucket_counts(n, m, residues, top)
+    if family.cls == "D":
+        return params, lhs, rhs, lambda key: split_bucket(key, n, m)[0]
+    return params, lhs, rhs, lambda key: split_bucket(key, n, m)
 
 
 def _bucket_label(theorem, n, params, bucket):
-    if theorem == "ak_main":
+    family = COUNTING_TABLE[theorem]
+    if family.fixed:
+        return str(bucket)
+    if family.cls == "D":
         return f"rho={bucket}"
-    if theorem == "franklin_ext":
-        # The repetition profiles of the partitions in this bucket, from a
-        # walk that only a failing report pays for.
-        m, residues = params["m"], tuple(params["s"])
-        rho, image = bucket
-        profiles = set()
-        for lam in partitions_with_schmidt_weight(n, m, residues, "P"):
-            profile = repetition_profile(lam, m)
-            blocks = sorted(
-                (len(residues) * alpha for alpha, p in profile for _ in range(p // m)),
-                reverse=True,
-            )
-            if tuple(blocks) == image and rho == tuple(
-                residue_column_count(lam, m, j) for j in range(1, m)
-            ):
-                profiles.add(profile)
-        return f"rho={rho} color_{m}_parts={image} profiles={tuple(sorted(profiles))}"
-    return str(bucket)
+    # The repetition profiles of the partitions in this bucket, from a
+    # walk that only a failing report pays for.
+    m, residues = params["m"], tuple(params["s"])
+    rho, image = bucket
+    profiles = set()
+    for lam in partitions_with_schmidt_weight(n, m, residues, "P"):
+        profile = repetition_profile(lam, m)
+        blocks = sorted(
+            (len(residues) * alpha for alpha, p in profile for _ in range(p // m)),
+            reverse=True,
+        )
+        if tuple(blocks) == image and rho == tuple(
+            residue_column_count(lam, m, j) for j in range(1, m)
+        ):
+            profiles.add(profile)
+    return f"rho={rho} color_{m}_parts={image} profiles={tuple(sorted(profiles))}"
 
 
 def verify_counting(theorem, *, n, m=None, s=None):
@@ -615,19 +627,6 @@ def verify_counting(theorem, *, n, m=None, s=None):
     bucket = _bucket_label(theorem, n, params, bucket_of(key))
     mismatch = {"bucket": bucket, "lhs": lhs.get(key, 0), "rhs": rhs.get(key, 0)}
     return VerificationReport(theorem, params, caps, "fail", mismatch)
-
-
-def _check_odd_index_count(m, s):
-    # schmidt and uncu count odd-index weights: modulus 2, residues {1},
-    # however the residue set is spelled.
-    if m not in (None, 2) or (s is not None and normalize_residue_set(2, s) != (1,)):
-        raise ValueError("this count is specific to modulus 2, residues {1}")
-
-
-def _required_set(s):
-    if s is None:
-        raise ValueError("a residue set is required here")
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +663,7 @@ def witnesses(identity, exponents, *, m=None, i=None):
     monomial are built.
     """
     exps = dict(exponents)
-    _checked(identity, m, i)
+    entry, _, _, m, i = _checked(identity, m, i)
     check_exponents(identity, exps)
     q = exps.get("q", 0)
     t1 = exps.get("t1", 0)
@@ -699,11 +698,10 @@ def witnesses(identity, exponents, *, m=None, i=None):
         # Odd-index weight q and alternating sum t2 put q - t2 on the even
         # indices, so these are partitions of 2q - t2.
         stream = _weight_walk(2 * q - t2, 2, 1, q, most=3, repeated=t1)
-    elif identity in ("mork_odd", "mork_even"):
-        stream = _weight_walk(size, 2, 1, q if identity == "mork_odd" else size - q, most=1)
     else:
-        most = None if identity == "psi_all" else m - 1
-        stream = _weight_walk(size, m, i, q, most=most)
+        cls, _, even = entry.family
+        most = m - 1 if cls == "D" else None
+        stream = _weight_walk(size, m, i, size - q if even else q, most=most)
     return [",".join(str(a) for a, c in groups for _ in range(c)) for groups in stream]
 
 

@@ -165,6 +165,19 @@ def test_overpartition_takes_bools_and_index_types():
     assert all(type(v) is int for entry in mu.entries for v in entry[:2])
 
 
+def test_flagged_parts_group_sizes_by_their_int_value():
+    # 2 and a size worth 2 through __index__ are one size, so a flagged
+    # copy of one and a plain copy of the other make 2',2.
+    mu = Overpartition.from_flagged_parts([(Exactly(2), True), (2, False)])
+    assert mu.entries == ((2, 2, True),)
+    assert mu.to_text() == "2',2"
+    with pytest.raises(ValueError, match=exact("size 2 overlined more than once")):
+        Overpartition.from_flagged_parts([(2, True), (Exactly(2), True)])
+    for size in (2.0, 2.5, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            Overpartition.from_flagged_parts([(size, False)])
+
+
 def test_overpartitions_of_three():
     texts = {mu.to_text() for mu in overpartitions(3)}
     assert texts == {

@@ -90,6 +90,14 @@ that keyed each table by tuples and handed it to the ``Series``
 constructor, and the sum that built every level as a ``Series`` from one
 Gaussian multinomial per (n, j, k) and divided through
 ``Series.div_one_minus``, are kept below.
+
+The s-graded rows are instances of one family, class P or D with an
+optional even grading and a fixed (m, i) for ``mork_*``, and the
+counting theorems pair class D with palette ceiling m and class P with
+m + 1.  The branches that named each id in ``product_side``,
+``enum_side``, ``witnesses`` and ``_counting_buckets`` are kept below.
+So is the first-mismatch search that unpacked and sorted every term of
+both sides, where only the keys that differ are unpacked now.
 """
 
 import tracemalloc
@@ -97,7 +105,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count, groupby, product, repeat
 from math import comb
-from operator import add, index, itemgetter, le
+from operator import add, index, itemgetter, le, sub
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +173,9 @@ from schmidtq.partitions import (
     _digits,
     _expand,
     _schmidt_params,
+    _schmidt_weight_columns,
+    _schmidt_weight_total,
+    _weight_walk,
     partition_groups,
 )
 from schmidtq.series import (
@@ -1388,16 +1399,97 @@ def group_at_a_time_residue_columns(m, s, cls, qcap):
     return out
 
 
+def sorting_series_mismatch(name_a, a, name_b, b):
+    """The first mismatch from every term of both sides, unpacked, sorted and re-read."""
+    if a == b:
+        return None
+    keys = {tuple(mon) for mon, _ in a.sorted_terms()}
+    keys |= {tuple(mon) for mon, _ in b.sorted_terms()}
+    for key in sorted(keys, key=lambda t: (sum(t), t)):
+        ca = a.coefficient(key)
+        cb = b.coefficient(key)
+        if ca != cb:
+            names = a.context.variables
+            return {
+                "monomial": {v: e for v, e in zip(names, key) if e},
+                "lhs": ca,
+                "rhs": cb,
+                "sides": [name_a, name_b],
+            }
+    return None
+
+
 def pairwise_compare_sides(theorem, params, caps, sides):
     # Every pair of sides in order, the first that differs reported.
     for idx_a in range(len(sides)):
         for idx_b in range(idx_a + 1, len(sides)):
             name_a, a = sides[idx_a]
             name_b, b = sides[idx_b]
-            mismatch = _series_mismatch(name_a, a, name_b, b)
+            mismatch = sorting_series_mismatch(name_a, a, name_b, b)
             if mismatch is not None:
                 return VerificationReport(theorem, params, caps, "fail", mismatch)
     return VerificationReport(theorem, params, caps, "pass")
+
+
+def named_product_side(identity, scap, m=None, i=None):
+    """The s-graded branches of ``product_side`` that named each id."""
+    ctx = size_graded_context(scap)
+    if identity == "mork_odd":
+        return poch_infinite_inverse(ctx, ctx.monomial(q=1, s=1), ctx.monomial(q=1, s=2))
+    if identity == "mork_even":
+        return poch_infinite_inverse(ctx, ctx.monomial(s=1), ctx.monomial(q=1, s=2))
+    ratio = ctx.monomial(q=i, s=m)
+    last = m if identity == "psi_all" else m - 1
+    families = [
+        _Family(ctx.monomial(q=min(r, i), s=r), ratio, divide=True) for r in range(1, last + 1)
+    ]
+    return _poch_product(ctx, families)
+
+
+def named_enum_side(identity, scap, m=None, i=None):
+    """The s-graded branches of ``enum_side`` that named each id."""
+    if identity in ("mork_odd", "mork_even"):
+        (weight, size), counts = _schmidt_weight_columns(2, (1,), "D", scap)
+        if identity == "mork_even":
+            weight = list(map(sub, size, weight))
+        return Series._from_columns(size_graded_context(scap), [weight, size], counts)
+    cls = "P" if identity == "psi_all" else "D"
+    table = _schmidt_weight_columns(m, tuple(range(1, i + 1)), cls, scap)
+    return Series._from_columns(size_graded_context(scap), *table)
+
+
+def named_witnesses(identity, q, size, m=None, i=None):
+    """The s-graded branches of ``witnesses`` that named each id."""
+    if identity in ("mork_odd", "mork_even"):
+        stream = _weight_walk(size, 2, 1, q if identity == "mork_odd" else size - q, most=1)
+    else:
+        most = None if identity == "psi_all" else m - 1
+        stream = _weight_walk(size, m, i, q, most=most)
+    return [",".join(str(a) for a, c in groups for _ in range(c)) for groups in stream]
+
+
+def named_counting_buckets(theorem, n, m, s):
+    """``_counting_buckets`` with one branch per theorem."""
+    if theorem in ("schmidt", "uncu"):
+        if m not in (None, 2) or (s is not None and normalize_residue_set(2, s) != (1,)):
+            raise ValueError("this count is specific to modulus 2, residues {1}")
+        cls = "D" if theorem == "schmidt" else "P"
+        lhs = _schmidt_weight_total(n, 2, (1,), cls)
+        rhs = colored_partition_total(n, 2, (1,), 2 if theorem == "schmidt" else 3)
+        return {"m": 2, "s": [1]}, {"total": lhs}, {"total": rhs}, str
+    if s is None and theorem in ("ak_main", "franklin_ext"):
+        raise ValueError("a residue set is required here")
+    if theorem == "ak_main":
+        residues = normalize_residue_set(m, s, allow_m=False)
+        lhs = schmidt_bucket_counts(n, m, residues, "D")
+        rhs = colored_bucket_counts(n, m, residues, m)
+        return {"m": m, "s": list(residues)}, lhs, rhs, lambda key: split_bucket(key, n, m)[0]
+    if theorem == "franklin_ext":
+        residues = normalize_residue_set(m, s, allow_m=True)
+        lhs = schmidt_bucket_counts(n, m, residues, "P")
+        rhs = colored_bucket_counts(n, m, residues, m + 1)
+        return {"m": m, "s": list(residues)}, lhs, rhs, lambda key: split_bucket(key, n, m)
+    raise ValueError(f"unknown counting theorem {theorem!r}")
 
 
 # --- exact equality ----------------------------------------------------------
@@ -2483,3 +2575,102 @@ def test_bijections_match_replaced_maps_past_the_grid(data, lam, kept, banked):
     distinct = Partition(sorted(set(kept.parts), reverse=True))
     for nu in (kept, distinct):
         assert outcome(mork_inverse, nu) == outcome(sum_based_mork_inverse, nu)
+
+
+# --- one family per table row ------------------------------------------------
+
+
+FAMILY_PARAMS = [
+    (identity, m, i)
+    for identity in ("mork_odd", "mork_even", "psi_all", "psi_dm")
+    # A mork row fixes m = 2, i = 1 and ignores any it is given.
+    for m, i in (
+        [(None, None), (3, 2)] if identity.startswith("mork") else DECK_MODULI + ((3, 3), (4, 4))
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "identity, m, i", FAMILY_PARAMS, ids=[f"{x}-m{m}-i{i}" for x, m, i in FAMILY_PARAMS]
+)
+def test_s_graded_sides_match_the_named_branches(identity, m, i):
+    for scap in range(31):
+        assert product_side(identity, scap=scap, m=m, i=i) == named_product_side(
+            identity, scap, m, i
+        ), scap
+        want = named_enum_side(identity, scap, m, i)
+        assert enum_side(identity, scap=scap, m=m, i=i) == want, scap
+
+
+@pytest.mark.parametrize(
+    "identity, m, i", FAMILY_PARAMS, ids=[f"{x}-m{m}-i{i}" for x, m, i in FAMILY_PARAMS]
+)
+def test_s_graded_witnesses_match_the_named_branches(identity, m, i):
+    for s in range(15):
+        for q in range(s + 2):
+            got = witnesses(identity, {"q": q, "s": s}, m=m, i=i)
+            assert got == named_witnesses(identity, q, s, m, i), (s, q)
+
+
+FAMILY_COUNTING_CASES = [
+    (theorem, m, s) for theorem in ("schmidt", "uncu") for m, s in ((None, None), (2, (1,)))
+] + [
+    (theorem, m, s)
+    for theorem, include_m in (("ak_main", False), ("franklin_ext", True))
+    for m in (2, 3, 4)
+    for s in residue_sets(m, include_m)
+]
+
+
+@pytest.mark.parametrize(
+    "theorem, m, s",
+    FAMILY_COUNTING_CASES,
+    ids=[f"{t}-m{m}-s{','.join(map(str, s))}" if s else t for t, m, s in FAMILY_COUNTING_CASES],
+)
+def test_counting_buckets_match_the_named_branches(theorem, m, s):
+    for n in range(13):
+        params, lhs, rhs, bucket_of = identities._counting_buckets(theorem, n, m, s)
+        want_params, want_lhs, want_rhs, want_bucket_of = named_counting_buckets(theorem, n, m, s)
+        assert (params, lhs, rhs) == (want_params, want_lhs, want_rhs), n
+        for key in lhs.keys() | rhs.keys():
+            assert bucket_of(key) == want_bucket_of(key), (n, key)
+
+
+@pytest.mark.parametrize(
+    "theorem, m, s",
+    [("schmidt", 3, None), ("uncu", 2, (1, 2)), ("ak_main", 3, (1, 3)), ("ak_main", 3, None)]
+    + [("franklin_ext", 1, (1,)), ("franklin_ext", 3, (2,)), ("nope", 2, (1,))],
+)
+def test_counting_buckets_refuse_as_the_named_branches(theorem, m, s):
+    got = outcome(identities._counting_buckets, theorem, 4, m, s)
+    assert got == outcome(named_counting_buckets, theorem, 4, m, s)
+    assert got[0] is ValueError
+
+
+def edited_terms(data, ctx, terms):
+    """terms with 0-3 coefficients changed, added or removed."""
+    out = dict(terms)
+    exponents = st.tuples(*(st.integers(0, cap) for cap in ctx.caps))
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["change", "add", "remove"] if out else ["add"]))
+        if kind == "add":
+            out[data.draw(exponents)] = data.draw(st.integers(-9, 9).filter(bool))
+        else:
+            key = data.draw(st.sampled_from(sorted(out)))
+            if kind == "remove":
+                del out[key]
+            else:
+                out[key] += data.draw(st.integers(-3, 3).filter(bool))
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_series_mismatch_matches_sorting_every_term(data):
+    width = data.draw(st.integers(1, 3))
+    caps = data.draw(st.lists(st.sampled_from(CAP_EDGES), min_size=width, max_size=width))
+    ctx = SeriesContext(("q", "t1", "s")[:width], tuple(caps))
+    terms = tuple_keyed(data, ctx)
+    a, b = Series(ctx, terms), Series(ctx, edited_terms(data, ctx, terms))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _series_mismatch("x", x, "y", y) == sorting_series_mismatch("x", x, "y", y)

@@ -23,7 +23,7 @@ from schmidtq import (
 )
 from schmidtq import partitions
 
-from conftest import Exactly, descending, exact
+from conftest import Exactly, descending, exact, residue_sets
 
 
 part_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=10)
@@ -256,6 +256,17 @@ def test_schmidt_weight_counters_take_classes_p_and_d_only():
             schmidt_weight_table(2, (1,), cls, cap=4)
     with pytest.raises(ValueError, match="nonnegative"):
         schmidt_weight_table(2, (1,), "P", cap=-1)
+
+
+@pytest.mark.parametrize("cls", ["P", "D"])
+def test_weight_total_is_the_sum_of_the_buckets(cls):
+    # The total the schmidt and uncu left sides read, against the buckets
+    # of ak_main and franklin_ext summed: two counters of one family.
+    cases = [(n, 2, (1,)) for n in range(19)]
+    cases += [(n, m, s) for m in (3, 4) for s in residue_sets(m, True) for n in range(11)]
+    for n, m, s in cases:
+        want = sum(schmidt_bucket_counts(n, m, s, cls).values())
+        assert partitions._schmidt_weight_total(n, m, s, cls) == want, (n, m, s)
 
 
 def test_split_bucket_rejects_a_negative_key():

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import schmidtq
-from schmidtq.identities import SERIES_IDENTITIES
+from schmidtq.identities import IDENTITY_TABLE, SERIES_IDENTITIES
 
 SOURCE = Path(schmidtq.__file__).parent
 
@@ -103,6 +103,28 @@ def test_cli_spells_no_series_identity():
     assert found == []
 
 
+def test_identities_names_s_graded_ids_only_in_the_table():
+    # product_side, enum_side and witnesses build the s-graded rows from
+    # each row's family, so no id of those rows is spelled outside the
+    # IDENTITY_TABLE assignment.
+    tree = ast.parse((SOURCE / "identities.py").read_text())
+    (table,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["IDENTITY_TABLE"]
+    ]
+    inside = {id(node) for node in ast.walk(table)}
+    ids = {ident for ident in SERIES_IDENTITIES if IDENTITY_TABLE[ident].ring == ("q", "s")}
+    assert ids == {"mork_odd", "mork_even", "psi_all", "psi_dm"}
+    found = [
+        f"identities.py:{node.lineno} {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ids and id(node) not in inside
+    ]
+    assert found == []
+
+
 def named(module):
     """``(line, name)`` for every name the module imports, reads or writes."""
     for node in ast.walk(ast.parse((SOURCE / module).read_text())):
@@ -151,6 +173,7 @@ def test_witnesses_build_only_the_objects_they_keep():
 UNUSED_IN_SOURCE = {
     "geometric_inverse": "a target of perfbench/tracer.py",
     "poch_infinite": "a target of perfbench/tracer.py",
+    "poch_infinite_inverse": "a target of perfbench/tracer.py",
     "q_multinomial": "a target of perfbench/tracer.py",
     "admissible_colors": "a target of perfbench/tracer.py",
     "cs_validate": "a target of perfbench/tracer.py",
