@@ -103,10 +103,12 @@ def _need(args, flag):
 
 
 def _params(args, entry):
-    # m and i from --m and --s, for the series identities that take them.
-    if not entry.params:
-        return {}
-    return {"m": _need(args, "--m"), "i": _contiguous_block(_need(args, "--s"))}
+    # m and i from --m and --s: required by the series identities that take
+    # them, and handed to the others as given, so that they refuse any they
+    # do not fix.
+    if entry.params:
+        return {"m": _need(args, "--m"), "i": _contiguous_block(_need(args, "--s"))}
+    return {"m": args.m, "i": None if args.s is None else _contiguous_block(args.s)}
 
 
 @functools.cache

@@ -259,6 +259,7 @@ class Overpartition:
 
 def overpartitions(n):
     """Yield the overpartitions of ``n``: each partition with every subset of sizes overlined."""
+    n = index(n)
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
     for groups in partition_groups(n):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 from operator import sub
 from typing import NamedTuple
@@ -179,10 +179,8 @@ def size_graded_context(scap):
 def _stringify(value):
     # Decimal strings for every number so arbitrarily large counts survive
     # any JSON consumer.
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        return str(int(value))
     if isinstance(value, str):
         return value
     if isinstance(value, dict):
@@ -343,8 +341,12 @@ def _hook_sum(qcap, js, *, with_t1_denominator):
     return Series._raw(ctx, acc)
 
 
-def sum_side(identity, qcap):
-    """The explicit double-sum side, summed until its minimal exponent leaves the caps."""
+def sum_side(identity, qcap, *, m=None, i=None):
+    """The explicit double-sum side, summed until its minimal exponent leaves the caps.
+
+    No identity with a sum side takes ``m`` or ``i``; any but None is refused.
+    """
+    _checked(identity, m, i)
     if identity == "ak_trivariate":
         return _hook_sum(qcap, range(qcap + 1), with_t1_denominator=True)
     if identity == "overpartition":
@@ -366,7 +368,14 @@ def _checked(identity, m, i, **caps):
         if not isinstance(i, int) or not 1 <= i <= m:
             raise ValueError(f"residue block length must lie in 1..{m}, got {i!r}")
     elif entry.family:
-        m, i = entry.family.fixed
+        # The fixed modulus and block may be given; no others.
+        fixed_m, fixed_i = entry.family.fixed
+        if m not in (None, fixed_m) or i not in (None, fixed_i):
+            block = set(range(1, fixed_i + 1))
+            raise ValueError(f"this identity is specific to modulus {fixed_m}, residues {block}")
+        m, i = fixed_m, fixed_i
+    elif m is not None or i is not None:
+        raise ValueError("this identity takes no modulus or residues")
     params = dict(zip(entry.params, (m, i)))
     name = RING_CAPS[entry.ring]
     cap = _required(caps[name], name) if caps else None
@@ -672,7 +681,7 @@ def witnesses(identity, exponents, *, m=None, i=None):
     if identity == "ak_trivariate":
         # The 2-colored partitions of q with t1 parts colored 1 and t2
         # colored 2: each group of c copies takes j of color 1, the rest of
-        # color 2 first, with j ascending from the first group on.
+        # color 2 first, the tuples of j in lexicographic order.
         return [
             ColoredPartition._trusted(
                 tuple(
@@ -682,7 +691,8 @@ def witnesses(identity, exponents, *, m=None, i=None):
                 )
             ).to_text()
             for groups in _length_walk(q, t1 + t2)
-            for ones in _splits(t1, [c for _, c in groups])
+            for ones in product(*(range(c + 1) for _, c in groups))
+            if sum(ones) == t1
         ]
     if identity == "overpartition":
         # t1 of the sizes overlined, their flags in the order of
@@ -704,15 +714,3 @@ def witnesses(identity, exponents, *, m=None, i=None):
         stream = _weight_walk(size, m, i, size - q if even else q, most=most)
     return [",".join(str(a) for a, c in groups for _ in range(c)) for groups in stream]
 
-
-def _splits(total, bounds):
-    # Every (j_1, ..., j_k) with 0 <= j_g <= bounds[g] summing to total, in
-    # lexicographic order.
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    rest = sum(bounds[1:])
-    for j in range(max(total - rest, 0), min(bounds[0], total) + 1):
-        for tail in _splits(total - j, bounds[1:]):
-            yield (j, *tail)

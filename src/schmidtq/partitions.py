@@ -246,6 +246,7 @@ def partition_groups(n):
     takes one copy of its smallest part above 1, lowers it by one, and
     refills that part and the trailing 1s greedily with the lowered size.
     """
+    n = index(n)
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
     if n == 0:
@@ -281,9 +282,10 @@ def partitions_of(n, cls="P", m=None):
     """Yield the partitions of ``n`` in the given class, reverse-lexicographically.
 
     Only members of the class are built.  Class R lists the partitions of
-    ``n / m`` with every part scaled by ``m``; classes D and F walk the
-    partitions of ``n`` without ever making an ``m``-th copy of a size, or a
-    prefix that can no longer close with every gap below ``m``.
+    ``n / m`` with every part scaled by ``m``.  Class D is the Schmidt-weight
+    walk with every index counted, so the weight is the size, and at most
+    ``m - 1`` copies of a size; class F walks the partitions of ``n`` without
+    ever making a prefix that can no longer close with every gap below ``m``.
     """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
@@ -296,7 +298,7 @@ def partitions_of(n, cls="P", m=None):
             for groups in (partition_groups(n // m) if n % m == 0 else ())
         )
     elif cls == "D":
-        stream = _walk(n, _multiplicity_rule(m - 1))
+        stream = _weight_walk(n, m, m, n, most=m - 1)
     else:
         stream = _walk(n, _gap_rule(m, n))
     for groups in stream:
@@ -327,22 +329,6 @@ def _walk(n, children, state=None, *, empty=True):
         ]
         kids.reverse()
         stack += kids
-
-
-def _multiplicity_rule(most):
-    # Class D: at most `most` copies of a size, and no group that leaves more
-    # than the sizes below it hold with `most` copies each.
-    def children(rem, last, _):
-        for a in range(min(last - 1, rem), 0, -1):
-            below = most * a * (a - 1) // 2
-            if below + most * a < rem:
-                break
-            for c in range(min(most, rem // a), 0, -1):
-                if rem - a * c > below:
-                    break
-                yield a, c, None
-
-    return children
 
 
 def _gap_rule(m, n):
@@ -399,6 +385,8 @@ def _weight_walk(n, m, i, weight, *, most=None, repeated=None):
     # indices, and every counted part past the first counted run at most the
     # uncounted part just before its window; so spare is at most (m - i) *
     # need, and need at most i * spare, each plus the opening run of its kind.
+    # At i = m every index is counted, so the weight is the size, need is
+    # what a group leaves and spare is 0: with most = m - 1 this is class D.
     def counted(x):
         # Counted 0-based indices below x.
         return x // m * i + min(x % m, i)

@@ -354,6 +354,32 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "residue list must be comma-separated integers" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "mork_odd", "--m", "5", "--s", "1,2", "--s-cap", "10"),
+        ("witness", "--identity", "mork_odd", "--mono", "q=3,s=5", "--m", "7"),
+        ("coeff", "--identity", "mork_even", "--side", "enum", "--mono", "q=3,s=8",
+         "--m", "9", "--s", "1,2,3"),
+        ("verify", "ak_trivariate", "--q-cap", "4", "--m", "2"),
+        ("coeff", "--identity", "cor22", "--side", "sum", "--mono", "q=3", "--s", "1"),
+        ("witness", "--identity", "overpartition", "--mono", "q=3,t1=1", "--m", "2", "--s", "1"),
+    ],
+)
+def test_rows_refuse_a_modulus_or_block_they_do_not_take(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "specific to modulus 2, residues {1}" in err or "takes no modulus or residues" in err
+
+
+def test_mork_rows_take_their_own_modulus_and_block(capsys):
+    plain = _run(capsys, "witness", "--identity", "mork_odd", "--mono", "q=3,s=5")
+    assert plain[0] == 0 and plain[1]
+    for extra in (("--m", "2"), ("--s", "1"), ("--m", "2", "--s", "1,1")):
+        argv = ("witness", "--identity", "mork_odd", "--mono", "q=3,s=5", *extra)
+        assert _run(capsys, *argv) == plain
+
+
 def test_verify_odd_index_counts_accept_repeated_residues(capsys):
     # A residue list is a set: 1,1 is {1}, as 1,1,2 is {1, 2} for ak_main.
     for ident in ("schmidt", "uncu"):

@@ -256,6 +256,31 @@ def test_identity_argument_errors():
         enum_side("nope", qcap=3)
 
 
+def test_rows_refuse_a_modulus_or_block_they_do_not_take():
+    # A mork row fixes m = 2, i = 1 and may be given them; a q-graded row
+    # takes neither.  Every builder refuses alike.
+    fixed = "this identity is specific to modulus 2, residues {1}"
+    for identity in ("mork_odd", "mork_even"):
+        for m, i in ((None, None), (2, None), (None, 1), (2, 1)):
+            assert verify_identity(identity, scap=6, m=m, i=i).passed
+        for m, i in ((3, 2), (5, None), (None, 2), (2, 2), (3, 1)):
+            for build in (verify_identity, product_side, enum_side):
+                with pytest.raises(ValueError, match=fixed):
+                    build(identity, scap=6, m=m, i=i)
+            with pytest.raises(ValueError, match=fixed):
+                witnesses(identity, {"q": 3, "s": 5}, m=m, i=i)
+    for identity in ("ak_trivariate", "overpartition", "cor22"):
+        for m, i in ((3, 2), (2, 1), (2, None), (None, 1)):
+            for build in (verify_identity, product_side, enum_side):
+                with pytest.raises(ValueError, match="takes no modulus or residues"):
+                    build(identity, qcap=4, m=m, i=i)
+            with pytest.raises(ValueError, match="takes no modulus or residues"):
+                witnesses(identity, {"q": 3}, m=m, i=i)
+    with pytest.raises(ValueError, match="takes no modulus or residues"):
+        sum_side("ak_trivariate", 4, m=3, i=2)
+    assert sum_side("ak_trivariate", 4, m=None, i=None) == sum_side("ak_trivariate", 4)
+
+
 def test_readme_identity_table_matches_the_identity_table():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     section = readme.read_text().split("## Identity and theorem ids", 1)[1].split("\n## ", 1)[0]
@@ -423,6 +448,26 @@ def test_counting_argument_errors():
         verify_counting("schmidt", n=-1)
     with pytest.raises(ValueError):
         verify_counting("nope", n=3)
+
+
+@pytest.mark.parametrize(
+    "check, params, caps",
+    [
+        (
+            lambda: verify_identity("psi_all", scap=4, m=3, i=True),
+            {"i": "1", "m": "3"},
+            {"q": "4", "s": "4"},
+        ),
+        (lambda: verify_counting("schmidt", n=True), {"m": "2", "s": ["1"]}, {"n": "1"}),
+        (lambda: cauchy_check(True), {"n": "1"}, {"q": "0", "z": "1"}),
+        (lambda: t1_slice_check(True, 3), {"j": "1"}, {"q": "3", "t1": "3", "t2": "3"}),
+    ],
+    ids=["verify_identity", "verify_counting", "cauchy_check", "t1_slice_check"],
+)
+def test_bool_parameters_serialize_as_ints(check, params, caps):
+    # Bools read as ints here, as Partition([True]) is 1.
+    data = check().to_json_dict()
+    assert (data["params"], data["caps"]) == (params, caps)
 
 
 # --- witness extraction ------------------------------------------------------

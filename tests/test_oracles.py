@@ -98,6 +98,11 @@ m + 1.  The branches that named each id in ``product_side``,
 ``enum_side``, ``witnesses`` and ``_counting_buckets`` are kept below.
 So is the first-mismatch search that unpacked and sorted every term of
 both sides, where only the keys that differ are unpacked now.
+
+Class D streams on the Schmidt-weight walk with every index counted, and
+the ``ak_trivariate`` witnesses take each group's color-1 count from
+``itertools.product``.  The multiplicity rule class D walked with, and
+the recursive generator of the color-1 counts, are kept below.
 """
 
 import tracemalloc
@@ -661,6 +666,50 @@ def recursive_partitions_with_schmidt_weight(n, m, s, cls="P"):
             yield from extend(prefix + (a,), w2, a, run_len + 1 if a == last else 1)
 
     yield from extend((), 0, n, 0)
+
+
+def _multiplicity_rule(most):
+    # Class D: at most `most` copies of a size, and no group that leaves more
+    # than the sizes below it hold with `most` copies each.
+    def children(rem, last, _):
+        for a in range(min(last - 1, rem), 0, -1):
+            below = most * a * (a - 1) // 2
+            if below + most * a < rem:
+                break
+            for c in range(min(most, rem // a), 0, -1):
+                if rem - a * c > below:
+                    break
+                yield a, c, None
+
+    return children
+
+
+def _splits(total, bounds):
+    # Every (j_1, ..., j_k) with 0 <= j_g <= bounds[g] summing to total, in
+    # lexicographic order.
+    if not bounds:
+        if total == 0:
+            yield ()
+        return
+    rest = sum(bounds[1:])
+    for j in range(max(total - rest, 0), min(bounds[0], total) + 1):
+        for tail in _splits(total - j, bounds[1:]):
+            yield (j, *tail)
+
+
+def splits_ak_trivariate_witnesses(q, t1, t2):
+    """The ``ak_trivariate`` branch of ``witnesses`` on the recursive ``_splits``."""
+    return [
+        ColoredPartition._trusted(
+            tuple(
+                part
+                for (a, c), j in zip(groups, ones)
+                for part in ((a, 2),) * (c - j) + ((a, 1),) * j
+            )
+        ).to_text()
+        for groups in partitions._length_walk(q, t1 + t2)
+        for ones in _splits(t1, [c for _, c in groups])
+    ]
 
 
 def filtered_partitions_of(n, cls="P", m=None):
@@ -1513,6 +1562,23 @@ def test_partitions_of_matches_recursive_walk():
                 assert list(partitions_of(n, cls, m)) == list(
                     recursive_partitions_of(n, cls, m)
                 ), (n, cls, m)
+
+
+def test_class_d_stream_matches_the_multiplicity_rule():
+    # Class D streams on the weight walk with every index counted; the
+    # rule of its own that it replaced must give the same groups in order.
+    for m, top in [(m, 20) for m in range(2, 7)] + [(10**6, 12)]:
+        for n in range(top + 1):
+            want = [_expand(groups) for groups in partitions._walk(n, _multiplicity_rule(m - 1))]
+            assert [lam.parts for lam in partitions_of(n, "D", m)] == want, (m, n)
+
+
+def test_ak_trivariate_witnesses_match_the_recursive_splits():
+    for q in range(15):
+        for t1 in range(q + 1):
+            for t2 in range(q + 1 - t1):
+                want = splits_ak_trivariate_witnesses(q, t1, t2)
+                assert witnesses("ak_trivariate", {"q": q, "t1": t1, "t2": t2}) == want, (q, t1, t2)
 
 
 def test_class_streams_match_the_filter():
@@ -2583,9 +2649,9 @@ def test_bijections_match_replaced_maps_past_the_grid(data, lam, kept, banked):
 FAMILY_PARAMS = [
     (identity, m, i)
     for identity in ("mork_odd", "mork_even", "psi_all", "psi_dm")
-    # A mork row fixes m = 2, i = 1 and ignores any it is given.
+    # A mork row fixes m = 2, i = 1 and may be given them; it refuses others.
     for m, i in (
-        [(None, None), (3, 2)] if identity.startswith("mork") else DECK_MODULI + ((3, 3), (4, 4))
+        [(None, None), (2, 1)] if identity.startswith("mork") else DECK_MODULI + ((3, 3), (4, 4))
     )
 ]
 

@@ -11,6 +11,8 @@ from schmidtq import (
     Partition,
     in_class,
     normalize_residue_set,
+    overpartitions,
+    partition_groups,
     partitions_of,
     partitions_with_schmidt_weight,
     repetition_profile,
@@ -50,6 +52,23 @@ def test_constructor_refuses_non_integral_parts(parts):
     # These were truncated or parsed, so Partition([2.5, 1]) was (2, 1).
     with pytest.raises(TypeError):
         Partition(parts)
+
+
+def test_size_streams_read_their_size_as_an_index():
+    # A float size leaked into the parts: partition_groups(3.0) gave
+    # ((3.0, 1),) and overpartitions(2.0) an Overpartition with a float size.
+    for n in (3.0, 2.5, "3", Fraction(3)):
+        for stream in (partition_groups, overpartitions):
+            with pytest.raises(TypeError):
+                list(stream(n))
+    assert list(partition_groups(True)) == list(partition_groups(1))
+    assert list(partition_groups(Exactly(3))) == list(partition_groups(3))
+    assert list(overpartitions(True)) == list(overpartitions(1))
+    assert list(overpartitions(Exactly(3))) == list(overpartitions(3))
+    for groups in partition_groups(Exactly(3)):
+        assert all(type(v) is int for group in groups for v in group)
+    for mu in overpartitions(Exactly(3)):
+        assert all(type(v) is int for entry in mu.entries for v in entry[:2])
 
 
 def test_constructor_takes_bools_and_index_types():
