@@ -92,7 +92,7 @@ def _contiguous_block(residues):
 
 
 def _given(args, flag):
-    return getattr(args, flag.lstrip("-").replace("-", "_"))
+    return getattr(args, flag.lstrip("-").replace("-", "_"), None)
 
 
 def _need(args, flag):
@@ -100,6 +100,12 @@ def _need(args, flag):
     if value is None:
         raise ValueError(f"{flag} is required here")
     return value
+
+
+def _refuse_unread(args, target, *reads):
+    for flag in ("--n", "--q-cap", "--s-cap", "--m", "--s"):
+        if flag not in reads and _given(args, flag) is not None:
+            raise ValueError(f"{flag} does not apply to {target}")
 
 
 def _params(args, entry):
@@ -172,17 +178,21 @@ def _cmd_verify(args, out):
     if ident in IDENTITY_TABLE:
         entry = IDENTITY_TABLE[ident]
         cap = RING_CAPS[entry.ring]
+        _refuse_unread(args, ident, _CAP_FLAGS[cap], "--m", "--s")
         caps = {cap: _need(args, _CAP_FLAGS[cap])}
         report = verify_identity(ident, **caps, **_params(args, entry))
     elif ident in COUNTING_TABLE:
+        _refuse_unread(args, ident, "--n", "--m", "--s")
         n = _need(args, "--n")
         if COUNTING_TABLE[ident].fixed:
             report = verify_counting(ident, n=n, m=args.m, s=args.s)
         else:
             report = verify_counting(ident, n=n, m=_need(args, "--m"), s=_need(args, "--s"))
     elif ident == "cauchy":
+        _refuse_unread(args, ident, "--n", "--q-cap")
         report = cauchy_check(_need(args, "--n"), args.q_cap)
     else:
+        _refuse_unread(args, ident, "--n", "--q-cap")
         report = t1_slice_check(_need(args, "--n"), _need(args, "--q-cap"))
 
     if args.json:
@@ -199,6 +209,7 @@ def _side_series(ident, side, exps, args):
     check_exponents(ident, exps)
     cap = RING_CAPS[entry.ring]
     flag = _CAP_FLAGS[cap]
+    _refuse_unread(args, ident, flag, "--m", "--s")
     needed = max(exps.get(v, 0) for v in entry.ring)
     value = _given(args, flag)
     value = needed if value is None else value
@@ -261,6 +272,9 @@ def _cmd_map(args, out):
         if args.inverse:
             low, bulk = _split_pair(args.partition)
             result = merge_partitions(low, bulk)
+            # Only an image, low below m copies and bulk in m-fold runs, splits back.
+            if decompose_multiplicity(result, m) != (low, bulk):
+                raise ValueError(f"{args.partition!r} is not a decomposition at m = {m}")
         else:
             low, bulk = decompose_multiplicity(Partition.from_text(args.partition), m)
             print(f"{low.to_text()};{bulk.to_text()}", file=out)

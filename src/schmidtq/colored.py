@@ -32,10 +32,32 @@ __all__ = [
 ]
 
 
-class ColoredPartition:
-    """A multiset of (size, color) pairs, stored sorted by size then color, both decreasing."""
+class _Value:
+    """A value held as one tuple, equal only to one of its own type with that tuple."""
 
     __slots__ = ("_parts",)
+
+    @classmethod
+    def _trusted(cls, parts):
+        # The enumerators build the stored tuple already; skip __init__.
+        obj = object.__new__(cls)
+        obj._parts = parts
+        return obj
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._parts == other._parts
+
+    def __hash__(self):
+        return hash(self._parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self._parts)!r})"
+
+
+class ColoredPartition(_Value):
+    """A multiset of (size, color) pairs, stored sorted by size then color, both decreasing."""
+
+    __slots__ = ()
 
     def __init__(self, parts=()):
         norm = []
@@ -46,14 +68,6 @@ class ColoredPartition:
             norm.append((size, color))
         norm.sort(reverse=True)
         self._parts = tuple(norm)
-
-    @classmethod
-    def _trusted(cls, parts):
-        # The enumerators build (size, color) tuples of positive ints sorted
-        # decreasing already; skip the validation of __init__.
-        mu = object.__new__(cls)
-        mu._parts = parts
-        return mu
 
     @property
     def parts(self):
@@ -68,15 +82,6 @@ class ColoredPartition:
 
     def __iter__(self):
         return iter(self._parts)
-
-    def __eq__(self, other):
-        return isinstance(other, ColoredPartition) and self._parts == other._parts
-
-    def __hash__(self):
-        return hash(self._parts)
-
-    def __repr__(self):
-        return f"ColoredPartition({list(self._parts)!r})"
 
     def to_text(self):
         """``size_color`` pairs joined by commas, e.g. ``"7_1,6_5,2_2"``."""
@@ -162,14 +167,14 @@ def colored_partitions(n, m, s, top):
             )
 
 
-class Overpartition:
+class Overpartition(_Value):
     """A partition whose first occurrence of each size may be overlined.
 
     Stored as ``(size, count, overlined)`` entries with strictly
     decreasing sizes.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ()
 
     def __init__(self, entries=()):
         norm = []
@@ -182,16 +187,7 @@ class Overpartition:
         sizes = [e[0] for e in norm]
         if len(set(sizes)) != len(sizes):
             raise ValueError(f"duplicate size entries in {norm}")
-        self._entries = tuple(norm)
-
-    @classmethod
-    def _trusted(cls, entries):
-        # The enumerators build (size, count, overlined) entries with strictly
-        # decreasing positive sizes, positive counts and bool flags already;
-        # skip the validation of __init__.
-        mu = object.__new__(cls)
-        mu._entries = entries
-        return mu
+        self._parts = tuple(norm)
 
     @classmethod
     def from_flagged_parts(cls, flagged):
@@ -207,32 +203,23 @@ class Overpartition:
 
     @property
     def entries(self):
-        return self._entries
+        return self._parts
 
     @property
     def size(self):
-        return sum(s * c for s, c, _ in self._entries)
+        return sum(s * c for s, c, _ in self._parts)
 
     @property
     def overlined_count(self):
-        return sum(1 for _, _, flag in self._entries if flag)
+        return sum(1 for _, _, flag in self._parts if flag)
 
     def __len__(self):
-        return sum(c for _, c, _ in self._entries)
-
-    def __eq__(self, other):
-        return isinstance(other, Overpartition) and self._entries == other._entries
-
-    def __hash__(self):
-        return hash(self._entries)
-
-    def __repr__(self):
-        return f"Overpartition({list(self._entries)!r})"
+        return sum(c for _, c, _ in self._parts)
 
     def to_text(self):
         """Decreasing parts joined by commas, an apostrophe marking an overline: ``"3',2,1'"``."""
         toks = []
-        for size, count, flag in self._entries:
+        for size, count, flag in self._parts:
             toks.append(f"{size}'" if flag else str(size))
             toks.extend(str(size) for _ in range(count - 1))
         return ",".join(toks)
@@ -278,26 +265,23 @@ def over_stats(mu):
 # counting without objects
 
 
-def _add_part(table, a, d, sizes):
-    # table[N] += table[N - a] with every vector moved by d, for N in
-    # sizes: one more part of weight a.  Upward sizes read table[N - a]
-    # after its own update, so they take any number of copies; downward
-    # sizes read it before, so they take at most one.
-    for size in sizes:
-        target = table[size]
-        for v, count in table[size - a].items():
-            target[v + d] = target.get(v + d, 0) + count
-
-
 def _coin_table(n, parts):
     # table[N] maps each packed vector to how many multisets of the given
-    # part types weigh N <= n and sum to it.  parts lists (a, d) pairs,
-    # each a part type of weight a > 0 adding d to the vector, any number
-    # of times.
+    # part types weigh N <= n and sum to it.  parts lists (a, d, once)
+    # triples, each a part type of weight a > 0 adding d to the vector.
+    # Each type adds table[N - a], every vector moved by d, to table[N]:
+    # for N upward it reads table[N - a] after that row's own update, so
+    # it takes any number of copies; with once set, N runs downward and
+    # reads it before, so it takes at most one.
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
     table = [{} for _ in range(n + 1)]
     table[0][0] = 1
-    for a, d in parts:
-        _add_part(table, a, d, range(a, n + 1))
+    for a, d, once in parts:
+        for size in range(n, a - 1, -1) if once else range(a, n + 1):
+            target = table[size]
+            for v, count in table[size - a].items():
+                target[v + d] = target.get(v + d, 0) + count
     return table
 
 
@@ -314,18 +298,16 @@ def colored_bucket_counts(n, m, s, top):
     part types (size, color).
     """
     residues = _validate_palette(m, s, top)
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got {n}")
     base = n + 1
     parts = []
     for a in range(n, 0, -1):
         lo, hi = _palette(a, residues, top)
-        parts += [(a, base ** (color - 1)) for color in range(lo, min(hi, m))]
+        parts += [(a, base ** (color - 1), False) for color in range(lo, min(hi, m))]
     table = _coin_table(n, parts)
     images = _coin_table(
         n,
         [
-            (p, base ** (m - 2 + p))
+            (p, base ** (m - 2 + p), False)
             for p in range(1, n + 1)
             if _palette(p, residues, top)[1] > m
         ],
@@ -350,36 +332,25 @@ def colored_partition_total(n, m, s, top):
     """How many colored partitions of ``n`` there are.
 
     Counts the objects of ``colored_partitions(n, m, s, top)`` without
-    building them, in one pass over the part types (size, color):
-    ``ways[k]`` counts the colored partitions of ``k`` into the types seen
-    so far, and a type of size ``a`` adds ``ways[k - a]`` to ``ways[k]``
-    for ``k`` upward.
+    building them: the coin table over the part types (size, color), each
+    adding nothing to the one vector 0, holds the count at ``[n][0]``.
     """
     residues = _validate_palette(m, s, top)
-    if n < 0:
-        raise ValueError(f"size must be nonnegative, got {n}")
-    ways = [1] + [0] * n
-    for a in range(1, n + 1):
-        lo, hi = _palette(a, residues, top)
-        for _ in range(lo, hi):
-            for k in range(a, n + 1):
-                ways[k] += ways[k - a]
-    return ways[n]
+    parts = [(a, 0, False) for a in range(1, n + 1) for _ in range(*_palette(a, residues, top))]
+    return _coin_table(n, parts)[n][0]
 
 
 def _overpartition_table(qcap):
     # How many overpartitions of N <= qcap have o overlined and p plain
-    # parts, as the columns N, o and p and the list of counts.  One pass
-    # over the sizes a = qcap .. 1 fills table[N] by o * (qcap + 1) + p:
+    # parts, as the columns N, o and p and the list of counts.  One coin
+    # table over the sizes a = qcap .. 1 keys table[N] by o * (qcap + 1) + p:
     # c >= 1 copies of a are c plain ones, or an overlined first copy and
-    # c - 1 plain ones, so each size takes any number of plain copies and
-    # then at most one overlined copy.
+    # c - 1 plain ones, so each size is a plain type taken any number of
+    # times and an overlined type taken at most once.
     base = qcap + 1
-    table = [{} for _ in range(qcap + 1)]
-    table[0][0] = 1
-    for a in range(qcap, 0, -1):
-        _add_part(table, a, 1, range(a, qcap + 1))
-        _add_part(table, a, base, range(qcap, a - 1, -1))
+    table = _coin_table(
+        qcap, [part for a in range(qcap, 0, -1) for part in ((a, 1, False), (a, base, True))]
+    )
     sizes, keys, counts = [], [], []
     for n, row in enumerate(table):
         sizes += repeat(n, len(row))

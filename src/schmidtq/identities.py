@@ -368,8 +368,12 @@ def _checked(identity, m, i, **caps):
         if not isinstance(i, int) or not 1 <= i <= m:
             raise ValueError(f"residue block length must lie in 1..{m}, got {i!r}")
     elif entry.family:
-        # The fixed modulus and block may be given; no others.
+        # The fixed modulus and block may be given, as ints; no others.
         fixed_m, fixed_i = entry.family.fixed
+        if m is not None:
+            _check_modulus(m)
+        if i is not None and not isinstance(i, int):
+            raise ValueError(f"residue block length must be an integer, got {i!r}")
         if m not in (None, fixed_m) or i not in (None, fixed_i):
             block = set(range(1, fixed_i + 1))
             raise ValueError(f"this identity is specific to modulus {fixed_m}, residues {block}")
@@ -378,6 +382,9 @@ def _checked(identity, m, i, **caps):
         raise ValueError("this identity takes no modulus or residues")
     params = dict(zip(entry.params, (m, i)))
     name = RING_CAPS[entry.ring]
+    for other, value in caps.items():
+        if other != name and value is not None:
+            raise ValueError(f"{identity} takes no {other}; its ring's cap is {name}")
     cap = _required(caps[name], name) if caps else None
     return entry, cap, params, m, i
 
@@ -569,7 +576,10 @@ def _counting_buckets(theorem, n, m, s):
     if family is None:
         raise ValueError(f"unknown counting theorem {theorem!r}")
     if family.fixed:
-        # The fixed modulus 2, residues {1}, may be given, however spelled.
+        # The fixed modulus 2, residues {1}, may be given, the residues
+        # however spelled.
+        if m is not None:
+            _check_modulus(m)
         if m not in (None, 2) or (s is not None and normalize_residue_set(2, s) != (1,)):
             raise ValueError("this count is specific to modulus 2, residues {1}")
         m, residues = family.fixed

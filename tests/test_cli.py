@@ -78,6 +78,20 @@ def test_map_decompose_pair_syntax(capsys):
     assert (code, out) == (0, "2,1,1\n")
 
 
+def test_map_decompose_inverse_refuses_a_pair_outside_the_image(capsys):
+    # 3,3;1 keeps a part m times in low, and 3;3,3,3 a multiplicity of
+    # bulk not divisible by m: decompose sends 3,3,1 to 1;3,3.
+    for pair in ("3,3;1", "3;3,3,3"):
+        code, out, err = _run(
+            capsys, "map", "--bijection", "decompose", "--m", "2", "--inverse", "--partition", pair
+        )
+        assert (code, out) == (2, "") and "is not a decomposition at m = 2" in err, pair
+    code, out, _ = _run(
+        capsys, "map", "--bijection", "decompose", "--m", "2", "--inverse", "--partition", "1;3,3"
+    )
+    assert (code, out) == (0, "3,3,1\n")
+
+
 def test_map_rejects_bad_input(capsys):
     code, _, err = _run(
         capsys, "map", "--bijection", "mork", "--inverse", "--partition", "3,3"
@@ -370,6 +384,27 @@ def test_rows_refuse_a_modulus_or_block_they_do_not_take(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "specific to modulus 2, residues {1}" in err or "takes no modulus or residues" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "ak_trivariate", "--q-cap", "4", "--n", "5", "--s-cap", "9"), "--n"),
+        (("verify", "mork_odd", "--s-cap", "4", "--q-cap", "9"), "--q-cap"),
+        (("verify", "cauchy", "--n", "4", "--m", "3", "--s", "1,2"), "--m"),
+        (("verify", "t1_slice", "--n", "1", "--q-cap", "4", "--s-cap", "2", "--m", "7"), "--s-cap"),
+        (("verify", "schmidt", "--n", "4", "--q-cap", "3"), "--q-cap"),
+        (("verify", "ak_main", "--n", "4", "--m", "3", "--s", "1,2", "--s-cap", "3"), "--s-cap"),
+        (("coeff", "--identity", "ak_trivariate", "--side", "sum", "--mono", "q=3",
+          "--s-cap", "5"), "--s-cap"),
+        (("coeff", "--identity", "psi_all", "--side", "enum", "--mono", "q=3,s=4",
+          "--m", "3", "--s", "1,2", "--q-cap", "2"), "--q-cap"),
+    ],
+)
+def test_verify_and_coeff_refuse_flags_their_target_does_not_read(capsys, argv, flag):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{flag} does not apply to" in err
 
 
 def test_mork_rows_take_their_own_modulus_and_block(capsys):

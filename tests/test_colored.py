@@ -197,3 +197,25 @@ def test_overpartition_enumeration_no_duplicates():
     for n in range(9):
         listing = list(overpartitions(n))
         assert len(listing) == len(set(listing))
+
+
+def test_colored_partition_and_overpartition_on_one_tuple_differ():
+    # Both hold one tuple; equal tuples make equal values only within a type.
+    parts = ((3, 1, True),)
+    mu, nu = ColoredPartition._trusted(parts), Overpartition._trusted(parts)
+    assert mu != nu and nu != mu
+    assert mu == ColoredPartition._trusted(parts) and nu == Overpartition._trusted(parts)
+    assert hash(mu) == hash(nu) == hash(parts)
+
+
+def test_colored_value_reprs_and_attributes():
+    assert repr(Overpartition([(3, 1, True)])) == "Overpartition([(3, 1, True)])"
+    assert repr(Overpartition()) == "Overpartition([])"
+    assert repr(ColoredPartition([(2, 1), (7, 1)])) == "ColoredPartition([(7, 1), (2, 1)])"
+    # Neither takes attributes beyond its tuple, and an overpartition is
+    # read through its entries, not iterated.
+    for value in (ColoredPartition([(2, 1)]), Overpartition([(2, 1, False)])):
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    with pytest.raises(TypeError):
+        iter(Overpartition([(2, 1, False)]))

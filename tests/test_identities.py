@@ -281,6 +281,31 @@ def test_rows_refuse_a_modulus_or_block_they_do_not_take():
     assert sum_side("ak_trivariate", 4, m=None, i=None) == sum_side("ak_trivariate", 4)
 
 
+def test_fixed_rows_refuse_a_float_modulus():
+    # 2.0 == 2, but a modulus is an int, as psi_dm already demands.
+    message = "modulus must be an integer >= 2, got 2.0"
+    with pytest.raises(ValueError, match=message):
+        witnesses("mork_odd", {"q": 2, "s": 3}, m=2.0)
+    with pytest.raises(ValueError, match=message):
+        verify_counting("schmidt", n=4, m=2.0)
+    assert witnesses("mork_odd", {"q": 2, "s": 3}, m=2) == ["2,1"]
+
+
+def test_fixed_rows_refuse_a_float_block():
+    with pytest.raises(ValueError, match="residue block length must be an integer, got 1.0"):
+        witnesses("mork_even", {"q": 1, "s": 3}, i=1.0)
+    assert witnesses("mork_even", {"q": 1, "s": 3}, i=1) == witnesses("mork_even", {"q": 1, "s": 3})
+
+
+def test_rows_refuse_the_other_rings_cap():
+    with pytest.raises(ValueError, match="ak_trivariate takes no scap"):
+        verify_identity("ak_trivariate", qcap=8, scap=3)
+    for build in (verify_identity, product_side, enum_side):
+        with pytest.raises(ValueError, match="mork_odd takes no qcap"):
+            build("mork_odd", scap=5, qcap=99)
+    assert product_side("mork_odd", scap=5, qcap=None) == product_side("mork_odd", scap=5)
+
+
 def test_readme_identity_table_matches_the_identity_table():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     section = readme.read_text().split("## Identity and theorem ids", 1)[1].split("\n## ", 1)[0]

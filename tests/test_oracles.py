@@ -103,6 +103,11 @@ Class D streams on the Schmidt-weight walk with every index counted, and
 the ``ak_trivariate`` witnesses take each group's color-1 count from
 ``itertools.product``.  The multiplicity rule class D walked with, and
 the recursive generator of the color-1 counts, are kept below.
+
+Every colored count reads one coin table of ``(a, d, once)`` part types.
+The ``_add_part`` step it folds in, which the tuple-keyed overpartition
+table still calls, and the list pass ``colored_partition_total`` made on
+its own, are kept below.
 """
 
 import tracemalloc
@@ -164,7 +169,7 @@ from schmidtq import (
     witnesses,
 )
 from schmidtq import identities, partitions
-from schmidtq.colored import _add_part, _overpartition_table, _palette
+from schmidtq.colored import _overpartition_table, _palette
 from schmidtq.identities import (
     IDENTITY_TABLE,
     _compare_sides,
@@ -273,6 +278,17 @@ def series_step_hook_sum(qcap, js, *, with_t1_denominator):
             acc = acc.div_one_minus(ctx.monomial(q=r, t1=1))
         acc = acc + inners[n]
     return acc
+
+
+def _add_part(table, a, d, sizes):
+    # table[N] += table[N - a] with every vector moved by d, for N in
+    # sizes: one more part of weight a.  Upward sizes read table[N - a]
+    # after its own update, so they take any number of copies; downward
+    # sizes read it before, so they take at most one.
+    for size in sizes:
+        target = table[size]
+        for v, count in table[size - a].items():
+            target[v + d] = target.get(v + d, 0) + count
 
 
 def tuple_overpartition_table(qcap):
@@ -911,6 +927,20 @@ def grouped_colored_partition_total(n, m, s, top):
         lambda w: {(): w},
     )
     return sum(counts.values())
+
+
+def list_colored_partition_total(n, m, s, top):
+    """``colored_partition_total`` as one pass over the part types (size,
+    color): ``ways[k]`` counts the colored partitions of ``k`` into the
+    types seen so far, and a type of size ``a`` adds ``ways[k - a]`` to
+    ``ways[k]`` for ``k`` upward."""
+    ways = [1] + [0] * n
+    for a in range(1, n + 1):
+        lo, hi = palette_of(a, m, s, top)
+        for _ in range(lo, hi):
+            for k in range(a, n + 1):
+                ways[k] += ways[k - a]
+    return ways[n]
 
 
 def grouped_top_color_part_counts(n, m, s):
@@ -2496,6 +2526,22 @@ def test_colored_partition_total_matches_group_walk():
     for m, s, top in PALETTES:
         for n in range(17):
             assert colored_partition_total(n, m, s, top) == grouped_colored_partition_total(
+                n, m, s, top
+            ), (m, s, top, n)
+
+
+def test_colored_partition_total_matches_list_pass():
+    # Every valid palette for m = 2 .. 4: top = m keeps S below m, and
+    # top = m + 1 lets S hold m.
+    palettes = [
+        (m, s, top)
+        for m in (2, 3, 4)
+        for top in (m, m + 1)
+        for s in residue_sets(m, top > m)
+    ]
+    for m, s, top in palettes:
+        for n in range(41):
+            assert colored_partition_total(n, m, s, top) == list_colored_partition_total(
                 n, m, s, top
             ), (m, s, top, n)
 

@@ -91,6 +91,20 @@ def test_colored_decodes_no_key_of_the_schmidt_side():
     assert found == []
 
 
+def test_colored_counts_read_one_coin_table():
+    # Every colored count is read off _coin_table, which folds in the one
+    # loop that adds a part type, so no count keeps a table loop of its own.
+    tree = ast.parse((SOURCE / "colored.py").read_text())
+    defs = dict(defined_names(tree))
+    assert "_add_part" not in defs
+    found = [
+        name
+        for name in ("colored_bucket_counts", "colored_partition_total", "_overpartition_table")
+        if not any(getattr(node, "id", None) == "_coin_table" for node in ast.walk(defs[name]))
+    ]
+    assert found == []
+
+
 def test_cli_spells_no_series_identity():
     # The CLI reads each series identity's ring, parameters and sides from
     # the identity table, so cli.py names no series id.
