@@ -46,6 +46,8 @@ from .partitions import Partition, partitions_of, partitions_with_schmidt_weight
 
 _CAP_FLAGS = {"qcap": "--q-cap", "scap": "--s-cap"}
 _VERIFY_IDS = SERIES_IDENTITIES + tuple(COUNTING_TABLE) + ("cauchy", "t1_slice")
+# The flags each bijection of `map` reads, besides --partition and --inverse.
+_MAP_READS = {"psi": ("--m", "--s"), "mork": (), "glaisher": ("--m",), "decompose": ("--m",)}
 # --side takes the report label of any compared side.
 _SIDES = tuple(dict.fromkeys(side[0] for entry in IDENTITY_TABLE.values() for side in entry.sides))
 
@@ -103,7 +105,7 @@ def _need(args, flag):
 
 
 def _refuse_unread(args, target, *reads):
-    for flag in ("--n", "--q-cap", "--s-cap", "--m", "--s"):
+    for flag in ("--n", "--q-cap", "--s-cap", "--m", "--s", "--top"):
         if flag not in reads and _given(args, flag) is not None:
             raise ValueError(f"{flag} does not apply to {target}")
 
@@ -153,9 +155,7 @@ def _build_parser():
     p_witness.add_argument("--s", type=_parse_residues, metavar="R1,R2,...")
 
     p_map = sub.add_parser("map", help="apply a bijection to one partition")
-    p_map.add_argument(
-        "--bijection", required=True, choices=("psi", "mork", "glaisher", "decompose")
-    )
+    p_map.add_argument("--bijection", required=True, choices=tuple(_MAP_READS))
     p_map.add_argument("--m", type=int)
     p_map.add_argument("--s", type=_parse_residues, metavar="R1,R2,...")
     p_map.add_argument("--partition", required=True)
@@ -248,6 +248,7 @@ def _split_pair(text):
 
 def _cmd_map(args, out):
     name = args.bijection
+    _refuse_unread(args, name, *_MAP_READS[name])
     if name == "psi":
         m = _need(args, "--m")
         s = _need(args, "--s")
@@ -290,20 +291,23 @@ def _cmd_enumerate(args, out):
             raise ValueError("--schmidt-weight applies to classes P and D only")
         if args.n is not None:
             raise ValueError("give either --n or --schmidt-weight, not both")
+        _refuse_unread(args, "--schmidt-weight", "--m", "--s")
         m = args.m if args.m is not None else 2
         s = args.s if args.s is not None else (1,)
         stream = partitions_with_schmidt_weight(args.schmidt_weight, m, s, cls)
-    elif cls in ("P", "D", "F", "R"):
-        n = _need(args, "--n")
-        if cls == "P":
-            stream = partitions_of(n)
-        else:
-            stream = partitions_of(n, cls, _need(args, "--m"))
+    elif cls == "P":
+        _refuse_unread(args, "class P", "--n")
+        stream = partitions_of(_need(args, "--n"))
+    elif cls in ("D", "F", "R"):
+        _refuse_unread(args, f"class {cls}", "--n", "--m")
+        stream = partitions_of(_need(args, "--n"), cls, _need(args, "--m"))
     elif cls == "cs":
+        _refuse_unread(args, "class cs", "--n", "--m", "--s", "--top")
         m = _need(args, "--m")
         top = args.top if args.top is not None else m + 1
         stream = colored_partitions(_need(args, "--n"), m, _need(args, "--s"), top)
     else:
+        _refuse_unread(args, "class over", "--n")
         stream = overpartitions(_need(args, "--n"))
     for obj in stream:
         print(obj.to_text(), file=out)

@@ -673,15 +673,21 @@ def _residue_columns(m, s, cls, qcap):
     return [weight, *rho], list(packed.values())
 
 
-# schmidt_bucket_counts walks the subtree of a prefix with at most this
-# much Schmidt weight left (and some left) once per state, and replays its
-# keys for every later prefix in that state.  Chosen by interleaved timing
-# against 3, 4, 6 and 7 at the franklin_ext (m = 2) and ak_main (m = 3)
-# weights 14-20, re-measured once the state kept runs mod m (Python 3.11,
-# 2 vCPUs): 5 is the fastest on franklin_ext (37-46 ms a pass; 4, 6 and 7
-# took 43-50, 45-47 and 51-54), and ak_main's 4-6 ms passes do not tell
-# them apart.
-_TAIL_WEIGHT = 5
+# schmidt_bucket_counts keeps one list of keys for each state with at
+# most this much Schmidt weight left (and some left) whose next index is
+# counted, and replays it for every later prefix in that state.  Chosen
+# by best-of-30 CPU timings of the franklin_ext (m = 2) and ak_main
+# (m = 3, class D) walks, each summed over n = 14, 16, 18, 20, once the
+# lists reused deeper lists (Python 3.11, 2 vCPUs).  franklin_ext took
+# 17.9-18.3, 14.4-14.5, 12.4-13.5, 11.7 and 10.4-11.1 ms at 5, 6, 7, 8
+# and 9; ak_main took 1.8-2.0 ms at each.  Memory grows with the cut: at
+# (20, 3, (1, 2), "D") the peak is 1.99, 2.24, 2.45, 3.43 and 3.33 times
+# that of the walk with no lists, past the 3x the tests allow from 8 on.
+_TAIL_WEIGHT = 7
+
+# How many replayed keys schmidt_bucket_counts gathers before it moves
+# them into its Counter in one update.
+_BATCH = 4096
 
 
 def schmidt_bucket_counts(n, m, s, cls="P"):
@@ -734,12 +740,17 @@ def _bucket_walk(stack, done, cut, tails, out, shape):
     #
     # The keys below a prefix are its key plus deltas that depend only on
     # its state: (residue of the next index, weight, last part, run length
-    # mod m).  A prefix with 1..cut weight left is counted into out by
-    # adding its key to the deltas of its state, which tails maps to the
-    # keys, duplicates kept, of one walk below that state from key 0.
-    # That walk has cut 0, so the lists hold disjoint subtrees: no more
-    # entries than partitions counted.  A closure that called itself would
-    # form a cycle holding the memo until a full garbage collection.
+    # mod m).  A prefix with 1..cut weight left whose next index is counted
+    # has its keys put in done as its key plus the deltas of its state,
+    # which tails maps to the keys, duplicates kept, of one walk below that
+    # state from key 0.  That walk takes the same cut, so it reuses the
+    # lists of the deeper states it reaches; every child of such a state
+    # adds weight, so these walks nest at most cut deep.  Prefixes whose
+    # next index is not counted are walked as they are.  With out given,
+    # done is moved into it whenever a replay leaves it _BATCH long, and
+    # the caller moves the rest; a walk below a state leaves out None and
+    # keeps its whole list.  A closure that called itself would form a
+    # cycle holding the memo until a full garbage collection.
     n, m, counted, bounded, step, block = shape
     while stack:
         r, weight, last, run, key = stack.pop()
@@ -768,13 +779,16 @@ def _bucket_walk(stack, done, cut, tails, out, shape):
                 done.append(child_key)
                 if not grows:
                     continue
-            elif n - child_weight <= cut:
+            elif not grows and n - child_weight <= cut:
                 state = (next_r, child_weight, a, child_run)
                 deltas = tails.get(state)
                 if deltas is None:
                     deltas = tails[state] = []
-                    _bucket_walk([(*state, 0)], deltas, 0, tails, out, shape)
-                out.update(map(add, deltas, repeat(child_key)))
+                    _bucket_walk([(*state, 0)], deltas, cut, tails, None, shape)
+                done.extend(map(add, deltas, repeat(child_key)))
+                if out is not None and len(done) >= _BATCH:
+                    out.update(done)
+                    done.clear()
                 continue
             stack.append((next_r, child_weight, a, child_run, child_key))
 

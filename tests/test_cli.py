@@ -407,6 +407,37 @@ def test_verify_and_coeff_refuse_flags_their_target_does_not_read(capsys, argv, 
     assert f"{flag} does not apply to" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("enumerate", "--class", "P", "--n", "3", "--m", "5"), "--m"),
+        (("enumerate", "--class", "over", "--n", "2", "--top", "9", "--s", "1"), "--s"),
+        (("enumerate", "--class", "D", "--n", "4", "--m", "2", "--s", "1", "--top", "3"), "--s"),
+        (("enumerate", "--class", "P", "--schmidt-weight", "2", "--top", "4"), "--top"),
+        (("map", "--bijection", "mork", "--m", "5", "--s", "1,2", "--partition", "3,1"), "--m"),
+        (("map", "--bijection", "glaisher", "--m", "2", "--s", "1", "--partition", "4,4,3,1"),
+         "--s"),
+    ],
+)
+def test_enumerate_and_map_refuse_flags_their_target_does_not_read(capsys, argv, flag):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{flag} does not apply to" in err
+
+
+def test_enumerate_and_map_take_the_flags_their_target_reads(capsys):
+    for argv in [
+        ("enumerate", "--class", "cs", "--n", "3", "--m", "2", "--s", "1", "--top", "3"),
+        ("enumerate", "--class", "D", "--schmidt-weight", "3", "--m", "3", "--s", "1,2"),
+        ("enumerate", "--class", "R", "--n", "4", "--m", "2"),
+        ("map", "--bijection", "psi", "--m", "2", "--s", "1", "--partition", "3,1"),
+        ("map", "--bijection", "mork", "--partition", "3,1"),
+        ("map", "--bijection", "decompose", "--m", "2", "--partition", "3,3,1"),
+    ]:
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and out, argv
+
+
 def test_mork_rows_take_their_own_modulus_and_block(capsys):
     plain = _run(capsys, "witness", "--identity", "mork_odd", "--mono", "q=3,s=5")
     assert plain[0] == 0 and plain[1]

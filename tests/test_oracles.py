@@ -46,12 +46,15 @@ profile-carrying walk, the multiplicity-group counts and the partition
 walk of the overpartition side they replaced are kept below.  The color
 counts are read off ``colored_bucket_counts`` through ``split_bucket``,
 and the overpartition counts off the ``(N, o, p)`` keys of
-``_overpartition_table``.  ``schmidt_bucket_counts`` walks the subtree of
-each state with little weight left once and replays its keys; the walk
+``_overpartition_table``.  ``schmidt_bucket_counts`` lists the keys below
+each state with little weight left and a counted next index once, from
+the lists of the deeper states it reaches, and replays them; the walk
 that built every key on the way down is kept below, and the replay must
-stay within 3x its tracemalloc peak.  Its state keeps the run length of
-the last part mod m, a block added as a run reaches m copies; the walk
-that kept whole runs and added their blocks as they closed is kept below.
+stay within 3x its tracemalloc peak, at every cut.  The walk whose lists
+each walked their whole subtree, at every state with little weight
+left, is kept below too.  Its state keeps the run length of the last
+part mod m, a block added as a run reaches m copies; the walk that kept
+whole runs and added their blocks as they closed is kept below.
 
 The Gaussian binomials are products of one multiply and one divide step
 per factor, and the ``schmidt`` colored side is a colored total with one
@@ -1126,6 +1129,61 @@ def full_run_bucket_walk(stack, done, cut, tails, out, shape):
                 if deltas is None:
                     deltas = tails[state] = []
                     full_run_bucket_walk([(*state, 0)], deltas, 0, tails, out, shape)
+                out.update(map(add, deltas, repeat(child_key)))
+                continue
+            stack.append((next_r, child_weight, a, child_run, child_key))
+
+
+def flat_tail_schmidt_bucket_counts(n, m, s, cls="P"):
+    """``schmidt_bucket_counts`` with the walk whose lists each walked
+    their state's whole subtree, one ``Counter.update`` per replay."""
+    out = Counter()
+    if n == 0:
+        out[0] = 1
+    done = []
+    shape = (n, m, *bucket_layout(n, m, s, cls))
+    flat_tail_bucket_walk([(0, 0, n, 0, 0)], done, 5, {}, out, shape)
+    out.update(done)
+    return out
+
+
+def flat_tail_bucket_walk(stack, done, cut, tails, out, shape):
+    # Every prefix with 1..cut weight left takes a list, built by a walk
+    # with cut 0, so the lists hold disjoint subtrees.
+    n, m, counted, bounded, step, block = shape
+    while stack:
+        r, weight, last, run, key = stack.pop()
+        is_counted = counted[r]
+        next_r = r + 1 if r + 1 < m else 0
+        grows = not counted[next_r]
+        delta = step[r]
+        child_weight = weight
+        top = last
+        if is_counted:
+            top = min(last, n - weight)
+        for a in range(top, 0, -1):
+            if is_counted:
+                child_weight = weight + a
+            child_key = key + a * delta
+            if a != last:
+                child_run = 1
+            elif run + 1 < m:
+                child_run = run + 1
+            elif bounded:
+                continue
+            else:
+                child_run = 0
+                child_key += block[a]
+            if child_weight == n:
+                done.append(child_key)
+                if not grows:
+                    continue
+            elif n - child_weight <= cut:
+                state = (next_r, child_weight, a, child_run)
+                deltas = tails.get(state)
+                if deltas is None:
+                    deltas = tails[state] = []
+                    flat_tail_bucket_walk([(*state, 0)], deltas, 0, tails, out, shape)
                 out.update(map(add, deltas, repeat(child_key)))
                 continue
             stack.append((next_r, child_weight, a, child_run, child_key))
@@ -2455,6 +2513,64 @@ def test_ak_main_buckets_match_full_run_walk():
         ), n
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_schmidt_bucket_counts_match_flat_tail_walk(m):
+    # The lists reuse the lists of deeper states, and only states before a
+    # counted index keep one; every list once walked its whole subtree.
+    top = 20 if m == 2 else 16
+    for s in residue_sets(m, True):
+        for cls in "PD":
+            for n in range(top + 1):
+                assert schmidt_bucket_counts(n, m, s, cls) == flat_tail_schmidt_bucket_counts(
+                    n, m, s, cls
+                ), (s, cls, n)
+
+
+CUT_CASES = [(20, 2, (1,), "P"), (14, 3, (1, 2), "D"), (6, 12, (1,), "P")]
+
+
+@pytest.mark.parametrize(
+    "n, m, s, cls", CUT_CASES, ids=[f"n{n}-m{m}-{c}" for n, m, _, c in CUT_CASES]
+)
+def test_schmidt_bucket_counts_do_not_depend_on_the_cut(monkeypatch, n, m, s, cls):
+    want = walk_schmidt_bucket_counts(n, m, s, cls)
+    for cut in range(11):
+        monkeypatch.setattr(partitions, "_TAIL_WEIGHT", cut)
+        assert schmidt_bucket_counts(n, m, s, cls) == want, cut
+
+
+@pytest.mark.parametrize(
+    "n, m, s, cls", CUT_CASES, ids=[f"n{n}-m{m}-{c}" for n, m, _, c in CUT_CASES]
+)
+def test_schmidt_bucket_lists_nest_within_the_cut(monkeypatch, n, m, s, cls):
+    # Each kept state is walked once, from key 0 with the main walk's cut,
+    # and only if its next index is counted and it has 1..cut weight left;
+    # every child of such a state adds weight, so the walks nest at most
+    # cut deep, and they do nest: a list reuses deeper lists.
+    walk = partitions._bucket_walk
+    calls = []
+    depth = [0]
+
+    def traced(stack, done, cut, tails, out, shape):
+        calls.append((stack[0], cut, depth[0], out))
+        depth[0] += 1
+        try:
+            walk(stack, done, cut, tails, out, shape)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(partitions, "_bucket_walk", traced)
+    assert schmidt_bucket_counts(n, m, s, cls) == walk_schmidt_bucket_counts(n, m, s, cls)
+    (_, cut, _, _), *tails = calls
+    counted = _schmidt_params(m, s, cls)[1]
+    states = [node[:4] for node, *_ in tails]
+    assert len(set(states)) == len(states)
+    for (r, weight, _, _, key), tail_cut, _, out in tails:
+        assert (key, tail_cut, out) == (0, cut, None)
+        assert counted[r] and 0 < n - weight <= cut
+    assert 1 < max(d for *_, d, _ in tails) <= cut
+
+
 def traced_peak(f, *args):
     """The tracemalloc peak, in bytes, of one call ``f(*args)``."""
     tracing = tracemalloc.is_tracing()
@@ -2468,11 +2584,16 @@ def traced_peak(f, *args):
             tracemalloc.stop()
 
 
+MEMORY_CASES = [(20, 2, (1,), "P"), (6, 12, (1,), "P"), (16, 4, (1, 3), "P")]
+
+
 @pytest.mark.parametrize(
-    "n, m, s, cls", [(20, 2, (1,), "P"), (6, 12, (1,), "P")], ids=["n20-m2-P", "n6-m12-P"]
+    "n, m, s, cls", MEMORY_CASES, ids=[f"n{n}-m{m}-{c}" for n, m, _, c in MEMORY_CASES]
 )
 def test_schmidt_bucket_counts_memory_stays_near_the_whole_walk(n, m, s, cls):
-    # The replayed lists hold at most one delta per partition counted.
+    # A list is copied into the lists above it, so the lists hold more
+    # deltas than partitions counted, but only states with at most
+    # _TAIL_WEIGHT weight left keep one.
     walk = traced_peak(walk_schmidt_bucket_counts, n, m, s, cls)
     assert traced_peak(schmidt_bucket_counts, n, m, s, cls) <= 3 * walk
 
@@ -2481,8 +2602,8 @@ def test_schmidt_bucket_counts_memory_in_class_d_stays_near_the_unreplayed_walk(
     # In class D the whole walk's Counter holds one entry per rho bucket,
     # 65 at n = 20, while a walk that lists its keys holds one per
     # partition, 627, so the bound above fails there (4.9-7x).  The
-    # replayed lists add at most one delta per partition counted to the
-    # same walk with no replay, which lists every key.
+    # replayed lists are bounded against the same walk with no replay,
+    # which lists every key.
     args = (20, 3, (1, 2), "D")
     replayed = traced_peak(schmidt_bucket_counts, *args)
     monkeypatch.setattr(partitions, "_TAIL_WEIGHT", 0)
