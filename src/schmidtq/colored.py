@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, product, repeat
-from operator import floordiv, index, mod
+from operator import add, floordiv, index, mod, mul
 
 from .partitions import normalize_residue_set, partition_groups
 
@@ -102,12 +102,15 @@ class ColoredPartition(_Value):
 
 
 def _validate_palette(m, s, top):
+    # The residues, and top read as sizes and parts are: operator.index
+    # refuses 3.0, which would pass the test below as 3.
     residues = normalize_residue_set(m, s, allow_m=True)
+    top = index(top)
     if top not in (m, m + 1):
         raise ValueError(f"palette ceiling must be {m} or {m + 1}, got {top}")
     if residues[-1] >= top:
         raise ValueError(f"residues must stay below the ceiling {top}, got {residues}")
-    return residues
+    return residues, top
 
 
 def _palette(size, residues, top):
@@ -119,7 +122,7 @@ def _palette(size, residues, top):
 
 def admissible_colors(part_size, m, s, top):
     """The color range allowed on a part of the given size."""
-    residues = _validate_palette(m, s, top)
+    residues, top = _validate_palette(m, s, top)
     if part_size < 1:
         raise ValueError(f"part size must be positive, got {part_size}")
     return range(*_palette(part_size, residues, top))
@@ -127,7 +130,7 @@ def admissible_colors(part_size, m, s, top):
 
 def cs_validate(mu, m, s, top):
     """Whether every part of ``mu`` wears a color its size admits."""
-    residues = _validate_palette(m, s, top)
+    residues, top = _validate_palette(m, s, top)
     for size, color in mu.parts:
         lo, hi = _palette(size, residues, top)
         if not lo <= color < hi:
@@ -154,7 +157,7 @@ def colored_partitions(n, m, s, top):
     partition the color assignments run through each size's palette in
     decreasing order.
     """
-    residues = _validate_palette(m, s, top)
+    residues, top = _validate_palette(m, s, top)
     for groups in partition_groups(n):
         options = []
         for size, count in groups:
@@ -297,7 +300,7 @@ def colored_bucket_counts(n, m, s, top):
     color ``m`` taken out of every palette, read off one table over the
     part types (size, color).
     """
-    residues = _validate_palette(m, s, top)
+    residues, top = _validate_palette(m, s, top)
     base = n + 1
     parts = []
     for a in range(n, 0, -1):
@@ -312,20 +315,24 @@ def colored_bucket_counts(n, m, s, top):
             if _palette(p, residues, top)[1] > m
         ],
     )
-    # A plain dict, wrapped once at the end: each key arrives once here,
-    # and a Counter's += would call its Python __missing__ for every one.
-    out = {}
-    get = out.get
+    # Each key arrives once: u fills digits 0 .. m-2 and nu the digits
+    # above, and nu's digits fix its size, so no two (u, nu) pairs share a
+    # key.  So each key of the shorter row writes its sums with the whole
+    # longer row in one dict.update, with no sum and no Counter.__missing__
+    # per key; the pair count guards that.  The shorter row is nus at
+    # small sizes, and the one empty nu of ak_main (palette ceiling m).
+    out = Counter()
+    pairs = 0
     for size, nus in enumerate(images):
         rest = table[n - size]
-        for v, count in nus.items():
-            for u, ways in rest.items():
-                out[u + v] = get(u + v, 0) + count * ways
-    # Free the coin tables (images has n + 1 >= 1 rows, so the loop names
-    # are bound) before the wrap: the dict and its Counter copy are alive
-    # at once there.
-    del table, images, rest, nus
-    return Counter(out)
+        pairs += len(nus) * len(rest)
+        outer, inner = (nus, rest) if len(nus) < len(rest) else (rest, nus)
+        values = inner.values()
+        for key, count in outer.items():
+            dict.update(out, zip(map(add, inner, repeat(key)), map(mul, values, repeat(count))))
+    if len(out) != pairs:
+        raise ArithmeticError(f"{pairs} (u, nu) pairs wrote {len(out)} keys")
+    return out
 
 
 def colored_partition_total(n, m, s, top):
@@ -335,7 +342,7 @@ def colored_partition_total(n, m, s, top):
     building them: the coin table over the part types (size, color), each
     adding nothing to the one vector 0, holds the count at ``[n][0]``.
     """
-    residues = _validate_palette(m, s, top)
+    residues, top = _validate_palette(m, s, top)
     parts = [(a, 0, False) for a in range(1, n + 1) for _ in range(*_palette(a, residues, top))]
     return _coin_table(n, parts)[n][0]
 

@@ -675,15 +675,21 @@ def _residue_columns(m, s, cls, qcap):
 
 # schmidt_bucket_counts keeps one list of keys for each state with at
 # most this much Schmidt weight left (and some left) whose next index is
-# counted, and replays it for every later prefix in that state.  Chosen
-# by best-of-30 CPU timings of the franklin_ext (m = 2) and ak_main
-# (m = 3, class D) walks, each summed over n = 14, 16, 18, 20, once the
-# lists reused deeper lists (Python 3.11, 2 vCPUs).  franklin_ext took
-# 17.9-18.3, 14.4-14.5, 12.4-13.5, 11.7 and 10.4-11.1 ms at 5, 6, 7, 8
-# and 9; ak_main took 1.8-2.0 ms at each.  Memory grows with the cut: at
-# (20, 3, (1, 2), "D") the peak is 1.99, 2.24, 2.45, 3.43 and 3.33 times
-# that of the walk with no lists, past the 3x the tests allow from 8 on.
-_TAIL_WEIGHT = 7
+# counted, and replays it for every later prefix in that state; the cut
+# is set per class.  Memory grows with the cut, and tracemalloc tests
+# hold the peak within 3x a walk without these lists (Python 3.11, 2
+# vCPUs).  Class P (franklin_ext, m = 2, summed over n = 14, 16, 18, 20;
+# medians of 60 interleaved CPU timings) and its tightest memory case:
+#
+#   cut                      7      8      9      10     11
+#   franklin_ext, ms         24.1   21.6   20.2   19.6
+#   (16, 4, (1, 3)) peak     2.12   2.41   2.69   2.99   3.19
+#
+# 10 sits at the bound, so class P takes 9.  Class D (ak_main, m = 3)
+# took 1.8-2.0 ms at every cut from 5 to 9, and at (20, 3, (1, 2)) its
+# peak is 1.99, 2.24, 2.45, 3.43 and 3.33 times that of the walk with no
+# lists at 5 to 9, past 3x from 8 on, so class D takes 7.
+_TAIL_WEIGHT = {"P": 9, "D": 7}
 
 # How many replayed keys schmidt_bucket_counts gathers before it moves
 # them into its Counter in one update.
@@ -723,7 +729,7 @@ def schmidt_bucket_counts(n, m, s, cls="P"):
         out[0] = 1
     done = []
     shape = (n, m, counted, cls == "D", step, block)
-    _bucket_walk([(0, 0, n, 0, 0)], done, _TAIL_WEIGHT, {}, out, shape)
+    _bucket_walk([(0, 0, n, 0, 0)], done, _TAIL_WEIGHT[cls], {}, out, shape)
     out.update(done)
     return out
 

@@ -9,6 +9,8 @@ from schmidtq import (
     Overpartition,
     admissible_colors,
     color_counts,
+    colored_bucket_counts,
+    colored_partition_total,
     colored_partitions,
     cs_validate,
     over_stats,
@@ -39,6 +41,25 @@ def test_palette_validation():
         admissible_colors(1, 2, (1, 2), 2)  # residues must stay below top
     with pytest.raises(ValueError):
         admissible_colors(0, 2, (1,), 3)
+
+
+CEILING_CALLS = {
+    "admissible_colors": lambda top: admissible_colors(1, 2, (1,), top),
+    "cs_validate": lambda top: cs_validate(ColoredPartition.from_text("2_2,1_1"), 2, (1,), top),
+    "colored_partitions": lambda top: list(colored_partitions(8, 2, (1,), top)),
+    "colored_bucket_counts": lambda top: colored_bucket_counts(8, 2, (1,), top),
+    "colored_partition_total": lambda top: colored_partition_total(8, 2, (1,), top),
+}
+
+
+@pytest.mark.parametrize("name", CEILING_CALLS)
+def test_palette_ceiling_is_read_through_index(name):
+    # 3.0 == 3, so a ceiling compared as it came would pass for 3.
+    call = CEILING_CALLS[name]
+    for top in (3.0, Fraction(3), "3"):
+        with pytest.raises(TypeError):
+            call(top)
+    assert call(Exactly(3)) == call(3)
 
 
 def test_cs_validate():

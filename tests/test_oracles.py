@@ -48,13 +48,17 @@ counts are read off ``colored_bucket_counts`` through ``split_bucket``,
 and the overpartition counts off the ``(N, o, p)`` keys of
 ``_overpartition_table``.  ``schmidt_bucket_counts`` lists the keys below
 each state with little weight left and a counted next index once, from
-the lists of the deeper states it reaches, and replays them; the walk
-that built every key on the way down is kept below, and the replay must
-stay within 3x its tracemalloc peak, at every cut.  The walk whose lists
-each walked their whole subtree, at every state with little weight
-left, is kept below too.  Its state keeps the run length of the last
-part mod m, a block added as a run reaches m copies; the walk that kept
-whole runs and added their blocks as they closed is kept below.
+the lists of the deeper states it reaches, and replays them; how little
+is a cut set per class.  The walk that built every key on the way down
+is kept below, and the replay must give its counts at every cut of the
+class walked and stay within 3x its tracemalloc peak.  The walk whose
+lists each walked their whole subtree, at every state with little
+weight left, is kept below too.  Its state keeps the run length of the
+last part mod m, a block added as a run reaches m copies; the walk that
+kept whole runs and added their blocks as they closed is kept below.
+``colored_bucket_counts`` writes each key once, straight into its
+``Counter``, as no two (color counts, nu) pairs share a key; the merge
+that summed every key into a dict and copied it is kept below.
 
 The Gaussian binomials are products of one multiply and one divide step
 per factor, and the ``schmidt`` colored side is a colored total with one
@@ -172,7 +176,7 @@ from schmidtq import (
     witnesses,
 )
 from schmidtq import identities, partitions
-from schmidtq.colored import _overpartition_table, _palette
+from schmidtq.colored import _coin_table, _overpartition_table, _palette, _validate_palette
 from schmidtq.identities import (
     IDENTITY_TABLE,
     _compare_sides,
@@ -1187,6 +1191,34 @@ def flat_tail_bucket_walk(stack, done, cut, tails, out, shape):
                 out.update(map(add, deltas, repeat(child_key)))
                 continue
             stack.append((next_r, child_weight, a, child_run, child_key))
+
+
+def summing_colored_bucket_counts(n, m, s, top):
+    """``colored_bucket_counts`` with the merge that added each key to a
+    plain dict through ``get`` and copied the dict into a ``Counter``."""
+    residues, top = _validate_palette(m, s, top)
+    base = n + 1
+    parts = []
+    for a in range(n, 0, -1):
+        lo, hi = _palette(a, residues, top)
+        parts += [(a, base ** (color - 1), False) for color in range(lo, min(hi, m))]
+    table = _coin_table(n, parts)
+    images = _coin_table(
+        n,
+        [
+            (p, base ** (m - 2 + p), False)
+            for p in range(1, n + 1)
+            if _palette(p, residues, top)[1] > m
+        ],
+    )
+    out = {}
+    get = out.get
+    for size, nus in enumerate(images):
+        rest = table[n - size]
+        for v, count in nus.items():
+            for u, ways in rest.items():
+                out[u + v] = get(u + v, 0) + count * ways
+    return Counter(out)
 
 
 def unpacked(counts, bucket_of):
@@ -2526,16 +2558,25 @@ def test_schmidt_bucket_counts_match_flat_tail_walk(m):
                 ), (s, cls, n)
 
 
-CUT_CASES = [(20, 2, (1,), "P"), (14, 3, (1, 2), "D"), (6, 12, (1,), "P")]
+CUT_CASES = [
+    (20, 2, (1,), "P"),
+    (14, 3, (1, 2), "D"),
+    (6, 12, (1,), "P"),
+    (16, 4, (1, 3), "P"),
+]
+OTHER_CLASS = {"P": "D", "D": "P"}
 
 
 @pytest.mark.parametrize(
     "n, m, s, cls", CUT_CASES, ids=[f"n{n}-m{m}-{c}" for n, m, _, c in CUT_CASES]
 )
 def test_schmidt_bucket_counts_do_not_depend_on_the_cut(monkeypatch, n, m, s, cls):
+    # Each class has its own cut; the other class's is not a number here,
+    # so a walk that read it would fail instead of passing at the wrong cut.
     want = walk_schmidt_bucket_counts(n, m, s, cls)
+    monkeypatch.setitem(partitions._TAIL_WEIGHT, OTHER_CLASS[cls], None)
     for cut in range(11):
-        monkeypatch.setattr(partitions, "_TAIL_WEIGHT", cut)
+        monkeypatch.setitem(partitions._TAIL_WEIGHT, cls, cut)
         assert schmidt_bucket_counts(n, m, s, cls) == want, cut
 
 
@@ -2543,8 +2584,9 @@ def test_schmidt_bucket_counts_do_not_depend_on_the_cut(monkeypatch, n, m, s, cl
     "n, m, s, cls", CUT_CASES, ids=[f"n{n}-m{m}-{c}" for n, m, _, c in CUT_CASES]
 )
 def test_schmidt_bucket_lists_nest_within_the_cut(monkeypatch, n, m, s, cls):
-    # Each kept state is walked once, from key 0 with the main walk's cut,
-    # and only if its next index is counted and it has 1..cut weight left;
+    # The main walk takes its class's cut (the other class's is not a
+    # number here).  Each kept state is walked once, from key 0 with that
+    # cut, and only if its next index is counted and it has 1..cut weight left;
     # every child of such a state adds weight, so the walks nest at most
     # cut deep, and they do nest: a list reuses deeper lists.
     walk = partitions._bucket_walk
@@ -2560,8 +2602,10 @@ def test_schmidt_bucket_lists_nest_within_the_cut(monkeypatch, n, m, s, cls):
             depth[0] -= 1
 
     monkeypatch.setattr(partitions, "_bucket_walk", traced)
+    monkeypatch.setitem(partitions._TAIL_WEIGHT, OTHER_CLASS[cls], None)
     assert schmidt_bucket_counts(n, m, s, cls) == walk_schmidt_bucket_counts(n, m, s, cls)
     (_, cut, _, _), *tails = calls
+    assert cut == partitions._TAIL_WEIGHT[cls]
     counted = _schmidt_params(m, s, cls)[1]
     states = [node[:4] for node, *_ in tails]
     assert len(set(states)) == len(states)
@@ -2598,15 +2642,18 @@ def test_schmidt_bucket_counts_memory_stays_near_the_whole_walk(n, m, s, cls):
     assert traced_peak(schmidt_bucket_counts, n, m, s, cls) <= 3 * walk
 
 
-def test_schmidt_bucket_counts_memory_in_class_d_stays_near_the_unreplayed_walk(monkeypatch):
+@pytest.mark.parametrize("m", [3, 4], ids=["n20-m3-D", "n20-m4-D"])
+def test_schmidt_bucket_counts_memory_in_class_d_stays_near_the_unreplayed_walk(monkeypatch, m):
     # In class D the whole walk's Counter holds one entry per rho bucket,
-    # 65 at n = 20, while a walk that lists its keys holds one per
+    # 65 at (20, 3), while a walk that lists its keys holds one per
     # partition, 627, so the bound above fails there (4.9-7x).  The
     # replayed lists are bounded against the same walk with no replay,
-    # which lists every key.
-    args = (20, 3, (1, 2), "D")
+    # which lists every key.  A first call in a process also fills the
+    # tuple free lists and the ABC caches, and would be measured with them.
+    args = (20, m, (1, 2), "D")
+    assert schmidt_bucket_counts(*args) == walk_schmidt_bucket_counts(*args)
     replayed = traced_peak(schmidt_bucket_counts, *args)
-    monkeypatch.setattr(partitions, "_TAIL_WEIGHT", 0)
+    monkeypatch.setitem(partitions._TAIL_WEIGHT, "D", 0)
     assert schmidt_bucket_counts(*args) == walk_schmidt_bucket_counts(*args)
     assert replayed <= 3 * traced_peak(schmidt_bucket_counts, *args)
 
@@ -2637,6 +2684,22 @@ def test_colored_bucket_counts_unpack_to_top_color_part_counts():
                 for mu in colored_partitions(n, m, s, m + 1)
             )
             assert color_buckets(n, m, s, m + 1) == want, (m, s, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_colored_bucket_counts_match_summing_merge(m):
+    # Each key is written once, straight into the Counter; the merge that
+    # summed into a dict and copied it must give the same Counter exactly.
+    top_n = 20 if m == 2 else 16
+    # Every S at both ceilings, the entries of PALETTES among them.
+    palettes = [(s, m + 1) for s in residue_sets(m, True)]
+    palettes += [(s, m) for s in residue_sets(m, False)]
+    for s, top in palettes:
+        for n in range(top_n + 1):
+            got = colored_bucket_counts(n, m, s, top)
+            want = summing_colored_bucket_counts(n, m, s, top)
+            assert type(got) is Counter and got == want, (s, top, n)
+            assert got.keys() == want.keys() and 0 not in got.values(), (s, top, n)
 
 
 def test_colored_partition_total_matches_group_walk():
