@@ -13,11 +13,12 @@ to explicit caps, and compared term-by-term:
 - ``cor22``: the bounded-repetition form: partitions with every
   multiplicity below 4, graded by repeated-size count, alternating sum,
   and odd-index weight, match the overpartition enumeration.
-- ``psi_all`` / ``psi_dm``: block-residue weights of class P / D against
-  products with base s^r q^min(r, i) and ratio s^m q^i.  ``mork_odd`` /
-  ``mork_even`` are class D at m = 2, i = 1 by the odd / even index sum,
-  against 1/(qs; qs^2)oo and 1/(s; qs^2)oo.  Each side builds these four
-  rows on one path, from each row's ``Family``.
+- ``psi_all`` / ``psi_dm``: Schmidt weights on a residue set S mod m, of
+  class P / D, against products with bases q^c(r) s^r, c(r) = |S ∩ {1..r}|,
+  and ratio q^|S| s^m.  These rows take the block S = 1..i as (m, i).
+  ``mork_odd`` / ``mork_even`` are class D at m = 2 with S = {1} / {2}, the
+  odd / even index sum, against 1/(qs; qs^2)oo and 1/(s; qs^2)oo.  Each side
+  builds these four rows on one path, from each row's ``Family`` and S.
 
 The counting theorems, class D with palette ceiling m (``schmidt``,
 ``ak_main``) or class P with m + 1 (``uncu``, ``franklin_ext``), share one
@@ -29,10 +30,10 @@ first mismatching monomial or bucket.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import isqrt
-from operator import sub
 from typing import NamedTuple
 
 from .colored import (
@@ -97,8 +98,7 @@ class Family(NamedTuple):
     """The Schmidt-side family one row of a table instantiates."""
 
     cls: str  # "P" or "D"
-    fixed: tuple = ()  # the (m, i) or (m, S) the row fixes; () when the caller gives them
-    even: bool = False  # graded by the size less the weight: the even-index sum at m = 2
+    fixed: tuple = ()  # the (m, S) the row fixes; () when the caller gives them
 
 
 class SeriesIdentity(NamedTuple):
@@ -131,10 +131,12 @@ IDENTITY_TABLE = {
         (("enum", "enum", "cor22"), ("enum_overpartition", "enum", "overpartition"))
         + _own("overpartition", "sum", "product"),
     ),
-    # mork_* is psi_dm at m = 2, i = 1, graded by the odd or the even index sum.
-    "mork_odd": SeriesIdentity(_Q_S, (), _own("mork_odd", "product", "enum"), Family("D", (2, 1))),
+    # mork_* is class D at m = 2, weighted by the odd or the even index sum.
+    "mork_odd": SeriesIdentity(
+        _Q_S, (), _own("mork_odd", "product", "enum"), Family("D", (2, (1,)))
+    ),
     "mork_even": SeriesIdentity(
-        _Q_S, (), _own("mork_even", "product", "enum"), Family("D", (2, 1), even=True)
+        _Q_S, (), _own("mork_even", "product", "enum"), Family("D", (2, (2,)))
     ),
     "psi_all": SeriesIdentity(_Q_S, ("m", "i"), _own("psi_all", "product", "enum"), Family("P")),
     "psi_dm": SeriesIdentity(_Q_S, ("m", "i"), _own("psi_dm", "product", "enum"), Family("D")),
@@ -359,25 +361,27 @@ def sum_side(identity, qcap, *, m=None, i=None):
 
 
 def _checked(identity, m, i, **caps):
-    # (entry, its ring's cap if caps are given, report params, m, i) of one series identity.
+    # (entry, its ring's cap if caps are given, report params, m, S) of one series
+    # identity; S, an s-graded row's sorted residues, is a block 1..i as a range.
     entry = IDENTITY_TABLE.get(identity)
     if entry is None:
         raise ValueError(f"unknown identity {identity!r}")
+    residues = None
     if entry.params:
         _check_modulus(m)
         if not isinstance(i, int) or not 1 <= i <= m:
             raise ValueError(f"residue block length must lie in 1..{m}, got {i!r}")
+        residues = range(1, i + 1)
     elif entry.family:
-        # The fixed modulus and block may be given, as ints; no others.
-        fixed_m, fixed_i = entry.family.fixed
+        # A fixed row may be given its modulus and i = 1, as ints; no others.
+        fixed_m, residues = entry.family.fixed
         if m is not None:
             _check_modulus(m)
         if i is not None and not isinstance(i, int):
             raise ValueError(f"residue block length must be an integer, got {i!r}")
-        if m not in (None, fixed_m) or i not in (None, fixed_i):
-            block = set(range(1, fixed_i + 1))
-            raise ValueError(f"this identity is specific to modulus {fixed_m}, residues {block}")
-        m, i = fixed_m, fixed_i
+        if m not in (None, fixed_m) or i not in (None, 1):
+            raise ValueError(f"this identity is specific to modulus {fixed_m}, residues {{1}}")
+        m = fixed_m
     elif m is not None or i is not None:
         raise ValueError("this identity takes no modulus or residues")
     params = dict(zip(entry.params, (m, i)))
@@ -386,7 +390,7 @@ def _checked(identity, m, i, **caps):
         if other != name and value is not None:
             raise ValueError(f"{identity} takes no {other}; its ring's cap is {name}")
     cap = _required(caps[name], name) if caps else None
-    return entry, cap, params, m, i
+    return entry, cap, params, m, residues
 
 
 def product_side(identity, *, qcap=None, scap=None, m=None, i=None):
@@ -394,10 +398,10 @@ def product_side(identity, *, qcap=None, scap=None, m=None, i=None):
 
     Each product is a list of Pochhammer families, built as one running
     series by ``_poch_product``, largest factors first.  An s-graded one has
-    base s^r q^min(r, i) and ratio s^m q^i for r = 1..m in class P, 1..m-1
-    in class D; graded by the size less the weight, q^a s^b is q^(b - a) s^b.
+    bases q^c(r) s^r, c(r) = |S ∩ {1..r}|, and ratio q^|S| s^m, for r = 1..m
+    in class P, 1..m-1 in class D; no r past scap keeps s^r in the cap.
     """
-    entry, _, _, m, i = _checked(identity, m, i, qcap=qcap, scap=scap)
+    entry, _, _, m, s = _checked(identity, m, i, qcap=qcap, scap=scap)
     if entry.family is None:
         ctx = trivariate_context(qcap)
         q = ctx.monomial(q=1)
@@ -408,11 +412,11 @@ def product_side(identity, *, qcap=None, scap=None, m=None, i=None):
             first = _Family(t1, q, coefficient=-1)  # (-t1 q; q)oo
         return _poch_product(ctx, [first, _Family(ctx.monomial(q=1, t2=1), q, divide=True)])
     ctx = size_graded_context(scap)
-    cls, _, even = entry.family
-    ratio = ctx.monomial(q=m - i if even else i, s=m)
+    ratio = ctx.monomial(q=len(s), s=m)
+    top = min(m if entry.family.cls == "P" else m - 1, scap)
     families = [
-        _Family(ctx.monomial(q=r - min(r, i) if even else min(r, i), s=r), ratio, divide=True)
-        for r in range(1, m + 1 if cls == "P" else m)
+        _Family(ctx.monomial(q=bisect_right(s, r), s=r), ratio, divide=True)
+        for r in range(1, top + 1)
     ]
     return _poch_product(ctx, families)
 
@@ -431,7 +435,7 @@ def _required(value, name):
 
 def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
     """The brute-force generating function, graded exactly like the other sides."""
-    entry, _, _, m, i = _checked(identity, m, i, qcap=qcap, scap=scap)
+    entry, _, _, m, s = _checked(identity, m, i, qcap=qcap, scap=scap)
     # Each table hands over one list per variable and a list of counts.
     if identity == "ak_trivariate":
         # The Schmidt side of the theorem: odd-index weight and the
@@ -441,11 +445,8 @@ def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
         return Series._from_columns(trivariate_context(qcap), *_overpartition_table(qcap))
     if identity == "cor22":
         return Series._from_columns(trivariate_context(qcap), *_cor22_counts(qcap))
-    cls, _, even = entry.family
-    (weight, size), counts = _schmidt_weight_columns(m, tuple(range(1, i + 1)), cls, scap)
-    if even:
-        weight = list(map(sub, size, weight))
-    return Series._from_columns(size_graded_context(scap), [weight, size], counts)
+    table = _schmidt_weight_columns(m, s, entry.family.cls, scap)
+    return Series._from_columns(size_graded_context(scap), *table)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +683,7 @@ def witnesses(identity, exponents, *, m=None, i=None):
     monomial are built.
     """
     exps = dict(exponents)
-    entry, _, _, m, i = _checked(identity, m, i)
+    entry, _, _, m, s = _checked(identity, m, i)
     check_exponents(identity, exps)
     q = exps.get("q", 0)
     t1 = exps.get("t1", 0)
@@ -717,10 +718,9 @@ def witnesses(identity, exponents, *, m=None, i=None):
     if identity == "cor22":
         # Odd-index weight q and alternating sum t2 put q - t2 on the even
         # indices, so these are partitions of 2q - t2.
-        stream = _weight_walk(2 * q - t2, 2, 1, q, most=3, repeated=t1)
+        stream = _weight_walk(2 * q - t2, 2, (1,), q, most=3, repeated=t1)
     else:
-        cls, _, even = entry.family
-        most = m - 1 if cls == "D" else None
-        stream = _weight_walk(size, m, i, size - q if even else q, most=most)
+        most = m - 1 if entry.family.cls == "D" else None
+        stream = _weight_walk(size, m, s, q, most=most)
     return [",".join(str(a) for a, c in groups for _ in range(c)) for groups in stream]
 

@@ -167,11 +167,7 @@ def schmidt_weight(lam, m, s):
     counts as ``m`` itself.
     """
     residues = set(normalize_residue_set(m, s, allow_m=True))
-    total = 0
-    for k, p in enumerate(lam.parts, start=1):
-        if ((k - 1) % m) + 1 in residues:
-            total += p
-    return total
+    return sum(p for k, p in enumerate(lam.parts) if k % m + 1 in residues)
 
 
 def residue_column_count(lam, m, j):
@@ -184,13 +180,7 @@ def residue_column_count(lam, m, j):
     _check_modulus(m)
     if not 1 <= j <= m:
         raise ValueError(f"residue must lie in 1..{m}, got {j}")
-    total = 0
-    idx = j
-    n = len(lam)
-    while idx <= n:
-        total += lam.part(idx) - lam.part(idx + 1)
-        idx += m
-    return total
+    return sum(lam.part(k) - lam.part(k + 1) for k in range(j, len(lam) + 1, m))
 
 
 def _check_class(cls, m):
@@ -298,7 +288,7 @@ def partitions_of(n, cls="P", m=None):
             for groups in (partition_groups(n // m) if n % m == 0 else ())
         )
     elif cls == "D":
-        stream = _weight_walk(n, m, m, n, most=m - 1)
+        stream = _weight_walk(n, m, range(1, m + 1), n, most=m - 1)
     else:
         stream = _walk(n, _gap_rule(m, n))
     for groups in stream:
@@ -374,25 +364,30 @@ def _length_walk(n, length, sizes=0):
     return _walk(n, children, (length, sizes), empty=length == 0 == sizes)
 
 
-def _weight_walk(n, m, i, weight, *, most=None, repeated=None):
+def _weight_walk(n, m, s, weight, *, most=None, repeated=None):
     # The groups of the partitions of n whose Schmidt weight on the residues
-    # 1..i mod m is `weight`, with at most `most` copies of a size, and with
+    # s mod m is `weight`, with at most `most` copies of a size, and with
     # exactly `repeated` sizes of two copies or more unless that is None,
-    # reverse-lexicographically.  The state is (0-based residue of the next
-    # index, weight so far, repeated sizes so far).  A group leaves need to
-    # the counted indices and spare to the others.  As parts decrease, every
-    # uncounted part is at most the counted part that opens its window of m
-    # indices, and every counted part past the first counted run at most the
-    # uncounted part just before its window; so spare is at most (m - i) *
-    # need, and need at most i * spare, each plus the opening run of its kind.
-    # At i = m every index is counted, so the weight is the size, need is
-    # what a group leaves and spare is 0: with most = m - 1 this is class D.
-    def counted(x):
-        # Counted 0-based indices below x.
-        return x // m * i + min(x % m, i)
+    # reverse-lexicographically.  The state is (0-based index of the next
+    # part, weight so far, repeated sizes so far): n parts at most, so n flags.
+    # A group leaves need to the counted indices, spare to the others, and
+    # parts of at most b.  Past the leading run of its kind from the index k
+    # after the group (lead_u[k] uncounted, lead_c[k] counted), a part is at
+    # most the part of the other kind just before its run, which is at most
+    # G long if uncounted and H if counted.  So spare <= G * need + b *
+    # lead_u[k] and need <= H * spare + b * lead_c[k]; for s = 1..i, G = m - i
+    # and H = i.  With every index counted spare is 0: with most = m - 1 this
+    # is class D.
+    flags = [k % m + 1 in s for k in range(n)]
+    before = list(accumulate(flags, initial=0))
+    lead_u, lead_c = lead = [[0] * (n + 1), [0] * (n + 1)]
+    for k in range(n - 1, -1, -1):
+        lead[flags[k]][k] = lead[flags[k]][k + 1] + 1
+    G = max((lead_u[k] for k in range(1, n) if flags[k - 1]), default=0)
+    H = max((lead_c[k] for k in range(1, n) if not flags[k - 1]), default=0)
 
     def children(rem, last, state):
-        r, w, rep = state
+        k, w, rep = state
         for a in range(min(last - 1, rem), 0, -1):
             b = a - 1
             if most is not None and most * a * (a + 1) // 2 < rem:
@@ -402,23 +397,23 @@ def _weight_walk(n, m, i, weight, *, most=None, repeated=None):
                 after = rem - a * c
                 if after > room:
                     break
-                child_w = w + a * (counted(r + c) - counted(r))
+                child_k = k + c
+                child_w = w + a * (before[child_k] - before[k])
                 need = weight - child_w
                 spare = after - need
                 child_rep = rep + (c > 1)
                 more = repeated - child_rep if repeated is not None else 0
-                child_r = (r + c) % m
                 if (
                     need < 0
                     or spare < 0
                     or more < 0
                     or more > b
                     or more * (more + 1) > after
-                    or spare > (m - i) * need + (b * (m - child_r) if child_r >= i else 0)
-                    or (i < m and need > i * spare + (b * (i - child_r) if child_r < i else 0))
+                    or spare > G * need + b * lead_u[child_k]
+                    or need > H * spare + b * lead_c[child_k]
                 ):
                     continue
-                yield a, c, (child_r, child_w, child_rep)
+                yield a, c, (child_k, child_w, child_rep)
 
     return _walk(n, children, (0, 0, 0), empty=weight == 0 and not repeated)
 
@@ -590,17 +585,21 @@ def schmidt_weight_table(m, s, cls, *, cap):
     indices plus those among the first ``c % m`` indices from ``r``; it
     moves the residue to ``(r + c) % m`` and adds ``a * c`` to the size.
     """
-    columns, counts = _schmidt_weight_columns(m, s, cls, cap)
+    residues = normalize_residue_set(m, s, allow_m=True)
+    columns, counts = _schmidt_weight_columns(m, residues, cls, cap)
     return Counter(dict(zip(zip(*columns), counts)))
 
 
 def _schmidt_weight_columns(m, s, cls, cap):
     # schmidt_weight_table as its weight and size columns and the list of
-    # counts.
-    _, counted = _schmidt_params(m, s, cls)
+    # counts, for any nonempty s: the size bounds the pass.  With at most cap
+    # parts no index wraps mod min(m, cap + 1), so the pass runs mod that.
+    if cls not in ("P", "D"):
+        raise ValueError(f"class must be 'P' or 'D', got {cls!r}")
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    packed = _sum_over_residue(_schmidt_states(counted, cls, cap, sized=True), m)
+    counted = [r in s for r in range(1, min(m, cap + 1) + 1)]
+    packed = _sum_over_residue(_schmidt_states(counted, cls, cap, sized=True), len(counted))
     keys = packed.keys()
     weight = list(map(mod, keys, repeat(cap + 1)))
     size = list(map(floordiv, keys, repeat(cap + 1)))

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import combinations, groupby
 
 from schmidtq import Partition
@@ -12,6 +13,11 @@ def residue_sets(m, include_m):
         for extra in combinations(range(2, upper + 1), k):
             out.append((1,) + extra)
     return out
+
+
+def every_residue_set(m):
+    """Every nonempty subset of 1..m, with or without 1, ascending."""
+    return [s for k in range(1, m + 1) for s in combinations(range(1, m + 1), k)]
 
 
 def descending(parts):
@@ -37,3 +43,16 @@ class Exactly:
 
     def __index__(self):
         return self.value
+
+
+def traced_peak(f, *args):
+    """The tracemalloc peak, in bytes, of one call ``f(*args)``."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -17,6 +17,7 @@ from schmidtq import (
     overpartitions,
     partitions_of,
 )
+from schmidtq import colored
 
 from conftest import Exactly, exact
 
@@ -60,6 +61,19 @@ def test_palette_ceiling_is_read_through_index(name):
         with pytest.raises(TypeError):
             call(top)
     assert call(Exactly(3)) == call(3)
+
+
+def test_colored_bucket_merge_refuses_keys_that_collide(monkeypatch):
+    # nu's digits moved down one, onto u's, make (u, nu) pairs share keys;
+    # the merge writes each key once, so its pair count must see that.
+    table = colored._coin_table
+
+    def shifted(n, parts):
+        return table(n, [(a, d // (n + 1) or d, once) for a, d, once in parts])
+
+    monkeypatch.setattr(colored, "_coin_table", shifted)
+    with pytest.raises(ArithmeticError, match="pairs wrote"):
+        colored_bucket_counts(4, 2, (1,), 3)
 
 
 def test_cs_validate():

@@ -1,6 +1,7 @@
 """Series identities, counting theorems, reports, and witness extraction."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from schmidtq import (
     geometric_inverse,
     in_class,
     ln_series,
+    partitions_of,
     partitions_with_schmidt_weight,
     poch_infinite_inverse,
     product_side,
@@ -27,9 +29,15 @@ from schmidtq import (
     witnesses,
 )
 from schmidtq import identities
-from schmidtq.identities import IDENTITY_TABLE, _compare_sides, _series_mismatch
+from schmidtq.identities import (
+    IDENTITY_TABLE,
+    Family,
+    SeriesIdentity,
+    _compare_sides,
+    _series_mismatch,
+)
 
-from conftest import repeated_size_count
+from conftest import every_residue_set, repeated_size_count, traced_peak
 
 
 # --- contexts ----------------------------------------------------------------
@@ -237,6 +245,80 @@ def test_bounded_class_product_is_a_factor_of_the_full_one():
             ctx, ctx.monomial(q=min(m, i), s=m), ctx.monomial(q=i, s=m)
         )
         assert part * missing == full
+
+
+# --- every residue set -------------------------------------------------------
+
+
+def residue_set_row(monkeypatch, cls, m, s):
+    """The name of an s-graded row fixing (m, s), put in the table for one test."""
+    name = f"set_{cls}_{m}_{'_'.join(map(str, s))}"
+    row = SeriesIdentity(("q", "s"), (), (), Family(cls, (m, s)))
+    monkeypatch.setitem(IDENTITY_TABLE, name, row)
+    return name
+
+
+def test_s_graded_product_matches_the_table_on_every_residue_set(monkeypatch):
+    # Bases q^c(r) s^r, c(r) = |S ∩ {1..r}|, and ratio q^|S| s^m against the
+    # sized table, for sets without 1 too: the size bounds the table.
+    for m in (2, 3, 4, 5):
+        scap = 16 if m <= 3 else 12
+        for s in every_residue_set(m):
+            for cls in ("P", "D"):
+                row = residue_set_row(monkeypatch, cls, m, s)
+                assert product_side(row, scap=scap) == enum_side(row, scap=scap), (m, s, cls)
+
+
+def test_witnesses_match_the_filtered_class_on_every_residue_set(monkeypatch):
+    for m in (2, 3, 4):
+        for cls in ("P", "D"):
+            members = [list(partitions_of(size, cls, m)) for size in range(13)]
+            for s in every_residue_set(m):
+                row = residue_set_row(monkeypatch, cls, m, s)
+                for size, lams in enumerate(members):
+                    weights = [
+                        sum(p for k, p in enumerate(lam.parts) if k % m + 1 in s) for lam in lams
+                    ]
+                    for q in range(size + 2):
+                        want = [lam.to_text() for lam, w in zip(lams, weights) if w == q]
+                        got = witnesses(row, {"q": q, "s": size})
+                        assert got == want, (m, s, cls, size, q)
+
+
+def test_mork_even_is_the_weight_on_the_even_residue():
+    # The even-index sum is the class-D weight on S = {2} at m = 2.
+    assert IDENTITY_TABLE["mork_even"].family == Family("D", (2, (2,)))
+    ctx = size_graded_context(12)
+    want = poch_infinite_inverse(ctx, ctx.monomial(s=1), ctx.monomial(q=1, s=2))
+    assert product_side("mork_even", scap=12) == enum_side("mork_even", scap=12) == want
+    assert witnesses("mork_even", {"q": 2, "s": 5}) == ["3,2"]
+
+
+@pytest.mark.parametrize("identity", ["psi_all", "psi_dm"])
+def test_s_graded_sides_at_a_huge_modulus_stay_small(identity):
+    # With at most 5 parts no index passes 5 and no s^r past r = 5 is in
+    # the cap, so the sides at m = 10^6 are those at m = 6, and neither
+    # their time nor their memory grows with m.
+    builds = {
+        "product": lambda m: product_side(identity, scap=5, m=m, i=1),
+        "enum": lambda m: enum_side(identity, scap=5, m=m, i=1),
+        "witness": lambda m: witnesses(identity, {"q": 3, "s": 5}, m=m, i=2),
+    }
+    got = {}
+    for side, build in builds.items():
+        start = time.perf_counter()
+        got[side] = build(10**6)
+        elapsed = time.perf_counter() - start
+        assert got[side] == build(6), side
+        assert elapsed < 0.5, (side, elapsed)
+        assert traced_peak(build, 10**6) < 1_000_000, side
+    assert got["product"] == got["enum"]
+
+
+def test_weight_walks_keep_no_state_that_grows_with_the_modulus():
+    # The walk flags the first n indices only, whatever m is.
+    assert traced_peak(lambda: list(partitions_of(12, "D", 10**8))) < 100_000
+    assert traced_peak(lambda: witnesses("psi_all", {"q": 3, "s": 5}, m=10**8, i=2)) < 100_000
 
 
 def test_identity_argument_errors():

@@ -98,15 +98,20 @@ constructor, and the sum that built every level as a ``Series`` from one
 Gaussian multinomial per (n, j, k) and divided through
 ``Series.div_one_minus``, are kept below.
 
-The s-graded rows are instances of one family, class P or D with an
-optional even grading and a fixed (m, i) for ``mork_*``, and the
-counting theorems pair class D with palette ceiling m and class P with
-m + 1.  The branches that named each id in ``product_side``,
-``enum_side``, ``witnesses`` and ``_counting_buckets`` are kept below.
+The s-graded rows are instances of one family, class P or D on a residue
+set S, fixed for ``mork_*``: ``mork_even`` is the weight on S = {2}, not
+the size less the weight on {1}.  The counting theorems pair class D
+with palette ceiling m and class P with m + 1.  The branches that named
+each id in ``product_side``, ``enum_side``, ``witnesses`` and
+``_counting_buckets`` are kept below.
 So is the first-mismatch search that unpacked and sorted every term of
 both sides, where only the keys that differ are unpacked now.
 
-Class D streams on the Schmidt-weight walk with every index counted, and
+The Schmidt-weight walk flags the indices of S up to n and prunes by the
+longest runs of either kind that S makes.  The walk it replaced, which
+took the blocks S = 1..i alone and counted indices by a closed form, is
+kept below, and so is a brute-force filter for every S.  Class D streams
+on that walk with every index counted, and
 the ``ak_trivariate`` witnesses take each group's color-1 count from
 ``itertools.product``.  The multiplicity rule class D walked with, and
 the recursive generator of the color-1 counts, are kept below.
@@ -117,7 +122,6 @@ table still calls, and the list pass ``colored_partition_total`` made on
 its own, are kept below.
 """
 
-import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count, groupby, product, repeat
@@ -205,7 +209,13 @@ from schmidtq.series import (
     gaussian_multinomial_coeffs,
 )
 
-from conftest import Exactly, repeated_size_count, residue_sets
+from conftest import (
+    Exactly,
+    every_residue_set,
+    repeated_size_count,
+    residue_sets,
+    traced_peak,
+)
 
 
 # --- the replaced algorithms -------------------------------------------------
@@ -1600,6 +1610,59 @@ def pairwise_compare_sides(theorem, params, caps, sides):
     return VerificationReport(theorem, params, caps, "pass")
 
 
+def block_weight_walk(n, m, i, weight, *, most=None, repeated=None):
+    """``_weight_walk`` on the block 1..i alone, its counted indices in closed form.
+
+    The state is (0-based residue of the next index, weight so far, repeated
+    sizes so far).  Every uncounted part is at most the counted part that
+    opens its window of m indices, and every counted part past the first
+    counted run at most the uncounted part just before its window; so spare
+    is at most (m - i) * need, and need at most i * spare, each plus the
+    opening run of its kind.
+    """
+
+    def counted(x):
+        # Counted 0-based indices below x.
+        return x // m * i + min(x % m, i)
+
+    def children(rem, last, state):
+        r, w, rep = state
+        for a in range(min(last - 1, rem), 0, -1):
+            b = a - 1
+            if most is not None and most * a * (a + 1) // 2 < rem:
+                break
+            room = most * a * b // 2 if most is not None else (rem if b else 0)
+            for c in range(min(rem // a, most or rem), 0, -1):
+                after = rem - a * c
+                if after > room:
+                    break
+                child_w = w + a * (counted(r + c) - counted(r))
+                need = weight - child_w
+                spare = after - need
+                child_rep = rep + (c > 1)
+                more = repeated - child_rep if repeated is not None else 0
+                child_r = (r + c) % m
+                if (
+                    need < 0
+                    or spare < 0
+                    or more < 0
+                    or more > b
+                    or more * (more + 1) > after
+                    or spare > (m - i) * need + (b * (m - child_r) if child_r >= i else 0)
+                    or (i < m and need > i * spare + (b * (i - child_r) if child_r < i else 0))
+                ):
+                    continue
+                yield a, c, (child_r, child_w, child_rep)
+
+    return partitions._walk(n, children, (0, 0, 0), empty=weight == 0 and not repeated)
+
+
+def set_weight(groups, m, s):
+    """The weight on the residue set s mod m of a partition's groups, any s."""
+    parts = _expand(groups)
+    return sum(p for k, p in enumerate(parts) if k % m + 1 in s)
+
+
 def named_product_side(identity, scap, m=None, i=None):
     """The s-graded branches of ``product_side`` that named each id."""
     ctx = size_graded_context(scap)
@@ -1628,12 +1691,12 @@ def named_enum_side(identity, scap, m=None, i=None):
 
 
 def named_witnesses(identity, q, size, m=None, i=None):
-    """The s-graded branches of ``witnesses`` that named each id."""
+    """The s-graded branches of ``witnesses`` that named each id, on the block walk."""
     if identity in ("mork_odd", "mork_even"):
-        stream = _weight_walk(size, 2, 1, q if identity == "mork_odd" else size - q, most=1)
+        stream = block_weight_walk(size, 2, 1, q if identity == "mork_odd" else size - q, most=1)
     else:
         most = None if identity == "psi_all" else m - 1
-        stream = _weight_walk(size, m, i, q, most=most)
+        stream = block_weight_walk(size, m, i, q, most=most)
     return [",".join(str(a) for a, c in groups for _ in range(c)) for groups in stream]
 
 
@@ -1691,6 +1754,44 @@ def test_class_d_stream_matches_the_multiplicity_rule():
         for n in range(top + 1):
             want = [_expand(groups) for groups in partitions._walk(n, _multiplicity_rule(m - 1))]
             assert [lam.parts for lam in partitions_of(n, "D", m)] == want, (m, n)
+
+
+def test_weight_walk_matches_the_block_walk():
+    # Blocks 1..i with and without a multiplicity bound, the cor22 witness
+    # walk, and class D with every index counted, at a huge m too.
+    for m in (2, 3, 4, 5):
+        for i in range(1, m + 1):
+            for most in (None, m - 1):
+                for n in range(15):
+                    for w in range(n + 1):
+                        got = list(_weight_walk(n, m, range(1, i + 1), w, most=most))
+                        assert got == list(block_weight_walk(n, m, i, w, most=most)), (m, i, n, w)
+    for q in range(13):
+        for t1 in range(q + 1):
+            for t2 in range(q + 1):
+                got = list(_weight_walk(2 * q - t2, 2, (1,), q, most=3, repeated=t1))
+                want = list(block_weight_walk(2 * q - t2, 2, 1, q, most=3, repeated=t1))
+                assert got == want, (q, t1, t2)
+    for m in (*range(2, 7), 10**6):
+        for n in range(19):
+            got = list(_weight_walk(n, m, range(1, m + 1), n, most=m - 1))
+            assert got == list(block_weight_walk(n, m, m, n, most=m - 1)), (m, n)
+
+
+def test_weight_walk_matches_brute_force_on_every_residue_set():
+    # Sets without 1 and with gaps too: the walk lists, in order, the
+    # partitions of n with each weight and at most `most` copies of a size.
+    for m in (2, 3, 4):
+        for most in (None, m - 1):
+            kept = [
+                [g for g in partition_groups(n) if most is None or all(c <= most for _, c in g)]
+                for n in range(12)
+            ]
+            for s in every_residue_set(m):
+                for n, groups in enumerate(kept):
+                    for w in range(n + 1):
+                        want = [g for g in groups if set_weight(g, m, s) == w]
+                        assert list(_weight_walk(n, m, s, w, most=most)) == want, (m, s, n, w)
 
 
 def test_ak_trivariate_witnesses_match_the_recursive_splits():
@@ -2613,19 +2714,6 @@ def test_schmidt_bucket_lists_nest_within_the_cut(monkeypatch, n, m, s, cls):
         assert (key, tail_cut, out) == (0, cut, None)
         assert counted[r] and 0 < n - weight <= cut
     assert 1 < max(d for *_, d, _ in tails) <= cut
-
-
-def traced_peak(f, *args):
-    """The tracemalloc peak, in bytes, of one call ``f(*args)``."""
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 MEMORY_CASES = [(20, 2, (1,), "P"), (6, 12, (1,), "P"), (16, 4, (1, 3), "P")]

@@ -7,6 +7,8 @@ from pathlib import Path
 import schmidtq
 from schmidtq.identities import IDENTITY_TABLE, SERIES_IDENTITIES
 
+from mutants import MUTANTS, ROOT
+
 SOURCE = Path(schmidtq.__file__).parent
 
 
@@ -265,3 +267,17 @@ def test_only_the_column_constructor_packs_columns():
         }
     )
     assert found == ["series.py Series._from_columns"]
+
+
+def test_every_mutant_record_still_applies():
+    # tests/mutants.py runs each record against its tests; here each must
+    # name code that occurs once, change it, and name tests that exist.
+    assert len({mutant.name for mutant in MUTANTS}) == len(MUTANTS)
+    for mutant in MUTANTS:
+        assert mutant.path.startswith("src/"), mutant.name
+        assert (ROOT / mutant.path).read_text().count(mutant.snippet) == 1, mutant.name
+        assert mutant.replacement != mutant.snippet, mutant.name
+        assert mutant.tests, mutant.name
+        for node in mutant.tests:
+            path, _, name = node.partition("::")
+            assert f"\ndef {name.partition('[')[0]}(" in (ROOT / path).read_text(), node
