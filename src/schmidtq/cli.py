@@ -32,11 +32,10 @@ from .identities import (
     RING_CAPS,
     RING_VARIABLES,
     SERIES_IDENTITIES,
+    _check_fixed,
+    _side_builder,
     cauchy_check,
     check_exponents,
-    enum_side,
-    product_side,
-    sum_side,
     t1_slice_check,
     verify_counting,
     verify_identity,
@@ -85,8 +84,7 @@ def _parse_monomial(text):
 
 
 def _contiguous_block(residues):
-    # The block statistics take the residue set 1..i, however it is
-    # spelled; anything else has no product side here.
+    # The psi_* rows take the residue set 1..i as i, however it is spelled.
     block = sorted(set(residues))
     if block != list(range(1, len(block) + 1)):
         raise ValueError(f"residues must be 1..i for this identity, got {residues}")
@@ -111,12 +109,15 @@ def _refuse_unread(args, target, *reads):
 
 
 def _params(args, entry):
-    # m and i from --m and --s: required by the series identities that take
-    # them, and handed to the others as given, so that they refuse any they
-    # do not fix.
-    if entry.params:
-        return {"m": _need(args, "--m"), "i": _contiguous_block(_need(args, "--s"))}
-    return {"m": args.m, "i": None if args.s is None else _contiguous_block(args.s)}
+    # m and i from --m and --s, required by a row whose family fixes nothing.  A
+    # fixed row checks its own (m, S) here; a row with no family refuses any given.
+    family = entry.family
+    if family is None:
+        return {"m": args.m, "i": args.s}
+    if family.fixed:
+        _check_fixed(family, args.m, args.s, "identity")
+        return {}
+    return {"m": _need(args, "--m"), "i": _contiguous_block(_need(args, "--s"))}
 
 
 @functools.cache
@@ -184,10 +185,9 @@ def _cmd_verify(args, out):
     elif ident in COUNTING_TABLE:
         _refuse_unread(args, ident, "--n", "--m", "--s")
         n = _need(args, "--n")
-        if COUNTING_TABLE[ident].fixed:
-            report = verify_counting(ident, n=n, m=args.m, s=args.s)
-        else:
-            report = verify_counting(ident, n=n, m=_need(args, "--m"), s=_need(args, "--s"))
+        fixed = COUNTING_TABLE[ident].fixed
+        m, s = (args.m, args.s) if fixed else (_need(args, "--m"), _need(args, "--s"))
+        report = verify_counting(ident, n=n, m=m, s=s)
     elif ident == "cauchy":
         _refuse_unread(args, ident, "--n", "--q-cap")
         report = cauchy_check(_need(args, "--n"), args.q_cap)
@@ -215,13 +215,7 @@ def _side_series(ident, side, exps, args):
     value = needed if value is None else value
     if value < needed:
         raise ValueError(f"{flag} {value} is below the requested exponents")
-    # --side names a compared side by its report label.
-    sources = {label: (kind, source) for label, kind, source in entry.sides}
-    if side not in sources:
-        raise ValueError(f"{ident} has no {side} side")
-    kind, source = sources[side]
-    build = {"sum": sum_side, "product": product_side, "enum": enum_side}[kind]
-    return build(source, **{cap: value}, **_params(args, entry))
+    return _side_builder(ident, side)(**{cap: value}, **_params(args, entry))
 
 
 def _cmd_coeff(args, out):

@@ -13,12 +13,12 @@ to explicit caps, and compared term-by-term:
 - ``cor22``: the bounded-repetition form: partitions with every
   multiplicity below 4, graded by repeated-size count, alternating sum,
   and odd-index weight, match the overpartition enumeration.
-- ``psi_all`` / ``psi_dm``: Schmidt weights on a residue set S mod m, of
-  class P / D, against products with bases q^c(r) s^r, c(r) = |S ∩ {1..r}|,
-  and ratio q^|S| s^m.  These rows take the block S = 1..i as (m, i).
-  ``mork_odd`` / ``mork_even`` are class D at m = 2 with S = {1} / {2}, the
-  odd / even index sum, against 1/(qs; qs^2)oo and 1/(s; qs^2)oo.  Each side
-  builds these four rows on one path, from each row's ``Family`` and S.
+- ``psi_all`` / ``psi_dm``: Schmidt weights on a residue set S mod m, of class
+  P / D, against products with bases q^c(r) s^r, c(r) = |S ∩ {1..r}|, and ratio
+  q^|S| s^m, on the block S = 1..i given as (m, i).  ``mork_odd`` / ``mork_even``
+  fix m = 2, S = {1} / {2} in class D: the odd / even index sum, against
+  1/(qs; qs^2)oo and 1/(s; qs^2)oo.  Each side builds the four rows on one path
+  from each row's ``Family``, which alone says what (m, S) the row may be given.
 
 The counting theorems, class D with palette ceiling m (``schmidt``,
 ``ak_main``) or class P with m + 1 (``uncu``, ``franklin_ext``), share one
@@ -32,8 +32,10 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from math import isqrt
+from operator import index
 from typing import NamedTuple
 
 from .colored import (
@@ -105,9 +107,8 @@ class SeriesIdentity(NamedTuple):
     """One row of ``IDENTITY_TABLE``."""
 
     ring: tuple  # the variables of its ring; RING_CAPS names the cap
-    params: tuple  # () or ("m", "i")
     sides: tuple  # (label, side, source id) per compared side, in report order
-    family: Family | None = None  # the Schmidt-weight family of an s-graded row
+    family: Family | None = None  # an s-graded row's; it takes (m, i) when this fixes nothing
 
 
 _Q_T1_T2 = ("q", "t1", "t2")
@@ -122,24 +123,23 @@ def _own(identity, *sides):
 
 
 IDENTITY_TABLE = {
-    "ak_trivariate": SeriesIdentity(_Q_T1_T2, (), _own("ak_trivariate", "sum", "product", "enum")),
-    "overpartition": SeriesIdentity(_Q_T1_T2, (), _own("overpartition", "sum", "product", "enum")),
+    "ak_trivariate": SeriesIdentity(_Q_T1_T2, _own("ak_trivariate", "sum", "product", "enum")),
+    "overpartition": SeriesIdentity(_Q_T1_T2, _own("overpartition", "sum", "product", "enum")),
     # cor22 is the overpartition series read off bounded-repetition partitions.
     "cor22": SeriesIdentity(
         _Q_T1_T2,
-        (),
         (("enum", "enum", "cor22"), ("enum_overpartition", "enum", "overpartition"))
         + _own("overpartition", "sum", "product"),
     ),
     # mork_* is class D at m = 2, weighted by the odd or the even index sum.
     "mork_odd": SeriesIdentity(
-        _Q_S, (), _own("mork_odd", "product", "enum"), Family("D", (2, (1,)))
+        _Q_S, _own("mork_odd", "product", "enum"), Family("D", (2, (1,)))
     ),
     "mork_even": SeriesIdentity(
-        _Q_S, (), _own("mork_even", "product", "enum"), Family("D", (2, (2,)))
+        _Q_S, _own("mork_even", "product", "enum"), Family("D", (2, (2,)))
     ),
-    "psi_all": SeriesIdentity(_Q_S, ("m", "i"), _own("psi_all", "product", "enum"), Family("P")),
-    "psi_dm": SeriesIdentity(_Q_S, ("m", "i"), _own("psi_dm", "product", "enum"), Family("D")),
+    "psi_all": SeriesIdentity(_Q_S, _own("psi_all", "product", "enum"), Family("P")),
+    "psi_dm": SeriesIdentity(_Q_S, _own("psi_dm", "product", "enum"), Family("D")),
 }
 
 SERIES_IDENTITIES = tuple(IDENTITY_TABLE)
@@ -360,31 +360,35 @@ def sum_side(identity, qcap, *, m=None, i=None):
 # product sides
 
 
+def _check_fixed(family, m, s, what):
+    # Refuse any m or s (None when not given) but the family's own; s reads as a set of ints.
+    fixed_m, fixed_s = family.fixed
+    if m is not None:
+        _check_modulus(m)
+    if m not in (None, fixed_m) or s is not None and set(map(index, s)) != set(fixed_s):
+        raise ValueError(f"this {what} is specific to modulus {fixed_m}, residues {set(fixed_s)}")
+
+
 def _checked(identity, m, i, **caps):
     # (entry, its ring's cap if caps are given, report params, m, S) of one series
-    # identity; S, an s-graded row's sorted residues, is a block 1..i as a range.
+    # identity; S is an s-graded row's sorted residues, a given block 1..i as a range.
     entry = IDENTITY_TABLE.get(identity)
     if entry is None:
         raise ValueError(f"unknown identity {identity!r}")
-    residues = None
-    if entry.params:
+    family, params, residues = entry.family, {}, None
+    if family and family.fixed:
+        # A fixed row may be given its own modulus, and an i whose block 1..i is its S.
+        if i is not None and not isinstance(i, int):
+            raise ValueError(f"residue block length must be an integer, got {i!r}")
+        _check_fixed(family, m, None if i is None else range(1, i + 1), "identity")
+        m, residues = family.fixed
+    elif family:
         _check_modulus(m)
         if not isinstance(i, int) or not 1 <= i <= m:
             raise ValueError(f"residue block length must lie in 1..{m}, got {i!r}")
-        residues = range(1, i + 1)
-    elif entry.family:
-        # A fixed row may be given its modulus and i = 1, as ints; no others.
-        fixed_m, residues = entry.family.fixed
-        if m is not None:
-            _check_modulus(m)
-        if i is not None and not isinstance(i, int):
-            raise ValueError(f"residue block length must be an integer, got {i!r}")
-        if m not in (None, fixed_m) or i not in (None, 1):
-            raise ValueError(f"this identity is specific to modulus {fixed_m}, residues {{1}}")
-        m = fixed_m
+        params, residues = {"m": m, "i": i}, range(1, i + 1)
     elif m is not None or i is not None:
         raise ValueError("this identity takes no modulus or residues")
-    params = dict(zip(entry.params, (m, i)))
     name = RING_CAPS[entry.ring]
     for other, value in caps.items():
         if other != name and value is not None:
@@ -557,13 +561,20 @@ def _t1_slice_closed_form(ctx, J):
 # the verifiers
 
 
+def _side_builder(identity, label):
+    # The builders are read when this runs, so wrappers installed on this module apply.
+    for name, kind, source in IDENTITY_TABLE[identity].sides:
+        if name == label:
+            build = {"sum": sum_side, "product": product_side, "enum": enum_side}[kind]
+            return partial(build, source)
+    raise ValueError(f"{identity} has no {label} side")
+
+
 def verify_identity(identity, *, qcap=None, scap=None, m=None, i=None):
     """Build every compared side of one identity and compare each with the first."""
     entry, cap, params, _, _ = _checked(identity, m, i, qcap=qcap, scap=scap)
     kwargs = {RING_CAPS[entry.ring]: cap, **params}
-    # Read when the verifier runs, so wrappers installed on this module apply.
-    build = {"sum": sum_side, "product": product_side, "enum": enum_side}
-    sides = [(label, build[side](source, **kwargs)) for label, side, source in entry.sides]
+    sides = [(label, _side_builder(identity, label)(**kwargs)) for label, _, _ in entry.sides]
     return _compare_sides(identity, params, dict.fromkeys(entry.ring, cap), sides)
 
 
@@ -577,12 +588,7 @@ def _counting_buckets(theorem, n, m, s):
     if family is None:
         raise ValueError(f"unknown counting theorem {theorem!r}")
     if family.fixed:
-        # The fixed modulus 2, residues {1}, may be given, the residues
-        # however spelled.
-        if m is not None:
-            _check_modulus(m)
-        if m not in (None, 2) or (s is not None and normalize_residue_set(2, s) != (1,)):
-            raise ValueError("this count is specific to modulus 2, residues {1}")
+        _check_fixed(family, m, s, "count")
         m, residues = family.fixed
     elif s is None:
         raise ValueError("a residue set is required here")

@@ -110,6 +110,126 @@ MUTANTS = (
         "if False:",
         ("tests/test_colored.py::test_colored_bucket_merge_refuses_keys_that_collide",),
     ),
+    Mutant(
+        "coin-table-once-flipped",
+        "src/schmidtq/colored.py",
+        "range(n, a - 1, -1) if once else range(a, n + 1)",
+        "range(a, n + 1) if once else range(n, a - 1, -1)",
+        ("tests/test_acceptance.py::test_criterion_01_overpartition_three_way_q16",),
+    ),
+    Mutant(
+        "pack-columns-sign-check",
+        "src/schmidtq/series.py",
+        "min(column) < 0",
+        "min(column) < -1",
+        ("tests/test_series.py::test_column_constructor_checks_as_the_dict_path",),
+    ),
+    Mutant(
+        "pack-columns-cap-check",
+        "src/schmidtq/series.py",
+        "max(column) > cap",
+        "max(column) > cap + 1",
+        ("tests/test_series.py::test_column_constructor_checks_as_the_dict_path",),
+    ),
+    Mutant(
+        "decompose-keeps-one-more-low",
+        "src/schmidtq/bijections.py",
+        "low += repeat(part, run % m)",
+        "low += repeat(part, run % m + 1)",
+        ("tests/test_bijections.py::test_decompose_examples",),
+    ),
+    Mutant(
+        "class-f-without-last-gap",
+        "src/schmidtq/partitions.py",
+        "map(sub, t, (*t[1:], 0))",
+        "map(sub, t, t[1:])",
+        ("tests/test_oracles.py::test_in_class_matches_grouped_runs",),
+    ),
+    Mutant(
+        "hook-sum-slice-past-cap",
+        "src/schmidtq/identities.py",
+        "coeffs[: qcap - e + 1]",
+        "coeffs[: qcap - e + 2]",
+        ("tests/test_oracles.py::test_hook_sums_step_only_in_cap_keys",),
+    ),
+    Mutant(
+        "hook-sum-step-guard-dropped",
+        "src/schmidtq/identities.py",
+        "        if r <= qcap:\n",
+        "        if True:\n",
+        ("tests/test_oracles.py::test_hook_sums_step_only_in_cap_keys",),
+    ),
+    Mutant(
+        "compare-sides-skips-the-last",
+        "src/schmidtq/identities.py",
+        "for name_b, b in sides[1:]:",
+        "for name_b, b in sides[1:-1]:",
+        ("tests/test_identities.py::test_failing_reports_pin_sides_params_and_caps",),
+    ),
+    Mutant(
+        "class-d-walk-allows-m-copies",
+        "src/schmidtq/partitions.py",
+        "most=m - 1)",
+        "most=m)",
+        ("tests/test_oracles.py::test_class_d_stream_matches_the_multiplicity_rule",),
+    ),
+    # Dropping the guard would loop without end on a negative key, so the
+    # record moves its bound onto the valid key 0 instead.
+    Mutant(
+        "split-bucket-refuses-key-zero",
+        "src/schmidtq/partitions.py",
+        "if key < 0:",
+        "if key <= 0:",
+        ("tests/test_partitions.py::test_split_bucket_rejects_a_negative_key",),
+    ),
+    Mutant(
+        "glaisher-row-floor-for-mod",
+        "src/schmidtq/bijections.py",
+        "row += count % m",
+        "row += count // m",
+        ("tests/test_bijections.py::test_glaisher_examples",),
+    ),
+    Mutant(
+        "add-copies-the-smaller-operand",
+        "src/schmidtq/series.py",
+        "if len(a) < len(b):",
+        "if len(a) > len(b):",
+        ("tests/test_series.py::test_a_sum_walks_only_the_smaller_operand",),
+    ),
+    Mutant(
+        "fixed-row-residues-not-read-as-ints",
+        "src/schmidtq/identities.py",
+        "set(map(index, s))",
+        "set(s)",
+        (
+            "tests/test_identities.py::"
+            "test_fixed_counting_rows_take_their_own_modulus_and_residues_as_a_set",
+        ),
+    ),
+    Mutant(
+        "fixed-row-residues-ordered",
+        "src/schmidtq/identities.py",
+        "set(map(index, s)) != set(fixed_s)",
+        "tuple(map(index, s)) != tuple(fixed_s)",
+        ("tests/test_cli.py::test_fixed_rows_take_their_own_modulus_and_residues_as_a_set",),
+    ),
+    Mutant(
+        "fixed-row-modulus-unchecked",
+        "src/schmidtq/identities.py",
+        "if m not in (None, fixed_m) or s is not None",
+        "if s is not None",
+        ("tests/test_identities.py::test_rows_refuse_a_modulus_or_block_they_do_not_take",),
+    ),
+    Mutant(
+        "side-lookup-ignores-its-label",
+        "src/schmidtq/identities.py",
+        "        if name == label:\n",
+        "        if True:\n",
+        (
+            "tests/test_identities.py::test_failing_reports_pin_sides_params_and_caps",
+            "tests/test_cli.py::test_coeff_takes_every_report_label",
+        ),
+    ),
 )
 
 

@@ -381,9 +381,13 @@ def test_verify_usage_errors(capsys):
     ],
 )
 def test_rows_refuse_a_modulus_or_block_they_do_not_take(capsys, argv):
+    # A fixed row names its own residues: mork_even's S is {2}.
+    own = {"mork_odd": "specific to modulus 2, residues {1}",
+           "mork_even": "specific to modulus 2, residues {2}"}
+    ident = argv[argv.index("--identity") + 1] if "--identity" in argv else argv[1]
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "specific to modulus 2, residues {1}" in err or "takes no modulus or residues" in err
+    assert own.get(ident, "takes no modulus or residues") in err
 
 
 @pytest.mark.parametrize(
@@ -444,6 +448,36 @@ def test_mork_rows_take_their_own_modulus_and_block(capsys):
     for extra in (("--m", "2"), ("--s", "1"), ("--m", "2", "--s", "1,1")):
         argv = ("witness", "--identity", "mork_odd", "--mono", "q=3,s=5", *extra)
         assert _run(capsys, *argv) == plain
+
+
+FIXED_ROWS = [
+    (("verify", "mork_odd", "--s-cap", "8"), "1", "2"),
+    (("verify", "mork_even", "--s-cap", "8"), "2", "1"),
+    (("witness", "--identity", "mork_even", "--mono", "q=3,s=8"), "2", "1"),
+    (("coeff", "--identity", "mork_even", "--side", "product", "--mono", "q=3,s=8"), "2", "1"),
+    (("verify", "schmidt", "--n", "6"), "1", "2"),
+    (("verify", "uncu", "--n", "6"), "1", "2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, own, other",
+    FIXED_ROWS,
+    ids=["-".join(a for a in argv[:3] if a[0] != "-") for argv, _, _ in FIXED_ROWS],
+)
+def test_fixed_rows_take_their_own_modulus_and_residues_as_a_set(capsys, argv, own, other):
+    # A row that fixes (2, {r}) may be given m = 2 and S = {r}, however
+    # spelled, and prints what it prints with neither; anything else exits 2
+    # naming the row's own residues.
+    plain = _run(capsys, *argv)
+    assert plain[0] == 0 and plain[1]
+    for extra in (("--m", "2"), ("--s", own), ("--s", f"{own},{own}"), ("--m", "2", "--s", own)):
+        assert _run(capsys, *argv, *extra) == plain, extra
+    for extra in (("--m", "3"), ("--s", other), ("--s", "1,2"), ("--m", "3", "--s", own),
+                  ("--m", "2", "--s", f"{own},{other}")):
+        code, out, err = _run(capsys, *argv, *extra)
+        assert (code, out) == (2, ""), extra
+        assert f"is specific to modulus 2, residues {{{own}}}\n" in err, extra
 
 
 def test_verify_odd_index_counts_accept_repeated_residues(capsys):

@@ -1,6 +1,7 @@
 """Series identities, counting theorems, reports, and witness extraction."""
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -253,7 +254,7 @@ def test_bounded_class_product_is_a_factor_of_the_full_one():
 def residue_set_row(monkeypatch, cls, m, s):
     """The name of an s-graded row fixing (m, s), put in the table for one test."""
     name = f"set_{cls}_{m}_{'_'.join(map(str, s))}"
-    row = SeriesIdentity(("q", "s"), (), (), Family(cls, (m, s)))
+    row = SeriesIdentity(("q", "s"), (), Family(cls, (m, s)))
     monkeypatch.setitem(IDENTITY_TABLE, name, row)
     return name
 
@@ -339,13 +340,15 @@ def test_identity_argument_errors():
 
 
 def test_rows_refuse_a_modulus_or_block_they_do_not_take():
-    # A mork row fixes m = 2, i = 1 and may be given them; a q-graded row
-    # takes neither.  Every builder refuses alike.
-    fixed = "this identity is specific to modulus 2, residues {1}"
-    for identity in ("mork_odd", "mork_even"):
-        for m, i in ((None, None), (2, None), (None, 1), (2, 1)):
+    # A mork row fixes m = 2 and S, and may be given m and a block 1..i that
+    # is its S: i = 1 for mork_odd's {1}, none for mork_even's {2}.  A
+    # q-graded row takes neither.  Every builder refuses alike.
+    refused = [(3, 2), (5, None), (None, 2), (2, 2), (3, 1)]
+    for identity, own, blocks in (("mork_odd", 1, (None, 1)), ("mork_even", 2, (None,))):
+        fixed = re.escape(f"this identity is specific to modulus 2, residues {{{own}}}")
+        for m, i in [(m, i) for m in (None, 2) for i in blocks]:
             assert verify_identity(identity, scap=6, m=m, i=i).passed
-        for m, i in ((3, 2), (5, None), (None, 2), (2, 2), (3, 1)):
+        for m, i in refused + [(m, 1) for m in (None, 2) if 1 not in blocks]:
             for build in (verify_identity, product_side, enum_side):
                 with pytest.raises(ValueError, match=fixed):
                     build(identity, scap=6, m=m, i=i)
@@ -376,7 +379,25 @@ def test_fixed_rows_refuse_a_float_modulus():
 def test_fixed_rows_refuse_a_float_block():
     with pytest.raises(ValueError, match="residue block length must be an integer, got 1.0"):
         witnesses("mork_even", {"q": 1, "s": 3}, i=1.0)
-    assert witnesses("mork_even", {"q": 1, "s": 3}, i=1) == witnesses("mork_even", {"q": 1, "s": 3})
+    assert witnesses("mork_odd", {"q": 1, "s": 3}, i=1) == witnesses("mork_odd", {"q": 1, "s": 3})
+
+
+def test_fixed_counting_rows_take_their_own_modulus_and_residues_as_a_set():
+    # schmidt and uncu fix m = 2, S = {1}: the residues are read as a set of
+    # ints, and anything else is refused naming {1}.
+    fixed = re.escape("this count is specific to modulus 2, residues {1}")
+    for theorem in ("schmidt", "uncu"):
+        plain = verify_counting(theorem, n=6)
+        for m, s in ((2, None), (None, (1,)), (None, [1, 1]), (2, {1})):
+            assert verify_counting(theorem, n=6, m=m, s=s) == plain, (m, s)
+        for m, s in ((3, None), (None, (2,)), (None, (1, 2)), (None, ()), (3, (1,))):
+            with pytest.raises(ValueError, match=fixed):
+                verify_counting(theorem, n=6, m=m, s=s)
+        with pytest.raises(TypeError):
+            verify_counting(theorem, n=6, s=(1.0,))
+    # mork_even's S = {2} is no block 1..i, while mork_odd's {1} is i = 1.
+    with pytest.raises(ValueError, match=re.escape("modulus 2, residues {2}")):
+        witnesses("mork_even", {"q": 1, "s": 3}, i=1)
 
 
 def test_rows_refuse_the_other_rings_cap():

@@ -1979,7 +1979,8 @@ def test_product_sides_match_per_family_steps_at_benchmark_caps(identity):
     # family.  The caps are those of the series_sides benchmark.
     entry = identities.IDENTITY_TABLE[identity]
     name = identities.RING_CAPS[entry.ring]
-    params = dict(zip(entry.params, (3, 2)))
+    # A row takes (m, i) exactly when its family fixes nothing.
+    params = {"m": 3, "i": 2} if entry.family and not entry.family.fixed else {}
     for cap in {"qcap": (16, 20, 24), "scap": (30, 35, 40)}[name]:
         caps = {name: cap, **params}
         want = product_side_by_families(by_steps, identity, **caps)
@@ -2967,23 +2968,29 @@ def test_bijections_match_replaced_maps_past_the_grid(data, lam, kept, banked):
 FAMILY_PARAMS = [
     (identity, m, i)
     for identity in ("mork_odd", "mork_even", "psi_all", "psi_dm")
-    # A mork row fixes m = 2, i = 1 and may be given them; it refuses others.
+    # A mork row fixes m = 2 and may be given it, and mork_odd its S = {1} as i = 1.
     for m, i in (
         [(None, None), (2, 1)] if identity.startswith("mork") else DECK_MODULI + ((3, 3), (4, 4))
     )
 ]
 
 
+def given_block(identity, i):
+    """The i a FAMILY_PARAMS case hands over: mork_even's S = {2} is no block 1..i."""
+    return None if identity == "mork_even" else i
+
+
 @pytest.mark.parametrize(
     "identity, m, i", FAMILY_PARAMS, ids=[f"{x}-m{m}-i{i}" for x, m, i in FAMILY_PARAMS]
 )
 def test_s_graded_sides_match_the_named_branches(identity, m, i):
+    block = given_block(identity, i)
     for scap in range(31):
-        assert product_side(identity, scap=scap, m=m, i=i) == named_product_side(
+        assert product_side(identity, scap=scap, m=m, i=block) == named_product_side(
             identity, scap, m, i
         ), scap
         want = named_enum_side(identity, scap, m, i)
-        assert enum_side(identity, scap=scap, m=m, i=i) == want, scap
+        assert enum_side(identity, scap=scap, m=m, i=block) == want, scap
 
 
 @pytest.mark.parametrize(
@@ -2992,7 +2999,7 @@ def test_s_graded_sides_match_the_named_branches(identity, m, i):
 def test_s_graded_witnesses_match_the_named_branches(identity, m, i):
     for s in range(15):
         for q in range(s + 2):
-            got = witnesses(identity, {"q": q, "s": s}, m=m, i=i)
+            got = witnesses(identity, {"q": q, "s": s}, m=m, i=given_block(identity, i))
             assert got == named_witnesses(identity, q, s, m, i), (s, q)
 
 

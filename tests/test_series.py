@@ -8,6 +8,7 @@ numbers by dense convolution and by enumeration.
 
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +313,23 @@ def test_a_series_plus_its_negation_is_empty():
     for a in (EDGE_A, EDGE.one(), EDGE.zero()):
         assert (a + (-a))._terms == {} and (-a + a)._terms == {}
         assert not (a - a)
+
+
+def test_a_sum_walks_only_the_smaller_operand():
+    # A sum copies the larger operand and looks up only the smaller one's
+    # keys, so one term added to a long series is one lookup either way.
+    ctx = SeriesContext(("q",), (2000,))
+    long = Series(ctx, {(e,): 1 for e in range(2001)})
+    one = Series(ctx, {(3,): 5})
+    for a, b in ((long, one), (one, long)):
+        calls = []
+        sys.setprofile(lambda frame, event, arg: event == "c_call" and calls.append(arg.__name__))
+        try:
+            total = a + b
+        finally:
+            sys.setprofile(None)
+        assert calls.count("get") == 1
+        assert total.coefficient(ctx.monomial(q=3)) == 6 and len(total) == 2001
 
 
 def test_coefficient_access():

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import schmidtq
-from schmidtq.identities import IDENTITY_TABLE, SERIES_IDENTITIES
+from schmidtq.identities import IDENTITY_TABLE, SERIES_IDENTITIES, SeriesIdentity
 
 from mutants import MUTANTS, ROOT
 
@@ -117,6 +117,18 @@ def test_cli_spells_no_series_identity():
         if isinstance(node, ast.Constant) and node.value in SERIES_IDENTITIES
     ]
     assert found == []
+
+
+def test_one_rule_decides_a_rows_modulus_and_residues():
+    # A row's Family alone says what (m, S) it takes; one function checks a
+    # fixed row's given (m, S) and raises the one refusal that names it, and
+    # the CLI reaches every side through identities' lookup by label.
+    assert SeriesIdentity._fields == ("ring", "sides", "family")
+    cli_names = {name for _, name in named("cli.py")}
+    assert cli_names & {"sum_side", "product_side", "enum_side"} == set()
+    text = "".join(path.read_text() for path in SOURCE.glob("*.py"))
+    assert text.count("is specific to modulus") == 1
+    assert "residues {1}" not in text
 
 
 def test_identities_names_s_graded_ids_only_in_the_table():
