@@ -7,16 +7,27 @@ is 0 once ``k`` runs past the last part, which keeps the alternating-sum
 and residue-class statistics below free of edge cases.
 
 The Schmidt-side tables count without walking partitions, in one private
-pass over the part sizes from the cap down to 1 on packed-int states.  A
-table gives the pass its state layout and the steps of the groups of one
-size from each residue; class P adds the blocks of m copies by one
-division step per size.
+pass over the part sizes from the cap down to 1 that counts in place.  It
+keeps one layer per value of a capped field (the weight, or the size) and
+in each layer one cell per residue of the next index: a dict from the
+state's other fields, one packed int, to a count.  For each size it reads
+every cell once, layers from the top down and in each layer residue 0
+first, then m - 1 down to 1, and a cell adds its states to later cells
+by one constant step per group of that size.  The order is exact because
+a group gains, or moves the residue up toward m without wrapping: every
+weight-capped table counts index 1, whose residue is 0, and every group
+of the sized table gains size.  So no state takes two groups of one
+size.  Class P then adds the blocks of m copies by one sweep up the
+layers.  A table gives the pass only its layout and its groups.  The
+pass shares no counting loop with the colored side and must not use
+``colored._coin_table``: the two sides of a counting theorem are counted
+apart, so a fault in one cannot cancel out.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, groupby, repeat, starmap
+from itertools import accumulate, chain, compress, groupby, repeat, starmap
 from operator import add, eq, floordiv, index, lt, mod, sub
 
 __all__ = [
@@ -474,103 +485,122 @@ def _schmidt_params(m, s, cls):
     return residues, [r + 1 in residues for r in range(m)]
 
 
-def _part_size_pass(states, cap, limit, m, steps, *, block=0, first=()):
-    # The one dynamic program behind the Schmidt-side tables.  For each part
-    # size a = cap .. 1, every old state takes the groups of a that
-    # steps(a, r) lists for r = key % m, the residue of its next index, their
-    # top-field gains growing, up to the first that reaches limit.  steps is
-    # called only for the residues met, so a huge m costs no m^2 work.  The
-    # empty partition, if kept out of states, takes a * g + d for (g, d) in
-    # first.  A nonzero block, m copies of a part 1, then divides by
-    # 1 - x^(a * block) chain by chain, as the series division step does.
+def _part_size_pass(cells, m, steps, *, block=None, first=None):
+    # The one dynamic program behind the Schmidt-side tables; the module
+    # docstring says why its read order is exact.  Layer t, residue r is
+    # cells[t * m + r], a dict from a state's other fields, one packed int,
+    # to its count.  steps(r) lists the groups from residue r as (g, next
+    # residue, e, f), gains g growing: the group of parts of size a adds
+    # a * g to t and a * e + f to the other fields.  It is asked once for
+    # each residue met, and groups[r] keeps its answer as (g * m, next
+    # residue - r, e, f), so a group moves a state a * g * m + next residue
+    # - r cells on.  The empty partition, if kept out of the cells, is read
+    # last from cell 0 with the groups that first lists.  A block (g, d), m
+    # copies of a part 1, adds a * g to t and a * d to the other fields.
+    limit = len(cells)
+    cap = limit // m - 1
+    order = (0, *range(m - 1, 0, -1))
+    reads = [(cells[t * m + r], t * m + r, r) for t in range(cap, -1, -1) for r in order]
+    groups = [()] * (m + 1)
+
+    def fill(r):
+        row = groups[r] = [(g * m, next_r - r, e, f) for g, next_r, e, f in steps(r)]
+        return row
+
+    if first:
+        reads.append(({0: 1}, 0, m))
+        groups[m] = [(g * m, next_r, e, f) for g, next_r, e, f in first]
+    read_cells = [src for src, _, _ in reads]
     for a in range(cap, 0, -1):
-        rows = {r: steps(a, r) for r in {key % m for key in states}}
-        out = states.copy()
-        for key, count in states.items():
-            for step in rows[key % m]:
-                target = key + step
-                if target >= limit:
+        # compress skips each empty cell as the loop reaches it.
+        for src, i, r in compress(reads, read_cells):
+            for g, d, e, f in groups[r] or fill(r):
+                j = i + a * g + d
+                if j >= limit:
                     break
-                out[target] = out.get(target, 0) + count
-        for g, d in first:
-            target = a * g + d
-            if target >= limit:
-                break
-            out[target] = out.get(target, 0) + 1
+                dst = cells[j]
+                change = a * e + f
+                for key, count in src.items():
+                    key += change
+                    dst[key] = dst.get(key, 0) + count
         if block:
-            step = a * block
-            pending, out = out, {}
-            for key in sorted(pending):
-                if key not in pending:
-                    continue
-                acc = 0
-                while key < limit:
-                    acc += pending.pop(key, 0)
-                    out[key] = acc
-                    key += step
-        states = out
-    return states
+            change = a * block[1]
+            # t ascending: compress reads each source as the sweep reaches
+            # it, after the blocks it took below.
+            for src, dst in compress(zip(cells, cells[a * block[0] * m :]), cells):
+                for key, count in src.items():
+                    key += change
+                    dst[key] = dst.get(key, 0) + count
+    return cells
 
 
-def _sum_over_residue(states, m, seed=()):
-    # The counts of the states summed over their lowest field, the residue
-    # mod m, into a plain dict that starts from the pairs of seed; a
-    # Counter's += would call its Python __missing__ for every new key.
-    # The tables read their fields off its keys a column at a time.
-    packed = dict(seed)
-    get = packed.get
-    for key, count in states.items():
-        packed[key // m] = get(key // m, 0) + count
-    return packed
+def _cells(cap, m, *, empty=True):
+    # The empty cells of layers 0 .. cap, with the empty partition in layer
+    # 0 at residue 0 unless it is kept out.
+    cells = [{} for _ in range((cap + 1) * m)]
+    if empty:
+        cells[0][0] = 1
+    return cells
+
+
+def _columns(cells, m):
+    # The counts summed over the residue: the capped field, the other
+    # fields and the counts, as three lists, layer by layer.
+    top, fields, counts = [], [], []
+    for i in range(0, len(cells), m):
+        acc = {}
+        get = acc.get
+        for part in cells[i : i + m]:
+            for key, count in part.items():
+                acc[key] = get(key, 0) + count
+        top += repeat(i // m, len(acc))
+        fields += acc
+        counts += acc.values()
+    return top, fields, counts
 
 
 def _cor22_counts(qcap):
     # Every partition with odd-index weight at most qcap and every
     # multiplicity below 4, counted by (weight, repeated sizes, alternating
-    # sum): those three columns of ints and the list of counts.  A
-    # group of c copies of a sits on (c + odd) // 2 odd indices: each adds a
-    # to the weight and to the alternating sum, each even index subtracts a
-    # from the latter, and c > 1 makes the size repeated.  A state is one int
-    # (((weight * base + repeated) * base + alt) * 2 + odd), odd saying
-    # whether the next index is odd.  As index 1 is odd, each field stays in
-    # 0..qcap, so a signed step never borrows; weight is the top field.
+    # sum): those three columns of ints and the list of counts.  A group of
+    # c copies of a from residue r (0 when the next index is odd) sits on
+    # (c + 1 - r) // 2 odd indices: each adds a to the weight and to the
+    # alternating sum, each even index subtracts a from the latter, and
+    # c > 1 makes the size repeated.  The weight is the capped field and
+    # repeated * base + alt the other; as index 1 is odd, each field stays
+    # in 0..qcap, so a signed change never borrows.
     base = qcap + 1
-    unit = base * base * 2
 
-    def steps(a, odd):
+    def steps(r):
         return [
-            a * ((c + odd) // 2 * unit + (2 * ((c + odd) // 2) - c) * 2)
-            + (c > 1) * base * 2 + (odd ^ (c & 1)) - odd
-            for c in (1, 2, 3)
+            (odd, r ^ (c & 1), 2 * odd - c, (c > 1) * base)
+            for c, odd in ((1, 1 - r), (2, 1), (3, 2 - r))
         ]
 
-    packed = _sum_over_residue(_part_size_pass({1: 1}, qcap, base * unit, 2, steps), 2)
-    keys = packed.keys()
-    weight = list(map(floordiv, keys, repeat(base * base)))
-    repeated = list(map(mod, map(floordiv, keys, repeat(base)), repeat(base)))
-    alt = list(map(mod, keys, repeat(base)))
-    return [weight, repeated, alt], list(packed.values())
+    weight, packed, counts = _columns(_part_size_pass(_cells(qcap, 2), 2, steps), 2)
+    repeated = list(map(floordiv, packed, repeat(base)))
+    alt = list(map(mod, packed, repeat(base)))
+    return [weight, repeated, alt], counts
 
 
-def _schmidt_states(counted, cls, cap, *, sized):
-    # The pass's states for the class-P/D partitions with parts at most
-    # cap: ((size * (cap + 1) + weight) * m + r) when sized, else
-    # (weight * m + r); the weight never exceeds the size.  before[j] counts
-    # the counted 0-based indices below j over two periods, so c < m copies
-    # from residue r sit on before[r + c] - before[r] of them.
+def _schmidt_cells(counted, cls, cap, *, sized):
+    # The pass's cells for the class-P/D partitions with parts at most cap:
+    # the size capped and the weight the other field when sized, else the
+    # weight capped and no other field; the weight never exceeds the size.
+    # before[j] counts the counted 0-based indices below j over two periods,
+    # so c < m copies from residue r sit on before[r + c] - before[r] of
+    # them.
     m = len(counted)
     before = list(accumulate(counted * 2, initial=0))
-    unit = (cap + 1) * m if sized else 0
 
-    def steps(a, r):
-        most = min(m - 1, cap // a) if sized else m - 1
-        return [
-            a * (c * unit + (before[r + c] - before[r]) * m) + (r + c) % m - r
-            for c in range(1, most + 1)
-        ]
+    def steps(r):
+        gains = [before[r + c] - before[r] for c in range(1, m)]
+        if sized:
+            return [(c, (r + c) % m, gain, 0) for c, gain in enumerate(gains, 1)]
+        return [(gain, (r + c) % m, 0, 0) for c, gain in enumerate(gains, 1)]
 
-    block = m * unit + sum(counted) * m if cls == "P" else 0
-    return _part_size_pass({0: 1}, cap, (cap + 1) * (unit or m), m, steps, block=block)
+    block = ((m, sum(counted)) if sized else (sum(counted), 0)) if cls == "P" else None
+    return _part_size_pass(_cells(cap, m), m, steps, block=block)
 
 
 def schmidt_weight_table(m, s, cls, *, cap):
@@ -599,18 +629,15 @@ def _schmidt_weight_columns(m, s, cls, cap):
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     counted = [r in s for r in range(1, min(m, cap + 1) + 1)]
-    packed = _sum_over_residue(_schmidt_states(counted, cls, cap, sized=True), len(counted))
-    keys = packed.keys()
-    weight = list(map(mod, keys, repeat(cap + 1)))
-    size = list(map(floordiv, keys, repeat(cap + 1)))
-    return [weight, size], list(packed.values())
+    size, weight, counts = _columns(_schmidt_cells(counted, cls, cap, sized=True), len(counted))
+    return [weight, size], counts
 
 
 def _schmidt_weight_total(n, m, s, cls):
     # How many partitions of the class have Schmidt weight n, from the
     # pass with the weight as its only field.
-    states = _schmidt_states(_schmidt_params(m, s, cls)[1], cls, n, sized=False)
-    return sum(states.get(n * m + r, 0) for r in range(m))
+    cells = _schmidt_cells(_schmidt_params(m, s, cls)[1], cls, n, sized=False)
+    return sum(part.get(0, 0) for part in cells[n * m :])
 
 
 def residue_column_table(m, s, cls, *, qcap):
@@ -638,38 +665,33 @@ def _residue_columns(m, s, cls, qcap):
     residues, counted = _schmidt_params(m, s, cls)
     if qcap < 0:
         raise ValueError(f"cap must be nonnegative, got {qcap}")
-    # A state is one int ((weight * base**m + rho) * m + r), rho_j at digit
-    # j - 1 of rho.  Every prefix is a partition whose parts are at most
-    # qcap, as index 1 is counted, so each digit stays in 0..qcap and a
-    # signed step never borrows across fields.  Weight is the top field.
+    # The weight is the capped field and rho the other, rho_j at digit
+    # j - 1 in base qcap + 1.  Every prefix is a partition whose parts are
+    # at most qcap, as index 1 is counted, so each digit stays in 0..qcap
+    # and a signed change never borrows across digits.
     base = qcap + 1
-    unit = base**m * m
     before = list(accumulate(counted * 2, initial=0))
     # power[r]: rho at the residue of the index before residue r.
-    power = [base ** ((r - 1) % m) * m for r in range(m)]
+    power = [base ** ((r - 1) % m) for r in range(m)]
 
-    def steps(a, r):
+    def steps(r):
         # 0 < j < m copies of a; zero copies leave a state as it is.
         return [
-            a * ((before[r + j] - before[r]) * unit + power[(r + j) % m] - power[r])
-            + (r + j) % m - r
+            (before[r + j] - before[r], (r + j) % m, power[(r + j) % m] - power[r], 0)
             for j in range(1, m)
         ]
 
     # The first group subtracts nothing, as index 1 has no predecessor, so
-    # the empty partition is kept out of states and takes its runs of 1..m
-    # copies (up to m - 1 in class D) directly; blocks extend them.
-    first = [
-        (before[c] * unit + power[c % m], c % m) for c in range(1, m + 1 if cls == "P" else m)
-    ]
-    block = len(residues) * unit if cls == "P" else 0
-    states = _part_size_pass({}, qcap, base * unit, m, steps, block=block, first=first)
-    # The empty partition, kept out of the states, has every field 0.
-    packed = _sum_over_residue(states, m, {0: 1})
-    keys = packed.keys()
-    weight = list(map(floordiv, keys, repeat(base**m)))
-    rho = [list(map(mod, map(floordiv, keys, repeat(base**j)), repeat(base))) for j in range(m)]
-    return [weight, *rho], list(packed.values())
+    # the empty partition is kept out of the cells and takes its runs of
+    # 1..m copies (up to m - 1 in class D) directly; blocks extend them.
+    first = [(before[c], c % m, power[c % m], 0) for c in range(1, m + 1 if cls == "P" else m)]
+    block = (len(residues), 0) if cls == "P" else None
+    cells = _part_size_pass(_cells(qcap, m, empty=False), m, steps, block=block, first=first)
+    # The empty partition, kept out of the pass, has every field 0.
+    cells[0][0] = 1
+    weight, rho, counts = _columns(cells, m)
+    digits = [list(map(mod, map(floordiv, rho, repeat(base**j)), repeat(base))) for j in range(m)]
+    return [weight, *digits], counts
 
 
 # schmidt_bucket_counts keeps one list of keys for each state with at

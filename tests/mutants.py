@@ -90,6 +90,39 @@ MUTANTS = (
         ("tests/test_oracles.py::test_s_graded_sides_match_the_named_branches",),
     ),
     Mutant(
+        "pass-residue-order-reversed",
+        "src/schmidtq/partitions.py",
+        "order = (0, *range(m - 1, 0, -1))",
+        "order = (*range(1, m), 0)",
+        ("tests/test_oracles.py::test_schmidt_weight_totals_match_the_copying_pass[2]",),
+    ),
+    # Run t descending, each layer adds the one below it before that one
+    # took its own blocks, so a state takes one block of a at most.
+    Mutant(
+        "pass-block-sweep-descending",
+        "src/schmidtq/partitions.py",
+        "compress(zip(cells, cells[a * block[0] * m :]), cells)",
+        "compress(\n"
+        "                reversed(list(zip(cells, cells[a * block[0] * m :]))),\n"
+        "                reversed(cells[: limit - a * block[0] * m]),\n"
+        "            )",
+        ("tests/test_oracles.py::test_residue_columns_match_the_copying_pass[2]",),
+    ),
+    Mutant(
+        "pass-first-before-steps",
+        "src/schmidtq/partitions.py",
+        "reads.append(({0: 1}, 0, m))",
+        "reads.insert(0, ({0: 1}, 0, m))",
+        ("tests/test_oracles.py::test_residue_columns_match_the_copying_pass[2]",),
+    ),
+    Mutant(
+        "pass-layer-bound-off-by-one",
+        "src/schmidtq/partitions.py",
+        "cap = limit // m - 1",
+        "cap = limit // m - 2",
+        ("tests/test_oracles.py::test_cor22_counts_match_the_copying_pass",),
+    ),
+    Mutant(
         "class-p-reads-class-d-cut",
         "src/schmidtq/partitions.py",
         "_TAIL_WEIGHT[cls], {}, out, shape)",

@@ -22,7 +22,11 @@ equality, and enumerators must also keep their order.
 The s-graded enum sides, the ``cor22`` side and the ``schmidt``/``uncu``
 totals are filled in one pass over part sizes.  The per-size walk over
 multiplicity groups and the preorder walk of the ``cor22`` side that
-this replaced are kept below as well.
+this replaced are kept below as well.  The pass counts in place, one
+layer of residue cells per value of its capped field.  The pass it
+replaced, which copied every packed-int state once per part size and
+walked each class-P chain to add the blocks, is kept below with the four
+tables on it, and every table must equal it exactly.
 
 A series stores each exponent vector packed into one int and checks the
 caps with one add and one mask.  The tuple-keyed multiply and divide
@@ -124,7 +128,15 @@ its own, are kept below.
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, count, groupby, product, repeat
+from itertools import (
+    accumulate,
+    combinations,
+    combinations_with_replacement,
+    count,
+    groupby,
+    product,
+    repeat,
+)
 from math import comb
 from operator import add, index, itemgetter, le, sub
 
@@ -193,6 +205,7 @@ from schmidtq.partitions import (
     _cor22_counts,
     _digits,
     _expand,
+    _residue_columns,
     _schmidt_params,
     _schmidt_weight_columns,
     _schmidt_weight_total,
@@ -1578,6 +1591,139 @@ def group_at_a_time_residue_columns(m, s, cls, qcap):
     return out
 
 
+def copying_part_size_pass(states, cap, limit, m, steps, *, block=0, first=()):
+    """The part-size pass that copied every packed-int state once per part size.
+
+    For each a = cap .. 1 every old state, keyed by one int whose lowest
+    field is the residue mod m of its next index, takes the groups of a
+    that ``steps(a, r)`` lists as key steps, up to the first that reaches
+    ``limit``; the empty partition, if kept out, takes ``a * g + d`` for
+    ``(g, d)`` in ``first``; a nonzero block then divides by
+    ``1 - x^(a * block)`` chain by chain.
+    """
+    for a in range(cap, 0, -1):
+        rows = {r: steps(a, r) for r in {key % m for key in states}}
+        out = states.copy()
+        for key, count in states.items():
+            for step in rows[key % m]:
+                target = key + step
+                if target >= limit:
+                    break
+                out[target] = out.get(target, 0) + count
+        for g, d in first:
+            target = a * g + d
+            if target >= limit:
+                break
+            out[target] = out.get(target, 0) + 1
+        if block:
+            step = a * block
+            pending, out = out, {}
+            for key in sorted(pending):
+                if key not in pending:
+                    continue
+                acc = 0
+                while key < limit:
+                    acc += pending.pop(key, 0)
+                    out[key] = acc
+                    key += step
+        states = out
+    return states
+
+
+def copying_sum_over_residue(states, m, seed=()):
+    """The copying pass's states summed over their residue field."""
+    packed = Counter(dict(seed))
+    for key, count in states.items():
+        packed[key // m] += count
+    return packed
+
+
+def copying_cor22_counts(qcap):
+    """``_cor22_counts`` on the copying pass: state (((weight * base +
+    repeated) * base + alt) * 2 + odd), odd saying the next index is odd."""
+    base = qcap + 1
+    unit = base * base * 2
+
+    def steps(a, odd):
+        return [
+            a * ((c + odd) // 2 * unit + (2 * ((c + odd) // 2) - c) * 2)
+            + (c > 1) * base * 2
+            + (odd ^ (c & 1))
+            - odd
+            for c in (1, 2, 3)
+        ]
+
+    states = copying_part_size_pass({1: 1}, qcap, base * unit, 2, steps)
+    packed = copying_sum_over_residue(states, 2)
+    return Counter(
+        {(key // (base * base), key // base % base, key % base): c for key, c in packed.items()}
+    )
+
+
+def copying_schmidt_states(counted, cls, cap, *, sized):
+    """The copying pass's states for classes P and D: ((size * (cap + 1) +
+    weight) * m + r) when sized, else (weight * m + r)."""
+    m = len(counted)
+    before = list(accumulate(counted * 2, initial=0))
+    unit = (cap + 1) * m if sized else 0
+
+    def steps(a, r):
+        most = min(m - 1, cap // a) if sized else m - 1
+        return [
+            a * (c * unit + (before[r + c] - before[r]) * m) + (r + c) % m - r
+            for c in range(1, most + 1)
+        ]
+
+    block = m * unit + sum(counted) * m if cls == "P" else 0
+    return copying_part_size_pass({0: 1}, cap, (cap + 1) * (unit or m), m, steps, block=block)
+
+
+def copying_schmidt_weight_columns(m, s, cls, cap):
+    """``_schmidt_weight_columns`` on the copying pass, keyed by (weight, size)."""
+    counted = [r in s for r in range(1, min(m, cap + 1) + 1)]
+    packed = copying_sum_over_residue(
+        copying_schmidt_states(counted, cls, cap, sized=True), len(counted)
+    )
+    return Counter({(key % (cap + 1), key // (cap + 1)): c for key, c in packed.items()})
+
+
+def copying_schmidt_weight_total(n, m, s, cls):
+    """``_schmidt_weight_total`` on the copying pass."""
+    states = copying_schmidt_states(_schmidt_params(m, s, cls)[1], cls, n, sized=False)
+    return sum(states.get(n * m + r, 0) for r in range(m))
+
+
+def copying_residue_columns(m, s, cls, qcap):
+    """``_residue_columns`` on the copying pass, keyed by (weight, rho_1, ..., rho_m):
+    state ((weight * base**m + rho) * m + r), the empty partition kept out."""
+    residues, counted = _schmidt_params(m, s, cls)
+    base = qcap + 1
+    unit = base**m * m
+    before = list(accumulate(counted * 2, initial=0))
+    power = [base ** ((r - 1) % m) * m for r in range(m)]
+
+    def steps(a, r):
+        return [
+            a * ((before[r + j] - before[r]) * unit + power[(r + j) % m] - power[r])
+            + (r + j) % m
+            - r
+            for j in range(1, m)
+        ]
+
+    first = [
+        (before[c] * unit + power[c % m], c % m) for c in range(1, m + 1 if cls == "P" else m)
+    ]
+    block = len(residues) * unit if cls == "P" else 0
+    states = copying_part_size_pass({}, qcap, base * unit, m, steps, block=block, first=first)
+    packed = copying_sum_over_residue(states, m, {0: 1})
+    return Counter(
+        {
+            (key // base**m, *(key // base**j % base for j in range(m))): c
+            for key, c in packed.items()
+        }
+    )
+
+
 def sorting_series_mismatch(name_a, a, name_b, b):
     """The first mismatch from every term of both sides, unpacked, sorted and re-read."""
     if a == b:
@@ -2237,6 +2383,41 @@ def test_schmidt_weight_table_matches_group_walk_at_any_caps(data):
 def test_cor22_counts_match_preorder_walk():
     for qcap in range(23):
         assert keyed(*_cor22_counts(qcap)) == preorder_cor22_counts(qcap), qcap
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_residue_columns_match_the_copying_pass(m):
+    cases = [(s, cls, qcap) for s in residue_sets(m, True) for cls in "PD" for qcap in range(13)]
+    if m == 2:
+        cases += [((1,), "P", qcap) for qcap in range(13, 23)]
+    for s, cls, qcap in cases:
+        got = keyed(*_residue_columns(m, s, cls, qcap))
+        assert got == copying_residue_columns(m, s, cls, qcap), (s, cls, qcap)
+
+
+def test_cor22_counts_match_the_copying_pass():
+    for qcap in range(23):
+        assert keyed(*_cor22_counts(qcap)) == copying_cor22_counts(qcap), qcap
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 10**4])
+def test_schmidt_weight_columns_match_the_copying_pass(m):
+    if m == 10**4:
+        cases = [((1,), cls, 6) for cls in "PD"]
+    else:
+        cases = [(s, cls, cap) for s in every_residue_set(m) for cls in "PD" for cap in range(17)]
+    for s, cls, cap in cases:
+        got = keyed(*_schmidt_weight_columns(m, s, cls, cap))
+        assert got == copying_schmidt_weight_columns(m, s, cls, cap), (s, cls, cap)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_schmidt_weight_totals_match_the_copying_pass(m):
+    for s in residue_sets(m, True):
+        for cls in "PD":
+            for n in range(21):
+                want = copying_schmidt_weight_total(n, m, s, cls)
+                assert _schmidt_weight_total(n, m, s, cls) == want, (s, cls, n)
 
 
 @pytest.mark.parametrize("theorem, cls", [("schmidt", "D"), ("uncu", "P")])
