@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, product, repeat
-from operator import add, floordiv, index, mod, mul
+from operator import add, floordiv, index, mod
 
 from .partitions import normalize_residue_set, partition_groups
 
@@ -288,6 +288,21 @@ def _coin_table(n, parts):
     return table
 
 
+def _image_table(n, m, residues, top):
+    # The partitions nu of N into the sizes whose palette holds color m,
+    # keyed by the multiplicity of each size p at digit m - 2 + p in base
+    # n + 1; no multiplicity exceeds n, so no two nus share a key.
+    base = n + 1
+    return _coin_table(
+        n,
+        [
+            (p, base ** (m - 2 + p), False)
+            for p in range(1, n + 1)
+            if _palette(p, residues, top)[1] > m
+        ],
+    )
+
+
 def colored_bucket_counts(n, m, s, top):
     """How many colored partitions of ``n`` fall in each packed bucket.
 
@@ -307,29 +322,26 @@ def colored_bucket_counts(n, m, s, top):
         lo, hi = _palette(a, residues, top)
         parts += [(a, base ** (color - 1), False) for color in range(lo, min(hi, m))]
     table = _coin_table(n, parts)
-    images = _coin_table(
-        n,
-        [
-            (p, base ** (m - 2 + p), False)
-            for p in range(1, n + 1)
-            if _palette(p, residues, top)[1] > m
-        ],
-    )
     # Each key arrives once: u fills digits 0 .. m-2 and nu the digits
     # above, and nu's digits fix its size, so no two (u, nu) pairs share a
     # key.  So each key of the shorter row writes its sums with the whole
     # longer row in one dict.update, with no sum and no Counter.__missing__
     # per key; the pair count guards that.  The shorter row is nus at
     # small sizes, and the one empty nu of ak_main (palette ceiling m).
+    # A nu's key is its multiplicities, so each nu counts 1 and a pair
+    # carries the count of its u.
     out = Counter()
     pairs = 0
-    for size, nus in enumerate(images):
+    for size, nus in enumerate(_image_table(n, m, residues, top)):
         rest = table[n - size]
         pairs += len(nus) * len(rest)
-        outer, inner = (nus, rest) if len(nus) < len(rest) else (rest, nus)
-        values = inner.values()
-        for key, count in outer.items():
-            dict.update(out, zip(map(add, inner, repeat(key)), map(mul, values, repeat(count))))
+        if len(nus) < len(rest):
+            counts = rest.values()
+            for key in nus:
+                dict.update(out, zip(map(add, rest, repeat(key)), counts))
+        else:
+            for key, count in rest.items():
+                dict.update(out, zip(map(add, nus, repeat(key)), repeat(count)))
     if len(out) != pairs:
         raise ArithmeticError(f"{pairs} (u, nu) pairs wrote {len(out)} keys")
     return out

@@ -7,10 +7,14 @@ is 0 once ``k`` runs past the last part, which keeps the alternating-sum
 and residue-class statistics below free of edge cases.
 
 The Schmidt-side tables count without walking partitions, in one private
-pass over the part sizes from the cap down to 1 that counts in place.  It
-keeps one layer per value of a capped field (the weight, or the size) and
-in each layer one cell per residue of the next index: a dict from the
-state's other fields, one packed int, to a count.  For each size it reads
+pass over the part sizes from the cap down to 1 that counts in place:
+``schmidt_weight_table``, ``residue_column_table``, the weight-only
+totals, the ``cor22`` counts and the class-D buckets of
+``schmidt_bucket_counts``, which are the residue-column table's states
+of weight n with rho_m left out.  It keeps one layer per value of a
+capped field (the weight, or the size) and in each layer one cell per
+residue of the next index: a dict from the state's other fields, one
+packed int, to a count.  For each size it reads
 every cell once, layers from the top down and in each layer residue 0
 first, then m - 1 down to 1, and a cell adds its states to later cells
 by one constant step per group of that size.  The order is exact because
@@ -445,11 +449,12 @@ def partitions_with_schmidt_weight(n, m, s, cls="P"):
     if n < 0:
         raise ValueError(f"target weight must be nonnegative, got {n}")
     bounded = cls == "D"
-    # The walk shape and growth rule of schmidt_bucket_counts, which walks
-    # the subtree of a small remainder once per state where this stream
-    # yields every node: a prefix of weight below n always grows, as index
-    # 1's residue recurs within m and parts of size 1 fill any deficit, and
-    # a prefix of weight n grows only while its next index is not counted.
+    # The walk shape and growth rule of schmidt_bucket_counts in class P,
+    # which walks the subtree of a small remainder once per state where
+    # this stream yields every node: a prefix of weight below n always
+    # grows, as index 1's residue recurs within m and parts of size 1 fill
+    # any deficit, and a prefix of weight n grows only while its next
+    # index is not counted.
     # Each node is (residue in 1..m of the next index, weight, last part,
     # run length of the last part, parts); the root's last part n only
     # bounds the first part.  Children are pushed smallest part first, so
@@ -659,6 +664,22 @@ def residue_column_table(m, s, cls, *, qcap):
     return Counter(dict(zip(zip(*columns), counts)))
 
 
+def _rho_steps(before, power):
+    # The groups of 0 < j < m copies from residue r for the tables that
+    # track rho, weight capped; power[r] is rho's digit at the residue of
+    # the index before residue r, or 0 where that entry is not tracked.
+    m = len(power)
+
+    def steps(r):
+        # Zero copies leave a state as it is.
+        return [
+            (before[r + j] - before[r], (r + j) % m, power[(r + j) % m] - power[r], 0)
+            for j in range(1, m)
+        ]
+
+    return steps
+
+
 def _residue_columns(m, s, cls, qcap):
     # residue_column_table as its weight, rho_1, ..., rho_m columns and the
     # list of counts.
@@ -673,14 +694,7 @@ def _residue_columns(m, s, cls, qcap):
     before = list(accumulate(counted * 2, initial=0))
     # power[r]: rho at the residue of the index before residue r.
     power = [base ** ((r - 1) % m) for r in range(m)]
-
-    def steps(r):
-        # 0 < j < m copies of a; zero copies leave a state as it is.
-        return [
-            (before[r + j] - before[r], (r + j) % m, power[(r + j) % m] - power[r], 0)
-            for j in range(1, m)
-        ]
-
+    steps = _rho_steps(before, power)
     # The first group subtracts nothing, as index 1 has no predecessor, so
     # the empty partition is kept out of the cells and takes its runs of
     # 1..m copies (up to m - 1 in class D) directly; blocks extend them.
@@ -694,23 +708,20 @@ def _residue_columns(m, s, cls, qcap):
     return [weight, *digits], counts
 
 
-# schmidt_bucket_counts keeps one list of keys for each state with at
-# most this much Schmidt weight left (and some left) whose next index is
-# counted, and replays it for every later prefix in that state; the cut
-# is set per class.  Memory grows with the cut, and tracemalloc tests
-# hold the peak within 3x a walk without these lists (Python 3.11, 2
-# vCPUs).  Class P (franklin_ext, m = 2, summed over n = 14, 16, 18, 20;
-# medians of 60 interleaved CPU timings) and its tightest memory case:
+# schmidt_bucket_counts keeps, in class P, one list of keys for each state
+# with at most this much Schmidt weight left (and some left) whose next
+# index is counted, and replays it for every later prefix in that state.
+# Memory grows with the cut, and tracemalloc tests hold the peak within
+# 3x a walk without these lists (Python 3.11, 2 vCPUs).  franklin_ext
+# (m = 2, summed over n = 14, 16, 18, 20; medians of 60 interleaved CPU
+# timings) and the tightest memory case:
 #
 #   cut                      7      8      9      10     11
 #   franklin_ext, ms         24.1   21.6   20.2   19.6
 #   (16, 4, (1, 3)) peak     2.12   2.41   2.69   2.99   3.19
 #
-# 10 sits at the bound, so class P takes 9.  Class D (ak_main, m = 3)
-# took 1.8-2.0 ms at every cut from 5 to 9, and at (20, 3, (1, 2)) its
-# peak is 1.99, 2.24, 2.45, 3.43 and 3.33 times that of the walk with no
-# lists at 5 to 9, past 3x from 8 on, so class D takes 7.
-_TAIL_WEIGHT = {"P": 9, "D": 7}
+# 10 sits at the bound, so the cut is 9.
+_TAIL_WEIGHT = 9
 
 # How many replayed keys schmidt_bucket_counts gathers before it moves
 # them into its Counter in one update.
@@ -725,10 +736,12 @@ def schmidt_bucket_counts(n, m, s, cls="P"):
     holds ``residue_column_count(lam, m, j)`` for ``j = 1 .. m-1``, and
     digit ``m - 2 + len(s) * a`` holds ``p // m`` for each size ``a``
     repeated ``p >= m`` times (class D repeats none): each block of ``m``
-    equal parts maps to one part ``len(s) * a`` of the image.  Each such
-    partition is counted once, its key the sum of its own parts' steps;
-    the prefixes that share a small remainder share one walk of their
-    completions.  :func:`split_bucket` reads a key.
+    equal parts maps to one part ``len(s) * a`` of the image.  Class D
+    is read off the part-size pass of ``residue_column_table`` with rho_m
+    left out, as the cells of weight ``n``.  Class P is one walk over
+    its partitions, each counted once, its key the sum of its own parts'
+    steps; the prefixes that share a small remainder share one walk of
+    their completions.  :func:`split_bucket` reads a key.
     """
     residues, counted = _schmidt_params(m, s, cls)
     if n < 0:
@@ -740,6 +753,16 @@ def schmidt_bucket_counts(n, m, s, cls="P"):
     # ones, so a block of a weighs at least len(s) * a and every image
     # entry lies in 0..n as well.
     base = n + 1
+    if cls == "D":
+        # The weight is the capped field and rho_1 .. rho_{m-1} the other;
+        # power[0] = 0 drops rho_m, and with it index 1's missing
+        # predecessor, so the empty partition starts in the cells.
+        power = [0, *(base**j for j in range(m - 1))]
+        before = list(accumulate(counted * 2, initial=0))
+        out = Counter()
+        for cell in _part_size_pass(_cells(n, m), m, _rho_steps(before, power))[n * m :]:
+            out.update(cell)
+        return out
     step = [
         (base**r if r < m - 1 else 0) - (base ** (r - 1) if r > 0 else 0) for r in range(m)
     ]
@@ -749,21 +772,22 @@ def schmidt_bucket_counts(n, m, s, cls="P"):
     if n == 0:
         out[0] = 1
     done = []
-    shape = (n, m, counted, cls == "D", step, block)
-    _bucket_walk([(0, 0, n, 0, 0)], done, _TAIL_WEIGHT[cls], {}, out, shape)
+    shape = (n, m, counted, step, block)
+    _bucket_walk([(0, 0, n, 0, 0)], done, _TAIL_WEIGHT, {}, out, shape)
     out.update(done)
     return out
 
 
 def _bucket_walk(stack, done, cut, tails, out, shape):
-    # Iterative preorder walk over the prefixes of weight at most n.  Each
-    # node is (residue of the next index, weight, last part, run length of
-    # the last part mod m, key); the root's last part n only bounds the
-    # first part.  A part adds its step to the key, and the part that
-    # makes a run reach m copies adds its block too, so a key is always a
-    # sum of the prefix's own steps.  A prefix is counted when it is made,
-    # its key appended to done, and a prefix of weight n is entered only
-    # if its next index is not counted, as only then can it grow.
+    # Iterative preorder walk over the class-P prefixes of weight at most
+    # n.  Each node is (residue of the next index, weight, last part, run
+    # length of the last part mod m, key); the root's last part n only
+    # bounds the first part.  A part adds its step to the key, and the part
+    # that makes a run reach m copies adds its block too, so a key is
+    # always a sum of the prefix's own steps.  A prefix is counted when it
+    # is made, its key appended to done, and a prefix of weight n is
+    # entered only if its next index is not counted, as only then can it
+    # grow.
     #
     # The keys below a prefix are its key plus deltas that depend only on
     # its state: (residue of the next index, weight, last part, run length
@@ -778,7 +802,7 @@ def _bucket_walk(stack, done, cut, tails, out, shape):
     # the caller moves the rest; a walk below a state leaves out None and
     # keeps its whole list.  A closure that called itself would form a
     # cycle holding the memo until a full garbage collection.
-    n, m, counted, bounded, step, block = shape
+    n, m, counted, step, block = shape
     while stack:
         r, weight, last, run, key = stack.pop()
         is_counted = counted[r]
@@ -797,8 +821,6 @@ def _bucket_walk(stack, done, cut, tails, out, shape):
                 child_run = 1
             elif run + 1 < m:
                 child_run = run + 1
-            elif bounded:
-                continue
             else:
                 child_run = 0
                 child_key += block[a]

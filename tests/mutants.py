@@ -123,17 +123,31 @@ MUTANTS = (
         ("tests/test_oracles.py::test_cor22_counts_match_the_copying_pass",),
     ),
     Mutant(
-        "class-p-reads-class-d-cut",
+        "class-d-buckets-track-rho-m",
         "src/schmidtq/partitions.py",
-        "_TAIL_WEIGHT[cls], {}, out, shape)",
-        '_TAIL_WEIGHT["D"], {}, out, shape)',
-        ("tests/test_oracles.py::test_schmidt_bucket_lists_nest_within_the_cut",),
+        "power = [0, *(base**j for j in range(m - 1))]",
+        "power = [base ** (m - 1), *(base**j for j in range(m - 1))]",
+        ("tests/test_oracles.py::test_class_d_buckets_match_whole_walk_on_every_residue_set[3]",),
     ),
     Mutant(
-        "colored-merge-repeat-count",
+        "class-d-buckets-take-blocks",
+        "src/schmidtq/partitions.py",
+        "_rho_steps(before, power))[n * m :]",
+        "_rho_steps(before, power), block=(len(residues), 0))[n * m :]",
+        ("tests/test_oracles.py::test_class_d_buckets_match_whole_walk_on_every_residue_set[3]",),
+    ),
+    Mutant(
+        "class-d-buckets-read-layer-below",
+        "src/schmidtq/partitions.py",
+        "_rho_steps(before, power))[n * m :]",
+        "_rho_steps(before, power))[(n - 1) * m : n * m]",
+        ("tests/test_oracles.py::test_class_d_buckets_match_whole_walk_on_every_residue_set[3]",),
+    ),
+    Mutant(
+        "colored-merge-rest-outer-count-one",
         "src/schmidtq/colored.py",
-        "map(mul, values, repeat(count))",
-        "repeat(count)",
+        "zip(map(add, nus, repeat(key)), repeat(count))",
+        "zip(map(add, nus, repeat(key)), repeat(1))",
         ("tests/test_oracles.py::test_colored_bucket_counts_match_summing_merge",),
     ),
     Mutant(

@@ -19,7 +19,7 @@ from schmidtq import (
 )
 from schmidtq import colored
 
-from conftest import Exactly, exact
+from conftest import Exactly, exact, residue_sets
 
 
 FIG_IMAGE = ColoredPartition(((7, 1), (6, 5), (6, 4), (6, 3), (2, 2)))
@@ -74,6 +74,17 @@ def test_colored_bucket_merge_refuses_keys_that_collide(monkeypatch):
     monkeypatch.setattr(colored, "_coin_table", shifted)
     with pytest.raises(ArithmeticError, match="pairs wrote"):
         colored_bucket_counts(4, 2, (1,), 3)
+
+
+def test_colored_bucket_images_count_each_nu_once():
+    # The merge carries only the counts of the other row: a nu's key is
+    # its multiplicities, so every count of its table is 1.
+    for m in (2, 3, 4):
+        for s in residue_sets(m, True):
+            residues, top = colored._validate_palette(m, s, m + 1)
+            for n in range(25):
+                rows = colored._image_table(n, m, residues, top)
+                assert set().union(*map(dict.values, rows)) == {1}, (m, s, n)
 
 
 def test_cs_validate():

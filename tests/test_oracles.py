@@ -42,27 +42,31 @@ the per-group form and the tuple-keyed recurrence are kept below, with a
 brute-force count and a tuple-keyed, one-group-at-a-time table.
 
 Both sides of ``ak_main`` and ``franklin_ext`` count into one packed int
-per bucket: ``schmidt_bucket_counts`` walks the partitions of Schmidt
-weight n with one int per node, and ``colored_bucket_counts`` reads one
-table over the part types (size, color).  The ``uncu`` total and the
+per bucket: ``schmidt_bucket_counts`` walks the class-P partitions of
+Schmidt weight n with one int per node and reads class D off the
+part-size pass, and ``colored_bucket_counts`` reads one table over the
+part types (size, color).  The ``uncu`` total and the
 overpartition side are tables over part sizes as well.  The
 profile-carrying walk, the multiplicity-group counts and the partition
 walk of the overpartition side they replaced are kept below.  The color
 counts are read off ``colored_bucket_counts`` through ``split_bucket``,
 and the overpartition counts off the ``(N, o, p)`` keys of
-``_overpartition_table``.  ``schmidt_bucket_counts`` lists the keys below
-each state with little weight left and a counted next index once, from
-the lists of the deeper states it reaches, and replays them; how little
-is a cut set per class.  The walk that built every key on the way down
-is kept below, and the replay must give its counts at every cut of the
-class walked and stay within 3x its tracemalloc peak.  The walk whose
+``_overpartition_table``.  In class P ``schmidt_bucket_counts`` lists the
+keys below each state with little weight left and a counted next index
+once, from the lists of the deeper states it reaches, and replays them.
+The walk that built every key on the way down, in both classes, is kept
+below; the replay must give its counts at every cut and stay within 3x
+its tracemalloc peak, and the class-D pass must give its counts
+exactly, holding memory that grows with the pass's states and not with
+the partitions counted.  The walk whose
 lists each walked their whole subtree, at every state with little
 weight left, is kept below too.  Its state keeps the run length of the
 last part mod m, a block added as a run reaches m copies; the walk that
 kept whole runs and added their blocks as they closed is kept below.
 ``colored_bucket_counts`` writes each key once, straight into its
-``Counter``, as no two (color counts, nu) pairs share a key; the merge
-that summed every key into a dict and copied it is kept below.
+``Counter``, as no two (color counts, nu) pairs share a key, and counts
+each nu once, as its key is its multiplicities; the merge that summed
+every product of counts into a dict and copied it is kept below.
 
 The Gaussian binomials are products of one multiply and one divide step
 per factor, and the ``schmidt`` colored side is a colored total with one
@@ -2809,6 +2813,27 @@ def test_schmidt_bucket_counts_match_whole_walk_at_any_weight(data):
     assert schmidt_bucket_counts(n, m, s, cls) == walk_schmidt_bucket_counts(n, m, s, cls)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_class_d_buckets_match_whole_walk_on_every_residue_set(m):
+    # Class D is read off the part-size pass, not walked; the walk that
+    # built every key on the way down must give the same Counter exactly.
+    # S = {1} at m = 5 takes most of the time: the walk visits every
+    # partition, and few counted indices leave the most of them.
+    top = 40 if m == 2 else 20
+    for s in residue_sets(m, True):
+        for n in range(top + 1):
+            assert schmidt_bucket_counts(n, m, s, "D") == walk_schmidt_bucket_counts(
+                n, m, s, "D"
+            ), (s, n)
+
+
+def test_class_d_buckets_match_whole_walk_at_weight_40():
+    # 17,977 partitions at n = 36 and more here; the walk takes 85 ms.
+    assert schmidt_bucket_counts(40, 3, (1, 2), "D") == walk_schmidt_bucket_counts(
+        40, 3, (1, 2), "D"
+    )
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_franklin_ext_buckets_match_full_run_walk(m):
     # The walk keeps each run mod m and adds a block as the run reaches m
@@ -2841,37 +2866,24 @@ def test_schmidt_bucket_counts_match_flat_tail_walk(m):
                 ), (s, cls, n)
 
 
-CUT_CASES = [
-    (20, 2, (1,), "P"),
-    (14, 3, (1, 2), "D"),
-    (6, 12, (1,), "P"),
-    (16, 4, (1, 3), "P"),
-]
-OTHER_CLASS = {"P": "D", "D": "P"}
+CUT_CASES = [(20, 2, (1,)), (6, 12, (1,)), (16, 4, (1, 3))]
 
 
-@pytest.mark.parametrize(
-    "n, m, s, cls", CUT_CASES, ids=[f"n{n}-m{m}-{c}" for n, m, _, c in CUT_CASES]
-)
-def test_schmidt_bucket_counts_do_not_depend_on_the_cut(monkeypatch, n, m, s, cls):
-    # Each class has its own cut; the other class's is not a number here,
-    # so a walk that read it would fail instead of passing at the wrong cut.
-    want = walk_schmidt_bucket_counts(n, m, s, cls)
-    monkeypatch.setitem(partitions._TAIL_WEIGHT, OTHER_CLASS[cls], None)
+@pytest.mark.parametrize("n, m, s", CUT_CASES, ids=[f"n{n}-m{m}-P" for n, m, _ in CUT_CASES])
+def test_schmidt_bucket_counts_do_not_depend_on_the_cut(monkeypatch, n, m, s):
+    want = walk_schmidt_bucket_counts(n, m, s, "P")
     for cut in range(11):
-        monkeypatch.setitem(partitions._TAIL_WEIGHT, cls, cut)
-        assert schmidt_bucket_counts(n, m, s, cls) == want, cut
+        monkeypatch.setattr(partitions, "_TAIL_WEIGHT", cut)
+        assert schmidt_bucket_counts(n, m, s, "P") == want, cut
 
 
-@pytest.mark.parametrize(
-    "n, m, s, cls", CUT_CASES, ids=[f"n{n}-m{m}-{c}" for n, m, _, c in CUT_CASES]
-)
-def test_schmidt_bucket_lists_nest_within_the_cut(monkeypatch, n, m, s, cls):
-    # The main walk takes its class's cut (the other class's is not a
-    # number here).  Each kept state is walked once, from key 0 with that
-    # cut, and only if its next index is counted and it has 1..cut weight left;
-    # every child of such a state adds weight, so the walks nest at most
-    # cut deep, and they do nest: a list reuses deeper lists.
+@pytest.mark.parametrize("n, m, s", CUT_CASES, ids=[f"n{n}-m{m}-P" for n, m, _ in CUT_CASES])
+def test_schmidt_bucket_lists_nest_within_the_cut(monkeypatch, n, m, s):
+    # The main walk takes the cut.  Each kept state is walked once, from
+    # key 0 with that cut, and only if its next index is counted and it has
+    # 1..cut weight left; every child of such a state adds weight, so the
+    # walks nest at most cut deep, and they do nest: a list reuses deeper
+    # lists.
     walk = partitions._bucket_walk
     calls = []
     depth = [0]
@@ -2885,11 +2897,10 @@ def test_schmidt_bucket_lists_nest_within_the_cut(monkeypatch, n, m, s, cls):
             depth[0] -= 1
 
     monkeypatch.setattr(partitions, "_bucket_walk", traced)
-    monkeypatch.setitem(partitions._TAIL_WEIGHT, OTHER_CLASS[cls], None)
-    assert schmidt_bucket_counts(n, m, s, cls) == walk_schmidt_bucket_counts(n, m, s, cls)
+    assert schmidt_bucket_counts(n, m, s, "P") == walk_schmidt_bucket_counts(n, m, s, "P")
     (_, cut, _, _), *tails = calls
-    assert cut == partitions._TAIL_WEIGHT[cls]
-    counted = _schmidt_params(m, s, cls)[1]
+    assert cut == partitions._TAIL_WEIGHT
+    counted = _schmidt_params(m, s, "P")[1]
     states = [node[:4] for node, *_ in tails]
     assert len(set(states)) == len(states)
     for (r, weight, _, _, key), tail_cut, _, out in tails:
@@ -2898,34 +2909,53 @@ def test_schmidt_bucket_lists_nest_within_the_cut(monkeypatch, n, m, s, cls):
     assert 1 < max(d for *_, d, _ in tails) <= cut
 
 
-MEMORY_CASES = [(20, 2, (1,), "P"), (6, 12, (1,), "P"), (16, 4, (1, 3), "P")]
+def test_class_d_buckets_walk_nothing(monkeypatch):
+    # Class D is read off the part-size pass; the bucket walk is class P's.
+    def refused(*args):
+        raise AssertionError("class D walked")
+
+    monkeypatch.setattr(partitions, "_bucket_walk", refused)
+    assert schmidt_bucket_counts(14, 3, (1, 2), "D") == walk_schmidt_bucket_counts(
+        14, 3, (1, 2), "D"
+    )
+
+
+# In class D the whole walk's Counter holds one entry per rho bucket, while
+# the pass keeps one per (weight, residue, rho) state for every weight up to
+# n, so the pass holds more at a small m and n: 43 KB against 5 KB at (20, 3,
+# (1, 2)), 12x at (20, 4, (1, 2)).  At a large m the two come close.
+MEMORY_CASES = [
+    (20, 2, (1,), "P"),
+    (6, 12, (1,), "P"),
+    (16, 4, (1, 3), "P"),
+    (8, 20, (1, 2), "D"),
+]
 
 
 @pytest.mark.parametrize(
     "n, m, s, cls", MEMORY_CASES, ids=[f"n{n}-m{m}-{c}" for n, m, _, c in MEMORY_CASES]
 )
 def test_schmidt_bucket_counts_memory_stays_near_the_whole_walk(n, m, s, cls):
-    # A list is copied into the lists above it, so the lists hold more
-    # deltas than partitions counted, but only states with at most
-    # _TAIL_WEIGHT weight left keep one.
+    # In class P a list is copied into the lists above it, so the lists
+    # hold more deltas than partitions counted, but only states with at
+    # most _TAIL_WEIGHT weight left keep one.
     walk = traced_peak(walk_schmidt_bucket_counts, n, m, s, cls)
     assert traced_peak(schmidt_bucket_counts, n, m, s, cls) <= 3 * walk
 
 
-@pytest.mark.parametrize("m", [3, 4], ids=["n20-m3-D", "n20-m4-D"])
-def test_schmidt_bucket_counts_memory_in_class_d_stays_near_the_unreplayed_walk(monkeypatch, m):
-    # In class D the whole walk's Counter holds one entry per rho bucket,
-    # 65 at (20, 3), while a walk that lists its keys holds one per
-    # partition, 627, so the bound above fails there (4.9-7x).  The
-    # replayed lists are bounded against the same walk with no replay,
-    # which lists every key.  A first call in a process also fills the
-    # tuple free lists and the ABC caches, and would be measured with them.
-    args = (20, m, (1, 2), "D")
-    assert schmidt_bucket_counts(*args) == walk_schmidt_bucket_counts(*args)
-    replayed = traced_peak(schmidt_bucket_counts, *args)
-    monkeypatch.setitem(partitions._TAIL_WEIGHT, "D", 0)
-    assert schmidt_bucket_counts(*args) == walk_schmidt_bucket_counts(*args)
-    assert replayed <= 3 * traced_peak(schmidt_bucket_counts, *args)
+@pytest.mark.parametrize("m, low, high", [(3, 20, 36), (4, 20, 32)], ids=["m3", "m4"])
+def test_schmidt_bucket_counts_memory_in_class_d_grows_slower_than_the_partitions(m, low, high):
+    # The pass keeps nothing per partition counted: from n = 20 to 36 at
+    # m = 3 the partitions grow 28.7x (627 to 17,977) and the peak 6.3x, so
+    # the bytes per partition fall from 69 to 15 (at m = 4, n 20 to 32,
+    # from 75 to 21).  A list of one key per partition would keep them at
+    # 8 or more.  A first call in a process also fills the tuple free lists
+    # and the ABC caches, and would be measured with them.
+    per_partition = []
+    for n in (low, high):
+        total = sum(schmidt_bucket_counts(n, m, (1, 2), "D").values())
+        per_partition.append(traced_peak(schmidt_bucket_counts, n, m, (1, 2), "D") / total)
+    assert per_partition[1] <= per_partition[0] / 2
 
 
 @pytest.mark.parametrize("m, s, top", PALETTES)
