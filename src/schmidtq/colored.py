@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations_with_replacement, product, repeat
-from operator import add, floordiv, index, mod
+from operator import add, index
 
 from .partitions import normalize_residue_set, partition_groups
 
@@ -359,21 +359,20 @@ def colored_partition_total(n, m, s, top):
     return _coin_table(n, parts)[n][0]
 
 
-def _overpartition_table(qcap):
+def _overpartition_table(qcap, units):
     # How many overpartitions of N <= qcap have o overlined and p plain
-    # parts, as the columns N, o and p and the list of counts.  One coin
-    # table over the sizes a = qcap .. 1 keys table[N] by o * (qcap + 1) + p:
-    # c >= 1 copies of a are c plain ones, or an overlined first copy and
-    # c - 1 plain ones, so each size is a plain type taken any number of
-    # times and an overlined type taken at most once.
-    base = qcap + 1
+    # parts, counted in the units of (N, o, p).  One coin table over the
+    # sizes a = qcap .. 1 keys table[N] by o and p: c >= 1 copies of a are c
+    # plain ones, or an overlined first copy and c - 1 plain ones, so each
+    # size is a plain type taken any number of times and an overlined type
+    # taken at most once.  Rows of different N hold different keys, so each
+    # goes in by one update.
+    size, overlined, plain = units
     table = _coin_table(
-        qcap, [part for a in range(qcap, 0, -1) for part in ((a, 1, False), (a, base, True))]
+        qcap,
+        [part for a in range(qcap, 0, -1) for part in ((a, plain, False), (a, overlined, True))],
     )
-    sizes, keys, counts = [], [], []
+    out = {}
     for n, row in enumerate(table):
-        sizes += repeat(n, len(row))
-        keys += row
-        counts += row.values()
-    overlined = list(map(floordiv, keys, repeat(base)))
-    return [sizes, overlined, list(map(mod, keys, repeat(base)))], counts
+        out.update(zip(map(add, row, repeat(n * size)), row.values()))
+    return out

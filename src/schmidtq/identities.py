@@ -439,18 +439,21 @@ def _required(value, name):
 
 def enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
     """The brute-force generating function, graded exactly like the other sides."""
-    entry, _, _, m, s = _checked(identity, m, i, qcap=qcap, scap=scap)
-    # Each table hands over one list per variable and a list of counts.
+    entry, cap, _, m, s = _checked(identity, m, i, qcap=qcap, scap=scap)
+    ctx = trivariate_context(cap) if entry.family is None else size_graded_context(cap)
+    # Each table counts straight into the ring's keys: one bit field per variable.
+    units = [1 << shift for shift in _layout(ctx.caps).shifts]
     if identity == "ak_trivariate":
         # The Schmidt side of the theorem: odd-index weight and the
         # residue column counts, not the product's colored model.
-        return Series._from_columns(trivariate_context(qcap), *_residue_columns(2, (1,), "P", qcap))
-    if identity == "overpartition":
-        return Series._from_columns(trivariate_context(qcap), *_overpartition_table(qcap))
-    if identity == "cor22":
-        return Series._from_columns(trivariate_context(qcap), *_cor22_counts(qcap))
-    table = _schmidt_weight_columns(m, s, entry.family.cls, scap)
-    return Series._from_columns(size_graded_context(scap), *table)
+        table = _residue_columns(2, (1,), "P", cap, units)
+    elif identity == "overpartition":
+        table = _overpartition_table(cap, units)
+    elif identity == "cor22":
+        table = _cor22_counts(cap, units)
+    else:
+        table = _schmidt_weight_columns(m, s, entry.family.cls, cap, units)
+    return Series._from_packed(ctx, table)
 
 
 # ---------------------------------------------------------------------------

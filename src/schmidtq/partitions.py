@@ -23,6 +23,12 @@ weight-capped table counts index 1, whose residue is 0, and every group
 of the sized table gains size.  So no state takes two groups of one
 size.  Class P then adds the blocks of m copies by one sweep up the
 layers.  A table gives the pass only its layout and its groups.  The
+tables count in their caller's units, one per field: a state's key is
+the sum of each field times its unit, and the layers merge into one dict
+with the capped field added the same way.  The enum sides pass the bit
+fields of the series ring, and the public tables the digits of base
+cap + 1.  No field of any state leaves 0..cap, so under either layout a
+signed change never borrows from the next field.  The
 pass shares no counting loop with the colored side and must not use
 ``colored._coin_table``: the two sides of a counting theorem are counted
 apart, so a fault in one cannot cancel out.
@@ -548,63 +554,71 @@ def _cells(cap, m, *, empty=True):
     return cells
 
 
-def _columns(cells, m):
-    # The counts summed over the residue: the capped field, the other
-    # fields and the counts, as three lists, layer by layer.
-    top, fields, counts = [], [], []
+def _layers(cells, m, unit):
+    # The counts summed over the residue, in one dict: each key plus its
+    # layer times unit, the capped field's unit.  Keys of different layers
+    # differ, so the first cell of a layer goes in by one update and the
+    # other cells add to it.
+    out = {}
+    get = out.get
     for i in range(0, len(cells), m):
-        acc = {}
-        get = acc.get
-        for part in cells[i : i + m]:
+        shift = i // m * unit
+        first = cells[i]
+        out.update(zip(map(add, first, repeat(shift)), first.values()))
+        for part in cells[i + 1 : i + m]:
             for key, count in part.items():
-                acc[key] = get(key, 0) + count
-        top += repeat(i // m, len(acc))
-        fields += acc
-        counts += acc.values()
-    return top, fields, counts
+                key += shift
+                out[key] = get(key, 0) + count
+    return out
 
 
-def _cor22_counts(qcap):
+def _unpacked(table, base, width):
+    # A table counted in the digits of base, keyed by the tuples of its
+    # first width digits, lowest first.
+    keys = list(table)
+    digits = [map(mod, map(floordiv, keys, repeat(base**j)), repeat(base)) for j in range(width)]
+    return Counter(dict(zip(zip(*digits), table.values())))
+
+
+def _cor22_counts(qcap, units):
     # Every partition with odd-index weight at most qcap and every
     # multiplicity below 4, counted by (weight, repeated sizes, alternating
-    # sum): those three columns of ints and the list of counts.  A group of
-    # c copies of a from residue r (0 when the next index is odd) sits on
-    # (c + 1 - r) // 2 odd indices: each adds a to the weight and to the
-    # alternating sum, each even index subtracts a from the latter, and
-    # c > 1 makes the size repeated.  The weight is the capped field and
-    # repeated * base + alt the other; as index 1 is odd, each field stays
-    # in 0..qcap, so a signed change never borrows.
-    base = qcap + 1
+    # sum) in the given units.  A group of c copies of a from residue r (0
+    # when the next index is odd) sits on (c + 1 - r) // 2 odd indices: each
+    # adds a to the weight and to the alternating sum, each even index
+    # subtracts a from the latter, and c > 1 makes the size repeated.  The
+    # weight is the capped field; as index 1 is odd, the other two stay in
+    # 0..qcap.
+    weight, repeated, alt = units
 
     def steps(r):
         return [
-            (odd, r ^ (c & 1), 2 * odd - c, (c > 1) * base)
+            (odd, r ^ (c & 1), (2 * odd - c) * alt, (c > 1) * repeated)
             for c, odd in ((1, 1 - r), (2, 1), (3, 2 - r))
         ]
 
-    weight, packed, counts = _columns(_part_size_pass(_cells(qcap, 2), 2, steps), 2)
-    repeated = list(map(floordiv, packed, repeat(base)))
-    alt = list(map(mod, packed, repeat(base)))
-    return [weight, repeated, alt], counts
+    return _layers(_part_size_pass(_cells(qcap, 2), 2, steps), 2, weight)
 
 
-def _schmidt_cells(counted, cls, cap, *, sized):
+def _schmidt_cells(counted, cls, cap, *, unit=None):
     # The pass's cells for the class-P/D partitions with parts at most cap:
-    # the size capped and the weight the other field when sized, else the
-    # weight capped and no other field; the weight never exceeds the size.
+    # the size capped and the weight the other field, in the given unit,
+    # when a unit is given, else the weight capped and no other field; the
+    # weight never exceeds the size.
     # before[j] counts the counted 0-based indices below j over two periods,
     # so c < m copies from residue r sit on before[r + c] - before[r] of
     # them.
     m = len(counted)
     before = list(accumulate(counted * 2, initial=0))
+    sized = unit is not None
 
     def steps(r):
         gains = [before[r + c] - before[r] for c in range(1, m)]
         if sized:
-            return [(c, (r + c) % m, gain, 0) for c, gain in enumerate(gains, 1)]
+            return [(c, (r + c) % m, gain * unit, 0) for c, gain in enumerate(gains, 1)]
         return [(gain, (r + c) % m, 0, 0) for c, gain in enumerate(gains, 1)]
 
-    block = ((m, sum(counted)) if sized else (sum(counted), 0)) if cls == "P" else None
+    block = ((m, sum(counted) * unit) if sized else (sum(counted), 0)) if cls == "P" else None
     return _part_size_pass(_cells(cap, m), m, steps, block=block)
 
 
@@ -621,27 +635,27 @@ def schmidt_weight_table(m, s, cls, *, cap):
     moves the residue to ``(r + c) % m`` and adds ``a * c`` to the size.
     """
     residues = normalize_residue_set(m, s, allow_m=True)
-    columns, counts = _schmidt_weight_columns(m, residues, cls, cap)
-    return Counter(dict(zip(zip(*columns), counts)))
+    base = cap + 1
+    return _unpacked(_schmidt_weight_columns(m, residues, cls, cap, (1, base)), base, 2)
 
 
-def _schmidt_weight_columns(m, s, cls, cap):
-    # schmidt_weight_table as its weight and size columns and the list of
-    # counts, for any nonempty s: the size bounds the pass.  With at most cap
-    # parts no index wraps mod min(m, cap + 1), so the pass runs mod that.
+def _schmidt_weight_columns(m, s, cls, cap, units):
+    # schmidt_weight_table counted in the units of (weight, size), for any
+    # nonempty s: the size bounds the pass.  With at most cap parts no
+    # index wraps mod min(m, cap + 1), so the pass runs mod that.
     if cls not in ("P", "D"):
         raise ValueError(f"class must be 'P' or 'D', got {cls!r}")
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
+    weight, size = units
     counted = [r in s for r in range(1, min(m, cap + 1) + 1)]
-    size, weight, counts = _columns(_schmidt_cells(counted, cls, cap, sized=True), len(counted))
-    return [weight, size], counts
+    return _layers(_schmidt_cells(counted, cls, cap, unit=weight), len(counted), size)
 
 
 def _schmidt_weight_total(n, m, s, cls):
     # How many partitions of the class have Schmidt weight n, from the
     # pass with the weight as its only field.
-    cells = _schmidt_cells(_schmidt_params(m, s, cls)[1], cls, n, sized=False)
+    cells = _schmidt_cells(_schmidt_params(m, s, cls)[1], cls, n)
     return sum(part.get(0, 0) for part in cells[n * m :])
 
 
@@ -660,8 +674,11 @@ def residue_column_table(m, s, cls, *, qcap):
     then ``c // m`` blocks of ``m`` copies, which add ``a * len(s)`` each
     to the weight and leave the rest as it is.
     """
-    columns, counts = _residue_columns(m, s, cls, qcap)
-    return Counter(dict(zip(zip(*columns), counts)))
+    # m and s are checked before m sizes the units.
+    normalize_residue_set(m, s, allow_m=True)
+    base = qcap + 1
+    table = _residue_columns(m, s, cls, qcap, [base**j for j in range(m + 1)])
+    return _unpacked(table, base, m + 1)
 
 
 def _rho_steps(before, power):
@@ -680,20 +697,19 @@ def _rho_steps(before, power):
     return steps
 
 
-def _residue_columns(m, s, cls, qcap):
-    # residue_column_table as its weight, rho_1, ..., rho_m columns and the
-    # list of counts.
+def _residue_columns(m, s, cls, qcap, units):
+    # residue_column_table counted in the units of (weight, rho_1, ...,
+    # rho_m).
     residues, counted = _schmidt_params(m, s, cls)
     if qcap < 0:
         raise ValueError(f"cap must be nonnegative, got {qcap}")
-    # The weight is the capped field and rho the other, rho_j at digit
-    # j - 1 in base qcap + 1.  Every prefix is a partition whose parts are
-    # at most qcap, as index 1 is counted, so each digit stays in 0..qcap
-    # and a signed change never borrows across digits.
-    base = qcap + 1
+    # The weight is the capped field and rho the others.  Every prefix is a
+    # partition whose parts are at most qcap, as index 1 is counted, so each
+    # rho_j stays in 0..qcap.
+    weight, *rho = units
     before = list(accumulate(counted * 2, initial=0))
-    # power[r]: rho at the residue of the index before residue r.
-    power = [base ** ((r - 1) % m) for r in range(m)]
+    # power[r]: the unit of rho at the residue of the index before residue r.
+    power = [rho[(r - 1) % m] for r in range(m)]
     steps = _rho_steps(before, power)
     # The first group subtracts nothing, as index 1 has no predecessor, so
     # the empty partition is kept out of the cells and takes its runs of
@@ -703,9 +719,7 @@ def _residue_columns(m, s, cls, qcap):
     cells = _part_size_pass(_cells(qcap, m, empty=False), m, steps, block=block, first=first)
     # The empty partition, kept out of the pass, has every field 0.
     cells[0][0] = 1
-    weight, rho, counts = _columns(cells, m)
-    digits = [list(map(mod, map(floordiv, rho, repeat(base**j)), repeat(base))) for j in range(m)]
-    return [weight, *digits], counts
+    return _layers(cells, m, weight)
 
 
 # schmidt_bucket_counts keeps, in class P, one list of keys for each state
@@ -717,10 +731,10 @@ def _residue_columns(m, s, cls, qcap):
 # timings) and the tightest memory case:
 #
 #   cut                      7      8      9      10     11
-#   franklin_ext, ms         24.1   21.6   20.2   19.6
-#   (16, 4, (1, 3)) peak     2.12   2.41   2.69   2.99   3.19
+#   franklin_ext, ms         18.4   16.8   16.0   15.8
+#   (16, 4, (1, 3)) peak     1.97   2.31   2.60   2.90   3.10
 #
-# 10 sits at the bound, so the cut is 9.
+# 10 leaves little room under the bound, so the cut is 9.
 _TAIL_WEIGHT = 9
 
 # How many replayed keys schmidt_bucket_counts gathers before it moves
@@ -796,7 +810,10 @@ def _bucket_walk(stack, done, cut, tails, out, shape):
     # which tails maps to the keys, duplicates kept, of one walk below that
     # state from key 0.  That walk takes the same cut, so it reuses the
     # lists of the deeper states it reaches; every child of such a state
-    # adds weight, so these walks nest at most cut deep.  Prefixes whose
+    # adds weight, so these walks nest at most cut deep.  No later part of
+    # such a prefix exceeds its weight left, so a last part above that is
+    # never repeated, and every such prefix of one residue and weight shares
+    # the state (residue, weight, weight left + 1, 0).  Prefixes whose
     # next index is not counted are walked as they are.  With out given,
     # done is moved into it whenever a replay leaves it _BATCH long, and
     # the caller moves the rest; a walk below a state leaves out None and
@@ -829,7 +846,11 @@ def _bucket_walk(stack, done, cut, tails, out, shape):
                 if not grows:
                     continue
             elif not grows and n - child_weight <= cut:
-                state = (next_r, child_weight, a, child_run)
+                left = n - child_weight
+                if a > left:
+                    state = (next_r, child_weight, left + 1, 0)
+                else:
+                    state = (next_r, child_weight, a, child_run)
                 deltas = tails.get(state)
                 if deltas is None:
                     deltas = tails[state] = []

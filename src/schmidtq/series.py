@@ -25,7 +25,10 @@ quotient, so the order changes no coefficient; it only decides how large
 the running series is while it is built.  Large factors first keep it
 sparse until the last small factors fill it in: the divisions of
 ``1/(t1 q; q)oo`` at cap 20 write 620 entries in this order and 3,686 in
-generation order (``z``, ``z g``, ``z g^2``, ...).  A product with a
+generation order (``z``, ``z g``, ``z g^2``, ...).  The factors are
+generated as packed keys: z and g are packed once, and each next factor
+adds g's key and stops at the cap check below.  A g above the caps leaves
+z the only factor in them.  A product with a
 single-term operand is a key shift of the other operand: one add, one
 cap check and one multiply per term.  Any other product (``*``) forms
 every pair of terms and keeps those the cap check passes; no side of an
@@ -48,17 +51,17 @@ arguments) after their arity, sign and caps are checked, and unpacked
 where they leave (:meth:`Series.sorted_terms`, text, JSON).
 
 The constructor checks its input row by row, so the first bad key or
-coefficient raises, then sums duplicates and drops zeros.  Only the
-private :meth:`Series._from_columns` packs columns: one list of
-exponents per variable, as the tables in ``partitions.py`` and
-``colored.py`` count the enum sides of ``identities.py``, next to a list
-of coefficients.  Per column one set of types, one ``min`` and one
-``max`` against its cap and one shift-and-add, each a single pass at C
-speed; columns that fail a check are scanned row by row as the
-constructor does.  On one seed-1 pass of each benchmark workload the
-constructor saw 101 dicts, all from ``series_sides`` and each of 0 or 1
-keys, where the row checks cost less than a transpose; a dict of a few
-thousand keys takes about 3x as long as its columns would.
+coefficient raises, then sums duplicates and drops zeros.  The enum
+sides of ``identities.py`` take another way in.  Their tables in
+``partitions.py`` and ``colored.py`` count straight into the ring's
+packed keys, given one unit ``1 << shift`` per field, and hand over one
+dict of keys and counts.  The private :meth:`Series._from_packed` checks
+that dict with one ``map`` per test, at C speed: every key and count must
+be a plain int, no key may hold a guard bit or a bit past the layout
+(``key & (guard | -1 << width)``, which a negative key fails too), and no
+field may be above its cap (``(key + off) & guard``).  It then drops zero
+counts.  So a table that overflows a field raises, where a digit in a
+base of cap + 1 would have carried into the next one unseen.
 Exponents, caps and coefficients are read through ``operator.index``:
 ints, bools and other ``__index__`` types pass, and a float or a string
 raises ``TypeError`` instead of being truncated.
@@ -173,6 +176,7 @@ class _Layout(NamedTuple):
     masks: tuple  # all-ones mask of each field's width
     off: int  # 2**(w-1) - 1 - cap in each field of width w
     guard: int  # the top bit of each field
+    width: int  # the bits of all the fields
 
     def pack(self, exponents):
         return sum(map(lshift, exponents, self.shifts))
@@ -195,7 +199,7 @@ def _layout(caps):
         off |= ((1 << (width - 1)) - 1 - cap) << shift
         guard |= 1 << (shift + width - 1)
         shift += width
-    return _Layout(tuple(shifts), tuple(masks), off, guard)
+    return _Layout(tuple(shifts), tuple(masks), off, guard, shift)
 
 
 class Series:
@@ -218,23 +222,22 @@ class Series:
         self._terms = _merged(*_check_rows(items, context))
 
     @classmethod
-    def _from_columns(cls, context, columns, coeffs):
-        # Internal constructor: the exponents as one list per variable, in
-        # context order, next to the list of coefficients; the same checks,
-        # merging and errors as the constructor on the rows they zip to.
-        caps = context.caps
-        if len(columns) != len(caps):
-            raise ValueError(
-                f"need one exponent column per variable of {context.variables}, got {len(columns)}"
-            )
-        if not set(map(len, columns)) <= {len(coeffs)}:
-            raise ValueError(f"every exponent column must hold {len(coeffs)} exponents")
-        packed = _pack_columns(columns, coeffs, caps)
-        if packed is None:
-            # The first bad row raises just as it would from the constructor.
-            rows = zip(zip(*columns) if columns else repeat(()), coeffs)
-            packed, coeffs = _check_rows(rows, context)
-        return cls._raw(context, _merged(packed, coeffs))
+    def _from_packed(cls, context, terms):
+        # Internal constructor: terms is a dict from packed keys of the
+        # context's layout to counts, which the series takes over.  Each
+        # test is one map over every key; a key or count that fails one
+        # raises ValueError, and zero counts are dropped.
+        if not set(map(type, terms)) | set(map(type, terms.values())) <= {int}:
+            raise ValueError("packed keys and their counts must be ints")
+        layout = _layout(context.caps)
+        outside = layout.guard | -1 << layout.width
+        if any(map(and_, terms, repeat(outside))):
+            key = next(key for key in terms if key & outside)
+            raise ValueError(f"packed key {key} is no key of the layout of {context.variables}")
+        if any(map(and_, map(add, terms, repeat(layout.off)), repeat(layout.guard))):
+            key = next(key for key in terms if (key + layout.off) & layout.guard)
+            raise ValueError(f"monomial {layout.unpack(key)} exceeds caps {context.caps}")
+        return cls._raw(context, _nonzero(terms) if 0 in terms.values() else terms)
 
     @classmethod
     def _raw(cls, context, terms):
@@ -444,22 +447,6 @@ def _nonzero(terms):
     return {k: v for k, v in terms.items() if v}
 
 
-def _pack_columns(columns, coeffs, caps):
-    """The packed ints of the rows the columns spell, or None when some column fails a check.
-
-    Every coefficient must be a plain int, and every column a list of
-    plain ints within 0 .. its cap.
-    """
-    if not set(map(type, coeffs)) <= {int}:
-        return None
-    packed = [0] * len(coeffs)
-    for column, cap, shift in zip(columns, caps, _layout(caps).shifts):
-        if set(map(type, column)) != {int} or min(column) < 0 or max(column) > cap:
-            return None
-        packed = list(map(add, packed, map(lshift, column, repeat(shift))))
-    return packed
-
-
 def _merged(packed, coeffs):
     # {packed key: coefficient} with duplicate keys summed and zeros
     # dropped.  Distinct keys and no zero coefficient, the common case,
@@ -532,17 +519,30 @@ def _div_one_minus(terms, layout, step):
     return out
 
 
-def _factors(context, z, g, n=None):
-    # The factors z * g**k (k < n when n is given), up to the first one that
-    # leaves the caps.  With g constant every factor is z, so stopping there
-    # loses no in-cap factor.
+def _factor_keys(context, z, g, n=None):
+    # (total degree, packed key) of each factor z * g**k (k < n when n is
+    # given), up to the first that leaves the caps: exponents only grow
+    # along a family, so no later factor is in them.  z and g are packed
+    # once and each step adds g's key, so the guard checks a sum of two
+    # in-cap keys.  A g outside the caps leaves z the only factor; with g
+    # constant every factor is z.
     caps = context.caps
-    cur = z
+    if n == 0 or not z.within(caps):
+        return []
+    layout = _layout(caps)
+    key, degree = layout.pack(z), sum(z)
+    if not g.within(caps):
+        return [(degree, key)]
+    step, gain = layout.pack(g), sum(g)
+    off, guard = layout.off, layout.guard
+    out = []
     for _ in repeat(None) if n is None else range(n):
-        if not cur.within(caps):
-            return
-        yield cur
-        cur = cur * g
+        if (key + off) & guard:
+            break
+        out.append((degree, key))
+        key += step
+        degree += gain
+    return out
 
 
 def geometric_inverse(context, monomial):
@@ -556,8 +556,8 @@ def geometric_inverse(context, monomial):
     mon = _as_monomial(context, monomial)
     if mon.is_constant():
         raise ValueError("cannot invert 1 - 1; the monomial must be nonconstant")
-    powers = _factors(context, context.monomial(), mon)
-    return Series._raw(context, dict.fromkeys(map(_layout(context.caps).pack, powers), 1))
+    powers = _factor_keys(context, context.monomial(), mon)
+    return Series._raw(context, dict.fromkeys(map(itemgetter(1), powers), 1))
 
 
 def _as_monomial(context, monomial):
@@ -590,8 +590,7 @@ def _poch_product(context, families):
     layout = _layout(context.caps)
     steps = []
     for z, g, n, coefficient, divide in families:
-        for mon in _factors(context, z, g, n):
-            steps.append((sum(mon), layout.pack(mon), coefficient, divide))
+        steps += [(*factor, coefficient, divide) for factor in _factor_keys(context, z, g, n)]
     steps.sort(key=itemgetter(0, 1), reverse=True)
     terms = {0: 1}
     for _, step, coefficient, divide in steps:

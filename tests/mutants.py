@@ -165,18 +165,46 @@ MUTANTS = (
         ("tests/test_acceptance.py::test_criterion_01_overpartition_three_way_q16",),
     ),
     Mutant(
-        "pack-columns-sign-check",
+        "packed-constructor-cap-test-dropped",
         "src/schmidtq/series.py",
-        "min(column) < 0",
-        "min(column) < -1",
-        ("tests/test_series.py::test_column_constructor_checks_as_the_dict_path",),
+        "if any(map(and_, map(add, terms, repeat(layout.off)), repeat(layout.guard))):",
+        "if False:",
+        ("tests/test_series.py::test_packed_constructor_refuses_keys_of_no_in_cap_vector",),
     ),
     Mutant(
-        "pack-columns-cap-check",
+        "packed-constructor-outside-mask-within-layout",
         "src/schmidtq/series.py",
-        "max(column) > cap",
-        "max(column) > cap + 1",
-        ("tests/test_series.py::test_column_constructor_checks_as_the_dict_path",),
+        "outside = layout.guard | -1 << layout.width",
+        "outside = layout.guard",
+        ("tests/test_series.py::test_packed_constructor_refuses_keys_of_no_in_cap_vector",),
+    ),
+    # Every layer's cells hold keys of that layer alone, so only a
+    # layer's first cell may go in by one update.
+    Mutant(
+        "layers-update-every-cell",
+        "src/schmidtq/partitions.py",
+        "        first = cells[i]\n"
+        "        out.update(zip(map(add, first, repeat(shift)), first.values()))\n"
+        "        for part in cells[i + 1 : i + m]:\n"
+        "            for key, count in part.items():\n"
+        "                key += shift\n"
+        "                out[key] = get(key, 0) + count\n",
+        "        for part in cells[i : i + m]:\n"
+        "            out.update(zip(map(add, part, repeat(shift)), part.values()))\n",
+        ("tests/test_oracles.py::test_q_graded_enum_sides_match_the_column_tables",),
+    ),
+    # The last part left + 1 counts as above every later part; left would
+    # share the state of a last part left whose run just closed a block,
+    # which keeps the counts and only the kept-list count tells apart.
+    Mutant(
+        "bucket-state-above-left-keyed-at-left",
+        "src/schmidtq/partitions.py",
+        "state = (next_r, child_weight, left + 1, 0)",
+        "state = (next_r, child_weight, left, 0)",
+        (
+            "tests/test_oracles.py::"
+            "test_schmidt_bucket_lists_share_the_states_of_parts_above_the_weight_left",
+        ),
     ),
     Mutant(
         "decompose-keeps-one-more-low",

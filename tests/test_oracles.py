@@ -34,6 +34,14 @@ steps and the bucketed product it replaced are kept below, on plain
 ``{exponent tuple: coefficient}`` dicts, and so is the summed colored
 Counter that the ``uncu`` colored total replaced.
 
+The enum tables count straight into the ring's packed keys, in units
+their caller gives, and the series checks their dict through one
+constructor; the Pochhammer products generate their factors as packed
+keys.  The tables that handed over one list per field, checked and
+packed by the series, are kept below, and ``family_factors`` steps the
+factors as ``Monomial`` products.  The tests read the private tables in the digits of base
+cap + 1.
+
 The ``ak_trivariate`` enum side is the theorem's Schmidt side,
 ``residue_column_table``, in place of the colored model of the product;
 the overpartition side counts partitions by (distinct sizes, length);
@@ -142,7 +150,7 @@ from itertools import (
     repeat,
 )
 from math import comb
-from operator import add, index, itemgetter, le, sub
+from operator import add, index, itemgetter, le
 
 import pytest
 from hypothesis import given, settings
@@ -205,11 +213,15 @@ from schmidtq.identities import (
     _t1_slice_closed_form,
 )
 from schmidtq.partitions import (
+    _cells,
     _check_class,
     _cor22_counts,
     _digits,
     _expand,
+    _part_size_pass,
     _residue_columns,
+    _rho_steps,
+    _schmidt_cells,
     _schmidt_params,
     _schmidt_weight_columns,
     _schmidt_weight_total,
@@ -219,6 +231,7 @@ from schmidtq.partitions import (
 from schmidtq.series import (
     Monomial,
     _div_one_minus,
+    _factor_keys,
     _Family,
     _layout,
     _poch_product,
@@ -377,6 +390,88 @@ def family_factors(ctx, z, g, n=None, coefficient=1, divide=False):
             break
         cur = cur * g
     return factors
+
+
+def column_layers(cells, m):
+    """The pass's cells summed over the residue as three lists, layer by
+    layer: the capped field, the other fields' packed int and the counts."""
+    top, fields, counts = [], [], []
+    for i in range(0, len(cells), m):
+        acc = Counter()
+        for part in cells[i : i + m]:
+            acc.update(part)
+        top += repeat(i // m, len(acc))
+        fields += acc
+        counts += acc.values()
+    return top, fields, counts
+
+
+def column_cor22_counts(qcap):
+    """``_cor22_counts`` as columns (weight, repeated sizes, alternating sum)
+    and counts, the other two fields packed in base qcap + 1 during the pass."""
+    base = qcap + 1
+
+    def steps(r):
+        return [
+            (odd, r ^ (c & 1), 2 * odd - c, (c > 1) * base)
+            for c, odd in ((1, 1 - r), (2, 1), (3, 2 - r))
+        ]
+
+    weight, packed, counts = column_layers(_part_size_pass(_cells(qcap, 2), 2, steps), 2)
+    return [weight, [key // base for key in packed], [key % base for key in packed]], counts
+
+
+def column_schmidt_weight_columns(m, s, cls, cap):
+    """``_schmidt_weight_columns`` as columns (weight, size) and counts."""
+    counted = [r in s for r in range(1, min(m, cap + 1) + 1)]
+    size, weight, counts = column_layers(_schmidt_cells(counted, cls, cap, unit=1), len(counted))
+    return [weight, size], counts
+
+
+def column_residue_columns(m, s, cls, qcap):
+    """``_residue_columns`` as columns (weight, rho_1, ..., rho_m) and counts,
+    rho packed in base qcap + 1 during the pass."""
+    residues, counted = _schmidt_params(m, s, cls)
+    base = qcap + 1
+    before = list(accumulate(counted * 2, initial=0))
+    power = [base ** ((r - 1) % m) for r in range(m)]
+    first = [(before[c], c % m, power[c % m], 0) for c in range(1, m + 1 if cls == "P" else m)]
+    block = (len(residues), 0) if cls == "P" else None
+    cells = _part_size_pass(
+        _cells(qcap, m, empty=False), m, _rho_steps(before, power), block=block, first=first
+    )
+    cells[0][0] = 1
+    weight, rho, counts = column_layers(cells, m)
+    return [weight, *([key // base**j % base for key in rho] for j in range(m))], counts
+
+
+def column_overpartition_table(qcap):
+    """``_overpartition_table`` as columns (N, o, p) and counts, (o, p)
+    packed in base qcap + 1 during the table."""
+    base = qcap + 1
+    parts = [part for a in range(qcap, 0, -1) for part in ((a, 1, False), (a, base, True))]
+    sizes, keys, counts = [], [], []
+    for n, row in enumerate(_coin_table(qcap, parts)):
+        sizes += repeat(n, len(row))
+        keys += row
+        counts += row.values()
+    return [sizes, [key // base for key in keys], [key % base for key in keys]], counts
+
+
+def column_enum_side(identity, *, qcap=None, scap=None, m=None, i=None):
+    """``enum_side`` from the column tables, their rows through the row constructor."""
+    ctx = trivariate_context(qcap) if qcap is not None else size_graded_context(scap)
+    if identity == "ak_trivariate":
+        columns, counts = column_residue_columns(2, (1,), "P", qcap)
+    elif identity == "overpartition":
+        columns, counts = column_overpartition_table(qcap)
+    elif identity == "cor22":
+        columns, counts = column_cor22_counts(qcap)
+    else:
+        family = IDENTITY_TABLE[identity].family
+        m, s = family.fixed or (m, tuple(range(1, i + 1)))
+        columns, counts = column_schmidt_weight_columns(m, s, family.cls, scap)
+    return Series(ctx, list(zip(zip(*columns), counts)))
 
 
 def by_steps(ctx, factors):
@@ -1114,6 +1209,43 @@ def walk_schmidt_bucket_counts(n, m, s, cls="P"):
     return out
 
 
+def class_d_buckets_by_weight(top, m, s):
+    """``schmidt_bucket_counts(n, m, s, "D")`` for every n <= top, from one
+    walk over the class-D partitions of Schmidt weight at most top.  Each
+    is keyed on the way down by its weight and rho_1, ..., rho_{m-1}, the
+    digits of one int in base top + 1, and the keys are packed per weight
+    n in base n + 1."""
+    counted = _schmidt_params(m, s, "D")[1]
+    base = top + 1
+    # Digit j - 1 holds rho_j and digit m - 1 the weight.  A part a at
+    # residue r adds a to rho_{r+1} and takes it from rho_r, where rho_0
+    # means rho_m, which is not tracked.
+    unit = base ** (m - 1)
+    step = [
+        (base**r if r < m - 1 else 0) - (base ** (r - 1) if r > 0 else 0) + counted[r] * unit
+        for r in range(m)
+    ]
+    found = {0: 1}
+    get = found.get
+    # (residue of the next index, weight, last part, run of the last part, key)
+    stack = [(0, 0, top, 0, 0)]
+    while stack:
+        r, weight, last, run, key = stack.pop()
+        top_part = min(last, top - weight) if counted[r] else last
+        next_r, delta, gain = (r + 1) % m, step[r], counted[r]
+        for a in range(1, top_part + 1):
+            if a == last and run + 1 == m:
+                continue
+            child = key + a * delta
+            found[child] = get(child, 0) + 1
+            stack.append((next_r, weight + a * gain, a, run + 1 if a == last else 1, child))
+    tables = [Counter() for _ in range(top + 1)]
+    for key, count in found.items():
+        *rho, weight = _digits(key, base, m)
+        tables[weight][sum(e * (weight + 1) ** j for j, e in enumerate(rho))] += count
+    return tables
+
+
 def full_run_schmidt_bucket_counts(n, m, s, cls="P"):
     """``schmidt_bucket_counts`` with the walk that tracked each run in full
     and added its blocks when the run closed, replaying small-remainder
@@ -1271,15 +1403,18 @@ def color_count_table(n, m, s, top):
     return unpacked(color_buckets(n, m, s, top), itemgetter(0))
 
 
-def keyed(columns, counts):
-    """A table handed over as columns and counts, keyed by the tuples of its rows."""
-    return Counter(dict(zip(zip(*columns), counts)))
+def keyed(table, *args, fields):
+    """A private enum table counted in the digits of base cap + 1, cap its
+    last argument, keyed by the tuples of its first ``fields`` digits."""
+    base = args[-1] + 1
+    packed = table(*args, [base**j for j in range(fields)])
+    return Counter({tuple(_digits(key, base, fields)): count for key, count in packed.items()})
 
 
 def overpartition_rows(cap):
     """``_overpartition_table(cap)`` as one row per size, keyed by (overlined, plain) part count."""
     rows = [Counter() for _ in range(cap + 1)]
-    for (n, o, p), count in keyed(*_overpartition_table(cap)).items():
+    for (n, o, p), count in keyed(_overpartition_table, cap, fields=3).items():
         rows[n][o, p] += count
     return rows
 
@@ -1831,13 +1966,13 @@ def named_product_side(identity, scap, m=None, i=None):
 def named_enum_side(identity, scap, m=None, i=None):
     """The s-graded branches of ``enum_side`` that named each id."""
     if identity in ("mork_odd", "mork_even"):
-        (weight, size), counts = _schmidt_weight_columns(2, (1,), "D", scap)
+        table = schmidt_weight_table(2, (1,), "D", cap=scap)
         if identity == "mork_even":
-            weight = list(map(sub, size, weight))
-        return Series._from_columns(size_graded_context(scap), [weight, size], counts)
+            table = {(size - weight, size): count for (weight, size), count in table.items()}
+        return Series(size_graded_context(scap), table)
     cls = "P" if identity == "psi_all" else "D"
-    table = _schmidt_weight_columns(m, tuple(range(1, i + 1)), cls, scap)
-    return Series._from_columns(size_graded_context(scap), *table)
+    table = schmidt_weight_table(m, tuple(range(1, i + 1)), cls, cap=scap)
+    return Series(size_graded_context(scap), table)
 
 
 def named_witnesses(identity, q, size, m=None, i=None):
@@ -2100,6 +2235,38 @@ def test_pochhammer_builders_match_whole_series_products(ctx, base, ratio):
     assert by_steps(ctx, factors) == by_steps(ctx, factors[::-1]) == want
 
 
+FACTOR_KINDS = ("any", "g-outside", "g-constant", "z-outside", "n-zero")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_factor_steps_match_monomial_steps(data):
+    # The factors are packed once and stepped by g's key; the path they
+    # replaced multiplied Monomials and checked each against the caps, as
+    # family_factors does.
+    width = data.draw(st.integers(1, 3))
+    caps = tuple(data.draw(st.lists(st.integers(0, 6), min_size=width, max_size=width)))
+    ctx = SeriesContext(("q", "t1", "t2")[:width], caps)
+    kind = data.draw(st.sampled_from(FACTOR_KINDS))
+
+    def vector(outside=False):
+        exps = data.draw(st.tuples(*(st.integers(0, cap + 2) for cap in caps)))
+        if outside:
+            at = data.draw(st.integers(0, width - 1))
+            exps = exps[:at] + (caps[at] + data.draw(st.integers(1, 9)),) + exps[at + 1 :]
+        return Monomial(exps)
+
+    z = vector(kind == "z-outside")
+    g = Monomial([0] * width) if kind == "g-constant" else vector(kind == "g-outside")
+    n = 0 if kind == "n-zero" else data.draw(st.none() | st.integers(1, 8))
+    if n is None and g.is_constant():
+        # An infinite family needs a nonconstant ratio.
+        n = data.draw(st.integers(1, 8))
+    pack = _layout(caps).pack
+    want = [(sum(mon), pack(mon)) for mon, _, _ in family_factors(ctx, z, g, n)]
+    assert _factor_keys(ctx, z, g, n) == want
+
+
 @pytest.mark.parametrize("identity", ["ak_trivariate", "overpartition", "cor22"])
 def test_q_graded_product_sides_match_whole_series_products(identity):
     for qcap in (0, 1, 5, 12):
@@ -2228,6 +2395,30 @@ def test_s_graded_enum_sides_match_tuple_tables(identity, m, i):
         got = enum_side(identity, scap=scap, m=m, i=i)
         assert got == tuple_table_enum_side(identity, scap=scap, m=m, i=i), scap
         assert_no_stored_zero(got)
+
+
+@pytest.mark.parametrize("identity", ["ak_trivariate", "overpartition", "cor22"])
+def test_q_graded_enum_sides_match_the_column_tables(identity):
+    # The tables count in the ring's bit fields and hand the series one dict;
+    # the tables they replaced handed over one list per field.
+    for qcap in range(31):
+        assert enum_side(identity, qcap=qcap) == column_enum_side(identity, qcap=qcap), qcap
+
+
+# Every s-graded row at m = 2..5 with every block.
+S_GRADED_ROWS = [("mork_odd", None, None), ("mork_even", None, None)] + [
+    (identity, m, i)
+    for identity in ("psi_all", "psi_dm")
+    for m in range(2, 6)
+    for i in range(1, m + 1)
+]
+
+
+def test_s_graded_enum_sides_match_the_column_tables():
+    for identity, m, i in S_GRADED_ROWS:
+        for scap in range(26):
+            got = enum_side(identity, scap=scap, m=m, i=i)
+            assert got == column_enum_side(identity, scap=scap, m=m, i=i), (identity, m, i, scap)
 
 
 @pytest.mark.parametrize("identity", ["mork_odd", "mork_even", "psi_all", "psi_dm"])
@@ -2386,7 +2577,7 @@ def test_schmidt_weight_table_matches_group_walk_at_any_caps(data):
 
 def test_cor22_counts_match_preorder_walk():
     for qcap in range(23):
-        assert keyed(*_cor22_counts(qcap)) == preorder_cor22_counts(qcap), qcap
+        assert keyed(_cor22_counts, qcap, fields=3) == preorder_cor22_counts(qcap), qcap
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -2395,13 +2586,13 @@ def test_residue_columns_match_the_copying_pass(m):
     if m == 2:
         cases += [((1,), "P", qcap) for qcap in range(13, 23)]
     for s, cls, qcap in cases:
-        got = keyed(*_residue_columns(m, s, cls, qcap))
+        got = keyed(_residue_columns, m, s, cls, qcap, fields=m + 1)
         assert got == copying_residue_columns(m, s, cls, qcap), (s, cls, qcap)
 
 
 def test_cor22_counts_match_the_copying_pass():
     for qcap in range(23):
-        assert keyed(*_cor22_counts(qcap)) == copying_cor22_counts(qcap), qcap
+        assert keyed(_cor22_counts, qcap, fields=3) == copying_cor22_counts(qcap), qcap
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 10**4])
@@ -2411,7 +2602,7 @@ def test_schmidt_weight_columns_match_the_copying_pass(m):
     else:
         cases = [(s, cls, cap) for s in every_residue_set(m) for cls in "PD" for cap in range(17)]
     for s, cls, cap in cases:
-        got = keyed(*_schmidt_weight_columns(m, s, cls, cap))
+        got = keyed(_schmidt_weight_columns, m, s, cls, cap, fields=2)
         assert got == copying_schmidt_weight_columns(m, s, cls, cap), (s, cls, cap)
 
 
@@ -2725,7 +2916,7 @@ def test_overpartition_counts_match_group_weights():
 
 def test_packed_cor22_counts_match_tuple_keyed_counts():
     for qcap in range(31):
-        assert keyed(*_cor22_counts(qcap)) == tuple_cor22_counts(qcap), qcap
+        assert keyed(_cor22_counts, qcap, fields=3) == tuple_cor22_counts(qcap), qcap
 
 
 @pytest.mark.parametrize(
@@ -2815,16 +3006,26 @@ def test_schmidt_bucket_counts_match_whole_walk_at_any_weight(data):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_class_d_buckets_match_whole_walk_on_every_residue_set(m):
-    # Class D is read off the part-size pass, not walked; the walk that
-    # built every key on the way down must give the same Counter exactly.
-    # S = {1} at m = 5 takes most of the time: the walk visits every
-    # partition, and few counted indices leave the most of them.
+    # Class D is read off the part-size pass, not walked; one walk over
+    # every partition of each weight up to the top, each keyed on the way
+    # down, must give the same Counters exactly.  S = {1} at m = 5 takes
+    # most of the time: 6.9 million partitions, as few counted indices
+    # leave the most of them.
     top = 40 if m == 2 else 20
     for s in residue_sets(m, True):
+        tables = class_d_buckets_by_weight(top, m, s)
         for n in range(top + 1):
-            assert schmidt_bucket_counts(n, m, s, "D") == walk_schmidt_bucket_counts(
-                n, m, s, "D"
-            ), (s, n)
+            assert schmidt_bucket_counts(n, m, s, "D") == tables[n], (s, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_class_d_walk_by_weight_matches_one_walk_per_weight(m):
+    # The oracle above walks every weight at once; the walk of one weight at
+    # a time must give each weight's Counter.
+    for s in residue_sets(m, True):
+        tables = class_d_buckets_by_weight(16, m, s)
+        for n in range(17):
+            assert tables[n] == walk_schmidt_bucket_counts(n, m, s, "D"), (s, n)
 
 
 def test_class_d_buckets_match_whole_walk_at_weight_40():
@@ -2907,6 +3108,28 @@ def test_schmidt_bucket_lists_nest_within_the_cut(monkeypatch, n, m, s):
         assert (key, tail_cut, out) == (0, cut, None)
         assert counted[r] and 0 < n - weight <= cut
     assert 1 < max(d for *_, d, _ in tails) <= cut
+
+
+def test_schmidt_bucket_lists_share_the_states_of_parts_above_the_weight_left(monkeypatch):
+    # A kept state's next index is counted, so no later part reaches a last
+    # part above its weight left, and every such state of one residue and
+    # weight is kept once, as (residue, weight, weight left + 1, 0).  At
+    # (20, 2, {1}) that keeps 92 lists; keyed by the last part and its run,
+    # it kept 200.
+    walk = partitions._bucket_walk
+    states = []
+
+    def traced(stack, done, cut, tails, out, shape):
+        if out is None:
+            states.append(stack[0][:4])
+        walk(stack, done, cut, tails, out, shape)
+
+    monkeypatch.setattr(partitions, "_bucket_walk", traced)
+    assert schmidt_bucket_counts(20, 2, (1,), "P") == walk_schmidt_bucket_counts(20, 2, (1,), "P")
+    assert len(states) == 92
+    for _, weight, last, run in states:
+        left = 20 - weight
+        assert last <= left or (last, run) == (left + 1, 0)
 
 
 def test_class_d_buckets_walk_nothing(monkeypatch):

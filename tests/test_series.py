@@ -26,7 +26,7 @@ from schmidtq import (
     q_binomial,
     q_multinomial,
 )
-from schmidtq.series import gaussian_multinomial_coeffs
+from schmidtq.series import _layout, gaussian_multinomial_coeffs
 
 from conftest import Exactly
 
@@ -119,113 +119,56 @@ def outcome(build):
         return type(err), str(err)
 
 
-COLUMN_CASES = [
-    # (columns, coefficients, what the dict path raises or None)
-    ([[4, 0], [0, 1]], [1, 2], ValueError),
-    ([[0, 1], [3, 0]], [1, 2], ValueError),
-    ([[0, -1], [0, 1]], [1, 2], ValueError),
-    ([[1.0, 1], [0, 1]], [1, 2], TypeError),
-    ([[0, 1], [0, 1]], [1, 2.0], TypeError),
-    ([[True, 1], [0, 1]], [1, 2], None),
-    ([[0, 1], [0, 1]], [True, 2], None),
-]
+# Keys of TCTX's layout that no in-cap vector packs to: q takes bits 0-2
+# and t bits 3-5, the top bit of each field its guard.
+PACKED_FLAWS = {
+    "field-above-cap": ({3 << 3: 1}, "exceeds caps"),  # t = 3, below t's guard bit
+    "negative-key": ({-1: 1}, "no key of the layout"),
+    "guard-bit": ({1 << 2: 1}, "no key of the layout"),  # q = 4
+    "bit-past-layout": ({1 << 6: 1}, "no key of the layout"),
+    "non-int-key": ({1.0: 1}, "must be ints"),
+    "non-int-count": ({1: 2.0}, "must be ints"),
+}
 
 
-@pytest.mark.parametrize(
-    "columns, coeffs, raises",
-    COLUMN_CASES,
-    ids=[
-        "one-over-q-cap",
-        "one-over-t-cap",
-        "negative",
-        "float-exponent",
-        "float-coefficient",
-        "bool-exponent",
-        "bool-coefficient",
-    ],
-)
-def test_column_constructor_checks_as_the_dict_path(columns, coeffs, raises):
-    # The same exception and message, or the same series, as the
-    # constructor on the dict the columns spell.
-    got = outcome(lambda: Series._from_columns(TCTX, columns, coeffs))
-    assert got == outcome(lambda: Series(TCTX, dict(zip(zip(*columns), coeffs))))
-    if raises:
-        assert got[0] is raises
-    else:
-        assert isinstance(got, Series)
+@pytest.mark.parametrize("flaw", PACKED_FLAWS)
+def test_packed_constructor_refuses_keys_of_no_in_cap_vector(flaw):
+    terms, message = PACKED_FLAWS[flaw]
+    with pytest.raises(ValueError, match=message):
+        Series._from_packed(TCTX, {0: 1, **terms})
 
 
-EXPONENT_FLAWS = ("over-cap", "negative", "float", "integral-float", "bool")
-
-
-def spoil(data, columns, coeffs, caps):
-    """Replace one entry at a random row by a bad or unusual one; it may be a coefficient."""
-    row = data.draw(st.integers(0, len(coeffs) - 1))
-    flaw = data.draw(st.sampled_from(EXPONENT_FLAWS * bool(caps) + ("float-coefficient",)))
-    if flaw == "float-coefficient":
-        coeffs[row] = coeffs[row] + data.draw(st.sampled_from((0.0, 0.5)))
-        return
-    at = data.draw(st.integers(0, len(caps) - 1))
-    column, cap = columns[at], caps[at]
-    column[row] = {
-        "over-cap": cap + data.draw(st.integers(1, 3)),
-        "negative": -data.draw(st.integers(1, 3)),
-        "float": column[row] + 0.5,
-        "integral-float": float(column[row]),
-        "bool": data.draw(st.booleans()),
-    }[flaw]
+def test_packed_constructor_takes_in_cap_keys_and_drops_zero_counts():
+    pack = _layout(TCTX.caps).pack
+    got = Series._from_packed(TCTX, {pack((1, 0)): 5, pack((3, 2)): -2, pack((0, 1)): 0})
+    assert got == Series(TCTX, {(1, 0): 5, (3, 2): -2}) and len(got) == 2
+    assert Series._from_packed(TCTX, {}) == TCTX.zero()
+    ctx = SeriesContext((), ())
+    assert Series._from_packed(ctx, {0: 5}) == ctx.constant(5)
+    with pytest.raises(ValueError, match="no key of the layout"):
+        Series._from_packed(ctx, {1: 5})
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_column_constructor_matches_the_row_constructor(data):
-    # The two constructors share only the row checks and the merge, so on
-    # any columns they give the same terms or raise the same error.
+def test_packed_constructor_takes_exactly_the_keys_of_in_cap_vectors(data):
+    # Any int may be drawn as a key; the constructor must take a dict
+    # exactly when every key packs an in-cap vector, and then hold the
+    # series the row constructor builds from those vectors.
     width = data.draw(st.integers(0, 4))
     caps = tuple(data.draw(st.lists(st.integers(0, 5), min_size=width, max_size=width)))
     ctx = SeriesContext(("q", "t1", "t2", "s")[:width], caps)
-    rows = data.draw(st.lists(st.tuples(*(st.integers(0, cap) for cap in caps)), max_size=10))
-    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-    # Repeat some rows, each with its coefficient negated half the time, so
-    # that some keys merge and some cancel.
-    for row, coeff in list(zip(rows, coeffs)):
-        if data.draw(st.integers(0, 3)) == 0:
-            rows.append(row)
-            coeffs.append(data.draw(st.sampled_from((coeff, -coeff))))
-    columns = [list(column) for column in zip(*rows)] if rows else [[] for _ in caps]
-    if coeffs and data.draw(st.booleans()):
-        spoil(data, columns, coeffs, caps)
-    keys = list(zip(*columns)) if columns else [()] * len(coeffs)
-    got = outcome(lambda: Series._from_columns(ctx, columns, coeffs))
-    want = outcome(lambda: Series(ctx, list(zip(keys, coeffs))))
-    if isinstance(want, Series):
-        assert isinstance(got, Series) and got._terms == want._terms
+    layout = _layout(caps)
+    vectors = {layout.pack(v): v for v in itertools.product(*(range(cap + 1) for cap in caps))}
+    key = st.sampled_from(sorted(vectors)) | st.integers(-4, 2 << layout.width)
+    keys = data.draw(st.lists(key, max_size=8, unique=True))
+    counts = data.draw(st.lists(st.integers(-3, 3), min_size=len(keys), max_size=len(keys)))
+    got = outcome(lambda: Series._from_packed(ctx, dict(zip(keys, counts))))
+    if set(keys) <= set(vectors):
+        assert got == Series(ctx, {vectors[k]: c for k, c in zip(keys, counts)})
         assert all(got._terms.values())
     else:
-        assert got == want
-
-
-def test_column_constructor_refuses_ragged_or_miscounted_columns():
-    with pytest.raises(ValueError, match="every exponent column must hold 2 exponents"):
-        Series._from_columns(TCTX, [[0, 1], [0]], [1, 2])
-    with pytest.raises(ValueError, match="every exponent column must hold 1 exponents"):
-        Series._from_columns(TCTX, [[0, 1], [0, 1]], [1])
-    for columns in ([[0, 1]], [[0, 1], [0, 1], [0, 1]]):
-        with pytest.raises(ValueError, match="one exponent column per variable of"):
-            Series._from_columns(TCTX, columns, [1, 2])
-    # The dict path refuses a key of the wrong arity with a ValueError too.
-    with pytest.raises(ValueError, match="wrong arity"):
-        Series(TCTX, {(0,): 1, (1,): 2})
-
-
-def test_column_constructor_merges_duplicates_and_drops_zeros():
-    merged = Series._from_columns(TCTX, [[1, 1, 2, 3], [0, 0, 1, 2]], [2, 3, 5, 0])
-    assert merged == Series(TCTX, {(1, 0): 5, (2, 1): 5}) and len(merged) == 2
-    assert Series._from_columns(TCTX, [[1, 1], [0, 0]], [4, -4]) == TCTX.zero()
-    assert Series._from_columns(TCTX, [[], []], []) == TCTX.zero()
-    ctx = SeriesContext((), ())
-    assert Series._from_columns(ctx, [], [2, 3]) == ctx.constant(5)
-    assert Series._from_columns(ctx, [], [True, 1]) == ctx.constant(2)
+        assert got[0] is ValueError
 
 
 NOT_AN_INTEGER = "cannot be interpreted as an integer"

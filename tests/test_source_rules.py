@@ -212,8 +212,8 @@ UNUSED_IN_SOURCE = {
     "ln_series": "a series_sides benchmark op",
     "Series.mul_one_minus": "the multiply step the README documents",
     "Partition.multiplicity": "read by the bijection and partition tests",
-    "residue_column_table": "public tuple-keyed table; enum_side reads the same columns unzipped",
-    "schmidt_weight_table": "public tuple-keyed table; enum_side reads the same columns unzipped",
+    "residue_column_table": "public tuple-keyed table; enum_side counts it in the ring's keys",
+    "schmidt_weight_table": "public tuple-keyed table; enum_side counts it in the ring's keys",
 }
 
 
@@ -266,19 +266,19 @@ def scoped_names(node, scope="<module>"):
         yield from scoped_names(child, inner)
 
 
-def test_only_the_column_constructor_packs_columns():
-    # The constructor checks its input row by row; the enum sides' column
-    # constructor is the one caller of the column packer, so no other path
-    # grows a second packer.
+def test_only_enum_side_hands_packed_keys_to_the_ring():
+    # The enum tables count in the ring's packed keys, and their dicts enter
+    # a series only through the one checked packed-key constructor, which
+    # enum_side alone calls; no other path takes keys without a check.
     found = sorted(
         {
             f"{path.name} {scope}"
             for path in SOURCE.glob("*.py")
             for scope, name in scoped_names(ast.parse(path.read_text()))
-            if name == "_pack_columns"
+            if name == "_from_packed" or scope == "enum_side" and name == "_raw"
         }
     )
-    assert found == ["series.py Series._from_columns"]
+    assert found == ["identities.py enum_side"]
 
 
 def test_every_mutant_record_still_applies():
