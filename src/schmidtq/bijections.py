@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import repeat
 
-from .colored import ColoredPartition, _palette
+from .colored import ColoredPartition
 from .partitions import Partition, _check_modulus, in_class, normalize_residue_set
 
 __all__ = [
@@ -47,12 +47,6 @@ __all__ = [
     "decompose_multiplicity",
     "merge_partitions",
 ]
-
-
-def _marked_rows_below(h, m, residues):
-    # Count row indices r <= h with ((r - 1) % m) + 1 in residues.
-    full, rem = divmod(h, m)
-    return full * len(residues) + bisect_right(residues, rem)
 
 
 def color_conjugate(lam, m, s):
@@ -77,9 +71,12 @@ def color_conjugate(lam, m, s):
     # come out in order.
     for h, part in zip(range(len(lam), 0, -1), reversed(lam.parts)):
         if part > below:
-            p = _marked_rows_below(h, m, residues)
-            # Row 1 is always marked, so every positive column has p >= 1,
-            # and s_k + j = h - m * ((p - 1) // i).
+            # p counts the marked rows r <= h: i in each full block of m
+            # rows, and the residues up to the rest.  Row 1 is always
+            # marked, so every positive column has p >= 1, and s_k + j =
+            # h - m * ((p - 1) // i).
+            full, rest = divmod(h, m)
+            p = full * i + bisect_right(residues, rest)
             parts += repeat((p, h - m * ((p - 1) // i)), part - below)
             below = part
     return ColoredPartition._trusted(tuple(parts))
@@ -94,14 +91,17 @@ def color_conjugate_inverse(mu, m, s):
     """
     residues = normalize_residue_set(m, s, allow_m=True)
     i = len(residues)
+    # A part p wears the colors bounds[k] .. bounds[k + 1] - 1, with
+    # k = (p - 1) % i and the ceiling m + 1 past the last residue.
+    bounds = (*residues, m + 1)
     heights = []
     for p, c in mu.parts:
-        lo, hi = _palette(p, residues, m + 1)
-        if not lo <= c < hi:
+        full, k = divmod(p - 1, i)
+        if not bounds[k] <= c < bounds[k + 1]:
             raise ValueError(
                 f"part ({p}, {c}) is not admissible for modulus {m}, residues {residues}"
             )
-        heights.append(m * ((p - 1) // i) + c)
+        heights.append(m * full + c)
     # mu's parts decrease, and the height grows with (p, c), so the
     # heights decrease too.
     return Partition._trusted(tuple(heights)).conjugate()
@@ -116,16 +116,22 @@ def mork_forward(lam):
     it).  The image has strictly decreasing parts.
     """
     rows = lam.parts
-    cols = lam.conjugate().parts
     out = []
-    # Row d = r + 1 meets the diagonal while lam_d >= d, and then cols has
-    # at least d entries, d + 1 when the cell (d, d + 1) exists.
+    # Row d = r + 1 meets the diagonal while lam_d >= d.  Only the columns
+    # up to the one just right of the Durfee square are read: k counts the
+    # parts above r, the height conj_(r+1) of column r + 1, and falls as r
+    # grows.  Rows 1 .. d all exceed r, so k never drops below d.
+    k = len(rows)
     for r, row in enumerate(rows):
         if row <= r:
             break
-        out.append(row + cols[r] - 2 * r - 1)
+        while rows[k - 1] <= r:
+            k -= 1
+        out.append(row + k - 2 * r - 1)
         if row > r + 1:
-            out.append(row + cols[r + 1] - 2 * r - 2)
+            while rows[k - 1] <= r + 1:
+                k -= 1
+            out.append(row + k - 2 * r - 2)
     return Partition(out)
 
 

@@ -228,8 +228,9 @@ def _cmd_coeff(args, out):
 
 def _cmd_witness(args, out):
     kwargs = _params(args, IDENTITY_TABLE[args.identity])
+    write = out.write
     for line in witnesses(args.identity, args.mono, **kwargs):
-        print(line, file=out)
+        write(line + "\n")
     return 0
 
 
@@ -303,8 +304,10 @@ def _cmd_enumerate(args, out):
     else:
         _refuse_unread(args, "class over", "--n")
         stream = overpartitions(_need(args, "--n"))
+    # One write per object, as the stream makes it: nothing holds every line.
+    write = out.write
     for obj in stream:
-        print(obj.to_text(), file=out)
+        write(obj.to_text() + "\n")
     return 0
 
 

@@ -13,7 +13,7 @@ of each part size may additionally be overlined.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement, product, repeat
+from itertools import chain, combinations_with_replacement, product, repeat
 from operator import add, index
 
 from .partitions import normalize_residue_set, partition_groups
@@ -85,7 +85,7 @@ class ColoredPartition(_Value):
 
     def to_text(self):
         """``size_color`` pairs joined by commas, e.g. ``"7_1,6_5,2_2"``."""
-        return ",".join(f"{p}_{c}" for p, c in self._parts)
+        return ",".join([f"{p}_{c}" for p, c in self._parts])
 
     @classmethod
     def from_text(cls, text):
@@ -158,16 +158,17 @@ def colored_partitions(n, m, s, top):
     decreasing order.
     """
     residues, top = _validate_palette(m, s, top)
+    trusted = ColoredPartition._trusted
     for groups in partition_groups(n):
+        # Each group's colorings, built once as runs of (size, color) pairs;
+        # an object is one choice of run per group, laid end to end.
         options = []
         for size, count in groups:
             lo, hi = _palette(size, residues, top)
-            palette = range(hi - 1, lo - 1, -1)
-            options.append(list(combinations_with_replacement(palette, count)))
+            pairs = [(size, c) for c in range(hi - 1, lo - 1, -1)]
+            options.append(list(combinations_with_replacement(pairs, count)))
         for choice in product(*options):
-            yield ColoredPartition._trusted(
-                tuple((size, c) for (size, _), colors in zip(groups, choice) for c in colors)
-            )
+            yield trusted(tuple(chain.from_iterable(choice)))
 
 
 class Overpartition(_Value):
@@ -223,8 +224,9 @@ class Overpartition(_Value):
         """Decreasing parts joined by commas, an apostrophe marking an overline: ``"3',2,1'"``."""
         toks = []
         for size, count, flag in self._parts:
-            toks.append(f"{size}'" if flag else str(size))
-            toks.extend(str(size) for _ in range(count - 1))
+            text = str(size)
+            toks.append(text + "'" if flag else text)
+            toks += repeat(text, count - 1)
         return ",".join(toks)
 
     @classmethod
@@ -252,11 +254,10 @@ def overpartitions(n):
     n = index(n)
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
+    trusted = Overpartition._trusted
     for groups in partition_groups(n):
-        for flags in product((False, True), repeat=len(groups)):
-            yield Overpartition._trusted(
-                tuple((size, count, flag) for (size, count), flag in zip(groups, flags))
-            )
+        entries = [((size, count, False), (size, count, True)) for size, count in groups]
+        yield from map(trusted, product(*entries))
 
 
 def over_stats(mu):

@@ -145,7 +145,7 @@ class Partition:
 
     def to_text(self):
         """Comma-separated parts, e.g. ``"7,5,4,4,2,1"``; empty string for the empty partition."""
-        return ",".join(str(p) for p in self._parts)
+        return ",".join(map(str, self._parts))
 
     @classmethod
     def from_text(cls, text):
@@ -285,6 +285,44 @@ def partition_groups(n):
             groups.append((rest % size, 1))
 
 
+def _flat_partitions(n):
+    # The partitions of n as part tuples, in partition_groups' order and by
+    # its successor rule, on one list of n slots whose first k hold the
+    # parts; h indexes the last part above 1.  Lowering a part of 2 turns
+    # it into one more 1.  Otherwise the part x at h drops to x - 1, and
+    # the 1 it frees and the trailing 1s refill the slots after it with
+    # copies of x - 1 and one remainder.
+    if n == 0:
+        yield ()
+        return
+    parts = [1] * n
+    parts[0] = n
+    k = 1
+    h = 0 if n > 1 else -1
+    yield (n,)
+    while h >= 0:
+        x = parts[h] - 1
+        if x == 1:
+            parts[h] = 1
+            h -= 1
+            k += 1
+        else:
+            free = k - h
+            parts[h] = x
+            while free >= x:
+                h += 1
+                parts[h] = x
+                free -= x
+            if free == 0:
+                k = h + 1
+            else:
+                k = h + 2
+                if free > 1:
+                    h += 1
+                    parts[h] = free
+        yield tuple(parts[:k])
+
+
 def _expand(groups):
     return tuple(chain.from_iterable(starmap(repeat, groups)))
 
@@ -302,18 +340,17 @@ def partitions_of(n, cls="P", m=None):
         raise ValueError(f"size must be nonnegative, got {n}")
     _check_class(cls, m)
     if cls == "P":
-        stream = partition_groups(n)
+        stream = _flat_partitions(n)
     elif cls == "R":
         stream = (
-            tuple((m * size, count) for size, count in groups)
-            for groups in (partition_groups(n // m) if n % m == 0 else ())
+            tuple([m * p for p in parts])
+            for parts in (_flat_partitions(n // m) if n % m == 0 else ())
         )
     elif cls == "D":
-        stream = _weight_walk(n, m, range(1, m + 1), n, most=m - 1)
+        stream = map(_expand, _weight_walk(n, m, range(1, m + 1), n, most=m - 1))
     else:
-        stream = _walk(n, _gap_rule(m, n))
-    for groups in stream:
-        yield Partition._trusted(_expand(groups))
+        stream = map(_expand, _walk(n, _gap_rule(m, n)))
+    yield from map(Partition._trusted, stream)
 
 
 def _walk(n, children, state=None, *, empty=True):
@@ -812,13 +849,16 @@ def _bucket_walk(stack, done, cut, tails, out, shape):
     # lists of the deeper states it reaches; every child of such a state
     # adds weight, so these walks nest at most cut deep.  No later part of
     # such a prefix exceeds its weight left, so a last part above that is
-    # never repeated, and every such prefix of one residue and weight shares
-    # the state (residue, weight, weight left + 1, 0).  Prefixes whose
-    # next index is not counted are walked as they are.  With out given,
-    # done is moved into it whenever a replay leaves it _BATCH long, and
-    # the caller moves the rest; a walk below a state leaves out None and
-    # keeps its whole list.  A closure that called itself would form a
-    # cycle holding the memo until a full garbage collection.
+    # never repeated.  Every such prefix of one residue and weight shares
+    # the state (residue, weight, weight left, 0) of a last part equal to
+    # the weight left whose run just closed a block: in both the next part
+    # is at most the weight left and starts a run of 1, as m >= 2.
+    # Prefixes whose next index is not counted are walked as they are.
+    # With out given, done is moved into it whenever a replay leaves it
+    # _BATCH long, and the caller moves the rest; a walk below a state
+    # leaves out None and keeps its whole list.  A closure that called
+    # itself would form a cycle holding the memo until a full garbage
+    # collection.
     n, m, counted, step, block = shape
     while stack:
         r, weight, last, run, key = stack.pop()
@@ -848,7 +888,7 @@ def _bucket_walk(stack, done, cut, tails, out, shape):
             elif not grows and n - child_weight <= cut:
                 left = n - child_weight
                 if a > left:
-                    state = (next_r, child_weight, left + 1, 0)
+                    state = (next_r, child_weight, left, 0)
                 else:
                     state = (next_r, child_weight, a, child_run)
                 deltas = tails.get(state)

@@ -193,18 +193,77 @@ MUTANTS = (
         "            out.update(zip(map(add, part, repeat(shift)), part.values()))\n",
         ("tests/test_oracles.py::test_q_graded_enum_sides_match_the_column_tables",),
     ),
-    # The last part left + 1 counts as above every later part; left would
-    # share the state of a last part left whose run just closed a block,
-    # which keeps the counts and only the kept-list count tells apart.
+    # A last part above the weight left shares the state of a last part
+    # left whose run just closed a block; left + 1 keeps the counts and
+    # only the kept-list count tells the two apart.
     Mutant(
-        "bucket-state-above-left-keyed-at-left",
+        "bucket-state-above-left-keyed-above-left",
         "src/schmidtq/partitions.py",
-        "state = (next_r, child_weight, left + 1, 0)",
         "state = (next_r, child_weight, left, 0)",
+        "state = (next_r, child_weight, left + 1, 0)",
         (
             "tests/test_oracles.py::"
             "test_schmidt_bucket_lists_share_the_states_of_parts_above_the_weight_left",
         ),
+    ),
+    Mutant(
+        "flat-partitions-refill-with-x-plus-one",
+        "src/schmidtq/partitions.py",
+        "                parts[h] = x\n                free -= x",
+        "                parts[h] = x + 1\n                free -= x",
+        ("tests/test_oracles.py::test_partitions_of_matches_recursive_walk",),
+    ),
+    Mutant(
+        "colored-palette-ascending",
+        "src/schmidtq/colored.py",
+        "pairs = [(size, c) for c in range(hi - 1, lo - 1, -1)]",
+        "pairs = [(size, c) for c in range(lo, hi)]",
+        ("tests/test_oracles.py::test_colored_partitions_match_nested_generator[m2-s1-top3]",),
+    ),
+    Mutant(
+        "overpartition-flags-swapped",
+        "src/schmidtq/colored.py",
+        "((size, count, False), (size, count, True))",
+        "((size, count, True), (size, count, False))",
+        ("tests/test_oracles.py::test_overpartitions_match_recursive_walk",),
+    ),
+    Mutant(
+        "overpartition-text-one-copy-more",
+        "src/schmidtq/colored.py",
+        "toks += repeat(text, count - 1)",
+        "toks += repeat(text, count)",
+        (
+            "tests/test_golden_cli.py::"
+            "test_command_output_is_unchanged[enumerate --class over --n 4]",
+        ),
+    ),
+    Mutant(
+        "color-conjugate-marked-rows-below-the-rest",
+        "src/schmidtq/bijections.py",
+        "p = full * i + bisect_right(residues, rest)",
+        "p = full * i + bisect_right(residues, rest - 1)",
+        ("tests/test_oracles.py::test_color_conjugate_matches_per_column_map[3]",),
+    ),
+    Mutant(
+        "inverse-palette-ceiling-m",
+        "src/schmidtq/bijections.py",
+        "bounds = (*residues, m + 1)",
+        "bounds = (*residues, m)",
+        ("tests/test_oracles.py::test_color_conjugate_matches_per_column_map[3]",),
+    ),
+    Mutant(
+        "mork-durfee-column-walk-one-column-early",
+        "src/schmidtq/bijections.py",
+        "while rows[k - 1] <= r + 1:",
+        "while rows[k - 1] <= r:",
+        ("tests/test_oracles.py::test_mork_maps_match_part_indexing_maps",),
+    ),
+    Mutant(
+        "enumerate-write-drops-the-newline",
+        "src/schmidtq/cli.py",
+        'write(obj.to_text() + "\\n")',
+        "write(obj.to_text())",
+        ("tests/test_cli.py::test_enumerate_writes_each_object_text_on_a_line",),
     ),
     Mutant(
         "decompose-keeps-one-more-low",

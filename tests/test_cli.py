@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schmidtq.cli as cli
-from schmidtq import VerificationReport, identities
+from schmidtq import (
+    VerificationReport,
+    colored_partitions,
+    identities,
+    overpartitions,
+    partitions_of,
+    partitions_with_schmidt_weight,
+    witnesses,
+)
 from schmidtq.cli import run
 
 
@@ -556,6 +564,58 @@ def test_enumerate_by_weight_with_a_large_modulus(capsys):
     )
     assert code == 0
     assert out.splitlines() == [",".join(["1"] * k) for k in range(1, 1501)]
+
+
+# Each class, the empty object, and both weight walks.
+WRITE_CASES = [
+    (("--class", "P", "--n", "0"), lambda: partitions_of(0)),
+    (("--class", "P", "--n", "9"), lambda: partitions_of(9)),
+    (("--class", "D", "--n", "9", "--m", "3"), lambda: partitions_of(9, "D", 3)),
+    (("--class", "F", "--n", "8", "--m", "2"), lambda: partitions_of(8, "F", 2)),
+    (("--class", "R", "--n", "12", "--m", "3"), lambda: partitions_of(12, "R", 3)),
+    (("--class", "cs", "--n", "6", "--m", "3", "--s", "1,3"),
+     lambda: colored_partitions(6, 3, (1, 3), 4)),
+    (("--class", "cs", "--n", "5", "--m", "2", "--s", "1", "--top", "2"),
+     lambda: colored_partitions(5, 2, (1,), 2)),
+    (("--class", "over", "--n", "0"), lambda: overpartitions(0)),
+    (("--class", "over", "--n", "7"), lambda: overpartitions(7)),
+    (("--class", "P", "--schmidt-weight", "4", "--m", "3", "--s", "1,2"),
+     lambda: partitions_with_schmidt_weight(4, 3, (1, 2), "P")),
+    (("--class", "D", "--schmidt-weight", "5"),
+     lambda: partitions_with_schmidt_weight(5, 2, (1,), "D")),
+]
+
+
+@pytest.mark.parametrize("flags, stream", WRITE_CASES, ids=[" ".join(f) for f, _ in WRITE_CASES])
+def test_enumerate_writes_each_object_text_on_a_line(capsys, flags, stream):
+    code, out, err = _run(capsys, "enumerate", *flags)
+    assert (code, err) == (0, "")
+    assert out == "".join(obj.to_text() + "\n" for obj in stream())
+
+
+# One monomial with witnesses on every series identity.
+WITNESS_CASES = [
+    ("ak_trivariate", "q=7,t1=2,t2=3", {}),
+    ("overpartition", "q=7,t1=2,t2=2", {}),
+    ("cor22", "q=8,t1=1,t2=2", {}),
+    ("mork_odd", "q=6,s=10", {}),
+    ("mork_even", "q=4,s=10", {}),
+    ("psi_all", "q=6,s=9", {"m": 3, "i": 2}),
+    ("psi_dm", "q=6,s=7", {"m": 3, "i": 2}),
+]
+
+
+@pytest.mark.parametrize("identity, mono, params", WITNESS_CASES, ids=[c[0] for c in WITNESS_CASES])
+def test_witness_writes_each_line_of_the_listing(capsys, identity, mono, params):
+    argv = ["witness", "--identity", identity, "--mono", mono]
+    if params:
+        argv += ["--m", str(params["m"]), "--s", ",".join(map(str, range(1, params["i"] + 1)))]
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    exps = {k: int(v) for k, v in (piece.split("=") for piece in mono.split(","))}
+    lines = witnesses(identity, exps, **params)
+    assert lines
+    assert out == "".join(line + "\n" for line in lines)
 
 
 def test_enumerate_usage_errors(capsys):

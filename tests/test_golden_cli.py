@@ -117,6 +117,10 @@ COMMANDS = (
     "witness --identity cor22 --mono s=3",
     # a repeated residue spells the same block
     "verify psi_all --m 3 --s 1,1,2 --s-cap 6",
+    # objects written line by line: colored pairs, and psi both ways
+    "enumerate --class cs --n 5 --m 3 --s 1,2",
+    "map --bijection psi --m 3 --s 1,3 --partition 9,7,7,4,3,3,1",
+    "map --bijection psi --m 3 --s 1,3 --partition 5_1,4_3,4_3,3_1,2_3,2_3,2_3,1_1,1_1 --inverse",
 )
 
 

@@ -66,7 +66,10 @@ The walk that built every key on the way down, in both classes, is kept
 below; the replay must give its counts at every cut and stay within 3x
 its tracemalloc peak, and the class-D pass must give its counts
 exactly, holding memory that grows with the pass's states and not with
-the partitions counted.  The walk whose
+the partitions counted.  At every weight up to 20 (40 at m = 2) the
+class-D pass is checked against a count over column heights, which
+shares no code with the pass and is itself checked against the walk at
+smaller weights.  The walk whose
 lists each walked their whole subtree, at every state with little
 weight left, is kept below too.  Its state keeps the run length of the
 last part mod m, a block added as a run reaches m copies; the walk that
@@ -106,6 +109,19 @@ they pass and comparing neighbouring parts, and the validating
 constructors that ``decompose_multiplicity`` and ``merge_partitions``
 no longer call on outputs that decrease by construction.
 
+Each streamed or mapped object is built once.  Class P steps one list of
+parts by the successor rule of ``partition_groups``, and class R scales
+that stream; ``colored_partitions`` lays pre-built runs of (size, color)
+pairs end to end, and ``overpartitions`` takes the product of pre-built
+flagged entries.  ``color_conjugate`` counts the marked rows of each
+height inline, its inverse checks each palette against the residues and
+the ceiling, and ``mork_forward`` reads the column heights only up to the
+column just right of the Durfee square.  The builders they replaced are
+kept below: each partition expanded from its groups, the nested
+generators, the helper that counted the marked rows, the ``_palette``
+check and the whole conjugate.  Streams must give the same objects in
+the same order, and maps the same objects or the same error.
+
 Every enum side hands its table to the ring as columns, one int list per
 variable, and the double sums step one dict of packed keys, each level
 a product of two cached Gaussian binomials cut at the cap.  The path
@@ -138,6 +154,7 @@ table still calls, and the list pass ``colored_partition_total`` made on
 its own, are kept below.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from itertools import (
@@ -148,9 +165,11 @@ from itertools import (
     groupby,
     product,
     repeat,
+    starmap,
+    zip_longest,
 )
 from math import comb
-from operator import add, index, itemgetter, le
+from operator import add, eq, index, itemgetter, le
 
 import pytest
 from hypothesis import given, settings
@@ -694,6 +713,55 @@ def generator_expand(groups):
     return tuple(size for size, count in groups for _ in range(count))
 
 
+def bisect_color_conjugate(lam, m, s):
+    """``color_conjugate`` with the marked rows of each height counted by a
+    helper of their own."""
+    residues = normalize_residue_set(m, s, allow_m=True)
+    i = len(residues)
+
+    def marked_rows_below(h):
+        full, rem = divmod(h, m)
+        return full * i + bisect_right(residues, rem)
+
+    parts = []
+    below = 0
+    for h, part in zip(range(len(lam), 0, -1), reversed(lam.parts)):
+        if part > below:
+            p = marked_rows_below(h)
+            parts += repeat((p, h - m * ((p - 1) // i)), part - below)
+            below = part
+    return ColoredPartition._trusted(tuple(parts))
+
+
+def palette_color_conjugate_inverse(mu, m, s):
+    """``color_conjugate_inverse`` checking each part through ``_palette``."""
+    residues = normalize_residue_set(m, s, allow_m=True)
+    i = len(residues)
+    heights = []
+    for p, c in mu.parts:
+        lo, hi = _palette(p, residues, m + 1)
+        if not lo <= c < hi:
+            raise ValueError(
+                f"part ({p}, {c}) is not admissible for modulus {m}, residues {residues}"
+            )
+        heights.append(m * ((p - 1) // i) + c)
+    return Partition._trusted(tuple(heights)).conjugate()
+
+
+def conjugate_mork_forward(lam):
+    """``mork_forward`` reading the column heights off the whole conjugate."""
+    rows = lam.parts
+    cols = lam.conjugate().parts
+    out = []
+    for r, row in enumerate(rows):
+        if row <= r:
+            break
+        out.append(row + cols[r] - 2 * r - 1)
+        if row > r + 1:
+            out.append(row + cols[r + 1] - 2 * r - 2)
+    return Partition(out)
+
+
 def tuple_run_decompose_multiplicity(mu, m):
     low = []
     bulk = []
@@ -754,6 +822,45 @@ def recursive_partitions_of(n, cls="P", m=None):
     for seq in descending_sequences(n, n):
         if in_class_by_parts(seq, cls, m):
             yield Partition(seq)
+
+
+def expanded_partitions_of(n, cls="P", m=None):
+    """``partitions_of`` in classes P and R, each partition expanded from the
+    multiplicity form of ``partition_groups``."""
+    if cls == "P":
+        stream = partition_groups(n)
+    else:
+        stream = (
+            tuple((m * size, count) for size, count in groups)
+            for groups in (partition_groups(n // m) if n % m == 0 else ())
+        )
+    for groups in stream:
+        yield Partition._trusted(_expand(groups))
+
+
+def nested_colored_partitions(n, m, s, top):
+    """``colored_partitions`` building each object's pairs by a nested
+    generator over the groups and their color tuples."""
+    residues, top = _validate_palette(m, s, top)
+    for groups in partition_groups(n):
+        options = []
+        for size, count in groups:
+            lo, hi = _palette(size, residues, top)
+            palette = range(hi - 1, lo - 1, -1)
+            options.append(list(combinations_with_replacement(palette, count)))
+        for choice in product(*options):
+            yield ColoredPartition._trusted(
+                tuple((size, c) for (size, _), colors in zip(groups, choice) for c in colors)
+            )
+
+
+def nested_overpartitions(n):
+    """``overpartitions`` zipping each partition's groups with a flag tuple."""
+    for groups in partition_groups(n):
+        for flags in product((False, True), repeat=len(groups)):
+            yield Overpartition._trusted(
+                tuple((size, count, flag) for (size, count), flag in zip(groups, flags))
+            )
 
 
 def recursive_colored_partitions(n, m, s, top):
@@ -1243,6 +1350,48 @@ def class_d_buckets_by_weight(top, m, s):
     for key, count in found.items():
         *rho, weight = _digits(key, base, m)
         tables[weight][sum(e * (weight + 1) ** j for j, e in enumerate(rho))] += count
+    return tables
+
+
+def class_d_buckets_by_columns(top, m, s):
+    """``schmidt_bucket_counts(n, m, s, "D")`` for every n <= top, counted
+    over the column heights rather than the parts.  A part p repeats
+    conj_p - conj_(p+1) times, so a partition is in class D exactly when
+    its column heights, read down to 0, never drop by m or more.  A column
+    of height h adds the counted rows r <= h to the Schmidt weight and 1
+    to rho_j for h = j mod m, j < m.  One pass over the heights h = 1, 2,
+    ... keeps the column sets by how far below h their tallest column is,
+    0 .. m - 2, and counts each set as it takes its tallest column."""
+    residues = set(normalize_residue_set(m, s))
+    base = top + 1
+    # Digit j - 1 holds rho_j and digit m - 1 the weight.
+    unit = base ** (m - 1)
+    found = Counter({0: 1})
+    open_sets = [Counter({0: 1})] + [Counter() for _ in range(m - 2)]
+    marked = 0
+    h = 0
+    while any(open_sets):
+        h += 1
+        marked += (h - 1) % m + 1 in residues
+        if marked > top:
+            break
+        step = marked * unit + (base ** (h % m - 1) if h % m else 0)
+        # open_sets[g] holds the sets whose tallest column is g + 1 below h,
+        # so each may take h; those of open_sets[m - 2] would be m below
+        # h + 1 and are dropped.
+        taller = Counter()
+        for below in open_sets:
+            for key, ways in below.items():
+                key += step
+                while key // unit <= top:
+                    taller[key] += ways
+                    key += step
+        found.update(taller)
+        open_sets = [taller] + open_sets[:-1]
+    tables = [Counter() for _ in range(top + 1)]
+    for key, ways in found.items():
+        *rho, weight = _digits(key, base, m)
+        tables[weight][sum(e * (weight + 1) ** j for j, e in enumerate(rho))] += ways
     return tables
 
 
@@ -2023,13 +2172,18 @@ def test_q_graded_enum_sides_match_object_counting(identity):
 
 
 def test_partitions_of_matches_recursive_walk():
+    # Class P steps one list of parts by the successor rule of
+    # partition_groups, and class R scales that stream by m; both must
+    # also give the groups of partition_groups, expanded.
     for n in range(23):
-        assert list(partitions_of(n)) == list(recursive_partitions_of(n)), n
-        for cls in ("D", "F", "R"):
-            for m in (2, 3, 4):
+        got = list(partitions_of(n))
+        assert got == list(recursive_partitions_of(n)) == list(expanded_partitions_of(n)), n
+        for m in (2, 3, 4):
+            for cls in ("D", "F", "R"):
                 assert list(partitions_of(n, cls, m)) == list(
                     recursive_partitions_of(n, cls, m)
                 ), (n, cls, m)
+            assert list(partitions_of(n, "R", m)) == list(expanded_partitions_of(n, "R", m))
 
 
 def test_class_d_stream_matches_the_multiplicity_rule():
@@ -2136,11 +2290,40 @@ def test_colored_partitions_match_recursive_walk(m, s, top):
 
 
 def test_overpartitions_match_recursive_walk():
-    for n in range(15):
+    for n in range(17):
         got = list(overpartitions(n))
-        assert got == list(recursive_overpartitions(n)), n
+        assert got == list(recursive_overpartitions(n)) == list(nested_overpartitions(n)), n
         # The stream builds through the trusted constructor.
         assert all(Overpartition(mu.entries) == mu for mu in got), n
+
+
+def same_stream(got, want):
+    """Whether two streams give equal objects in the same order, compared
+    one pair at a time so that neither is held whole."""
+    return all(starmap(eq, zip_longest(got, want)))
+
+
+EVERY_PALETTE = [
+    (m, s, top)
+    for m in (2, 3, 4)
+    for s in residue_sets(m, True)
+    for top in (m, m + 1)
+    if s[-1] < top
+]
+
+
+@pytest.mark.parametrize(
+    "m, s, top",
+    EVERY_PALETTE,
+    ids=[f"m{m}-s{''.join(map(str, s))}-top{top}" for m, s, top in EVERY_PALETTE],
+)
+def test_colored_partitions_match_nested_generator(m, s, top):
+    # 813,050 objects at (4, {1}, 5) over n <= 16, so the streams are
+    # compared pair by pair.
+    for n in range(17):
+        assert same_stream(
+            colored_partitions(n, m, s, top), nested_colored_partitions(n, m, s, top)
+        ), n
 
 
 @pytest.mark.parametrize("m, s, top", PALETTES)
@@ -3006,16 +3189,22 @@ def test_schmidt_bucket_counts_match_whole_walk_at_any_weight(data):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_class_d_buckets_match_whole_walk_on_every_residue_set(m):
-    # Class D is read off the part-size pass, not walked; one walk over
-    # every partition of each weight up to the top, each keyed on the way
-    # down, must give the same Counters exactly.  S = {1} at m = 5 takes
-    # most of the time: 6.9 million partitions, as few counted indices
-    # leave the most of them.
+    # Class D is read off the part-size pass, not walked; one count over
+    # the column heights of every class-D partition of each weight up to
+    # the top must give the same Counters exactly.  The walk over the parts
+    # took 6.9 million partitions at S = {1}, m = 5; the test below checks
+    # the column count against it at smaller tops.
     top = 40 if m == 2 else 20
     for s in residue_sets(m, True):
-        tables = class_d_buckets_by_weight(top, m, s)
+        tables = class_d_buckets_by_columns(top, m, s)
         for n in range(top + 1):
             assert schmidt_bucket_counts(n, m, s, "D") == tables[n], (s, n)
+
+
+@pytest.mark.parametrize("m, top", [(2, 24), (3, 16), (4, 14), (5, 12)])
+def test_class_d_column_count_matches_the_walk_over_parts(m, top):
+    for s in residue_sets(m, True):
+        assert class_d_buckets_by_columns(top, m, s) == class_d_buckets_by_weight(top, m, s), s
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -3113,9 +3302,10 @@ def test_schmidt_bucket_lists_nest_within_the_cut(monkeypatch, n, m, s):
 def test_schmidt_bucket_lists_share_the_states_of_parts_above_the_weight_left(monkeypatch):
     # A kept state's next index is counted, so no later part reaches a last
     # part above its weight left, and every such state of one residue and
-    # weight is kept once, as (residue, weight, weight left + 1, 0).  At
-    # (20, 2, {1}) that keeps 92 lists; keyed by the last part and its run,
-    # it kept 200.
+    # weight shares the list of (residue, weight, weight left, 0), a last
+    # part equal to the weight left whose run just closed a block.  At
+    # (20, 2, {1}) that keeps 86 lists; keyed as (residue, weight, weight
+    # left + 1, 0) it kept 92, and by the last part and its run 200.
     walk = partitions._bucket_walk
     states = []
 
@@ -3126,10 +3316,9 @@ def test_schmidt_bucket_lists_share_the_states_of_parts_above_the_weight_left(mo
 
     monkeypatch.setattr(partitions, "_bucket_walk", traced)
     assert schmidt_bucket_counts(20, 2, (1,), "P") == walk_schmidt_bucket_counts(20, 2, (1,), "P")
-    assert len(states) == 92
+    assert len(states) == 86
     for _, weight, last, run in states:
-        left = 20 - weight
-        assert last <= left or (last, run) == (left + 1, 0)
+        assert last <= 20 - weight
 
 
 def test_class_d_buckets_walk_nothing(monkeypatch):
@@ -3345,15 +3534,26 @@ def test_color_conjugate_matches_per_column_map(m):
     for s in residue_sets(m, True):
         for lam in partitions_up_to(20):
             mu = color_conjugate(lam, m, s)
-            assert mu == per_column_color_conjugate(lam, m, s), (s, lam)
+            assert mu == per_column_color_conjugate(lam, m, s) == bisect_color_conjugate(
+                lam, m, s
+            ), (s, lam)
             back = color_conjugate_inverse(mu, m, s)
             assert back == sorting_color_conjugate_inverse(mu, m, s) == lam
+            assert back == palette_color_conjugate_inverse(mu, m, s)
+        # Every single part (p, c) with c up to one past the ceiling m + 1:
+        # the admissible ones map alike, the rest refuse alike.
+        for p in range(1, 9):
+            for c in range(1, m + 3):
+                mu = ColoredPartition([(p, c)])
+                assert outcome(color_conjugate_inverse, mu, m, s) == outcome(
+                    palette_color_conjugate_inverse, mu, m, s
+                ), (s, p, c)
 
 
 def test_mork_maps_match_part_indexing_maps():
     for lam in partitions_up_to(20):
         mu = mork_forward(lam)
-        assert mu == part_based_mork_forward(lam), lam
+        assert mu == part_based_mork_forward(lam) == conjugate_mork_forward(lam), lam
         assert mork_inverse(mu) == sum_based_mork_inverse(mu) == lam
     # Every distinct-part partition, and partitions with repeats, which
     # both refuse with the same message.
@@ -3369,9 +3569,20 @@ drawn_partitions = st.lists(st.integers(1, 60), max_size=40).map(
 )
 
 
+drawn_colored = st.lists(st.tuples(st.integers(1, 30), st.integers(1, 10)), max_size=20).map(
+    ColoredPartition
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), lam=drawn_partitions, kept=drawn_partitions, banked=drawn_partitions)
-def test_bijections_match_replaced_maps_past_the_grid(data, lam, kept, banked):
+@given(
+    data=st.data(),
+    lam=drawn_partitions,
+    kept=drawn_partitions,
+    banked=drawn_partitions,
+    nu=drawn_colored,
+)
+def test_bijections_match_replaced_maps_past_the_grid(data, lam, kept, banked, nu):
     # Up to 40 parts of up to 60 and moduli up to 8, past the n <= 20 grid.
     m = data.draw(st.integers(2, 8))
     s = data.draw(st.sampled_from(residue_sets(m, True)))
@@ -3386,10 +3597,16 @@ def test_bijections_match_replaced_maps_past_the_grid(data, lam, kept, banked):
         conjugate_and_sort_glaisher_expand, kept, banked, m
     )
     mu = color_conjugate(lam, m, s)
-    assert mu == per_column_color_conjugate(lam, m, s)
-    assert color_conjugate_inverse(mu, m, s) == sorting_color_conjugate_inverse(mu, m, s) == lam
+    assert mu == per_column_color_conjugate(lam, m, s) == bisect_color_conjugate(lam, m, s)
+    back = color_conjugate_inverse(mu, m, s)
+    assert back == sorting_color_conjugate_inverse(mu, m, s) == lam
+    assert back == palette_color_conjugate_inverse(mu, m, s)
+    # Any colored partition, admissible or not, maps alike or refuses alike.
+    assert outcome(color_conjugate_inverse, nu, m, s) == outcome(
+        palette_color_conjugate_inverse, nu, m, s
+    )
     image = mork_forward(lam)
-    assert image == part_based_mork_forward(lam)
+    assert image == part_based_mork_forward(lam) == conjugate_mork_forward(lam)
     assert mork_inverse(image) == sum_based_mork_inverse(image) == lam
     distinct = Partition(sorted(set(kept.parts), reverse=True))
     for nu in (kept, distinct):
