@@ -7,23 +7,35 @@ is 0 once ``k`` runs past the last part, which keeps the alternating-sum
 and residue-class statistics below free of edge cases.
 
 The Schmidt-side tables count without walking partitions, in one private
-pass over the part sizes from the cap down to 1 that counts in place:
-``schmidt_weight_table``, ``residue_column_table``, the weight-only
-totals, the ``cor22`` counts and the class-D buckets of
-``schmidt_bucket_counts``, which are the residue-column table's states
-of weight n with rho_m left out.  It keeps one layer per value of a
-capped field (the weight, or the size) and in each layer one cell per
-residue of the next index: a dict from the state's other fields, one
-packed int, to a count.  For each size it reads
-every cell once, layers from the top down and in each layer residue 0
-first, then m - 1 down to 1, and a cell adds its states to later cells
-by one constant step per group of that size.  The order is exact because
-a group gains, or moves the residue up toward m without wrapping: every
-weight-capped table counts index 1, whose residue is 0, and every group
-of the sized table gains size.  So no state takes two groups of one
-size.  Class P then adds the blocks of m copies by one sweep up the
-layers.  A table gives the pass only its layout and its groups.  The
-tables count in their caller's units, one per field: a state's key is
+builder, ``_table``: a pass over the part sizes from the cap down to 1
+that counts in place.  It keeps one layer per value of a capped field
+(the weight, or the size) and in each layer one cell per residue of the
+next index: a dict from the state's other fields, one packed int, to a
+count.  For each size it reads every cell once, layers from the top down
+and in each layer residue 0 first, then m - 1 down to 1, and a cell adds
+its states to later cells by one constant step per group of that size.
+The order is exact because a group gains, or moves the residue up toward
+m without wrapping: every weight-capped table counts index 1, whose
+residue is 0, and every group of the sized table gains size.  So no
+state takes two groups of one size.  In class P the pass then adds the
+blocks of m copies by one sweep up the layers.  A table names only the
+fields it tracks and ``most``, its longest run of equal parts, and the
+builder derives every group from them.  ``most`` follows the class: None
+in class P, whose runs below m the sweep extends, and m - 1 in class D.
+Each table, by its capped field, its other fields, ``most`` and reader:
+
+- ``schmidt_weight_table`` and the ``mork_*``/``psi_*`` sides: the size;
+  the weight; by class; the layers merged.
+- ``residue_column_table`` and the ``ak_trivariate`` side: the weight;
+  rho_1 .. rho_m; by class; the layers merged.
+- the ``schmidt`` and ``uncu`` totals: the weight; none; by class; the
+  cells of weight n summed.
+- the ``cor22`` side: the weight; the repeated sizes and the alternating
+  sum; 3, mod 2; the layers merged.
+- the class-D buckets of ``schmidt_bucket_counts``: the weight;
+  rho_1 .. rho_{m-1}; m - 1; the cells of weight n merged.
+
+The tables count in their caller's units, one per field: a state's key is
 the sum of each field times its unit, and the layers merge into one dict
 with the capped field added the same way.  The enum sides pass the bit
 fields of the series ring, and the public tables the digits of base
@@ -533,31 +545,66 @@ def _schmidt_params(m, s, cls):
     return residues, [r + 1 in residues for r in range(m)]
 
 
-def _part_size_pass(cells, m, steps, *, block=None, first=None):
-    # The one dynamic program behind the Schmidt-side tables; the module
-    # docstring says why its read order is exact.  Layer t, residue r is
-    # cells[t * m + r], a dict from a state's other fields, one packed int,
-    # to its count.  steps(r) lists the groups from residue r as (g, next
-    # residue, e, f), gains g growing: the group of parts of size a adds
-    # a * g to t and a * e + f to the other fields.  It is asked once for
-    # each residue met, and groups[r] keeps its answer as (g * m, next
-    # residue - r, e, f), so a group moves a state a * g * m + next residue
-    # - r cells on.  The empty partition, if kept out of the cells, is read
-    # last from cell 0 with the groups that first lists.  A block (g, d), m
-    # copies of a part 1, adds a * g to t and a * d to the other fields.
-    limit = len(cells)
-    cap = limit // m - 1
+def _most(cls, m):
+    # The longest run of equal parts that _table lists as one group for the
+    # class: m - 1 in class D, whose multiplicities stay below m, and None in
+    # class P, whose runs below m the block sweep extends.
+    return None if cls == "P" else m - 1
+
+
+def _table(counted, cap, *, most=None, sized=False, weight=0, alt=0, repeated=0, rho=None):
+    # The one dynamic program behind the Schmidt-side tables.  The module
+    # docstring says why its read order is exact; no table can break it, as
+    # each weight-capped one counts index 1 and each sized group gains size,
+    # so nothing here checks it.  counted[r] says whether a 0-based index of
+    # residue r is counted, for m = len(counted).  The capped field is the
+    # size when sized, else the weight.  The other fields are one packed
+    # int, a sum of each field times its unit: the weight when sized, alt
+    # (the alternating sum), repeated (the sizes with two copies or more)
+    # and rho, the units of rho_1 .. rho_m, 0 for an entry not tracked.  A
+    # group is a run of c copies of a part a from residue r, c = 1 .. most;
+    # with most None, as in class P, the runs stop below m and one sweep
+    # per size adds any number of blocks of m copies.  Layer t, residue r is
+    # cells[t * m + r], a dict from the other fields to a count; _table
+    # returns the cells.
+    m = len(counted)
+    # before[j] counts the counted 0-based indices below j over two periods.
+    before = list(accumulate(counted * 2, initial=0))
+    # power[r]: rho's unit at the residue of the index before residue r,
+    # and 0 at residue m, the empty partition's, as index 1 has no
+    # predecessor.
+    power = [0] * (m + 1) if rho is None else [rho[-1], *rho[:-1], 0]
+    runs = m - 1 if most is None else most
+    limit = (cap + 1) * m
+    cells = [{} for _ in range(limit)]
     order = (0, *range(m - 1, 0, -1))
     reads = [(cells[t * m + r], t * m + r, r) for t in range(cap, -1, -1) for r in order]
+    # The empty partition, kept out of the cells, is read last as residue m
+    # at index m, so its groups land next residue - m cells on from there.
+    # Untracked, rho_m's unit is 0 and residue m's groups are residue 0's;
+    # as layer 0 holds no other state, reading it late loses nothing.
+    reads.append(({0: 1}, m, m))
     groups = [()] * (m + 1)
 
+    def group(r, c):
+        # c copies from residue r sit on gain counted indices.  The group
+        # moves a state a * g + d cells on and its other fields by a * e + f.
+        gain = c // m * before[m] + before[r + c % m] - before[r]
+        next_r = (r + c) % m
+        e = weight * gain + alt * (2 * gain - c) + power[next_r] - power[r]
+        return (c if sized else gain) * m, next_r - r, e, repeated * (c > 1)
+
     def fill(r):
-        row = groups[r] = [(g * m, next_r - r, e, f) for g, next_r, e, f in steps(r)]
+        # The sweep reads only the cells, so in class P the empty partition
+        # takes its first block as one more group.
+        top = runs + 1 if r == m and most is None else runs
+        row = groups[r] = [group(r, c) for c in range(1, top + 1)]
         return row
 
-    if first:
-        reads.append(({0: 1}, 0, m))
-        groups[m] = [(g * m, next_r, e, f) for g, next_r, e, f in first]
+    if most is None:
+        # A block is the group of m copies: it keeps the residue and rho.
+        # The sweep drops its constant change, as no class-P table has one.
+        shift, _, block, _ = group(0, m)
     read_cells = [src for src, _, _ in reads]
     for a in range(cap, 0, -1):
         # compress skips each empty cell as the loop reaches it.
@@ -571,23 +618,16 @@ def _part_size_pass(cells, m, steps, *, block=None, first=None):
                 for key, count in src.items():
                     key += change
                     dst[key] = dst.get(key, 0) + count
-        if block:
-            change = a * block[1]
+        if most is None:
+            change = a * block
             # t ascending: compress reads each source as the sweep reaches
             # it, after the blocks it took below.
-            for src, dst in compress(zip(cells, cells[a * block[0] * m :]), cells):
+            for src, dst in compress(zip(cells, cells[a * shift :]), cells):
                 for key, count in src.items():
                     key += change
                     dst[key] = dst.get(key, 0) + count
-    return cells
-
-
-def _cells(cap, m, *, empty=True):
-    # The empty cells of layers 0 .. cap, with the empty partition in layer
-    # 0 at residue 0 unless it is kept out.
-    cells = [{} for _ in range((cap + 1) * m)]
-    if empty:
-        cells[0][0] = 1
+    # The empty partition has every field 0.
+    cells[0][0] = 1
     return cells
 
 
@@ -620,43 +660,15 @@ def _unpacked(table, base, width):
 def _cor22_counts(qcap, units):
     # Every partition with odd-index weight at most qcap and every
     # multiplicity below 4, counted by (weight, repeated sizes, alternating
-    # sum) in the given units.  A group of c copies of a from residue r (0
-    # when the next index is odd) sits on (c + 1 - r) // 2 odd indices: each
-    # adds a to the weight and to the alternating sum, each even index
-    # subtracts a from the latter, and c > 1 makes the size repeated.  The
+    # sum) in the given units: runs of 1, 2 or 3 copies mod 2.  Each odd
+    # index of a group adds a to the weight and to the alternating sum,
+    # each even index subtracts a from the latter, and c > 1 makes the size
+    # repeated.  The
     # weight is the capped field; as index 1 is odd, the other two stay in
     # 0..qcap.
     weight, repeated, alt = units
-
-    def steps(r):
-        return [
-            (odd, r ^ (c & 1), (2 * odd - c) * alt, (c > 1) * repeated)
-            for c, odd in ((1, 1 - r), (2, 1), (3, 2 - r))
-        ]
-
-    return _layers(_part_size_pass(_cells(qcap, 2), 2, steps), 2, weight)
-
-
-def _schmidt_cells(counted, cls, cap, *, unit=None):
-    # The pass's cells for the class-P/D partitions with parts at most cap:
-    # the size capped and the weight the other field, in the given unit,
-    # when a unit is given, else the weight capped and no other field; the
-    # weight never exceeds the size.
-    # before[j] counts the counted 0-based indices below j over two periods,
-    # so c < m copies from residue r sit on before[r + c] - before[r] of
-    # them.
-    m = len(counted)
-    before = list(accumulate(counted * 2, initial=0))
-    sized = unit is not None
-
-    def steps(r):
-        gains = [before[r + c] - before[r] for c in range(1, m)]
-        if sized:
-            return [(c, (r + c) % m, gain * unit, 0) for c, gain in enumerate(gains, 1)]
-        return [(gain, (r + c) % m, 0, 0) for c, gain in enumerate(gains, 1)]
-
-    block = ((m, sum(counted) * unit) if sized else (sum(counted), 0)) if cls == "P" else None
-    return _part_size_pass(_cells(cap, m), m, steps, block=block)
+    table = _table([True, False], qcap, most=3, alt=alt, repeated=repeated)
+    return _layers(table, 2, weight)
 
 
 def schmidt_weight_table(m, s, cls, *, cap):
@@ -685,14 +697,16 @@ def _schmidt_weight_columns(m, s, cls, cap, units):
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     weight, size = units
+    # The weight never exceeds the size.
     counted = [r in s for r in range(1, min(m, cap + 1) + 1)]
-    return _layers(_schmidt_cells(counted, cls, cap, unit=weight), len(counted), size)
+    table = _table(counted, cap, most=_most(cls, len(counted)), sized=True, weight=weight)
+    return _layers(table, len(counted), size)
 
 
 def _schmidt_weight_total(n, m, s, cls):
     # How many partitions of the class have Schmidt weight n, from the
     # pass with the weight as its only field.
-    cells = _schmidt_cells(_schmidt_params(m, s, cls)[1], cls, n)
+    cells = _table(_schmidt_params(m, s, cls)[1], n, most=_most(cls, m))
     return sum(part.get(0, 0) for part in cells[n * m :])
 
 
@@ -718,45 +732,17 @@ def residue_column_table(m, s, cls, *, qcap):
     return _unpacked(table, base, m + 1)
 
 
-def _rho_steps(before, power):
-    # The groups of 0 < j < m copies from residue r for the tables that
-    # track rho, weight capped; power[r] is rho's digit at the residue of
-    # the index before residue r, or 0 where that entry is not tracked.
-    m = len(power)
-
-    def steps(r):
-        # Zero copies leave a state as it is.
-        return [
-            (before[r + j] - before[r], (r + j) % m, power[(r + j) % m] - power[r], 0)
-            for j in range(1, m)
-        ]
-
-    return steps
-
-
 def _residue_columns(m, s, cls, qcap, units):
     # residue_column_table counted in the units of (weight, rho_1, ...,
     # rho_m).
-    residues, counted = _schmidt_params(m, s, cls)
+    counted = _schmidt_params(m, s, cls)[1]
     if qcap < 0:
         raise ValueError(f"cap must be nonnegative, got {qcap}")
     # The weight is the capped field and rho the others.  Every prefix is a
     # partition whose parts are at most qcap, as index 1 is counted, so each
     # rho_j stays in 0..qcap.
     weight, *rho = units
-    before = list(accumulate(counted * 2, initial=0))
-    # power[r]: the unit of rho at the residue of the index before residue r.
-    power = [rho[(r - 1) % m] for r in range(m)]
-    steps = _rho_steps(before, power)
-    # The first group subtracts nothing, as index 1 has no predecessor, so
-    # the empty partition is kept out of the cells and takes its runs of
-    # 1..m copies (up to m - 1 in class D) directly; blocks extend them.
-    first = [(before[c], c % m, power[c % m], 0) for c in range(1, m + 1 if cls == "P" else m)]
-    block = (len(residues), 0) if cls == "P" else None
-    cells = _part_size_pass(_cells(qcap, m, empty=False), m, steps, block=block, first=first)
-    # The empty partition, kept out of the pass, has every field 0.
-    cells[0][0] = 1
-    return _layers(cells, m, weight)
+    return _layers(_table(counted, qcap, most=_most(cls, m), rho=rho), m, weight)
 
 
 # schmidt_bucket_counts keeps, in class P, one list of keys for each state
@@ -805,13 +791,10 @@ def schmidt_bucket_counts(n, m, s, cls="P"):
     # entry lies in 0..n as well.
     base = n + 1
     if cls == "D":
-        # The weight is the capped field and rho_1 .. rho_{m-1} the other;
-        # power[0] = 0 drops rho_m, and with it index 1's missing
-        # predecessor, so the empty partition starts in the cells.
-        power = [0, *(base**j for j in range(m - 1))]
-        before = list(accumulate(counted * 2, initial=0))
+        # The weight is the capped field and rho_1 .. rho_{m-1} the other.
+        rho = [*(base**j for j in range(m - 1)), 0]
         out = Counter()
-        for cell in _part_size_pass(_cells(n, m), m, _rho_steps(before, power))[n * m :]:
+        for cell in _table(counted, n, most=_most(cls, m), rho=rho)[n * m :]:
             out.update(cell)
         return out
     step = [

@@ -101,47 +101,77 @@ MUTANTS = (
     Mutant(
         "pass-block-sweep-descending",
         "src/schmidtq/partitions.py",
-        "compress(zip(cells, cells[a * block[0] * m :]), cells)",
+        "compress(zip(cells, cells[a * shift :]), cells)",
         "compress(\n"
-        "                reversed(list(zip(cells, cells[a * block[0] * m :]))),\n"
-        "                reversed(cells[: limit - a * block[0] * m]),\n"
+        "                reversed(list(zip(cells, cells[a * shift :]))),\n"
+        "                reversed(cells[: limit - a * shift]),\n"
         "            )",
         ("tests/test_oracles.py::test_residue_columns_match_the_copying_pass[2]",),
     ),
     Mutant(
         "pass-first-before-steps",
         "src/schmidtq/partitions.py",
-        "reads.append(({0: 1}, 0, m))",
-        "reads.insert(0, ({0: 1}, 0, m))",
+        "reads.append(({0: 1}, m, m))",
+        "reads.insert(0, ({0: 1}, m, m))",
         ("tests/test_oracles.py::test_residue_columns_match_the_copying_pass[2]",),
     ),
     Mutant(
         "pass-layer-bound-off-by-one",
         "src/schmidtq/partitions.py",
-        "cap = limit // m - 1",
-        "cap = limit // m - 2",
+        "if j >= limit:",
+        "if j >= limit - m:",
         ("tests/test_oracles.py::test_cor22_counts_match_the_copying_pass",),
     ),
     Mutant(
         "class-d-buckets-track-rho-m",
         "src/schmidtq/partitions.py",
-        "power = [0, *(base**j for j in range(m - 1))]",
-        "power = [base ** (m - 1), *(base**j for j in range(m - 1))]",
+        "rho = [*(base**j for j in range(m - 1)), 0]",
+        "rho = [*(base**j for j in range(m - 1)), base ** (m - 1)]",
         ("tests/test_oracles.py::test_class_d_buckets_match_whole_walk_on_every_residue_set[3]",),
     ),
     Mutant(
         "class-d-buckets-take-blocks",
         "src/schmidtq/partitions.py",
-        "_rho_steps(before, power))[n * m :]",
-        "_rho_steps(before, power), block=(len(residues), 0))[n * m :]",
+        "_table(counted, n, most=_most(cls, m), rho=rho)",
+        "_table(counted, n, rho=rho)",
         ("tests/test_oracles.py::test_class_d_buckets_match_whole_walk_on_every_residue_set[3]",),
     ),
     Mutant(
         "class-d-buckets-read-layer-below",
         "src/schmidtq/partitions.py",
-        "_rho_steps(before, power))[n * m :]",
-        "_rho_steps(before, power))[(n - 1) * m : n * m]",
+        "rho=rho)[n * m :]",
+        "rho=rho)[(n - 1) * m : n * m]",
         ("tests/test_oracles.py::test_class_d_buckets_match_whole_walk_on_every_residue_set[3]",),
+    ),
+    Mutant(
+        "table-alt-coefficient-off-by-one",
+        "src/schmidtq/partitions.py",
+        "alt * (2 * gain - c)",
+        "alt * (2 * gain - c + 1)",
+        ("tests/test_oracles.py::test_cor22_counts_match_the_copying_pass",),
+    ),
+    Mutant(
+        "class-d-runs-up-to-m",
+        "src/schmidtq/partitions.py",
+        'return None if cls == "P" else m - 1',
+        'return None if cls == "P" else m',
+        ("tests/test_oracles.py::test_residue_columns_match_the_copying_pass[2]",),
+    ),
+    Mutant(
+        "table-constant-field-scaled-by-a",
+        "src/schmidtq/partitions.py",
+        "change = a * e + f",
+        "change = a * (e + f)",
+        ("tests/test_oracles.py::test_cor22_counts_match_the_copying_pass",),
+    ),
+    # Residue m is the empty partition's: index 1 has no predecessor, so
+    # its first group takes nothing from rho, and a first block adds rho_m.
+    Mutant(
+        "table-first-group-loses-rho-m",
+        "src/schmidtq/partitions.py",
+        "[rho[-1], *rho[:-1], 0]",
+        "[rho[-1], *rho[:-1], rho[-1]]",
+        ("tests/test_oracles.py::test_residue_columns_match_the_copying_pass[2]",),
     ),
     Mutant(
         "colored-merge-rest-outer-count-one",

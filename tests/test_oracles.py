@@ -152,6 +152,13 @@ Every colored count reads one coin table of ``(a, d, once)`` part types.
 The ``_add_part`` step it folds in, which the tuple-keyed overpartition
 table still calls, and the list pass ``colored_partition_total`` made on
 its own, are kept below.
+
+One table builder, ``partitions._table``, derives every Schmidt-side
+table's groups from the fields the table tracks.  The pass it replaced,
+which took a ``steps(r)`` closure per table, the empty partition's
+``first`` groups and its ``block`` from the caller, is kept below with
+the helpers that built those: ``_part_size_pass``, ``_cells``,
+``_schmidt_cells`` and ``_rho_steps``.  The column tables read it.
 """
 
 from bisect import bisect_right
@@ -161,6 +168,7 @@ from itertools import (
     accumulate,
     combinations,
     combinations_with_replacement,
+    compress,
     count,
     groupby,
     product,
@@ -232,15 +240,11 @@ from schmidtq.identities import (
     _t1_slice_closed_form,
 )
 from schmidtq.partitions import (
-    _cells,
     _check_class,
     _cor22_counts,
     _digits,
     _expand,
-    _part_size_pass,
     _residue_columns,
-    _rho_steps,
-    _schmidt_cells,
     _schmidt_params,
     _schmidt_weight_columns,
     _schmidt_weight_total,
@@ -409,6 +413,102 @@ def family_factors(ctx, z, g, n=None, coefficient=1, divide=False):
             break
         cur = cur * g
     return factors
+
+
+def _part_size_pass(cells, m, steps, *, block=None, first=None):
+    # The one dynamic program behind the Schmidt-side tables; the module
+    # docstring says why its read order is exact.  Layer t, residue r is
+    # cells[t * m + r], a dict from a state's other fields, one packed int,
+    # to its count.  steps(r) lists the groups from residue r as (g, next
+    # residue, e, f), gains g growing: the group of parts of size a adds
+    # a * g to t and a * e + f to the other fields.  It is asked once for
+    # each residue met, and groups[r] keeps its answer as (g * m, next
+    # residue - r, e, f), so a group moves a state a * g * m + next residue
+    # - r cells on.  The empty partition, if kept out of the cells, is read
+    # last from cell 0 with the groups that first lists.  A block (g, d), m
+    # copies of a part 1, adds a * g to t and a * d to the other fields.
+    limit = len(cells)
+    cap = limit // m - 1
+    order = (0, *range(m - 1, 0, -1))
+    reads = [(cells[t * m + r], t * m + r, r) for t in range(cap, -1, -1) for r in order]
+    groups = [()] * (m + 1)
+
+    def fill(r):
+        row = groups[r] = [(g * m, next_r - r, e, f) for g, next_r, e, f in steps(r)]
+        return row
+
+    if first:
+        reads.append(({0: 1}, 0, m))
+        groups[m] = [(g * m, next_r, e, f) for g, next_r, e, f in first]
+    read_cells = [src for src, _, _ in reads]
+    for a in range(cap, 0, -1):
+        # compress skips each empty cell as the loop reaches it.
+        for src, i, r in compress(reads, read_cells):
+            for g, d, e, f in groups[r] or fill(r):
+                j = i + a * g + d
+                if j >= limit:
+                    break
+                dst = cells[j]
+                change = a * e + f
+                for key, count in src.items():
+                    key += change
+                    dst[key] = dst.get(key, 0) + count
+        if block:
+            change = a * block[1]
+            # t ascending: compress reads each source as the sweep reaches
+            # it, after the blocks it took below.
+            for src, dst in compress(zip(cells, cells[a * block[0] * m :]), cells):
+                for key, count in src.items():
+                    key += change
+                    dst[key] = dst.get(key, 0) + count
+    return cells
+
+
+def _cells(cap, m, *, empty=True):
+    # The empty cells of layers 0 .. cap, with the empty partition in layer
+    # 0 at residue 0 unless it is kept out.
+    cells = [{} for _ in range((cap + 1) * m)]
+    if empty:
+        cells[0][0] = 1
+    return cells
+
+
+def _schmidt_cells(counted, cls, cap, *, unit=None):
+    # The pass's cells for the class-P/D partitions with parts at most cap:
+    # the size capped and the weight the other field, in the given unit,
+    # when a unit is given, else the weight capped and no other field; the
+    # weight never exceeds the size.
+    # before[j] counts the counted 0-based indices below j over two periods,
+    # so c < m copies from residue r sit on before[r + c] - before[r] of
+    # them.
+    m = len(counted)
+    before = list(accumulate(counted * 2, initial=0))
+    sized = unit is not None
+
+    def steps(r):
+        gains = [before[r + c] - before[r] for c in range(1, m)]
+        if sized:
+            return [(c, (r + c) % m, gain * unit, 0) for c, gain in enumerate(gains, 1)]
+        return [(gain, (r + c) % m, 0, 0) for c, gain in enumerate(gains, 1)]
+
+    block = ((m, sum(counted) * unit) if sized else (sum(counted), 0)) if cls == "P" else None
+    return _part_size_pass(_cells(cap, m), m, steps, block=block)
+
+
+def _rho_steps(before, power):
+    # The groups of 0 < j < m copies from residue r for the tables that
+    # track rho, weight capped; power[r] is rho's digit at the residue of
+    # the index before residue r, or 0 where that entry is not tracked.
+    m = len(power)
+
+    def steps(r):
+        # Zero copies leave a state as it is.
+        return [
+            (before[r + j] - before[r], (r + j) % m, power[(r + j) % m] - power[r], 0)
+            for j in range(1, m)
+        ]
+
+    return steps
 
 
 def column_layers(cells, m):
