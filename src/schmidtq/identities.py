@@ -35,11 +35,10 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
 from math import isqrt
-from operator import index
+from operator import getitem, index
 from typing import NamedTuple
 
 from .colored import (
-    ColoredPartition,
     Overpartition,
     _overpartition_table,
     colored_bucket_counts,
@@ -701,19 +700,18 @@ def witnesses(identity, exponents, *, m=None, i=None):
     if identity == "ak_trivariate":
         # The 2-colored partitions of q with t1 parts colored 1 and t2
         # colored 2: each group of c copies takes j of color 1, the rest of
-        # color 2 first, the tuples of j in lexicographic order.
-        return [
-            ColoredPartition._trusted(
-                tuple(
-                    part
-                    for (a, c), j in zip(groups, ones)
-                    for part in ((a, 2),) * (c - j) + ((a, 1),) * j
-                )
-            ).to_text()
-            for groups in _length_walk(q, t1 + t2)
-            for ones in product(*(range(c + 1) for _, c in groups))
-            if sum(ones) == t1
-        ]
+        # color 2 first, the tuples of j in lexicographic order.  A line
+        # joins each group's text for its j, ColoredPartition.to_text's.
+        lines = []
+        for groups in _length_walk(q, t1 + t2):
+            texts = [
+                [",".join([f"{a}_2"] * (c - j) + [f"{a}_1"] * j) for j in range(c + 1)]
+                for a, c in groups
+            ]
+            for ones in product(*(range(c + 1) for _, c in groups)):
+                if sum(ones) == t1:
+                    lines.append(",".join(map(getitem, texts, ones)))
+        return lines
     if identity == "overpartition":
         # t1 of the sizes overlined, their flags in the order of
         # overpartitions: the sets of plain sizes in lexicographic order.
@@ -731,5 +729,5 @@ def witnesses(identity, exponents, *, m=None, i=None):
     else:
         most = m - 1 if entry.family.cls == "D" else None
         stream = _weight_walk(size, m, s, q, most=most)
-    return [",".join(str(a) for a, c in groups for _ in range(c)) for groups in stream]
+    return [",".join([",".join([str(a)] * c) for a, c in groups]) for groups in stream]
 

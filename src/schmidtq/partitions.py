@@ -11,18 +11,20 @@ builder, ``_table``: a pass over the part sizes from the cap down to 1
 that counts in place.  It keeps one layer per value of a capped field
 (the weight, or the size) and in each layer one cell per residue of the
 next index: a dict from the state's other fields, one packed int, to a
-count.  For each size it reads every cell once, layers from the top down
-and in each layer residue 0 first, then m - 1 down to 1, and a cell adds
-its states to later cells by one constant step per group of that size.
-The order is exact because a group gains, or moves the residue up toward
-m without wrapping: every weight-capped table counts index 1, whose
-residue is 0, and every group of the sized table gains size.  So no
-state takes two groups of one size.  In class P the pass then adds the
-blocks of m copies by one sweep up the layers.  A table names only the
-fields it tracks and ``most``, its longest run of equal parts, and the
-builder derives every group from them.  ``most`` follows the class: None
-in class P, whose runs below m the sweep extends, and m - 1 in class D.
-Each table, by its capped field, its other fields, ``most`` and reader:
+count.  In class P each size makes one sweep up the layers, the empty
+partition first and in each layer residues 1 .. m - 1, then 0; each
+state read takes one more copy, into a cell still to be read, so any
+number, from one step per residue.  A copy that gains nothing stays in
+its layer, one residue up or from m - 1 to 0; one from residue 0 gains,
+as a weight-capped table counts index 1 and a sized copy gains size.
+With runs bounded by ``most`` (class D and ``cor22``) each size reads
+every cell once, layers from the top down and in each layer residue 0
+first, then m - 1 down to 1, and a cell adds its states to later cells
+by one step per run of 1 .. ``most`` copies.  A run gains, or moves the
+residue up toward m without wrapping, so no state takes two runs of one
+size.  A table names only the fields it tracks and ``most``, and the
+builder derives every step from them.  Each table, by its capped field,
+its other fields, ``most`` and reader:
 
 - ``schmidt_weight_table`` and the ``mork_*``/``psi_*`` sides: the size;
   the weight; by class; the layers merged.
@@ -40,8 +42,8 @@ the sum of each field times its unit, and the layers merge into one dict
 with the capped field added the same way.  The enum sides pass the bit
 fields of the series ring, and the public tables the digits of base
 cap + 1.  No field of any state leaves 0..cap, so under either layout a
-signed change never borrows from the next field.  The
-pass shares no counting loop with the colored side and must not use
+signed change never borrows from the next field.  The pass shares no
+counting loop with the colored side and must not use
 ``colored._coin_table``: the two sides of a counting theorem are counted
 apart, so a fault in one cannot cancel out.
 """
@@ -548,43 +550,35 @@ def _schmidt_params(m, s, cls):
 def _most(cls, m):
     # The longest run of equal parts that _table lists as one group for the
     # class: m - 1 in class D, whose multiplicities stay below m, and None in
-    # class P, whose runs below m the block sweep extends.
+    # class P, whose sweep takes any number of copies one at a time.
     return None if cls == "P" else m - 1
 
 
 def _table(counted, cap, *, most=None, sized=False, weight=0, alt=0, repeated=0, rho=None):
     # The one dynamic program behind the Schmidt-side tables.  The module
-    # docstring says why its read order is exact; no table can break it, as
-    # each weight-capped one counts index 1 and each sized group gains size,
-    # so nothing here checks it.  counted[r] says whether a 0-based index of
-    # residue r is counted, for m = len(counted).  The capped field is the
-    # size when sized, else the weight.  The other fields are one packed
-    # int, a sum of each field times its unit: the weight when sized, alt
-    # (the alternating sum), repeated (the sizes with two copies or more)
-    # and rho, the units of rho_1 .. rho_m, 0 for an entry not tracked.  A
-    # group is a run of c copies of a part a from residue r, c = 1 .. most;
-    # with most None, as in class P, the runs stop below m and one sweep
-    # per size adds any number of blocks of m copies.  Layer t, residue r is
-    # cells[t * m + r], a dict from the other fields to a count; _table
-    # returns the cells.
+    # docstring says why its read orders are exact; no table can break
+    # them, as each weight-capped one counts index 1 and each sized copy
+    # gains size, so nothing here checks it.  counted[r] says whether a
+    # 0-based index of residue r is counted, for m = len(counted).  The
+    # capped field is the size when sized, else the weight.  The other
+    # fields are one packed int, a sum of each field times its unit: the
+    # weight when sized, alt (the alternating sum), repeated (the sizes with
+    # two copies or more, bounded runs only) and rho, the units of rho_1 ..
+    # rho_m, 0 for an entry not tracked.  A group is c copies of a part a
+    # from residue r, c = 1 .. most, or 1 with most None, as in class P.
+    # Layer t, residue r is cells[t * m + r], a dict from the other fields
+    # to a count; _table returns the cells.
     m = len(counted)
     # before[j] counts the counted 0-based indices below j over two periods.
     before = list(accumulate(counted * 2, initial=0))
-    # power[r]: rho's unit at the residue of the index before residue r,
-    # and 0 at residue m, the empty partition's, as index 1 has no
-    # predecessor.
+    # power[r]: rho's unit at the residue of the index before residue r, and
+    # 0 at residue m, the empty partition's, as index 1 has no predecessor.
     power = [0] * (m + 1) if rho is None else [rho[-1], *rho[:-1], 0]
-    runs = m - 1 if most is None else most
     limit = (cap + 1) * m
     cells = [{} for _ in range(limit)]
-    order = (0, *range(m - 1, 0, -1))
-    reads = [(cells[t * m + r], t * m + r, r) for t in range(cap, -1, -1) for r in order]
-    # The empty partition, kept out of the cells, is read last as residue m
-    # at index m, so its groups land next residue - m cells on from there.
-    # Untracked, rho_m's unit is 0 and residue m's groups are residue 0's;
-    # as layer 0 holds no other state, reading it late loses nothing.
-    reads.append(({0: 1}, m, m))
-    groups = [()] * (m + 1)
+    # The empty partition, every field 0, is kept out of the cells and read
+    # as residue m at index m: its groups land next residue - m cells on.
+    empty = ({0: 1}, m, m)
 
     def group(r, c):
         # c copies from residue r sit on gain counted indices.  The group
@@ -594,20 +588,42 @@ def _table(counted, cap, *, most=None, sized=False, weight=0, alt=0, repeated=0,
         e = weight * gain + alt * (2 * gain - c) + power[next_r] - power[r]
         return (c if sized else gain) * m, next_r - r, e, repeated * (c > 1)
 
-    def fill(r):
-        # The sweep reads only the cells, so in class P the empty partition
-        # takes its first block as one more group.
-        top = runs + 1 if r == m and most is None else runs
-        row = groups[r] = [group(r, c) for c in range(1, top + 1)]
-        return row
-
     if most is None:
-        # A block is the group of m copies: it keeps the residue and rho.
-        # The sweep drops its constant change, as no class-P table has one.
-        shift, _, block, _ = group(0, m)
+        # One sweep up the cells per size: the empty partition first, then
+        # in each layer residues 1 .. m - 1 and 0.  A copy lands on a cell
+        # the sweep has yet to read, which adds one more copy in turn.
+        steps = [group(r, 1) for r in range(m + 1)]
+        order = (*range(1, m), 0)
+        reads = [empty, *((cells[t * m + r], t * m + r, r) for t in range(cap + 1) for r in order)]
+    else:
+        # Read last, the empty partition takes one group of a size at most.
+        # Untracked, rho_m's unit is 0 and residue m's groups are residue
+        # 0's; layer 0 holds no other state, so reading it late loses nothing.
+        order = (0, *range(m - 1, 0, -1))
+        reads = [(cells[t * m + r], t * m + r, r) for t in range(cap, -1, -1) for r in order]
+        reads.append(empty)
+        groups = [()] * (m + 1)
+
+        def fill(r):
+            row = groups[r] = [group(r, c) for c in range(1, most + 1)]
+            return row
+
     read_cells = [src for src, _, _ in reads]
     for a in range(cap, 0, -1):
-        # compress skips each empty cell as the loop reaches it.
+        # compress skips each empty cell as the loop reaches it, so the
+        # sweep reads a cell after the copies it took.
+        if most is None:
+            for src, i, r in compress(reads, read_cells):
+                g, d, e, _ = steps[r]
+                j = i + a * g + d
+                if j >= limit:
+                    continue
+                dst = cells[j]
+                change = a * e
+                for key, count in src.items():
+                    key += change
+                    dst[key] = dst.get(key, 0) + count
+            continue
         for src, i, r in compress(reads, read_cells):
             for g, d, e, f in groups[r] or fill(r):
                 j = i + a * g + d
@@ -618,15 +634,6 @@ def _table(counted, cap, *, most=None, sized=False, weight=0, alt=0, repeated=0,
                 for key, count in src.items():
                     key += change
                     dst[key] = dst.get(key, 0) + count
-        if most is None:
-            change = a * block
-            # t ascending: compress reads each source as the sweep reaches
-            # it, after the blocks it took below.
-            for src, dst in compress(zip(cells, cells[a * shift :]), cells):
-                for key, count in src.items():
-                    key += change
-                    dst[key] = dst.get(key, 0) + count
-    # The empty partition has every field 0.
     cells[0][0] = 1
     return cells
 
@@ -663,9 +670,8 @@ def _cor22_counts(qcap, units):
     # sum) in the given units: runs of 1, 2 or 3 copies mod 2.  Each odd
     # index of a group adds a to the weight and to the alternating sum,
     # each even index subtracts a from the latter, and c > 1 makes the size
-    # repeated.  The
-    # weight is the capped field; as index 1 is odd, the other two stay in
-    # 0..qcap.
+    # repeated.  The weight is the capped field; as index 1 is odd, the
+    # other two stay in 0..qcap.
     weight, repeated, alt = units
     table = _table([True, False], qcap, most=3, alt=alt, repeated=repeated)
     return _layers(table, 2, weight)
@@ -678,10 +684,8 @@ def schmidt_weight_table(m, s, cls, *, cap):
     of class ``"P"`` or ``"D"`` with size at most ``cap``, without walking
     them; the weight never exceeds the size.  One pass over the part
     sizes ``a = cap .. 1`` keeps a count for each state (size so far,
-    weight so far, residue of the next index).  A group of ``c`` copies of
-    ``a`` starting at residue ``r`` sits on ``c // m * len(s)`` counted
-    indices plus those among the first ``c % m`` indices from ``r``; it
-    moves the residue to ``(r + c) % m`` and adds ``a * c`` to the size.
+    weight so far, residue of the next index).  A copy of ``a`` adds ``a``
+    to the size, and to the weight when its index's residue is in ``s``.
     """
     residues = normalize_residue_set(m, s, allow_m=True)
     base = cap + 1
@@ -720,10 +724,7 @@ def residue_column_table(m, s, cls, *, qcap):
     ``a = qcap .. 1`` keeps a count for each state (weight so far, rho so
     far, residue of the next index).  ``rho`` telescopes: ``c`` copies of
     ``a`` add ``a`` at the residue of their last index and take ``a`` from
-    the residue of the index before their first, if there is one.  So a
-    group is a run of ``c % m`` copies, which moves the residue and rho,
-    then ``c // m`` blocks of ``m`` copies, which add ``a * len(s)`` each
-    to the weight and leave the rest as it is.
+    the residue of the index before their first, if there is one.
     """
     # m and s are checked before m sizes the units.
     normalize_residue_set(m, s, allow_m=True)
@@ -733,8 +734,7 @@ def residue_column_table(m, s, cls, *, qcap):
 
 
 def _residue_columns(m, s, cls, qcap, units):
-    # residue_column_table counted in the units of (weight, rho_1, ...,
-    # rho_m).
+    # residue_column_table counted in the units of (weight, rho_1, ..., rho_m).
     counted = _schmidt_params(m, s, cls)[1]
     if qcap < 0:
         raise ValueError(f"cap must be nonnegative, got {qcap}")

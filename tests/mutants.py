@@ -96,31 +96,55 @@ MUTANTS = (
         "order = (*range(1, m), 0)",
         ("tests/test_oracles.py::test_schmidt_weight_totals_match_the_copying_pass[2]",),
     ),
-    # Run t descending, each layer adds the one below it before that one
-    # took its own blocks, so a state takes one block of a at most.
-    Mutant(
-        "pass-block-sweep-descending",
-        "src/schmidtq/partitions.py",
-        "compress(zip(cells, cells[a * shift :]), cells)",
-        "compress(\n"
-        "                reversed(list(zip(cells, cells[a * shift :]))),\n"
-        "                reversed(cells[: limit - a * shift]),\n"
-        "            )",
-        ("tests/test_oracles.py::test_residue_columns_match_the_copying_pass[2]",),
-    ),
     Mutant(
         "pass-first-before-steps",
         "src/schmidtq/partitions.py",
-        "reads.append(({0: 1}, m, m))",
-        "reads.insert(0, ({0: 1}, m, m))",
+        "reads.append(empty)",
+        "reads.insert(0, empty)",
         ("tests/test_oracles.py::test_residue_columns_match_the_copying_pass[2]",),
     ),
     Mutant(
         "pass-layer-bound-off-by-one",
         "src/schmidtq/partitions.py",
-        "if j >= limit:",
-        "if j >= limit - m:",
+        "if j >= limit:\n                    break",
+        "if j >= limit - m:\n                    break",
         ("tests/test_oracles.py::test_cor22_counts_match_the_copying_pass",),
+    ),
+    # Read first, residue 0 misses the copies that residue m - 1 moves to
+    # it without a gain.
+    Mutant(
+        "sweep-residue-0-first",
+        "src/schmidtq/partitions.py",
+        "order = (*range(1, m), 0)",
+        "order = (0, *range(1, m))",
+        ("tests/test_oracles.py::test_residue_columns_match_the_run_groups[2]",),
+    ),
+    # Read last, the empty partition's copy lands on a cell already read,
+    # so no partition opens with two copies of its largest part.
+    Mutant(
+        "sweep-empty-read-last",
+        "src/schmidtq/partitions.py",
+        "reads = [empty, *((cells[t * m + r], t * m + r, r)"
+        " for t in range(cap + 1) for r in order)]",
+        "reads = [*((cells[t * m + r], t * m + r, r)"
+        " for t in range(cap + 1) for r in order), empty]",
+        ("tests/test_oracles.py::test_schmidt_weight_totals_match_the_run_groups[2]",),
+    ),
+    # A copy that gains nothing stays in its layer, so cells above the
+    # first overflow still take copies.
+    Mutant(
+        "sweep-overflow-ends-sweep",
+        "src/schmidtq/partitions.py",
+        "if j >= limit:\n                    continue",
+        "if j >= limit:\n                    break",
+        ("tests/test_oracles.py::test_residue_columns_match_the_run_groups[2]",),
+    ),
+    Mutant(
+        "sweep-copy-group-of-two",
+        "src/schmidtq/partitions.py",
+        "steps = [group(r, 1) for r in range(m + 1)]",
+        "steps = [group(r, 2) for r in range(m + 1)]",
+        ("tests/test_oracles.py::test_schmidt_weight_totals_match_the_run_groups[2]",),
     ),
     Mutant(
         "class-d-buckets-track-rho-m",
@@ -165,7 +189,7 @@ MUTANTS = (
         ("tests/test_oracles.py::test_cor22_counts_match_the_copying_pass",),
     ),
     # Residue m is the empty partition's: index 1 has no predecessor, so
-    # its first group takes nothing from rho, and a first block adds rho_m.
+    # its first copy or group takes nothing from rho.
     Mutant(
         "table-first-group-loses-rho-m",
         "src/schmidtq/partitions.py",

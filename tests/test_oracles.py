@@ -159,6 +159,12 @@ which took a ``steps(r)`` closure per table, the empty partition's
 ``first`` groups and its ``block`` from the caller, is kept below with
 the helpers that built those: ``_part_size_pass``, ``_cells``,
 ``_schmidt_cells`` and ``_rho_steps``.  The column tables read it.
+
+In class P the builder takes one copy per read, in one sweep up the
+cells per part size.  Its earlier class-P path, runs of 1 .. m - 1
+copies read from the top layer down and then a sweep up the layers
+adding blocks of m copies, is kept below as ``run_group_table``, and the
+class-P tables must equal it exactly.
 """
 
 from bisect import bisect_right
@@ -2112,6 +2118,73 @@ def copying_residue_columns(m, s, cls, qcap):
     )
 
 
+def run_group_table(counted, cap, *, sized=False, weight=0, rho=None):
+    """``partitions._table`` in class P as runs and blocks: for each size,
+    runs of 1 .. m - 1 copies read from the top layer down, residue 0 first,
+    then one sweep up the layers adding blocks of m copies.  The empty
+    partition, which the sweep does not read, takes its first block as one
+    more group."""
+    m = len(counted)
+    before = list(accumulate(counted * 2, initial=0))
+    power = [0] * (m + 1) if rho is None else [rho[-1], *rho[:-1], 0]
+    limit = (cap + 1) * m
+    cells = [{} for _ in range(limit)]
+    order = (0, *range(m - 1, 0, -1))
+    reads = [(cells[t * m + r], t * m + r, r) for t in range(cap, -1, -1) for r in order]
+    reads.append(({0: 1}, m, m))
+    groups = [()] * (m + 1)
+
+    def group(r, c):
+        gain = c // m * before[m] + before[r + c % m] - before[r]
+        next_r = (r + c) % m
+        return (c if sized else gain) * m, next_r - r, weight * gain + power[next_r] - power[r]
+
+    def fill(r):
+        row = groups[r] = [group(r, c) for c in range(1, m + 1 if r == m else m)]
+        return row
+
+    # A block keeps the residue and rho.
+    shift, _, block = group(0, m)
+    read_cells = [src for src, _, _ in reads]
+    for a in range(cap, 0, -1):
+        for src, i, r in compress(reads, read_cells):
+            for g, d, e in groups[r] or fill(r):
+                j = i + a * g + d
+                if j >= limit:
+                    break
+                dst = cells[j]
+                for key, count in src.items():
+                    dst[key + a * e] = dst.get(key + a * e, 0) + count
+        # t ascending, so a layer adds blocks to the one a block above it
+        # after taking its own.
+        for src, dst in compress(zip(cells, cells[a * shift :]), cells):
+            for key, count in src.items():
+                dst[key + a * block] = dst.get(key + a * block, 0) + count
+    cells[0][0] = 1
+    return cells
+
+
+def run_group_residue_columns(m, s, qcap, units):
+    """``_residue_columns`` in class P on the run groups."""
+    weight, *rho = units
+    cells = run_group_table(_schmidt_params(m, s, "P")[1], qcap, rho=rho)
+    return partitions._layers(cells, m, weight)
+
+
+def run_group_schmidt_weight_columns(m, s, cap, units):
+    """``_schmidt_weight_columns`` in class P on the run groups."""
+    weight, size = units
+    counted = [r in s for r in range(1, min(m, cap + 1) + 1)]
+    cells = run_group_table(counted, cap, sized=True, weight=weight)
+    return partitions._layers(cells, len(counted), size)
+
+
+def run_group_schmidt_weight_total(n, m, s):
+    """``_schmidt_weight_total`` in class P on the run groups."""
+    cells = run_group_table(_schmidt_params(m, s, "P")[1], n)
+    return sum(part.get(0, 0) for part in cells[n * m :])
+
+
 def sorting_series_mismatch(name_a, a, name_b, b):
     """The first mismatch from every term of both sides, unpacked, sorted and re-read."""
     if a == b:
@@ -2896,6 +2969,61 @@ def test_schmidt_weight_totals_match_the_copying_pass(m):
             for n in range(21):
                 want = copying_schmidt_weight_total(n, m, s, cls)
                 assert _schmidt_weight_total(n, m, s, cls) == want, (s, cls, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_residue_columns_match_the_run_groups(m):
+    cases = [(s, qcap) for s in residue_sets(m, True) for qcap in range(13)]
+    if m == 2:
+        cases += [((1,), qcap) for qcap in range(13, 31)]
+    for s, qcap in cases:
+        got = keyed(_residue_columns, m, s, "P", qcap, fields=m + 1)
+        assert got == keyed(run_group_residue_columns, m, s, qcap, fields=m + 1), (s, qcap)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 10**4])
+def test_schmidt_weight_columns_match_the_run_groups(m):
+    if m == 10**4:
+        cases = [((1,), 6)]
+    else:
+        cases = [(s, cap) for s in every_residue_set(m) for cap in range(17)]
+    for s, cap in cases:
+        got = keyed(_schmidt_weight_columns, m, s, "P", cap, fields=2)
+        assert got == keyed(run_group_schmidt_weight_columns, m, s, cap, fields=2), (s, cap)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_schmidt_weight_totals_match_the_run_groups(m):
+    for s in residue_sets(m, True):
+        for n in range(21):
+            want = run_group_schmidt_weight_total(n, m, s)
+            assert _schmidt_weight_total(n, m, s, "P") == want, (s, n)
+
+
+def test_schmidt_weight_total_at_a_large_modulus_matches_the_run_groups():
+    # tests/test_partitions.py pins this value and the sweep's peak.
+    want = run_group_schmidt_weight_total(8, 300, (1,))
+    assert _schmidt_weight_total(8, 300, (1,), "P") == want == 2126829581112375
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_class_p_tables_match_the_run_groups_at_any_modulus(data):
+    m = data.draw(st.integers(2, 6), label="m")
+    kind = data.draw(st.sampled_from(["columns", "sized", "total"]), label="kind")
+    if kind == "sized":
+        s = data.draw(st.sampled_from(every_residue_set(m)), label="s")
+        cap = data.draw(st.integers(0, 14), label="cap")
+        got = keyed(_schmidt_weight_columns, m, s, "P", cap, fields=2)
+        assert got == keyed(run_group_schmidt_weight_columns, m, s, cap, fields=2)
+        return
+    s = data.draw(st.sampled_from(residue_sets(m, True)), label="s")
+    cap = data.draw(st.integers(0, 12), label="cap")
+    if kind == "total":
+        assert _schmidt_weight_total(cap, m, s, "P") == run_group_schmidt_weight_total(cap, m, s)
+    else:
+        got = keyed(_residue_columns, m, s, "P", cap, fields=m + 1)
+        assert got == keyed(run_group_residue_columns, m, s, cap, fields=m + 1)
 
 
 @pytest.mark.parametrize("theorem, cls", [("schmidt", "D"), ("uncu", "P")])

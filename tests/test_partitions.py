@@ -25,7 +25,7 @@ from schmidtq import (
 )
 from schmidtq import partitions
 
-from conftest import Exactly, descending, exact, residue_sets
+from conftest import Exactly, descending, exact, residue_sets, traced_peak
 
 
 part_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=10)
@@ -317,6 +317,15 @@ def test_schmidt_weight_table_with_a_modulus_above_the_size_cap():
         if not tracing:
             tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+def test_class_p_weight_total_at_a_large_modulus_stays_small():
+    # Class P takes one copy per read, from one step per residue.  Runs of
+    # 1 .. m - 1 copies would hold m^2 groups: 10.8 MB here.  The value is
+    # the run-group oracle's in tests/test_oracles.py.
+    assert partitions._schmidt_weight_total(8, 300, (1,), "P") == 2126829581112375
+    peak = traced_peak(partitions._schmidt_weight_total, 8, 300, (1,), "P")
+    assert peak < 2_000_000, peak
 
 
 def test_serialization_roundtrip():
