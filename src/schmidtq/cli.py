@@ -25,7 +25,7 @@ from .bijections import (
     mork_forward,
     mork_inverse,
 )
-from .colored import ColoredPartition, colored_partitions, overpartitions
+from .colored import ColoredPartition, _colored_partition_texts, overpartitions
 from .identities import (
     COUNTING_TABLE,
     IDENTITY_TABLE,
@@ -300,12 +300,17 @@ def _cmd_enumerate(args, out):
         _refuse_unread(args, "class cs", "--n", "--m", "--s", "--top")
         m = _need(args, "--m")
         top = args.top if args.top is not None else m + 1
-        stream = colored_partitions(_need(args, "--n"), m, _need(args, "--s"), top)
+        stream = _colored_partition_texts(_need(args, "--n"), m, _need(args, "--s"), top)
     else:
         _refuse_unread(args, "class over", "--n")
         stream = overpartitions(_need(args, "--n"))
     # One write per object, as the stream makes it: nothing holds every line.
     write = out.write
+    if cls == "cs":
+        # Texts, not objects: each group's runs are formatted once per partition.
+        for line in stream:
+            write(line + "\n")
+        return 0
     for obj in stream:
         write(obj.to_text() + "\n")
     return 0

@@ -159,16 +159,35 @@ def colored_partitions(n, m, s, top):
     """
     residues, top = _validate_palette(m, s, top)
     trusted = ColoredPartition._trusted
+    for choices in _colorings(n, residues, top):
+        for choice in choices:
+            yield trusted(tuple(chain.from_iterable(choice)))
+
+
+def _colored_partition_texts(n, m, s, top):
+    """The ``to_text`` of each object of ``colored_partitions``, in its order."""
+    residues, top = _validate_palette(m, s, top)
+    for choices in _colorings(n, residues, top, _run_text):
+        yield from map(",".join, choices)
+
+
+def _run_text(run):
+    return ",".join([f"{p}_{c}" for p, c in run])
+
+
+def _colorings(n, residues, top, form=None):
+    # Per partition of n, its colorings as choices of one run per group.
+    # Each group's runs of (size, color) pairs are built once per
+    # partition, and passed through form if one is given; an object is one
+    # choice laid end to end.
     for groups in partition_groups(n):
-        # Each group's colorings, built once as runs of (size, color) pairs;
-        # an object is one choice of run per group, laid end to end.
         options = []
         for size, count in groups:
             lo, hi = _palette(size, residues, top)
             pairs = [(size, c) for c in range(hi - 1, lo - 1, -1)]
-            options.append(list(combinations_with_replacement(pairs, count)))
-        for choice in product(*options):
-            yield trusted(tuple(chain.from_iterable(choice)))
+            runs = combinations_with_replacement(pairs, count)
+            options.append(list(runs if form is None else map(form, runs)))
+        yield product(*options)
 
 
 class Overpartition(_Value):

@@ -33,9 +33,9 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import isqrt
-from operator import getitem, index
+from operator import add, getitem, index
 from typing import NamedTuple
 
 from .colored import (
@@ -342,6 +342,58 @@ def _hook_sum(qcap, js, *, with_t1_denominator):
     return Series._raw(ctx, acc)
 
 
+def _euler_product(qcap, *, with_t1_denominator):
+    # 1/((t1 q; q)oo (t2 q; q)oo), or (-t1 q; q)oo / (t2 q; q)oo without the
+    # t1 denominator, from Euler's q-difference equations (G. E. Andrews,
+    # The Theory of Partitions, 1976, ch. 2).  With c(e, j, k) the
+    # coefficient of q^e t1^j t2^k, each equation gives a cell from two
+    # cells of lower q-exponent:
+    #   c(e, 0, k) = c(e - 1, 0, k - 1) + c(e - k, 0, k), from G(t2 q) = (1 - t2 q) G(t2);
+    #   c(e, j, k) = c(e - 1, j - 1, k) + c(e - j, j, k) for j >= 1, from
+    #     G(t1 q) = (1 - t1 q) G(t1), with the t1 denominator;
+    #   c(e, j, k) = c(e - j, j, k) + c(e - j, j - 1, k) for j >= 1, from
+    #     G(t1) = (1 + t1 q) G(t1 q), without it.
+    # A cell other than (0, 0, 0) is nonzero exactly when j + k <= e, or
+    # C(j + 1, 2) + k <= e without the denominator.  So the layers are
+    # filled by ascending e, and the cells of layer e are those of layer
+    # e - 1, each one q higher, and the cells whose bound is e.  keys,
+    # reads and others hold each such cell's packed key and its two reads,
+    # less e; every field is at most e, so each key read or written is in
+    # cap, and each value written is positive.
+    ctx = trivariate_context(qcap)
+    # Variable order of trivariate_context is (q, t1, t2).
+    _, t1, t2 = (1 << shift for shift in _layout(ctx.caps).shifts)
+    keys, reads, others = [], [], []
+    out = {0: 1}
+    get = out.get
+    for e in range(1, qcap + 1):
+        key = e * t2
+        keys.append(key)
+        reads.append(key - 1 - t2)
+        others.append(key - e)
+        for j in range(1, e + 1):
+            k = e - j if with_t1_denominator else e - j * (j + 1) // 2
+            if k < 0:
+                break
+            key = j * t1 + k * t2
+            shifted = key - j  # (e - j, j, k)
+            keys.append(key)
+            if with_t1_denominator:
+                reads.append(key - 1 - t1)
+                others.append(shifted)
+            else:
+                reads.append(shifted)
+                others.append(shifted - t1)
+        lower = map(get, map(add, reads, repeat(e)), repeat(0))
+        out.update(
+            zip(
+                map(add, keys, repeat(e)),
+                map(add, lower, map(get, map(add, others, repeat(e)), repeat(0))),
+            )
+        )
+    return Series._raw(ctx, out)
+
+
 def sum_side(identity, qcap, *, m=None, i=None):
     """The explicit double-sum side, summed until its minimal exponent leaves the caps.
 
@@ -399,21 +451,19 @@ def _checked(identity, m, i, **caps):
 def product_side(identity, *, qcap=None, scap=None, m=None, i=None):
     """The infinite-product side, truncated to the caps.
 
-    Each product is a list of Pochhammer families, built as one running
-    series by ``_poch_product``, largest factors first.  An s-graded one has
-    bases q^c(r) s^r, c(r) = |S ∩ {1..r}|, and ratio q^|S| s^m, for r = 1..m
-    in class P, 1..m-1 in class D; no r past scap keeps s^r in the cap.
+    A q-graded product, 1/((t1 q; q)oo (t2 q; q)oo) for ``ak_trivariate``
+    and (-t1 q; q)oo / (t2 q; q)oo for ``overpartition`` and ``cor22``, is
+    filled by ``_euler_product`` in one pass over its cells, each
+    coefficient the sum of two of lower q-degree.  An s-graded product is
+    a list of Pochhammer families, built as one running series by
+    ``_poch_product``, largest factors first.  It has bases q^c(r) s^r,
+    c(r) = |S ∩ {1..r}|, and ratio q^|S| s^m, for r = 1..m in class P,
+    1..m-1 in class D; no r past scap keeps s^r in the cap.
     """
     entry, _, _, m, s = _checked(identity, m, i, qcap=qcap, scap=scap)
     if entry.family is None:
-        ctx = trivariate_context(qcap)
-        q = ctx.monomial(q=1)
-        t1 = ctx.monomial(q=1, t1=1)
-        if identity == "ak_trivariate":
-            first = _Family(t1, q, divide=True)  # 1/(t1 q; q)oo
-        else:
-            first = _Family(t1, q, coefficient=-1)  # (-t1 q; q)oo
-        return _poch_product(ctx, [first, _Family(ctx.monomial(q=1, t2=1), q, divide=True)])
+        # cor22 compares against the overpartition product.
+        return _euler_product(qcap, with_t1_denominator=identity == "ak_trivariate")
     ctx = size_graded_context(scap)
     ratio = ctx.monomial(q=len(s), s=m)
     top = min(m if entry.family.cls == "P" else m - 1, scap)

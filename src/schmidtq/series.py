@@ -17,15 +17,16 @@ time linear in the number of terms: :meth:`Series.mul_one_minus`
 multiplies by ``1 - c * x^a`` in one pass over the terms, and
 :meth:`Series.div_one_minus` divides by ``1 - x^a`` through the
 recurrence ``out[k] = in[k] + out[k - a]``, walked chain by chain along
-``a``.  The Pochhammer builders, and the product sides of the
+``a``.  The Pochhammer builders, and the s-graded product sides of the
 identities, gather every in-cap factor of their families into one list
 and apply these steps to one running series, largest total degree first
 (ties by packed key).  The truncated ring is a commutative ideal
 quotient, so the order changes no coefficient; it only decides how large
 the running series is while it is built.  Large factors first keep it
 sparse until the last small factors fill it in: the divisions of
-``1/(t1 q; q)oo`` at cap 20 write 620 entries in this order and 3,686 in
-generation order (``z``, ``z g``, ``z g^2``, ...).  The factors are
+``1/(t1 q; q)oo`` in the q, t1, t2 ring at cap 20 write 620 entries in
+this order and 3,686 in generation order (``z``, ``z g``, ``z g^2``,
+...).  The factors are
 generated as packed keys: z and g are packed once, and each next factor
 adds g's key and stops at the cap check below.  A g above the caps leaves
 z the only factor in them.  A product with a
@@ -70,7 +71,10 @@ The double sums of ``identities.py`` use the packed keys directly too:
 each level of the nesting steps one dict with :func:`_div_one_minus` on
 the packed keys of its denominators, skipping any whose q-exponent is
 past the cap, and adds its terms into that dict in place, cut at the
-cap.
+cap.  The q-graded product sides there take none of these steps: they
+fill one dict of packed keys from Euler's q-difference equations, each
+coefficient the sum of two of lower q-degree, so no kernel of this
+module is shared by the sum and product sides of one identity.
 """
 
 from __future__ import annotations

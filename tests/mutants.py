@@ -347,6 +347,67 @@ MUTANTS = (
         "        if True:\n",
         ("tests/test_oracles.py::test_hook_sums_step_only_in_cap_keys",),
     ),
+    # G(t1 q) shifts q by the t1 degree j.
+    Mutant(
+        "euler-q-shift-one-short",
+        "src/schmidtq/identities.py",
+        "shifted = key - j  # (e - j, j, k)",
+        "shifted = key - j + 1  # (e - j, j, k)",
+        (
+            "tests/test_oracles.py::"
+            "test_q_graded_product_sides_match_the_running_series_product[ak_trivariate]",
+        ),
+    ),
+    # (1 + t1 q) G(t1 q): the new part adds one to the t1 degree of G(t1 q)'s cell.
+    Mutant(
+        "euler-overpartition-second-term-reads-j",
+        "src/schmidtq/identities.py",
+        "others.append(shifted - t1)",
+        "others.append(shifted)",
+        (
+            "tests/test_oracles.py::"
+            "test_q_graded_product_sides_match_the_running_series_product[overpartition]",
+        ),
+    ),
+    Mutant(
+        "euler-distinct-range-one-too-tight",
+        "src/schmidtq/identities.py",
+        "else e - j * (j + 1) // 2",
+        "else e - j * (j + 1) // 2 - 1",
+        (
+            "tests/test_oracles.py::"
+            "test_q_graded_product_sides_match_the_running_series_product[overpartition]",
+        ),
+    ),
+    Mutant(
+        "euler-cor22-takes-the-t1-denominator",
+        "src/schmidtq/identities.py",
+        'with_t1_denominator=identity == "ak_trivariate"',
+        'with_t1_denominator=identity != "overpartition"',
+        ("tests/test_oracles.py::test_q_graded_product_sides_match_whole_series_products[cor22]",),
+    ),
+    # The routed side still equals the other sides, so only the audit of
+    # the kernels each side reaches sees it.
+    Mutant(
+        "enum-side-through-the-product",
+        "src/schmidtq/identities.py",
+        "        table = _overpartition_table(cap, units)\n",
+        "        return product_side(identity, qcap=cap)\n",
+        (
+            "tests/test_identities.py::"
+            "test_every_pair_of_sides_reaches_disjoint_kernels[overpartition]",
+        ),
+    ),
+    Mutant(
+        "counting-side-through-the-other-table",
+        "src/schmidtq/identities.py",
+        '{"total": colored_partition_total(n, m, residues, top)}',
+        '{"total": _schmidt_weight_total(n, m, residues, family.cls)}',
+        (
+            "tests/test_identities.py::"
+            "test_the_sides_of_a_counting_theorem_share_only_the_input_checks[schmidt]",
+        ),
+    ),
     Mutant(
         "compare-sides-skips-the-last",
         "src/schmidtq/identities.py",

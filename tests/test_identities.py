@@ -2,7 +2,10 @@
 
 import json
 import re
+import sys
 import time
+from collections import defaultdict
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -31,7 +34,11 @@ from schmidtq import (
 )
 from schmidtq import identities
 from schmidtq.identities import (
+    COUNTING_TABLE,
+    COUNTING_THEOREMS,
     IDENTITY_TABLE,
+    RING_CAPS,
+    SERIES_IDENTITIES,
     Family,
     SeriesIdentity,
     _compare_sides,
@@ -246,6 +253,83 @@ def test_bounded_class_product_is_a_factor_of_the_full_one():
             ctx, ctx.monomial(q=min(m, i), s=m), ctx.monomial(q=i, s=m)
         )
         assert part * missing == full
+
+
+# --- side independence -------------------------------------------------------
+
+PACKAGE = Path(identities.__file__).parent
+
+# The loops that build a side's terms or counts, as (module, function).
+PRODUCT_KERNELS = {
+    ("series", "_div_one_minus"),
+    ("series", "_mul_one_minus"),
+    ("series", "_poch_product"),
+    ("identities", "_euler_product"),
+}
+KERNELS = PRODUCT_KERNELS | {
+    ("partitions", "_table"),
+    ("partitions", "_bucket_walk"),
+    ("partitions", "_walk"),
+    ("colored", "_coin_table"),
+    ("identities", "_hook_sum"),
+    ("series", "_dense_mul"),
+}
+
+
+def reached(call, under=None):
+    """Run ``call()`` under ``sys.setprofile``; the package functions it
+    reaches, as (module, function) pairs, keyed by the line that the code
+    ``under`` was running when each was called (None without ``under``)."""
+    groups = defaultdict(set)
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event != "call" or Path(code.co_filename).parent != PACKAGE:
+            return
+        outer = frame.f_back
+        while under is not None and outer is not None and outer.f_code is not under:
+            outer = outer.f_back
+        if under is None or outer is not None:
+            groups[outer.f_lineno if under else None].add((Path(code.co_filename).stem, code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return groups
+
+
+@pytest.mark.parametrize("identity", SERIES_IDENTITIES)
+def test_every_pair_of_sides_reaches_disjoint_kernels(identity):
+    # A fault in a kernel that two sides share could corrupt both alike
+    # and still pass, so no two sides of a row share one, and no enum side
+    # reaches a product's.  Every row of the table is audited.
+    entry = IDENTITY_TABLE[identity]
+    kwargs = {RING_CAPS[entry.ring]: 8}
+    if entry.family and not entry.family.fixed:
+        kwargs.update(m=3, i=2)
+    kernels = {}
+    for label, kind, _ in entry.sides:
+        build = identities._side_builder(identity, label)
+        kernels[label] = reached(lambda: build(**kwargs))[None] & KERNELS
+        assert kernels[label], label
+        if kind == "enum":
+            assert kernels[label] & PRODUCT_KERNELS == set(), label
+    for a, b in combinations(kernels, 2):
+        assert kernels[a] & kernels[b] == set(), (a, b)
+
+
+@pytest.mark.parametrize("theorem", COUNTING_THEOREMS)
+def test_the_sides_of_a_counting_theorem_share_only_the_input_checks(theorem):
+    m, s = (None, None) if COUNTING_TABLE[theorem].fixed else (3, (1, 2))
+    groups = reached(
+        lambda: identities._counting_buckets(theorem, 8, m, s),
+        under=identities._counting_buckets.__code__,
+    )
+    lhs, rhs = [funcs for funcs in groups.values() if funcs & KERNELS]
+    assert lhs & rhs <= {("partitions", "_check_modulus"), ("partitions", "normalize_residue_set")}
 
 
 # --- every residue set -------------------------------------------------------

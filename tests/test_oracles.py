@@ -237,7 +237,13 @@ from schmidtq import (
     witnesses,
 )
 from schmidtq import identities, partitions
-from schmidtq.colored import _coin_table, _overpartition_table, _palette, _validate_palette
+from schmidtq.colored import (
+    _coin_table,
+    _colored_partition_texts,
+    _overpartition_table,
+    _palette,
+    _validate_palette,
+)
 from schmidtq.identities import (
     IDENTITY_TABLE,
     _compare_sides,
@@ -643,6 +649,41 @@ def product_side_by_families(build, identity, **caps):
     for z, g, coefficient, divide in families:
         out = out * build(ctx, family_factors(ctx, z, g, None, coefficient, divide))
     return out
+
+
+def running_q_graded_product(identity, qcap):
+    """The path ``_euler_product`` replaced: one running series stepped by
+    every in-cap factor of the product's families, largest first."""
+    ctx, families = product_families(identity, qcap=qcap)
+    return _poch_product(ctx, [_Family(z, g, coefficient=c, divide=d) for z, g, c, d in families])
+
+
+@lru_cache(maxsize=None)
+def part_count_tables(cap):
+    """``(plain, distinct)``: ``plain[n][k]`` counts the partitions of n into
+    k parts, and ``distinct[n][k]`` those whose k parts are distinct, for
+    every n <= cap, each partition enumerated."""
+    plain = [[0] * (cap + 1) for _ in range(cap + 1)]
+    distinct = [[0] * (cap + 1) for _ in range(cap + 1)]
+    for n in range(cap + 1):
+        for lam in recursive_partitions_of(n):
+            plain[n][len(lam)] += 1
+            distinct[n][len(lam)] += len(set(lam.parts)) == len(lam)
+    return plain, distinct
+
+
+def counted_q_graded_product(identity, qcap):
+    """A q-graded product side as the pairs of its two colors' partitions:
+    t1 counts the parts of the first (distinct for the overpartition
+    product), t2 those of the second, q the size of both."""
+    plain, distinct = part_count_tables(30)
+    first = plain if identity == "ak_trivariate" else distinct
+    terms = Counter()
+    for e1, j in product(range(qcap + 1), repeat=2):
+        if first[e1][j]:
+            for e2, k in product(range(qcap - e1 + 1), range(qcap + 1)):
+                terms[(e1 + e2, j, k)] += first[e1][j] * plain[e2][k]
+    return Series(trivariate_context(qcap), terms)
 
 
 def ln_series_by_products(n, qcap):
@@ -2462,6 +2503,14 @@ def test_colored_partitions_match_recursive_walk(m, s, top):
         assert all(ColoredPartition(mu.parts) == mu for mu in got), n
 
 
+@pytest.mark.parametrize("m, s, top", PALETTES)
+def test_colored_partition_texts_match_each_objects_text(m, s, top):
+    # enumerate --class cs writes these texts, formatted run by run.
+    for n in range(13):
+        want = [mu.to_text() for mu in recursive_colored_partitions(n, m, s, top)]
+        assert list(_colored_partition_texts(n, m, s, top)) == want, n
+
+
 def test_overpartitions_match_recursive_walk():
     for n in range(17):
         got = list(overpartitions(n))
@@ -2628,6 +2677,20 @@ def test_q_graded_product_sides_match_whole_series_products(identity):
     for qcap in (0, 1, 5, 12):
         want = product_side_by_families(by_products, identity, qcap=qcap)
         assert product_side(identity, qcap=qcap) == want, qcap
+
+
+@pytest.mark.parametrize("identity", ["ak_trivariate", "overpartition", "cor22"])
+def test_q_graded_product_sides_match_the_running_series_product(identity):
+    for qcap in range(41):
+        got = product_side(identity, qcap=qcap)
+        assert got == running_q_graded_product(identity, qcap), qcap
+        assert_no_stored_zero(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["ak_trivariate", "overpartition", "cor22"]), st.integers(0, 30))
+def test_q_graded_product_sides_count_pairs_of_partitions(identity, qcap):
+    assert product_side(identity, qcap=qcap) == counted_q_graded_product(identity, qcap)
 
 
 @pytest.mark.parametrize("identity", ["mork_odd", "mork_even"])

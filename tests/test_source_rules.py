@@ -208,6 +208,7 @@ UNUSED_IN_SOURCE = {
     "color_counts": "a target of perfbench/tracer.py",
     "schmidt_weight": "a target of perfbench/tracer.py",
     "over_stats": "a target of perfbench/tracer.py",
+    "colored_partitions": "a target of perfbench/tracer.py",
     "Series.coefficient_at": "read by perfbench's runner and demos/coefficient_hunt.py",
     "ln_series": "a series_sides benchmark op",
     "Series.mul_one_minus": "the multiply step the README documents",
