@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product, repeat
 from math import isqrt
-from operator import add, getitem, index
+from operator import add, getitem, index, neg
 from typing import NamedTuple
 
 from .colored import (
@@ -70,7 +70,6 @@ from .series import (
     _poch_product,
     gaussian_binomial_coeffs,
     poch_finite,
-    q_binomial,
 )
 
 __all__ = [
@@ -521,19 +520,32 @@ def ln_series(n, qcap):
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"part count must be a nonnegative integer, got {n!r}")
     ctx = trivariate_context(qcap)
-    t1 = ctx.term(1, ctx.monomial(t1=1)) if qcap else ctx.zero()
+    layout = _layout(ctx.caps)
+    off, guard = layout.off, layout.guard
+    # Variable order of trivariate_context is (q, t1, t2).
+    _, t1, t2 = (1 << shift for shift in layout.shifts)
     # Two zero states before the empty partition's make the general step
-    # also the step of r = 1 and r = 2.
-    seq = [ctx.zero(), ctx.zero(), ctx.one()]
+    # also the step of r = 1 and r = 2.  Every state is a dict of packed
+    # keys with positive counts, so no sum below cancels.
+    seq = [{}, {}, {0: 1}]
     for r in range(1, n + 1):
-        quot = ctx.monomial(q=(r + 1) // 2, t2=r % 2)
-        if not quot.within(ctx.caps):
-            seq.append(ctx.zero())
-            continue
-        # seq[r] = Q_r / (1 - Q_r) * tail: a shift, then one division step.
-        tail = seq[-1] + t1 * (seq[-2] + seq[-3])
-        seq.append((ctx.term(1, quot) * tail).div_one_minus(quot))
-    return seq[-1]
+        if (r + 1) // 2 > qcap:
+            # Q_r leaves the caps, and so does every later Q_r: no state
+            # from here on has a term.
+            return Series._raw(ctx, {})
+        # seq[r] = Q_r / (1 - Q_r) * (seq[r-1] + t1 (seq[r-2] + seq[r-3])):
+        # key shifts by Q_r and t1 Q_r, each in cap, then one division step.
+        quot = (r + 1) // 2 + r % 2 * t2
+        tail = {key + quot: v for key, v in seq[-1].items() if not (key + quot + off) & guard}
+        get = tail.get
+        step = quot + t1
+        for prev in (seq[-2], seq[-3]):
+            for key, v in prev.items():
+                key += step
+                if not (key + off) & guard:
+                    tail[key] = get(key, 0) + v
+        seq.append(_div_one_minus(tail, layout, quot))
+    return Series._raw(ctx, seq[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -548,19 +560,31 @@ def cauchy_check(N, qcap=None):
         qcap = N * (N - 1) // 2
     ctx = SeriesContext(("q", "z"), (qcap, N))
     lhs = poch_finite(ctx, ctx.monomial(z=1), ctx.monomial(q=1), N)
-    rhs = ctx.zero()
-    for k in range(N + 1):
-        e = k * (k - 1) // 2
-        if e > qcap:
-            continue
-        sign = -1 if k % 2 else 1
-        rhs = rhs + Series(ctx, {ctx.monomial(q=e, z=k): sign}) * q_binomial(ctx, N, k)
+    rhs = _cauchy_sum(ctx, N)
     return _compare_sides(
         "cauchy",
         {"n": N},
         {"q": qcap, "z": N},
         [("product", lhs), ("sum", rhs)],
     )
+
+
+def _cauchy_sum(ctx, N):
+    # The sum of (-1)^k q^C(k,2) z^k [N, k], cut at the q cap of the ring
+    # (q, z).  Each k's Gaussian coefficients are positive and fill a run
+    # of consecutive q exponents under its own z^k, so one update per k
+    # writes them, and no key is written twice.
+    qcap = ctx.caps[0]
+    z = 1 << _layout(ctx.caps).shifts[1]
+    out = {}
+    for k in range(N + 1):
+        e = k * (k - 1) // 2
+        if e > qcap:
+            break
+        coeffs = gaussian_binomial_coeffs(N, k)[: qcap - e + 1]
+        start = e + k * z
+        out.update(zip(range(start, start + len(coeffs)), map(neg, coeffs) if k % 2 else coeffs))
+    return Series._raw(ctx, out)
 
 
 def t1_slice_check(J, qcap):
@@ -593,20 +617,29 @@ def _t1_slice_sum(ctx, J):
 
 def _t1_slice_closed_form(ctx, J):
     # q^C(J+1,2) / (q; q)_J times the sum over m of
-    # q^(m^2) t2^m / ((q; q)_m (t2 q; q)_m), the sum nested the Horner way.
+    # q^(m^2) t2^m / ((q; q)_m (t2 q; q)_m), the sum nested the Horner way
+    # on one dict of packed keys.  Its terms count partitions, so every
+    # coefficient is positive.
     qcap = ctx.caps[0]
+    layout = _layout(ctx.caps)
+    off, guard = layout.off, layout.guard
+    # Variable order of trivariate_context is (q, t1, t2).
+    t2 = 1 << layout.shifts[2]
     prefix_e = J * (J + 1) // 2
     if prefix_e > qcap:
-        return ctx.zero()
-    inner = ctx.zero()
+        return Series._raw(ctx, {})
+    inner = {}
     for mm in range(isqrt(qcap), -1, -1):
-        r = mm + 1
-        inner = inner.div_one_minus(ctx.monomial(q=r)).div_one_minus(ctx.monomial(q=r, t2=1))
-        inner = inner + ctx.term(1, ctx.monomial(q=mm * mm, t2=mm))
-    out = ctx.term(1, ctx.monomial(q=prefix_e)) * inner
+        if mm < qcap:
+            # 1 / ((1 - q^r) (1 - t2 q^r)) at r = mm + 1, both in cap.
+            inner = _div_one_minus(_div_one_minus(inner, layout, mm + 1), layout, mm + 1 + t2)
+        key = mm * mm + mm * t2
+        inner[key] = inner.get(key, 0) + 1
+    out = {key + prefix_e: v for key, v in inner.items() if not (key + prefix_e + off) & guard}
+    # J <= C(J+1, 2) <= qcap, so every q^r below is in cap.
     for r in range(1, J + 1):
-        out = out.div_one_minus(ctx.monomial(q=r))
-    return out
+        out = _div_one_minus(out, layout, r)
+    return Series._raw(ctx, out)
 
 
 # ---------------------------------------------------------------------------

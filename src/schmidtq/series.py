@@ -74,7 +74,16 @@ past the cap, and adds its terms into that dict in place, cut at the
 cap.  The q-graded product sides there take none of these steps: they
 fill one dict of packed keys from Euler's q-difference equations, each
 coefficient the sum of two of lower q-degree, so no kernel of this
-module is shared by the sum and product sides of one identity.
+module is shared by the sum and product sides of one identity.  The
+other builders there step one dict of packed keys as well and make no
+series until it is done.  ``ln_series`` shifts its last state by Q_r
+and the two before it by t1 Q_r into one dict, each key under the guard,
+and divides that dict once by 1 - Q_r.  The t1 slice's closed form nests
+its Horner divisions on one dict, shifts it by q^C(J+1,2) under the
+guard, then divides it J times.  The sum side of ``cauchy_check`` writes
+each k's Gaussian coefficients, positive and a run of consecutive q
+exponents under their own z^k, with one ``dict.update``.  Each dict
+enters a series through :meth:`Series._raw`.
 """
 
 from __future__ import annotations

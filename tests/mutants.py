@@ -408,6 +408,103 @@ MUTANTS = (
             "test_the_sides_of_a_counting_theorem_share_only_the_input_checks[schmidt]",
         ),
     ),
+    # Each new part reads the three states before it; the two shorter take t1.
+    Mutant(
+        "ln-t1-shift-skips-the-third-state",
+        "src/schmidtq/identities.py",
+        "for prev in (seq[-2], seq[-3]):",
+        "for prev in (seq[-2],):",
+        ("tests/test_oracles.py::test_ln_series_matches_the_series_op_recurrence",),
+    ),
+    # Q_r carries t2 on odd r only.
+    Mutant(
+        "ln-t2-on-even-indices",
+        "src/schmidtq/identities.py",
+        "quot = (r + 1) // 2 + r % 2 * t2",
+        "quot = (r + 1) // 2 + (r + 1) % 2 * t2",
+        ("tests/test_oracles.py::test_ln_series_matches_the_series_op_recurrence",),
+    ),
+    Mutant(
+        "ln-divides-by-the-t1-step",
+        "src/schmidtq/identities.py",
+        "seq.append(_div_one_minus(tail, layout, quot))",
+        "seq.append(_div_one_minus(tail, layout, step))",
+        ("tests/test_oracles.py::test_ln_series_matches_the_series_op_recurrence",),
+    ),
+    # The division drops the keys shifted past the cap, so only the audit
+    # of in-cap terms sees them handed over.
+    Mutant(
+        "ln-q-shift-not-cut",
+        "src/schmidtq/identities.py",
+        "if not (key + quot + off) & guard}",
+        "}",
+        ("tests/test_oracles.py::test_hook_sums_step_only_in_cap_keys",),
+    ),
+    Mutant(
+        "cauchy-sum-odd-sign-dropped",
+        "src/schmidtq/identities.py",
+        "map(neg, coeffs) if k % 2 else coeffs",
+        "coeffs",
+        ("tests/test_oracles.py::test_cauchy_sum_matches_the_series_op_sum",),
+    ),
+    Mutant(
+        "cauchy-sum-z-on-the-q-field",
+        "src/schmidtq/identities.py",
+        "z = 1 << _layout(ctx.caps).shifts[1]",
+        "z = 1 << _layout(ctx.caps).shifts[0]",
+        ("tests/test_oracles.py::test_cauchy_sum_matches_the_series_op_sum",),
+    ),
+    Mutant(
+        "cauchy-sum-cut-one-past-the-cap",
+        "src/schmidtq/identities.py",
+        "gaussian_binomial_coeffs(N, k)[: qcap - e + 1]",
+        "gaussian_binomial_coeffs(N, k)[: qcap - e + 2]",
+        ("tests/test_oracles.py::test_cauchy_sum_matches_the_series_op_sum",),
+    ),
+    # The product stands in for the sum, so the two sides still agree and
+    # only the audit of the kernels each side reaches sees it.
+    Mutant(
+        "cauchy-sum-through-the-product",
+        "src/schmidtq/identities.py",
+        "rhs = _cauchy_sum(ctx, N)",
+        "rhs = poch_finite(ctx, ctx.monomial(z=1), ctx.monomial(q=1), N)",
+        (
+            "tests/test_identities.py::"
+            "test_the_two_sides_of_cauchy_check_reach_disjoint_kernels",
+        ),
+    ),
+    Mutant(
+        "closed-form-horner-t2-step-dropped",
+        "src/schmidtq/identities.py",
+        "layout, mm + 1 + t2)",
+        "layout, mm + 1)",
+        ("tests/test_oracles.py::test_t1_slice_closed_form_matches_the_series_op_form",),
+    ),
+    # At caps 0 and 1 the step q^(mm + 1) is past the cap, where the division
+    # finds no term yet; only the audit of in-cap steps sees it taken.  So
+    # with the next record: the divisions by q^r drop the terms shifted past
+    # the cap, so only that audit sees them handed over.
+    Mutant(
+        "closed-form-horner-step-guard-dropped",
+        "src/schmidtq/identities.py",
+        "        if mm < qcap:\n",
+        "        if True:\n",
+        ("tests/test_oracles.py::test_hook_sums_step_only_in_cap_keys",),
+    ),
+    Mutant(
+        "closed-form-prefix-shift-not-cut",
+        "src/schmidtq/identities.py",
+        "if not (key + prefix_e + off) & guard}",
+        "}",
+        ("tests/test_oracles.py::test_hook_sums_step_only_in_cap_keys",),
+    ),
+    Mutant(
+        "closed-form-one-division-short",
+        "src/schmidtq/identities.py",
+        "for r in range(1, J + 1):",
+        "for r in range(1, J):",
+        ("tests/test_oracles.py::test_t1_slice_closed_form_matches_the_series_op_form",),
+    ),
     Mutant(
         "compare-sides-skips-the-last",
         "src/schmidtq/identities.py",

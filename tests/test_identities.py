@@ -272,6 +272,7 @@ KERNELS = PRODUCT_KERNELS | {
     ("partitions", "_walk"),
     ("colored", "_coin_table"),
     ("identities", "_hook_sum"),
+    ("identities", "_cauchy_sum"),
     ("series", "_dense_mul"),
 }
 
@@ -330,6 +331,19 @@ def test_the_sides_of_a_counting_theorem_share_only_the_input_checks(theorem):
     )
     lhs, rhs = [funcs for funcs in groups.values() if funcs & KERNELS]
     assert lhs & rhs <= {("partitions", "_check_modulus"), ("partitions", "normalize_residue_set")}
+
+
+def test_the_two_sides_of_cauchy_check_reach_disjoint_kernels():
+    # The product (z; q)_N takes multiply steps, and the sum writes the
+    # Gaussian coefficients of each k, so the two share no kernel.
+    # t1_slice_check is not audited: its double-sum slice and its closed
+    # form both divide by (q; q) factors with _div_one_minus, so that pair
+    # shares a kernel by construction.
+    groups = reached(lambda: cauchy_check(8), under=cauchy_check.__code__)
+    product, total = [funcs & KERNELS for funcs in groups.values() if funcs & KERNELS]
+    assert {("series", "_poch_product"), ("series", "_mul_one_minus")} <= product
+    assert ("identities", "_cauchy_sum") in total
+    assert product & total == set()
 
 
 # --- every residue set -------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The sum sides are nested the Horner way and the Pochhammer builders,
 ``ln_series`` and the t1 slice are built from the two linear steps
-``Series.mul_one_minus`` and ``Series.div_one_minus``.  The functions
-below keep the earlier forms, which multiply whole truncated geometric
-series and sum forward, as oracles.
+behind ``Series.mul_one_minus`` and ``Series.div_one_minus``.  The
+functions below keep the earlier forms, which multiply whole truncated
+geometric series and sum forward, as oracles.
 
 Each product side is one running series: every factor of all its
 Pochhammer families, largest total degree first.  The path it replaced,
@@ -165,6 +165,14 @@ cells per part size.  Its earlier class-P path, runs of 1 .. m - 1
 copies read from the top layer down and then a sweep up the layers
 adding blocks of m copies, is kept below as ``run_group_table``, and the
 class-P tables must equal it exactly.
+
+``ln_series``, the sum side of ``cauchy_check`` and the t1 slice's
+closed form each build one dict of packed keys: key shifts cut at the
+caps, ``_div_one_minus`` steps, and one ``dict.update`` per k of the
+Cauchy sum.  The forms they replaced, which stepped ``Series`` objects
+(a checked one-term series per shift, a copy per ``+``, ``q_binomial``
+per k and ``Series.div_one_minus`` per step), are kept below, and the
+packed builders must equal them exactly, with no stored zero.
 """
 
 from bisect import bisect_right
@@ -182,7 +190,7 @@ from itertools import (
     starmap,
     zip_longest,
 )
-from math import comb
+from math import comb, isqrt
 from operator import add, eq, index, itemgetter, le
 
 import pytest
@@ -222,6 +230,7 @@ from schmidtq import (
     poch_infinite,
     poch_infinite_inverse,
     product_side,
+    q_binomial,
     repetition_profile,
     residue_column_count,
     residue_column_table,
@@ -735,6 +744,53 @@ def t1_closed_form_by_products(ctx, J):
         inner = inner + Series(ctx, {ctx.monomial(q=mm * mm, t2=mm): 1}) * denom
         mm += 1
     return prefix * inner
+
+
+def series_op_ln_series(n, qcap):
+    """``ln_series`` with every state a ``Series``: a checked one-term
+    series per shift, a copy per ``+`` and ``Series.div_one_minus`` per step."""
+    ctx = trivariate_context(qcap)
+    t1 = ctx.term(1, ctx.monomial(t1=1)) if qcap else ctx.zero()
+    seq = [ctx.zero(), ctx.zero(), ctx.one()]
+    for r in range(1, n + 1):
+        quot = ctx.monomial(q=(r + 1) // 2, t2=r % 2)
+        if not quot.within(ctx.caps):
+            seq.append(ctx.zero())
+            continue
+        tail = seq[-1] + t1 * (seq[-2] + seq[-3])
+        seq.append((ctx.term(1, quot) * tail).div_one_minus(quot))
+    return seq[-1]
+
+
+def series_op_cauchy_sum(ctx, N):
+    """The sum side of ``cauchy_check`` as a ``Series`` sum of one-term
+    series times ``q_binomial``."""
+    rhs = ctx.zero()
+    for k in range(N + 1):
+        e = k * (k - 1) // 2
+        if e > ctx.caps[0]:
+            continue
+        sign = -1 if k % 2 else 1
+        rhs = rhs + Series(ctx, {ctx.monomial(q=e, z=k): sign}) * q_binomial(ctx, N, k)
+    return rhs
+
+
+def series_op_t1_slice_closed_form(ctx, J):
+    """``_t1_slice_closed_form`` nested on ``Series`` objects, each step a
+    ``Series.div_one_minus`` call and each term a one-term series."""
+    qcap = ctx.caps[0]
+    prefix_e = J * (J + 1) // 2
+    if prefix_e > qcap:
+        return ctx.zero()
+    inner = ctx.zero()
+    for mm in range(isqrt(qcap), -1, -1):
+        r = mm + 1
+        inner = inner.div_one_minus(ctx.monomial(q=r)).div_one_minus(ctx.monomial(q=r, t2=1))
+        inner = inner + ctx.term(1, ctx.monomial(q=mm * mm, t2=mm))
+    out = ctx.term(1, ctx.monomial(q=prefix_e)) * inner
+    for r in range(1, J + 1):
+        out = out.div_one_minus(ctx.monomial(q=r))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -2736,6 +2792,34 @@ def test_t1_slice_closed_form_matches_whole_series_products():
             assert _t1_slice_closed_form(ctx, J) == t1_closed_form_by_products(ctx, J), (J, qcap)
 
 
+def test_ln_series_matches_the_series_op_recurrence():
+    for qcap in range(25):
+        for n in range(10):
+            got = ln_series(n, qcap)
+            assert got == series_op_ln_series(n, qcap), (n, qcap)
+            assert_no_stored_zero(got)
+
+
+def test_cauchy_sum_matches_the_series_op_sum():
+    # At the default cap C(N, 2), where the whole sum is in cap, and at
+    # caps 0, 1 and N, which cut it.
+    for N in range(17):
+        for qcap in sorted({N * (N - 1) // 2, 0, 1, N}):
+            ctx = SeriesContext(("q", "z"), (qcap, N))
+            got = identities._cauchy_sum(ctx, N)
+            assert got == series_op_cauchy_sum(ctx, N), (N, qcap)
+            assert_no_stored_zero(got)
+
+
+def test_t1_slice_closed_form_matches_the_series_op_form():
+    for qcap in range(31):
+        ctx = trivariate_context(qcap)
+        for J in range(7):
+            got = _t1_slice_closed_form(ctx, J)
+            assert got == series_op_t1_slice_closed_form(ctx, J), (J, qcap)
+            assert_no_stored_zero(got)
+
+
 def test_negative_hook_exponent_raises(monkeypatch):
     # An explicit raise, not an assert, so the check survives python -O.
     monkeypatch.setattr(identities, "_hook_exponent", lambda n, j, k, with_t1: -1)
@@ -2772,7 +2856,8 @@ def test_hook_sums_step_only_in_cap_keys(monkeypatch):
     # _div_one_minus takes packed in-cap keys, as its terms and as its
     # step: the Horner steps of q^r with r past the cap are skipped, not
     # divided by, and every level is cut at the cap before it is added.
-    # (The step would drop an out-of-cap term unseen.)
+    # (The step would drop an out-of-cap term unseen.)  The same holds for
+    # the t1 slice's closed form and for the shifted states of ln_series.
     steps, out_of_cap = [], []
 
     def checked(terms, layout, step):
@@ -2784,7 +2869,10 @@ def test_hook_sums_step_only_in_cap_keys(monkeypatch):
     for qcap in range(13):
         for identity in ("ak_trivariate", "overpartition"):
             sum_side(identity, qcap)
-        t1_slice_check(2, qcap)
+        # J = 0 runs the closed form's Horner loop at caps 0 and 1 too.
+        for J in (0, 2):
+            t1_slice_check(J, qcap)
+        ln_series(6, qcap)
     assert steps and out_of_cap == []
 
 

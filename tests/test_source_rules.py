@@ -180,6 +180,29 @@ def test_only_partitions_names_the_part_size_pass():
     assert found == []
 
 
+def test_identities_hands_the_ring_only_packed_dicts():
+    # Every side and check in identities.py counts in one dict of packed
+    # keys, and the dict enters a series through Series._raw or the checked
+    # Series._from_packed.  No function builds a series by Series(...), the
+    # one-term builders of SeriesContext, q_binomial or the step methods,
+    # each of which makes a new object per term, sum or step.
+    tree = ast.parse((SOURCE / "identities.py").read_text())
+    entries = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in {"_raw", "_from_packed"}
+    }
+    banned = {"term", "one", "constant", "zero", "q_binomial", "q_multinomial"}
+    banned |= {"div_one_minus", "mul_one_minus"}
+    found = [
+        f"identities.py:{node.lineno} Series"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "Series" and id(node) not in entries
+    ]
+    found += [f"identities.py:{line} {name}" for line, name in named("identities.py") if name in banned]
+    assert found == []
+
+
 def test_witnesses_build_only_the_objects_they_keep():
     # witnesses walks only the objects on its monomial, so it neither
     # streams every object of a size nor filters by a statistic or a class.
@@ -202,6 +225,7 @@ UNUSED_IN_SOURCE = {
     "geometric_inverse": "a target of perfbench/tracer.py",
     "poch_infinite": "a target of perfbench/tracer.py",
     "poch_infinite_inverse": "a target of perfbench/tracer.py",
+    "q_binomial": "a target of perfbench/tracer.py",
     "q_multinomial": "a target of perfbench/tracer.py",
     "admissible_colors": "a target of perfbench/tracer.py",
     "cs_validate": "a target of perfbench/tracer.py",
@@ -212,6 +236,9 @@ UNUSED_IN_SOURCE = {
     "Series.coefficient_at": "read by perfbench's runner and demos/coefficient_hunt.py",
     "ln_series": "a series_sides benchmark op",
     "Series.mul_one_minus": "the multiply step the README documents",
+    "Series.div_one_minus": "the division step the README documents",
+    "SeriesContext.zero": "a series builder the README documents; perfbench/make_digests.py sums from it",
+    "SeriesContext.term": "the one-term series builder the README documents",
     "Partition.multiplicity": "read by the bijection and partition tests",
     "residue_column_table": "public tuple-keyed table; enum_side counts it in the ring's keys",
     "schmidt_weight_table": "public tuple-keyed table; enum_side counts it in the ring's keys",
