@@ -48,6 +48,7 @@ from .partitions import (
     _check_modulus,
     _cor22_counts,
     _length_walk,
+    _most,
     _residue_columns,
     _schmidt_weight_columns,
     _schmidt_weight_total,
@@ -810,7 +811,6 @@ def witnesses(identity, exponents, *, m=None, i=None):
         # indices, so these are partitions of 2q - t2.
         stream = _weight_walk(2 * q - t2, 2, (1,), q, most=3, repeated=t1)
     else:
-        most = m - 1 if entry.family.cls == "D" else None
-        stream = _weight_walk(size, m, s, q, most=most)
+        stream = _weight_walk(size, m, s, q, most=_most(entry.family.cls, m))
     return [",".join([",".join([str(a)] * c) for a, c in groups]) for groups in stream]
 

@@ -11,18 +11,21 @@ builder, ``_table``: a pass over the part sizes from the cap down to 1
 that counts in place.  It keeps one layer per value of a capped field
 (the weight, or the size) and in each layer one cell per residue of the
 next index: a dict from the state's other fields, one packed int, to a
-count.  In class P each size makes one sweep up the layers, the empty
-partition first and in each layer residues 1 .. m - 1, then 0; each
-state read takes one more copy, into a cell still to be read, so any
-number, from one step per residue.  A copy that gains nothing stays in
-its layer, one residue up or from m - 1 to 0; one from residue 0 gains,
-as a weight-capped table counts index 1 and a sized copy gains size.
-With runs bounded by ``most`` (class D and ``cor22``) each size reads
-every cell once, layers from the top down and in each layer residue 0
-first, then m - 1 down to 1, and a cell adds its states to later cells
-by one step per run of 1 .. ``most`` copies.  A run gains, or moves the
-residue up toward m without wrapping, so no state takes two runs of one
-size.  A table names only the fields it tracks and ``most``, and the
+count.  For each size one loop reads the cells, each state read taking
+one step per run of its residue's run list; the classes differ only in
+the order of the reads and in the runs.  Class P takes runs of one copy
+and reads up the layers, the empty partition first and in each layer
+residues 1 .. m - 1, then 0: each copy lands on a cell still to be read,
+so a state takes any number, from one step per residue.  A copy that
+gains nothing stays in its layer, one residue up or from m - 1 to 0; one
+from residue 0 gains, as a weight-capped table counts index 1 and a
+sized copy gains size.  With runs bounded by ``most`` (class D and
+``cor22``) the loop takes runs of 1 .. ``most`` copies and reads the
+same cells in the reverse order, layers from the top down and in each
+layer residue 0 first, then m - 1 down to 1, the empty partition last.
+A run gains, or moves the residue up toward m without wrapping, so it
+lands on a cell already read and no state takes two runs of one size.
+A table names only the fields it tracks and ``most``, and the
 builder derives every step from them.  Each table, by its capped field,
 its other fields, ``most`` and reader:
 
@@ -501,11 +504,9 @@ def partitions_with_schmidt_weight(n, m, s, cls="P"):
     """
     # A set, not the m flags of _schmidt_params, so a huge m costs nothing.
     counted = set(normalize_residue_set(m, s, allow_m=True))
-    if cls not in ("P", "D"):
-        raise ValueError(f"class must be 'P' or 'D', got {cls!r}")
+    most = _most(cls, m)
     if n < 0:
         raise ValueError(f"target weight must be nonnegative, got {n}")
-    bounded = cls == "D"
     # The walk shape and growth rule of schmidt_bucket_counts in class P,
     # which walks the subtree of a small remainder once per state where
     # this stream yields every node: a prefix of weight below n always
@@ -527,7 +528,7 @@ def partitions_with_schmidt_weight(n, m, s, cls="P"):
         next_r = r + 1 if r < m else 1
         top = min(last, n - weight) if is_counted else last
         for a in range(1, top + 1):
-            if a == last and bounded and run + 1 == m:
+            if a == last and run == most:
                 continue
             child_run = run + 1 if a == last else 1
             child_weight = weight + a if is_counted else weight
@@ -542,15 +543,17 @@ def _schmidt_params(m, s, cls):
     # The residues and counted[r], whether a 0-based index of residue r is
     # counted, for the Schmidt-weight counters of classes P and D.
     residues = normalize_residue_set(m, s, allow_m=True)
-    if cls not in ("P", "D"):
-        raise ValueError(f"class must be 'P' or 'D', got {cls!r}")
+    _most(cls, m)
     return residues, [r + 1 in residues for r in range(m)]
 
 
 def _most(cls, m):
-    # The longest run of equal parts that _table lists as one group for the
-    # class: m - 1 in class D, whose multiplicities stay below m, and None in
-    # class P, whose sweep takes any number of copies one at a time.
+    # The one rule from a class to its run bound, the most equal parts a
+    # partition of it keeps: m - 1 in class D, whose multiplicities stay
+    # below m, and None in class P, whose read takes any number of copies
+    # one at a time.  Any other class is refused.
+    if cls not in ("P", "D"):
+        raise ValueError(f"class must be 'P' or 'D', got {cls!r}")
     return None if cls == "P" else m - 1
 
 
@@ -564,10 +567,9 @@ def _table(counted, cap, *, most=None, sized=False, weight=0, alt=0, repeated=0,
     # fields are one packed int, a sum of each field times its unit: the
     # weight when sized, alt (the alternating sum), repeated (the sizes with
     # two copies or more, bounded runs only) and rho, the units of rho_1 ..
-    # rho_m, 0 for an entry not tracked.  A group is c copies of a part a
-    # from residue r, c = 1 .. most, or 1 with most None, as in class P.
-    # Layer t, residue r is cells[t * m + r], a dict from the other fields
-    # to a count; _table returns the cells.
+    # rho_m, 0 for an entry not tracked.  Layer t, residue r is
+    # cells[t * m + r], a dict from the other fields to a count; _table
+    # returns the cells.
     m = len(counted)
     # before[j] counts the counted 0-based indices below j over two periods.
     before = list(accumulate(counted * 2, initial=0))
@@ -576,9 +578,23 @@ def _table(counted, cap, *, most=None, sized=False, weight=0, alt=0, repeated=0,
     power = [0] * (m + 1) if rho is None else [rho[-1], *rho[:-1], 0]
     limit = (cap + 1) * m
     cells = [{} for _ in range(limit)]
-    # The empty partition, every field 0, is kept out of the cells and read
-    # as residue m at index m: its groups land next residue - m cells on.
+    # One loop reads the cells for every class.  Class P takes runs of one
+    # copy and reads up the cells, in each layer residues 1 .. m - 1 and
+    # then 0, so each copy lands on a cell still to be read.  The bounded
+    # classes take runs of 1 .. most copies and read the same cells down,
+    # so each run lands on a cell already read.  The empty partition, every
+    # field 0, is kept out of the cells and read as residue m at index m,
+    # first in class P and last otherwise: its groups land next residue - m
+    # cells on.  Read last, it takes one run of a size at most; untracked,
+    # rho_m's unit is 0 and residue m's groups are residue 0's, and layer 0
+    # holds no other state, so reading it late loses nothing.
+    up = [(cells[t * m + r], t * m + r, r) for t in range(cap + 1) for r in (*range(1, m), 0)]
     empty = ({0: 1}, m, m)
+    if most is None:
+        runs, reads = (1,), [empty, *up]
+    else:
+        runs, reads = range(1, most + 1), [*reversed(up), empty]
+    groups = [()] * (m + 1)
 
     def group(r, c):
         # c copies from residue r sit on gain counted indices.  The group
@@ -588,42 +604,14 @@ def _table(counted, cap, *, most=None, sized=False, weight=0, alt=0, repeated=0,
         e = weight * gain + alt * (2 * gain - c) + power[next_r] - power[r]
         return (c if sized else gain) * m, next_r - r, e, repeated * (c > 1)
 
-    if most is None:
-        # One sweep up the cells per size: the empty partition first, then
-        # in each layer residues 1 .. m - 1 and 0.  A copy lands on a cell
-        # the sweep has yet to read, which adds one more copy in turn.
-        steps = [group(r, 1) for r in range(m + 1)]
-        order = (*range(1, m), 0)
-        reads = [empty, *((cells[t * m + r], t * m + r, r) for t in range(cap + 1) for r in order)]
-    else:
-        # Read last, the empty partition takes one group of a size at most.
-        # Untracked, rho_m's unit is 0 and residue m's groups are residue
-        # 0's; layer 0 holds no other state, so reading it late loses nothing.
-        order = (0, *range(m - 1, 0, -1))
-        reads = [(cells[t * m + r], t * m + r, r) for t in range(cap, -1, -1) for r in order]
-        reads.append(empty)
-        groups = [()] * (m + 1)
-
-        def fill(r):
-            row = groups[r] = [group(r, c) for c in range(1, most + 1)]
-            return row
+    def fill(r):
+        row = groups[r] = [group(r, c) for c in runs]
+        return row
 
     read_cells = [src for src, _, _ in reads]
     for a in range(cap, 0, -1):
-        # compress skips each empty cell as the loop reaches it, so the
-        # sweep reads a cell after the copies it took.
-        if most is None:
-            for src, i, r in compress(reads, read_cells):
-                g, d, e, _ = steps[r]
-                j = i + a * g + d
-                if j >= limit:
-                    continue
-                dst = cells[j]
-                change = a * e
-                for key, count in src.items():
-                    key += change
-                    dst[key] = dst.get(key, 0) + count
-            continue
+        # compress skips each empty cell as the loop reaches it, so class P
+        # reads a cell after the copies it took.
         for src, i, r in compress(reads, read_cells):
             for g, d, e, f in groups[r] or fill(r):
                 j = i + a * g + d
@@ -696,14 +684,13 @@ def _schmidt_weight_columns(m, s, cls, cap, units):
     # schmidt_weight_table counted in the units of (weight, size), for any
     # nonempty s: the size bounds the pass.  With at most cap parts no
     # index wraps mod min(m, cap + 1), so the pass runs mod that.
-    if cls not in ("P", "D"):
-        raise ValueError(f"class must be 'P' or 'D', got {cls!r}")
+    counted = [r in s for r in range(1, min(m, cap + 1) + 1)]
+    most = _most(cls, len(counted))
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     weight, size = units
     # The weight never exceeds the size.
-    counted = [r in s for r in range(1, min(m, cap + 1) + 1)]
-    table = _table(counted, cap, most=_most(cls, len(counted)), sized=True, weight=weight)
+    table = _table(counted, cap, most=most, sized=True, weight=weight)
     return _layers(table, len(counted), size)
 
 

@@ -89,19 +89,41 @@ MUTANTS = (
         "range(1, min(m, cap) + 1)",
         ("tests/test_oracles.py::test_s_graded_sides_match_the_named_branches",),
     ),
+    # Within a layer the bounded read takes residue 1 before 2, so a run from
+    # residue 1 lands on a cell still to be read and a size repeats past its
+    # bound; class P reads residue m - 1 first, missing the copies that the
+    # lower residues move up to it.
     Mutant(
         "pass-residue-order-reversed",
         "src/schmidtq/partitions.py",
-        "order = (0, *range(m - 1, 0, -1))",
-        "order = (*range(1, m), 0)",
-        ("tests/test_oracles.py::test_schmidt_weight_totals_match_the_copying_pass[2]",),
+        "(*range(1, m), 0)",
+        "(*range(m - 1, 0, -1), 0)",
+        ("tests/test_oracles.py::test_schmidt_weight_totals_match_the_copying_pass[3]",),
     ),
+    # Read first in a bounded class, the empty partition's runs land on
+    # cells still to be read, which add runs of the same size to them.
     Mutant(
         "pass-first-before-steps",
         "src/schmidtq/partitions.py",
-        "reads.append(empty)",
-        "reads.insert(0, empty)",
+        "[*reversed(up), empty]",
+        "[empty, *reversed(up)]",
         ("tests/test_oracles.py::test_residue_columns_match_the_copying_pass[2]",),
+    ),
+    # Read upward, a bounded class takes runs from cells its runs of the
+    # same size filled, so a size repeats past its bound.
+    Mutant(
+        "pass-layers-read-upward",
+        "src/schmidtq/partitions.py",
+        "[*reversed(up), empty]",
+        "[*up, empty]",
+        ("tests/test_oracles.py::test_residue_columns_match_the_copying_pass[2]",),
+    ),
+    Mutant(
+        "pass-runs-stop-short",
+        "src/schmidtq/partitions.py",
+        "range(1, most + 1)",
+        "range(1, most)",
+        ("tests/test_oracles.py::test_cor22_counts_match_the_copying_pass",),
     ),
     Mutant(
         "pass-layer-bound-off-by-one",
@@ -115,8 +137,8 @@ MUTANTS = (
     Mutant(
         "sweep-residue-0-first",
         "src/schmidtq/partitions.py",
-        "order = (*range(1, m), 0)",
-        "order = (0, *range(1, m))",
+        "(*range(1, m), 0)",
+        "(0, *range(1, m))",
         ("tests/test_oracles.py::test_residue_columns_match_the_run_groups[2]",),
     ),
     # Read last, the empty partition's copy lands on a cell already read,
@@ -124,26 +146,15 @@ MUTANTS = (
     Mutant(
         "sweep-empty-read-last",
         "src/schmidtq/partitions.py",
-        "reads = [empty, *((cells[t * m + r], t * m + r, r)"
-        " for t in range(cap + 1) for r in order)]",
-        "reads = [*((cells[t * m + r], t * m + r, r)"
-        " for t in range(cap + 1) for r in order), empty]",
+        "[empty, *up]",
+        "[*up, empty]",
         ("tests/test_oracles.py::test_schmidt_weight_totals_match_the_run_groups[2]",),
-    ),
-    # A copy that gains nothing stays in its layer, so cells above the
-    # first overflow still take copies.
-    Mutant(
-        "sweep-overflow-ends-sweep",
-        "src/schmidtq/partitions.py",
-        "if j >= limit:\n                    continue",
-        "if j >= limit:\n                    break",
-        ("tests/test_oracles.py::test_residue_columns_match_the_run_groups[2]",),
     ),
     Mutant(
         "sweep-copy-group-of-two",
         "src/schmidtq/partitions.py",
-        "steps = [group(r, 1) for r in range(m + 1)]",
-        "steps = [group(r, 2) for r in range(m + 1)]",
+        "runs, reads = (1,)",
+        "runs, reads = (2,)",
         ("tests/test_oracles.py::test_schmidt_weight_totals_match_the_run_groups[2]",),
     ),
     Mutant(
@@ -180,6 +191,27 @@ MUTANTS = (
         'return None if cls == "P" else m - 1',
         'return None if cls == "P" else m',
         ("tests/test_oracles.py::test_residue_columns_match_the_copying_pass[2]",),
+    ),
+    Mutant(
+        "class-rule-takes-class-f",
+        "src/schmidtq/partitions.py",
+        'if cls not in ("P", "D"):',
+        'if cls not in ("P", "D", "F"):',
+        ("tests/test_partitions.py::test_schmidt_weight_counters_take_classes_p_and_d_only",),
+    ),
+    Mutant(
+        "weight-stream-class-d-allows-m-copies",
+        "src/schmidtq/partitions.py",
+        "if a == last and run == most:",
+        "if a == last and run == m:",
+        ("tests/test_oracles.py::test_partitions_with_schmidt_weight_matches_recursive_walk[2]",),
+    ),
+    Mutant(
+        "witnesses-class-d-unbounded",
+        "src/schmidtq/identities.py",
+        "most=_most(entry.family.cls, m))",
+        "most=None)",
+        ("tests/test_oracles.py::test_s_graded_witnesses_match_the_filter[mork_odd]",),
     ),
     Mutant(
         "table-constant-field-scaled-by-a",

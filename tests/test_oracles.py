@@ -160,11 +160,13 @@ which took a ``steps(r)`` closure per table, the empty partition's
 the helpers that built those: ``_part_size_pass``, ``_cells``,
 ``_schmidt_cells`` and ``_rho_steps``.  The column tables read it.
 
-In class P the builder takes one copy per read, in one sweep up the
-cells per part size.  Its earlier class-P path, runs of 1 .. m - 1
-copies read from the top layer down and then a sweep up the layers
-adding blocks of m copies, is kept below as ``run_group_table``, and the
-class-P tables must equal it exactly.
+The builder reads the cells in one loop for every class: in class P
+one copy per read, up the cells, and in the bounded classes runs of
+1 .. most copies per read, down the cells.  Its earlier class-P path,
+runs of 1 .. m - 1 copies read from the top layer down and then a sweep
+up the layers adding blocks of m copies, is kept below as
+``run_group_table``, and the class-P tables must equal it exactly; the
+class-D tables must equal the copying pass at any modulus up to 6.
 
 ``ln_series``, the sum side of ``cauchy_check`` and the t1 slice's
 closed form each build one dict of packed keys: key shifts cut at the
@@ -3175,6 +3177,26 @@ def test_class_p_tables_match_the_run_groups_at_any_modulus(data):
     else:
         got = keyed(_residue_columns, m, s, "P", cap, fields=m + 1)
         assert got == keyed(run_group_residue_columns, m, s, cap, fields=m + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_class_d_tables_match_the_copying_pass_at_any_modulus(data):
+    m = data.draw(st.integers(2, 6), label="m")
+    kind = data.draw(st.sampled_from(["columns", "sized", "total"]), label="kind")
+    if kind == "sized":
+        s = data.draw(st.sampled_from(every_residue_set(m)), label="s")
+        cap = data.draw(st.integers(0, 14), label="cap")
+        got = keyed(_schmidt_weight_columns, m, s, "D", cap, fields=2)
+        assert got == copying_schmidt_weight_columns(m, s, "D", cap)
+        return
+    s = data.draw(st.sampled_from(residue_sets(m, True)), label="s")
+    cap = data.draw(st.integers(0, 12), label="cap")
+    if kind == "total":
+        assert _schmidt_weight_total(cap, m, s, "D") == copying_schmidt_weight_total(cap, m, s, "D")
+    else:
+        got = keyed(_residue_columns, m, s, "D", cap, fields=m + 1)
+        assert got == copying_residue_columns(m, s, "D", cap)
 
 
 @pytest.mark.parametrize("theorem, cls", [("schmidt", "D"), ("uncu", "P")])

@@ -180,6 +180,26 @@ def test_only_partitions_names_the_part_size_pass():
     assert found == []
 
 
+def test_the_part_size_pass_has_one_read_loop():
+    # Every class reads its cells through one loop body: class P and the
+    # bounded classes differ only in read order and run list, so _table
+    # walks a cell's states in exactly one for loop.
+    tree = ast.parse((SOURCE / "partitions.py").read_text())
+    (func,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_table"
+    ]
+    loops = [
+        node
+        for node in ast.walk(func)
+        if isinstance(node, ast.For)
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Attribute)
+        and node.iter.func.attr == "items"
+        and getattr(node.iter.func.value, "id", None) == "src"
+    ]
+    assert len(loops) == 1
+
+
 def test_identities_hands_the_ring_only_packed_dicts():
     # Every side and check in identities.py counts in one dict of packed
     # keys, and the dict enters a series through Series._raw or the checked
