@@ -3,36 +3,45 @@
 Four maps live here.  None of them walks the diagram cell by cell:
 exactly ``lam_h - lam_(h+1)`` columns have height ``h`` (``lam`` read as
 0 past the last part), so the maps read the column multiplicities off
-the parts, and where a map still needs the conjugate it takes the
-O(``lam_1 + len(lam)``) pointer walk of :meth:`Partition.conjugate`.
+the parts, and where a map needs a conjugate it takes the
+O(``lam_1 + len(lam)``) pointer walk of :meth:`Partition.conjugate` on
+the list it builds.  Each map builds its image in one pass, after the
+checks that refuse bad input, and no image goes through the validating
+``Partition`` constructor: only ``mork_forward`` checks its image, by
+one comparison of neighbouring parts.
 
 ``color_conjugate`` sends an ordinary partition to a colored partition:
 mark the rows of the diagram whose index residue lies in the chosen set,
 replace each column by the count of marked cells it contains, and record
 how far the column overshoots its last marked row as a color offset.
-The inverse reads the overshoot back out of the color.
+The inverse reads the overshoot back out of the color, which gives the
+column heights, and conjugates them.
 
 ``mork_forward`` cuts the diagram into hooks along the main diagonal and
 interleaves, for each diagonal cell, the hook through it with the hook
 through the cell just right of it.  The images are exactly the
 partitions with distinct parts, and the odd-indexed parts of the image
-sum to the size of the source.
+sum to the size of the source.  ``mork_inverse`` peels the hooks back
+into arms and legs, whose nesting checks make the rows a partition.
 
 ``glaisher_reduce`` removes the groups of ``m`` equal-height columns:
 of the ``lam_h - lam_(h+1)`` columns of height ``h`` it keeps that count
 mod ``m`` and banks each full group as a part ``h * m``; what remains
 has all column multiplicities below ``m``, i.e. all gaps below ``m``.
-``glaisher_expand`` puts each banked part ``p`` back as ``m`` cells on
-each of the rows ``1 .. p / m``.
+``glaisher_expand`` puts each banked part ``p`` back as ``m`` columns
+of height ``p / m``: row ``r`` gains ``m`` times the number of banked
+parts of at least ``m * r``, one pointer walk down the banked parts.
 
 ``decompose_multiplicity`` splits each part multiplicity into its
-residue and its multiple-of-``m`` bulk.
+residue and its multiple-of-``m`` bulk, cutting each run of equal
+parts into two slices.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import repeat
+from itertools import compress, repeat
+from operator import add, le, mod, ne
 
 from .colored import ColoredPartition
 from .partitions import Partition, _check_modulus, in_class, normalize_residue_set
@@ -73,11 +82,11 @@ def color_conjugate(lam, m, s):
         if part > below:
             # p counts the marked rows r <= h: i in each full block of m
             # rows, and the residues up to the rest.  Row 1 is always
-            # marked, so every positive column has p >= 1, and s_k + j =
-            # h - m * ((p - 1) // i).
+            # marked, so the last marked row is m * full + (a residue <=
+            # rest) when rest > 0, and m * (full - 1) + (a residue) when
+            # rest = 0: s_k + j is rest, or m.
             full, rest = divmod(h, m)
-            p = full * i + bisect_right(residues, rest)
-            parts += repeat((p, h - m * ((p - 1) // i)), part - below)
+            parts += repeat((full * i + bisect_right(residues, rest), rest or m), part - below)
             below = part
     return ColoredPartition._trusted(tuple(parts))
 
@@ -103,8 +112,15 @@ def color_conjugate_inverse(mu, m, s):
             )
         heights.append(m * full + c)
     # mu's parts decrease, and the height grows with (p, c), so the
-    # heights decrease too.
-    return Partition._trusted(tuple(heights)).conjugate()
+    # heights decrease too.  Row r counts the heights >= r: the pointer
+    # walk of Partition.conjugate, on the list.
+    rows = []
+    k = len(heights)
+    for r in range(1, heights[0] + 1) if heights else ():
+        while heights[k - 1] < r:
+            k -= 1
+        rows.append(k)
+    return Partition._trusted(tuple(rows))
 
 
 def mork_forward(lam):
@@ -118,21 +134,25 @@ def mork_forward(lam):
     rows = lam.parts
     out = []
     # Row d = r + 1 meets the diagonal while lam_d >= d.  Only the columns
-    # up to the one just right of the Durfee square are read: k counts the
-    # parts above r, the height conj_(r+1) of column r + 1, and falls as r
-    # grows.  Rows 1 .. d all exceed r, so k never drops below d.
+    # up to the one just right of the Durfee square are read: k is the
+    # height conj_(r+1) of column r + 1, the number of parts above r, and
+    # falls as r grows.  Column 1 holds every part, and the walk for
+    # column r + 2 is done by the time row r + 1 is read, since that row
+    # meets the diagonal only if row r reaches column r + 2.
     k = len(rows)
     for r, row in enumerate(rows):
         if row <= r:
             break
-        while rows[k - 1] <= r:
-            k -= 1
         out.append(row + k - 2 * r - 1)
         if row > r + 1:
             while rows[k - 1] <= r + 1:
                 k -= 1
             out.append(row + k - 2 * r - 2)
-    return Partition(out)
+    # Every image strictly decreases to a positive last part; a part that
+    # fails to means the map is broken, not the input.
+    if any(map(le, out, (*out[1:], 0))):
+        raise ValueError(f"image {out} of {rows} does not strictly decrease to a positive part")
+    return Partition._trusted(tuple(out))
 
 
 def mork_inverse(mu):
@@ -145,39 +165,40 @@ def mork_inverse(mu):
     strictly, i.e. when ``mu`` is not an image of the map.
     """
     parts = mu.parts
-    if len(set(parts)) != len(parts):
-        raise ValueError(f"{parts} has repeated parts, so it is not an image")
     n = len(parts)
+    if len(set(parts)) != n:
+        raise ValueError(f"{parts} has repeated parts, so it is not an image")
     if n == 0:
         return Partition()
     dm = (n + 1) // 2
-
-    def mu_at(idx):
-        return parts[idx - 1]
-
-    arm = [0] * (dm + 2)
-    leg = [0] * (dm + 2)
-    arm[dm] = mu_at(2 * dm) if n % 2 == 0 else 0
-    leg[dm] = mu_at(2 * dm - 1) - arm[dm] - 1
-    for d in range(dm - 1, 0, -1):
-        arm[d] = mu_at(2 * d) - leg[d + 1] - 1
-        leg[d] = mu_at(2 * d - 1) - arm[d] - 1
-    for d in range(1, dm + 1):
-        if arm[d] < 0 or leg[d] < 0:
-            raise ValueError(f"{parts} is not an image: negative hook component")
-    for d in range(1, dm):
-        if arm[d] <= arm[d + 1] or leg[d] <= leg[d + 1]:
-            raise ValueError(f"{parts} is not an image: hook components must nest")
-    rows = [arm[d] + d for d in range(1, dm + 1)]
-    cols = [leg[d] + d for d in range(1, dm + 1)]
-    # Rows below the diagonal square are read off the column heights: row r
-    # counts the columns of height at least r, and cols strictly decreases.
+    # arms[d] and legs[d] belong to the diagonal cell (d + 1, d + 1): parts
+    # 2d and 2d + 1 (0-based) are its hook and the hook just right of it.
+    # The innermost right hook is the arm alone, or absent when n is odd.
+    arms = [0] * dm
+    legs = [0] * dm
+    arm = parts[n - 1] if n % 2 == 0 else 0
+    leg = parts[2 * dm - 2] - arm - 1
+    arms[-1], legs[-1] = arm, leg
+    for d in range(dm - 2, -1, -1):
+        arm = parts[2 * d + 1] - leg - 1
+        leg = parts[2 * d] - arm - 1
+        arms[d], legs[d] = arm, leg
+    if min(arms) < 0 or min(legs) < 0:
+        raise ValueError(f"{parts} is not an image: negative hook component")
+    if any(map(le, arms, arms[1:])) or any(map(le, legs, legs[1:])):
+        raise ValueError(f"{parts} is not an image: hook components must nest")
+    # The arms and legs fall strictly to >= 0, so the rows of the Durfee
+    # square (arm + d) and its columns (leg + d) decrease weakly from at
+    # least dm.  Rows below the square are read off the column heights:
+    # row r counts the columns of height at least r.
+    rows = list(map(add, arms, range(1, dm + 1)))
+    cols = list(map(add, legs, range(1, dm + 1)))
     k = dm
     for r in range(dm + 1, cols[0] + 1):
         while cols[k - 1] < r:
             k -= 1
         rows.append(k)
-    return Partition(rows)
+    return Partition._trusted(tuple(rows))
 
 
 def glaisher_reduce(lam, m):
@@ -195,14 +216,17 @@ def glaisher_reduce(lam, m):
     # count = lambda_h - lambda_(h+1) columns have height h.  Kept row h
     # holds count % m of them for each height from h up, so walking the
     # heights from len(lam) down builds the kept rows from the last, and
-    # the banked parts in decreasing order.
+    # the banked parts in decreasing order.  Only a height with m columns
+    # or more banks a part.
     for h, part in zip(range(len(lam), 0, -1), reversed(lam.parts)):
         count = part - below
         below = part
-        row += count % m
+        if count >= m:
+            banked += repeat(h * m, count // m)
+            count %= m
+        row += count
         if row:
             kept.append(row)
-        banked += repeat(h * m, count // m)
     kept.reverse()
     return Partition._trusted(tuple(kept)), Partition._trusted(tuple(banked))
 
@@ -212,16 +236,22 @@ def glaisher_expand(kept, banked, m):
     _check_modulus(m)
     if not in_class(kept, "F", m):
         raise ValueError(f"{kept.parts} has a gap of {m} or more, so it is not reduced")
-    # Each banked part p puts m columns of height p / m back: m cells on
-    # each of rows 1 .. p / m.  Adding to a prefix keeps the rows decreasing.
+    bank = banked.parts
+    if not bank:
+        return Partition._trusted(kept.parts)
+    if any(map(mod, bank, repeat(m))):
+        p = next(compress(bank, map(mod, bank, repeat(m))))
+        raise ValueError(f"banked part {p} is not divisible by {m}")
+    # Each banked part p puts m columns of height p / m back: row r gains
+    # m for each banked part of at least m * r.  k counts those parts and
+    # only falls as r grows, and the rows stay decreasing.
     rows = list(kept.parts)
-    for p in banked.parts:
-        if p % m:
-            raise ValueError(f"banked part {p} is not divisible by {m}")
-        h = p // m
-        rows += repeat(0, h - len(rows))
-        for r in range(h):
-            rows[r] += m
+    rows += repeat(0, bank[0] // m - len(rows))
+    k = len(bank)
+    for r, cut in enumerate(range(m, bank[0] + 1, m)):
+        while bank[k - 1] < cut:
+            k -= 1
+        rows[r] += m * k
     return Partition._trusted(tuple(rows))
 
 
@@ -237,15 +267,17 @@ def decompose_multiplicity(mu, m):
     parts = mu.parts
     low = []
     bulk = []
-    run = 0
-    # A run ends where the next part differs; the last part meets 0.  Both
-    # outputs take the sizes in the order of mu, so they decrease.
-    for part, following in zip(parts, (*parts[1:], 0)):
-        run += 1
-        if part != following:
-            low += repeat(part, run % m)
-            bulk += repeat(part, run - run % m)
-            run = 0
+    start = 0
+    # A run ends where the next part differs; the last part meets 0.  The
+    # run parts[start:end] gives its first run % m copies to low and the
+    # rest to bulk, so both outputs take the sizes in the order of mu.
+    for end in compress(range(1, len(parts) + 1), map(ne, parts, (*parts[1:], 0))):
+        cut = start + (end - start) % m
+        if cut > start:
+            low += parts[start:cut]
+        if end > cut:
+            bulk += parts[cut:end]
+        start = end
     return Partition._trusted(tuple(low)), Partition._trusted(tuple(bulk))
 
 

@@ -326,9 +326,25 @@ MUTANTS = (
     Mutant(
         "color-conjugate-marked-rows-below-the-rest",
         "src/schmidtq/bijections.py",
-        "p = full * i + bisect_right(residues, rest)",
-        "p = full * i + bisect_right(residues, rest - 1)",
+        "full * i + bisect_right(residues, rest), rest or m)",
+        "full * i + bisect_right(residues, rest - 1), rest or m)",
         ("tests/test_oracles.py::test_color_conjugate_matches_per_column_map[3]",),
+    ),
+    # A column of height divisible by m overshoots its last marked row by
+    # m - s_i, which makes its color m.
+    Mutant(
+        "color-conjugate-full-block-color-m-minus-1",
+        "src/schmidtq/bijections.py",
+        "rest or m)",
+        "rest or m - 1)",
+        ("tests/test_oracles.py::test_color_conjugate_matches_per_column_map[2]",),
+    ),
+    Mutant(
+        "inverse-row-walk-skips-heights-equal-to-the-row",
+        "src/schmidtq/bijections.py",
+        "while heights[k - 1] < r:",
+        "while heights[k - 1] <= r:",
+        ("tests/test_oracles.py::test_color_conjugate_matches_per_column_map[2]",),
     ),
     Mutant(
         "inverse-palette-ceiling-m",
@@ -344,6 +360,33 @@ MUTANTS = (
         "while rows[k - 1] <= r:",
         ("tests/test_oracles.py::test_mork_maps_match_part_indexing_maps",),
     ),
+    # int.__lt__ stands in for operator.lt, which bijections.py does not import.
+    Mutant(
+        "mork-forward-order-check-non-strict",
+        "src/schmidtq/bijections.py",
+        "any(map(le, out, (*out[1:], 0)))",
+        "any(map(int.__lt__, out, (*out[1:], 0)))",
+        (
+            "tests/test_bijections.py::"
+            "test_mork_forward_refuses_an_image_that_does_not_strictly_decrease",
+        ),
+    ),
+    Mutant(
+        "mork-inverse-peel-stops-before-the-outer-hook",
+        "src/schmidtq/bijections.py",
+        "for d in range(dm - 2, -1, -1):",
+        "for d in range(dm - 2, 0, -1):",
+        ("tests/test_oracles.py::test_mork_maps_match_part_indexing_maps",),
+    ),
+    # Equal arms give repeated parts, which the first check refuses, so
+    # the mutant drops the arms' check rather than loosening it.
+    Mutant(
+        "mork-inverse-arms-unchecked",
+        "src/schmidtq/bijections.py",
+        "if any(map(le, arms, arms[1:])) or any(",
+        "if any(",
+        ("tests/test_oracles.py::test_bijections_refuse_as_their_replaced_bodies",),
+    ),
     Mutant(
         "enumerate-write-drops-the-newline",
         "src/schmidtq/cli.py",
@@ -352,11 +395,21 @@ MUTANTS = (
         ("tests/test_cli.py::test_enumerate_writes_each_object_text_on_a_line",),
     ),
     Mutant(
-        "decompose-keeps-one-more-low",
+        "decompose-run-ends-one-part-early",
         "src/schmidtq/bijections.py",
-        "low += repeat(part, run % m)",
-        "low += repeat(part, run % m + 1)",
+        "compress(range(1, len(parts) + 1),",
+        "compress(range(len(parts)),",
         ("tests/test_bijections.py::test_decompose_examples",),
+    ),
+    Mutant(
+        "decompose-drops-a-single-low-copy",
+        "src/schmidtq/bijections.py",
+        "if cut > start:",
+        "if cut > start + 1:",
+        (
+            "tests/test_oracles.py::"
+            "test_decompose_and_merge_match_tuple_runs_and_validating_merge[2]",
+        ),
     ),
     Mutant(
         "class-f-without-last-gap",
@@ -561,11 +614,32 @@ MUTANTS = (
         ("tests/test_partitions.py::test_split_bucket_rejects_a_negative_key",),
     ),
     Mutant(
+        "glaisher-banks-past-m-only",
+        "src/schmidtq/bijections.py",
+        "if count >= m:",
+        "if count > m:",
+        ("tests/test_oracles.py::test_glaisher_maps_match_conjugating_maps[2]",),
+    ),
+    Mutant(
         "glaisher-row-floor-for-mod",
         "src/schmidtq/bijections.py",
-        "row += count % m",
-        "row += count // m",
+        "count %= m",
+        "count //= m",
         ("tests/test_bijections.py::test_glaisher_examples",),
+    ),
+    Mutant(
+        "glaisher-expand-walk-steps-on-equal",
+        "src/schmidtq/bijections.py",
+        "while bank[k - 1] < cut:",
+        "while bank[k - 1] <= cut:",
+        ("tests/test_oracles.py::test_glaisher_maps_match_conjugating_maps[2]",),
+    ),
+    Mutant(
+        "glaisher-expand-reports-the-first-banked-part",
+        "src/schmidtq/bijections.py",
+        "p = next(compress(bank, map(mod, bank, repeat(m))))",
+        "p = bank[0]",
+        ("tests/test_oracles.py::test_bijections_refuse_as_their_replaced_bodies",),
     ),
     Mutant(
         "add-copies-the-smaller-operand",

@@ -141,6 +141,14 @@ def test_mork_inverse_rejects_repeats():
         mork_inverse(Partition((3, 3)))
 
 
+def test_mork_forward_refuses_an_image_that_does_not_strictly_decrease():
+    # Every partition maps to distinct parts, so only parts out of order,
+    # which _trusted alone builds, reach the image check: (2, 3) walks to
+    # the hooks 3, 2, 2, 1, which repeat.
+    with pytest.raises(ValueError, match="does not strictly decrease"):
+        mork_forward(Partition._trusted((2, 3)))
+
+
 def test_mork_forward_inverts_mork_inverse_on_distinct_parts():
     # The images are exactly the distinct-part partitions: none is refused.
     for n in range(25):

@@ -122,6 +122,16 @@ generators, the helper that counted the marked rows, the ``_palette``
 check and the whole conjugate.  Streams must give the same objects in
 the same order, and maps the same objects or the same error.
 
+Each map builds its image in one pass after its checks: ``glaisher_reduce``
+banks only the heights with m columns or more, ``glaisher_expand`` checks
+every banked part first and then adds to each row in one pointer walk
+down the banked parts, ``decompose_multiplicity`` slices each run once,
+``color_conjugate`` reads the color off the rest of the height,
+``color_conjugate_inverse`` conjugates its heights inline, and the mork
+maps index the parts directly and build no validated ``Partition``.  The
+bodies they replaced are kept below, and every output, and every error's
+type and message, must equal theirs.
+
 Every enum side hands its table to the ring as columns, one int list per
 variable, and the double sums step one dict of packed keys, each level
 a product of two cached Gaussian binomials cut at the cap.  The path
@@ -187,6 +197,7 @@ from itertools import (
     compress,
     count,
     groupby,
+    permutations,
     product,
     repeat,
     starmap,
@@ -264,6 +275,7 @@ from schmidtq.identities import (
 )
 from schmidtq.partitions import (
     _check_class,
+    _check_modulus,
     _cor22_counts,
     _digits,
     _expand,
@@ -965,6 +977,145 @@ def conjugate_mork_forward(lam):
         if row > r + 1:
             out.append(row + cols[r + 1] - 2 * r - 2)
     return Partition(out)
+
+
+def quotient_color_conjugate(lam, m, s):
+    """``color_conjugate`` taking each color as ``h - m * ((p - 1) // i)``."""
+    residues = normalize_residue_set(m, s, allow_m=True)
+    i = len(residues)
+    parts = []
+    below = 0
+    for h, part in zip(range(len(lam), 0, -1), reversed(lam.parts)):
+        if part > below:
+            full, rest = divmod(h, m)
+            p = full * i + bisect_right(residues, rest)
+            parts += repeat((p, h - m * ((p - 1) // i)), part - below)
+            below = part
+    return ColoredPartition._trusted(tuple(parts))
+
+
+def conjugating_color_conjugate_inverse(mu, m, s):
+    """``color_conjugate_inverse`` conjugating a ``Partition`` of the heights."""
+    residues = normalize_residue_set(m, s, allow_m=True)
+    i = len(residues)
+    bounds = (*residues, m + 1)
+    heights = []
+    for p, c in mu.parts:
+        full, k = divmod(p - 1, i)
+        if not bounds[k] <= c < bounds[k + 1]:
+            raise ValueError(
+                f"part ({p}, {c}) is not admissible for modulus {m}, residues {residues}"
+            )
+        heights.append(m * full + c)
+    return Partition._trusted(tuple(heights)).conjugate()
+
+
+def validating_mork_forward(lam):
+    """``mork_forward`` walking to both columns of each diagonal cell, its
+    image checked by the ``Partition`` constructor."""
+    rows = lam.parts
+    out = []
+    k = len(rows)
+    for r, row in enumerate(rows):
+        if row <= r:
+            break
+        while rows[k - 1] <= r:
+            k -= 1
+        out.append(row + k - 2 * r - 1)
+        if row > r + 1:
+            while rows[k - 1] <= r + 1:
+                k -= 1
+            out.append(row + k - 2 * r - 2)
+    return Partition(out)
+
+
+def closure_mork_inverse(mu):
+    """``mork_inverse`` reading mu through a 1-based closure, one check per
+    diagonal cell, its rows checked by the ``Partition`` constructor."""
+    parts = mu.parts
+    if len(set(parts)) != len(parts):
+        raise ValueError(f"{parts} has repeated parts, so it is not an image")
+    n = len(parts)
+    if n == 0:
+        return Partition()
+    dm = (n + 1) // 2
+
+    def mu_at(idx):
+        return parts[idx - 1]
+
+    arm = [0] * (dm + 2)
+    leg = [0] * (dm + 2)
+    arm[dm] = mu_at(2 * dm) if n % 2 == 0 else 0
+    leg[dm] = mu_at(2 * dm - 1) - arm[dm] - 1
+    for d in range(dm - 1, 0, -1):
+        arm[d] = mu_at(2 * d) - leg[d + 1] - 1
+        leg[d] = mu_at(2 * d - 1) - arm[d] - 1
+    for d in range(1, dm + 1):
+        if arm[d] < 0 or leg[d] < 0:
+            raise ValueError(f"{parts} is not an image: negative hook component")
+    for d in range(1, dm):
+        if arm[d] <= arm[d + 1] or leg[d] <= leg[d + 1]:
+            raise ValueError(f"{parts} is not an image: hook components must nest")
+    rows = [arm[d] + d for d in range(1, dm + 1)]
+    cols = [leg[d] + d for d in range(1, dm + 1)]
+    k = dm
+    for r in range(dm + 1, cols[0] + 1):
+        while cols[k - 1] < r:
+            k -= 1
+        rows.append(k)
+    return Partition(rows)
+
+
+def every_height_glaisher_reduce(lam, m):
+    """``glaisher_reduce`` extending the bank at every height, by zero parts too."""
+    _check_modulus(m)
+    kept = []
+    banked = []
+    row = 0
+    below = 0
+    for h, part in zip(range(len(lam), 0, -1), reversed(lam.parts)):
+        columns = part - below
+        below = part
+        row += columns % m
+        if row:
+            kept.append(row)
+        banked += repeat(h * m, columns // m)
+    kept.reverse()
+    return Partition._trusted(tuple(kept)), Partition._trusted(tuple(banked))
+
+
+def per_row_glaisher_expand(kept, banked, m):
+    """``glaisher_expand`` adding m to every row of every banked part, checking
+    each part as it comes."""
+    _check_modulus(m)
+    if not in_class(kept, "F", m):
+        raise ValueError(f"{kept.parts} has a gap of {m} or more, so it is not reduced")
+    rows = list(kept.parts)
+    for p in banked.parts:
+        if p % m:
+            raise ValueError(f"banked part {p} is not divisible by {m}")
+        h = p // m
+        rows += repeat(0, h - len(rows))
+        for r in range(h):
+            rows[r] += m
+    return Partition._trusted(tuple(rows))
+
+
+def per_part_decompose_multiplicity(mu, m):
+    """``decompose_multiplicity`` counting each run one part at a time and
+    extending both outputs at every run, by zero copies too."""
+    _check_modulus(m)
+    parts = mu.parts
+    low = []
+    bulk = []
+    run = 0
+    for part, following in zip(parts, (*parts[1:], 0)):
+        run += 1
+        if part != following:
+            low += repeat(part, run % m)
+            bulk += repeat(part, run - run % m)
+            run = 0
+    return Partition._trusted(tuple(low)), Partition._trusted(tuple(bulk))
 
 
 def tuple_run_decompose_multiplicity(mu, m):
@@ -3878,10 +4029,11 @@ def partitions_up_to(n):
 
 
 def outcome(f, *args):
-    """What ``f(*args)`` returns, or the type and message of its ValueError."""
+    """What ``f(*args)`` returns, or the type and message of its ValueError
+    or TypeError."""
     try:
         return f(*args)
-    except ValueError as err:
+    except (ValueError, TypeError) as err:
         return type(err), str(err)
 
 
@@ -3910,6 +4062,7 @@ def test_decompose_and_merge_match_tuple_runs_and_validating_merge(m):
     for lam in partitions_up_to(16):
         low, bulk = decompose_multiplicity(lam, m)
         assert (low, bulk) == tuple_run_decompose_multiplicity(lam, m), lam
+        assert (low, bulk) == per_part_decompose_multiplicity(lam, m), lam
         assert merge_partitions(low, bulk) == validating_merge_partitions(low, bulk) == lam
         # Any two partitions, not only the halves of one.
         assert merge_partitions(lam, low) == validating_merge_partitions(lam, low)
@@ -3926,8 +4079,10 @@ def test_glaisher_maps_match_conjugating_maps(m):
     for lam in partitions_up_to(20):
         kept, banked = glaisher_reduce(lam, m)
         assert (kept, banked) == counter_glaisher_reduce(lam, m), lam
+        assert (kept, banked) == every_height_glaisher_reduce(lam, m), lam
         back = glaisher_expand(kept, banked, m)
         assert back == conjugate_and_sort_glaisher_expand(kept, banked, m) == lam
+        assert back == per_row_glaisher_expand(kept, banked, m)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -3938,31 +4093,93 @@ def test_color_conjugate_matches_per_column_map(m):
             assert mu == per_column_color_conjugate(lam, m, s) == bisect_color_conjugate(
                 lam, m, s
             ), (s, lam)
+            assert mu == quotient_color_conjugate(lam, m, s), (s, lam)
             back = color_conjugate_inverse(mu, m, s)
             assert back == sorting_color_conjugate_inverse(mu, m, s) == lam
             assert back == palette_color_conjugate_inverse(mu, m, s)
+            assert back == conjugating_color_conjugate_inverse(mu, m, s)
         # Every single part (p, c) with c up to one past the ceiling m + 1:
         # the admissible ones map alike, the rest refuse alike.
         for p in range(1, 9):
             for c in range(1, m + 3):
                 mu = ColoredPartition([(p, c)])
-                assert outcome(color_conjugate_inverse, mu, m, s) == outcome(
-                    palette_color_conjugate_inverse, mu, m, s
-                ), (s, p, c)
+                got = outcome(color_conjugate_inverse, mu, m, s)
+                assert got == outcome(palette_color_conjugate_inverse, mu, m, s), (s, p, c)
+                assert got == outcome(conjugating_color_conjugate_inverse, mu, m, s)
 
 
 def test_mork_maps_match_part_indexing_maps():
     for lam in partitions_up_to(20):
         mu = mork_forward(lam)
         assert mu == part_based_mork_forward(lam) == conjugate_mork_forward(lam), lam
+        assert mu == validating_mork_forward(lam), lam
         assert mork_inverse(mu) == sum_based_mork_inverse(mu) == lam
+        assert mork_inverse(mu) == closure_mork_inverse(mu)
     # Every distinct-part partition, and partitions with repeats, which
-    # both refuse with the same message.
+    # all refuse with the same message.
     for n in range(25):
         for mu in partitions_of(n, "D", 2):
-            assert mork_inverse(mu) == sum_based_mork_inverse(mu), mu
+            got = mork_inverse(mu)
+            assert got == sum_based_mork_inverse(mu) == closure_mork_inverse(mu), mu
     for mu in partitions_up_to(12):
-        assert outcome(mork_inverse, mu) == outcome(sum_based_mork_inverse, mu), mu
+        got = outcome(mork_inverse, mu)
+        assert got == outcome(sum_based_mork_inverse, mu) == outcome(closure_mork_inverse, mu), mu
+
+
+def test_bijections_refuse_as_their_replaced_bodies():
+    lam = Partition((4, 4, 3, 1))
+    mu = color_conjugate(lam, 3, (1, 2))
+    cases = []
+    for m in (1, 2.0, True):
+        cases += [
+            (glaisher_reduce, every_height_glaisher_reduce, (lam, m)),
+            (glaisher_expand, per_row_glaisher_expand, (Partition((2, 1)), Partition((4,)), m)),
+            (decompose_multiplicity, per_part_decompose_multiplicity, (lam, m)),
+            (color_conjugate, quotient_color_conjugate, (lam, m, (1,))),
+            (color_conjugate_inverse, conjugating_color_conjugate_inverse, (mu, m, (1,))),
+        ]
+    # A residue of 0, one above m = 3, and a float residue.
+    for s in ((0, 1), (1, 4), (1, 2.0)):
+        cases += [
+            (color_conjugate, quotient_color_conjugate, (lam, 3, s)),
+            (color_conjugate_inverse, conjugating_color_conjugate_inverse, (mu, 3, s)),
+        ]
+    # Part 1 wears color 1 alone at m = 3 on {1, 2}, and part 2 colors 2 and 3.
+    for nu in ([(2, 3), (1, 2)], [(2, 1)], [(3, 1), (2, 4)]):
+        cases.append(
+            (
+                color_conjugate_inverse,
+                conjugating_color_conjugate_inverse,
+                (ColoredPartition(nu), 3, (1, 2)),
+            )
+        )
+    # Gaps of m or more, the last part's included; the gap check comes
+    # before the banked parts'; the first banked part not divisible by m
+    # is the one reported.
+    for kept, banked in [
+        ((4, 1), ()),
+        ((2,), (4,)),
+        ((4, 1), (3,)),
+        ((1,), (5, 4)),
+        ((1,), (6, 4, 3)),
+        ((1,), (6, 5, 3)),
+    ]:
+        cases.append(
+            (glaisher_expand, per_row_glaisher_expand, (Partition(kept), Partition(banked), 2))
+        )
+    # Repeated parts, and parts out of order that only _trusted builds,
+    # which give negative or non-nesting hooks.
+    for parts in [(3, 3), (5, 3, 3, 1), (1, 3), (1, 2, 5, 3), (2, 1, 4, 3)]:
+        cases.append((mork_inverse, closure_mork_inverse, (Partition._trusted(parts),)))
+    for f, oracle, args in cases:
+        got = outcome(f, *args)
+        assert got == outcome(oracle, *args), (f.__name__, args)
+        assert isinstance(got, tuple) and got[0] in (ValueError, TypeError), (f.__name__, args)
+    # Every arrangement of up to five of the parts 1 .. 7, refused or not.
+    for k in range(6):
+        for parts in permutations(range(1, 8), k):
+            nu = Partition._trusted(parts)
+            assert outcome(mork_inverse, nu) == outcome(closure_mork_inverse, nu), parts
 
 
 drawn_partitions = st.lists(st.integers(1, 60), max_size=40).map(
@@ -3991,27 +4208,42 @@ def test_bijections_match_replaced_maps_past_the_grid(data, lam, kept, banked, n
     groups = tuple((size, len(tuple(run))) for size, run in groupby(lam.parts))
     assert _expand(groups) == generator_expand(groups)
     reduced = glaisher_reduce(lam, m)
-    assert reduced == counter_glaisher_reduce(lam, m)
-    assert glaisher_expand(*reduced, m) == lam
+    assert reduced == counter_glaisher_reduce(lam, m) == every_height_glaisher_reduce(lam, m)
+    assert glaisher_expand(*reduced, m) == per_row_glaisher_expand(*reduced, m) == lam
     # Any pair, reduced or not, gives the same partition or the same error.
-    assert outcome(glaisher_expand, kept, banked, m) == outcome(
-        conjugate_and_sort_glaisher_expand, kept, banked, m
-    )
+    got = outcome(glaisher_expand, kept, banked, m)
+    assert got == outcome(conjugate_and_sort_glaisher_expand, kept, banked, m)
+    assert got == outcome(per_row_glaisher_expand, kept, banked, m)
+    # Banked parts that are all multiples of m, beside a reduced kept
+    # partition and beside any.
+    scaled = Partition([p * m for p in banked.parts])
+    for k in (reduced[0], kept):
+        got = outcome(glaisher_expand, k, scaled, m)
+        assert got == outcome(per_row_glaisher_expand, k, scaled, m)
+        assert got == outcome(conjugate_and_sort_glaisher_expand, k, scaled, m)
+    split = decompose_multiplicity(lam, m)
+    assert split == tuple_run_decompose_multiplicity(lam, m)
+    assert split == per_part_decompose_multiplicity(lam, m)
     mu = color_conjugate(lam, m, s)
     assert mu == per_column_color_conjugate(lam, m, s) == bisect_color_conjugate(lam, m, s)
+    assert mu == quotient_color_conjugate(lam, m, s)
     back = color_conjugate_inverse(mu, m, s)
     assert back == sorting_color_conjugate_inverse(mu, m, s) == lam
     assert back == palette_color_conjugate_inverse(mu, m, s)
+    assert back == conjugating_color_conjugate_inverse(mu, m, s)
     # Any colored partition, admissible or not, maps alike or refuses alike.
-    assert outcome(color_conjugate_inverse, nu, m, s) == outcome(
-        palette_color_conjugate_inverse, nu, m, s
-    )
+    got = outcome(color_conjugate_inverse, nu, m, s)
+    assert got == outcome(palette_color_conjugate_inverse, nu, m, s)
+    assert got == outcome(conjugating_color_conjugate_inverse, nu, m, s)
     image = mork_forward(lam)
     assert image == part_based_mork_forward(lam) == conjugate_mork_forward(lam)
+    assert image == validating_mork_forward(lam)
     assert mork_inverse(image) == sum_based_mork_inverse(image) == lam
+    assert mork_inverse(image) == closure_mork_inverse(image)
     distinct = Partition(sorted(set(kept.parts), reverse=True))
     for nu in (kept, distinct):
-        assert outcome(mork_inverse, nu) == outcome(sum_based_mork_inverse, nu)
+        got = outcome(mork_inverse, nu)
+        assert got == outcome(sum_based_mork_inverse, nu) == outcome(closure_mork_inverse, nu)
 
 
 # --- one family per table row ------------------------------------------------

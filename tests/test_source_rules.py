@@ -260,6 +260,7 @@ UNUSED_IN_SOURCE = {
     "SeriesContext.zero": "a series builder the README documents; perfbench/make_digests.py sums from it",
     "SeriesContext.term": "the one-term series builder the README documents",
     "Partition.multiplicity": "read by the bijection and partition tests",
+    "Partition.conjugate": "public method the README documents; the maps walk their lists inline",
     "residue_column_table": "public tuple-keyed table; enum_side counts it in the ring's keys",
     "schmidt_weight_table": "public tuple-keyed table; enum_side counts it in the ring's keys",
 }
